@@ -10,7 +10,8 @@ stability  qform | compare | sufficient | area
 Every run writes a JSON summary embedding the fully resolved configuration
 and the tool version; identical configurations (including the seed)
 reproduce byte-identical summaries.  Exit codes: 0 ok, 2 usage or config
-error, 3 numerical or precondition failure, 4 internal error.
+error (including parameters a construction rejects), 3 numerical or
+precondition failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ExprSyntaxError, GeometryError
+from .errors import BadParams, ExprSyntaxError, GeometryError
 from .expressions import CATALOG_NAMES, catalog, parse as parse_field
 from .exporters import json_dumps, write_csv, write_json, write_obj
-from .frame import CoordVector, Point, SQRT2, frame_components
+from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 from .stationary import HorizontalCurve, orthogonality_check, sweep_surface, uniqueness_scan
 from .surface import EPS_SING, raw_fields
 from .curves import eval_curve, integrate_ode, make_curve
@@ -113,7 +114,6 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
             out[key] = _coerce(fromfile[key], default)
         else:
             out[key] = default
-    out["threads"] = int(os.environ.get("SOL_GEO_THREADS", "1"))
     return out
 
 
@@ -124,9 +124,12 @@ def _parse_params(items) -> dict:
             raise ConfigError(f"--param expects name=value, got {item!r}")
         k, v = item.split("=", 1)
         try:
-            params[k.strip()] = float(v)
+            value = float(v)
         except ValueError:
             raise ConfigError(f"--param value must be numeric, got {item!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"--param {k.strip()} must be finite, got {v.strip()!r}")
+        params[k.strip()] = value
     return params
 
 
@@ -285,10 +288,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ne, nt = (int(v) for v in o["grid"])
     s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt), skew=o["skew"])
     E, T, X, Y, Z = s.mesh()
-    # discrete |N_h| from the cross product of the tangents
-    e1 = np.stack(frame_components(Z, *s.eps_velocity(E, T)), axis=-1)
-    e2 = np.stack(frame_components(Z, *s.t_velocity(E, T)), axis=-1)
-    nrm = np.cross(e1, e2)
+    # |N_h| from the cross product of the tangents
+    nrm = TangentFrame(Z, s.eps_velocity(E, T), s.t_velocity(E, T)).normal
     with np.errstate(invalid="ignore", divide="ignore"):
         nh = np.hypot(nrm[..., 0], nrm[..., 1]) / np.linalg.norm(nrm, axis=-1)
     vt = np.asarray(s.vertical_component(E, T), dtype=float)
@@ -498,7 +499,7 @@ def main(argv=None) -> int:
             "stability": cmd_stability,
         }[args.command]
         return handler(cfg)
-    except (ConfigError, ExprSyntaxError) as e:
+    except (ConfigError, ExprSyntaxError, BadParams) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GeometryError as e:

@@ -560,20 +560,6 @@ def parse(source: str) -> ScalarField:
     return ScalarField.from_expr(expr, source)
 
 
-# Free-function aliases ------------------------------------------------------
-
-def eval_field(f: ScalarField, p: Point) -> float:
-    return f.value(p)
-
-
-def eval_grad(f: ScalarField, p: Point) -> CoordVector:
-    return f.gradient(p)
-
-
-def eval_hessian(f: ScalarField, p: Point) -> np.ndarray:
-    return f.hessian(p)
-
-
 # ---------------------------------------------------------------------------
 # Catalog of named surfaces
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,46 @@ def coord_components(z, a, b, c):
     return dx, dy, dz
 
 
+class TangentFrame:
+    """Two coordinate tangents of a parametrized surface, in the frame.
+
+    ``e1`` and ``e2`` are the (..., 3) frame components of the tangents at
+    height ``z``; ``normal`` is their metric cross product and ``solve``
+    the first-fundamental-form solve against them.  Scalar tangent
+    components broadcast against ``z``.
+    """
+
+    def __init__(self, z, t1, t2):
+        self.e1 = np.stack(np.broadcast_arrays(*frame_components(z, *t1)), axis=-1)
+        self.e2 = np.stack(np.broadcast_arrays(*frame_components(z, *t2)), axis=-1)
+
+    @cached_property
+    def normal(self) -> np.ndarray:
+        """e1 x e2 in frame components (the frame is orthonormal)."""
+        return np.cross(self.e1, self.e2)
+
+    @cached_property
+    def gram(self):
+        """(g11, g12, g22, det) of the first fundamental form."""
+        g11 = np.sum(self.e1 * self.e1, axis=-1)
+        g12 = np.sum(self.e1 * self.e2, axis=-1)
+        g22 = np.sum(self.e2 * self.e2, axis=-1)
+        return g11, g12, g22, g11 * g22 - g12 * g12
+
+    def area_element(self) -> np.ndarray:
+        return np.sqrt(self.gram[3])
+
+    def solve(self, v):
+        """(alpha, beta) with alpha e1 + beta e2 the tangential part of ``v``.
+
+        ``v`` holds (..., 3) frame components.
+        """
+        g11, g12, g22, det = self.gram
+        b1 = np.sum(v * self.e1, axis=-1)
+        b2 = np.sum(v * self.e2, axis=-1)
+        return (g22 * b1 - g12 * b2) / det, (-g12 * b1 + g11 * b2) / det
+
+
 _FRAME_INDEX = {"X": 0, "Y": 1, "T": 2}
 
 # [X,Y] = -T, [X,T] = -Y, [Y,T] = 0, extended antisymmetrically
@@ -183,11 +224,10 @@ def lie_bracket(u: str, v: str) -> FrameVector:
     return FrameVector(-a, -b, -c)
 
 
-def connection(u: FrameVector, v: str, p: Point | None = None) -> FrameVector:
+def connection(u: FrameVector, v: str) -> FrameVector:
     """Covariant derivative nabla_u v of a frame symbol, linear in ``u``.
 
-    The table is point independent; ``p`` is accepted for interface
-    symmetry with the curved operations elsewhere.
+    The table is point independent.
     """
     _check_symbol(v)
     out = np.zeros(3)

@@ -34,13 +34,14 @@ import numpy as np
 
 from .errors import (
     BadParams,
+    GeometryError,
     Inadmissible,
     NotMinimal,
     PerturbationNotCompact,
     SingularPointFound,
 )
 from .expressions import ScalarField, catalog, neg
-from .frame import SQRT2, Point, frame_components
+from .frame import SQRT2, Point, TangentFrame, frame_components
 from .stationary import plane_ab_singular_line_z
 from .surface import EPS_SING, raw_fields
 
@@ -170,8 +171,8 @@ class SurfacePatch:
     unit speed, so the length element along it is 1.
 
     Pointwise geometry comes from the defining scalar field when one exists;
-    otherwise ``geometry`` supplies it from the parametrization (discrete
-    frame differentiation on the grid, see ``patch_from_ruled``).
+    otherwise ``geometry`` supplies it from the exact derivatives of the
+    parametrization (see ``patch_from_ruled``).
     """
 
     name: str
@@ -194,6 +195,37 @@ class SurfacePatch:
         return raw_fields(self.field, X, Y, Z)
 
 
+_PLANE_GRAPH = {
+    # (assemble F from graph height h(s1, s2), and its partials)
+    "plane-x": lambda s1, s2, h, h1, h2: ((h, s1, s2), ((h1, 1.0, 0.0), (h2, 0.0, 1.0))),
+    "plane-y": lambda s1, s2, h, h1, h2: ((s1, h, s2), ((1.0, h1, 0.0), (0.0, h2, 1.0))),
+    "plane-z": lambda s1, s2, h, h1, h2: ((s1, s2, h), ((1.0, 0.0, h1), (0.0, 1.0, h2))),
+}
+
+
+def _level_graph(c: float):
+    """Height function of the coordinate plane {coordinate = -c}."""
+    def h(s1, s2):
+        zero = np.zeros_like(s1)
+        return np.full_like(s1, -c), zero, zero
+    return h
+
+
+def _graph_patch(name, fld, kind, h_fn, er, tr, singular="none", point_param=None):
+    """Patch of a graph over a coordinate plane, laid out by ``_PLANE_GRAPH``."""
+    def graph(e, t):
+        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
+        return _PLANE_GRAPH[kind](e, t, *h_fn(e, t))
+
+    def F(e, t):
+        return tuple(np.broadcast_arrays(*graph(e, t)[0]))
+
+    def tangents(e, t):
+        return graph(e, t)[1]
+
+    return SurfacePatch(name, fld, er, tr, F, tangents, singular, point_param)
+
+
 def patch_for_catalog(name: str, params: dict | None = None,
                       eps_range=None, t_range=None) -> SurfacePatch:
     """Adapted quadrature patch for a catalog surface."""
@@ -202,36 +234,8 @@ def patch_for_catalog(name: str, params: dict | None = None,
 
     if name in ("plane-x", "plane-y", "plane-z"):
         c = float(params.get("c", 0.0))
-        er = eps_range or (-3.0, 3.0)
-        tr = t_range or (-3.0, 3.0)
-        if name == "plane-x":
-            def F(e, t):
-                e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-                return np.full_like(e, -c), e, t
-
-            def tangents(e, t):
-                e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-                zero, one = np.zeros_like(e), np.ones_like(e)
-                return (zero, one, zero), (zero, zero, one)
-        elif name == "plane-y":
-            def F(e, t):
-                e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-                return e, np.full_like(e, -c), t
-
-            def tangents(e, t):
-                e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-                zero, one = np.zeros_like(e), np.ones_like(e)
-                return (one, zero, zero), (zero, zero, one)
-        else:
-            def F(e, t):
-                e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-                return e, t, np.full_like(e, -c)
-
-            def tangents(e, t):
-                e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-                zero, one = np.zeros_like(e), np.ones_like(e)
-                return (one, zero, zero), (zero, one, zero)
-        return SurfacePatch(name, fld, er, tr, F, tangents, "none")
+        return _graph_patch(name, fld, name, _level_graph(c),
+                            eps_range or (-3.0, 3.0), t_range or (-3.0, 3.0))
 
     if name == "plane-ab":
         a = float(params.get("a", 1.0))
@@ -286,22 +290,17 @@ def patch_for_catalog(name: str, params: dict | None = None,
         x0 = float(params.get("x0", 0.0))
         y0 = float(params.get("y0", 0.0))
         z0 = float(params.get("z0", 0.0))
-        er = eps_range or (y0 - 3.0, y0 + 3.0)
-        tr = t_range or (-z0 - 2.0, -z0 + 2.0)
 
-        # graph over (y, z); the singular point sits at (y0, -z0)
-        def F(e, t):
-            e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-            return x0 - np.exp(t - z0) * (e - y0), e, t
+        # graph x = x0 - e^(z - z0) (y - y0) over (y, z); the singular point
+        # sits at (y0, -z0)
+        def h(y, z):
+            ee = np.exp(z - z0)
+            return x0 - ee * (y - y0), -ee, -ee * (y - y0)
 
-        def tangents(e, t):
-            e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-            ee = np.exp(t - z0)
-            zero, one = np.zeros_like(e), np.ones_like(e)
-            return ((-ee, one, zero), (-ee * (e - y0), zero, one))
-
-        return SurfacePatch(name, fld, er, tr, F, tangents, "point",
-                            point_param=(y0, -z0))
+        return _graph_patch(name, fld, "plane-x", h,
+                            eps_range or (y0 - 3.0, y0 + 3.0),
+                            t_range or (-z0 - 2.0, -z0 + 2.0),
+                            "point", (y0, -z0))
 
     raise BadParams(f"no adapted patch for catalog surface {name!r}")
 
@@ -309,14 +308,13 @@ def patch_for_catalog(name: str, params: dict | None = None,
 def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
     """Quadrature patch over a ruled sweep, geometry from the parametrization.
 
-    Serves sweeps with no defining scalar field (the non-geodesic family):
-    the characteristic direction is the unit ruling velocity carrying the
-    side-dependent sign that realizes it as J of the horizontal normal, the
-    unit normal comes from the metric cross product of the tangents (the
-    global sign is fixed at a reference point; ``orientation`` flips it),
-    and <nabla_S nu_h, Z> comes from side-aware finite differences of the
-    horizontal-normal components.  Results on surfaces without a defining
-    field are exploratory output.
+    Serves sweeps with no defining scalar field (the non-geodesic family).
+    The characteristic direction Z is the unit ruling velocity carrying the
+    side-dependent sign that realizes it as J of the horizontal normal
+    nu_h = -J(Z); the unit normal is the metric cross product of the
+    tangents, its global sign fixed at a reference point (``orientation``
+    flips it).  All derivatives are exact: <nabla_S nu_h, Z> and H come
+    from the closed-form second derivatives of the sweep.
     """
     from .stationary import RuledSurface
 
@@ -331,75 +329,51 @@ def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
     def tangents(e, t):
         return surface.eps_velocity(e, t), surface.t_velocity(e, t)
 
-    def nu_fields(e, t):
-        # Z = sigma * unit ruling velocity; nu_h = -J(Z); analytic in eps
-        e = np.asarray(e, dtype=float)
-        t = np.asarray(t, dtype=float)
-        x, y, z = surface.point(e, t)
-        a2, b2, _ = frame_components(z, *surface.t_velocity(e, t))
-        speed = np.hypot(a2, b2)
+    def frame_data(e, t):
+        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
+        _, _, z = surface.point(e, t)
+        tf = TangentFrame(z, *tangents(e, t))
         sigma = orientation * np.sign(t)
-        zx = sigma * a2 / speed
-        zy = sigma * b2 / speed
-        return zx, zy, zy, -zx, speed
-
-    def unit_normal(e, t):
-        e = np.asarray(e, dtype=float)
-        t = np.asarray(t, dtype=float)
-        x, y, z = surface.point(e, t)
-        e1 = np.stack(frame_components(z, *surface.eps_velocity(e, t)), axis=-1)
-        e2 = np.stack(frame_components(z, *surface.t_velocity(e, t)), axis=-1)
-        n = np.cross(e1, e2)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+        speed = np.hypot(tf.e2[..., 0], tf.e2[..., 1])
+        # Z = sigma * unit ruling velocity; nu_h = -J(Z) = (zy, -zx)
+        zx = sigma * tf.e2[..., 0] / speed
+        zy = sigma * tf.e2[..., 1] / speed
+        n = tf.normal / np.linalg.norm(tf.normal, axis=-1, keepdims=True)
+        return e, t, z, tf, sigma, speed, zx, zy, n
 
     # pin the global normal sign once, where the alignment is unambiguous
     e_ref = 0.5 * (surface.eps_range[0] + surface.eps_range[1])
     t_ref = 0.25 * (surface.t_range[1] - surface.t_range[0])
-    n_ref = unit_normal(e_ref, t_ref)
-    _, _, nu1_r, nu2_r, _ = nu_fields(e_ref, t_ref)
-    s_ref = math.copysign(1.0, float(n_ref[..., 0] * nu1_r + n_ref[..., 1] * nu2_r))
+    *_, zx_r, zy_r, n_ref = frame_data(e_ref, t_ref)
+    s_ref = math.copysign(1.0, float(n_ref[..., 0] * zy_r - n_ref[..., 1] * zx_r))
 
     def geometry(e, t):
-        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-        zx, zy, nu1, nu2, speed = nu_fields(e, t)
-        n = s_ref * unit_normal(e, t)
+        e, t, z, tf, sigma, speed, zx, zy, n = frame_data(e, t)
+        nu1, nu2 = zy, -zx
+        n = s_ref * n
         nh = np.hypot(n[..., 0], n[..., 1])
         nt = n[..., 2]
 
-        he = 1e-5
-        # steps in t stay on one side of the singular curve, where the
-        # side-dependent sign of the fields is constant
-        ht = np.minimum(1e-5, np.abs(t) / 2.0)
-        safe = ht > 1e-12
-        ht_div = np.where(safe, ht, 1.0)
+        def nu_rate(d_ft):
+            """Rate of (nu1, nu2) from the rate d_ft of the ruling velocity
+            F_t along one parameter.  The frame components of F_t change by
+            those of d_ft plus z' times (0, <F_t,T>, <F_t,Y>); F_t is
+            horizontal, so the X- and Y-parts need no z' term."""
+            da, db, _ = frame_components(z, *d_ft)
+            ua, ub = tf.e2[..., 0] / speed, tf.e2[..., 1] / speed
+            along = ua * da + ub * db
+            return (np.stack([sigma * (db - ub * along), -sigma * (da - ua * along)])
+                    / speed)
 
-        def nus(ee, tt):
-            _, _, a, b, _ = nu_fields(ee, tt)
-            return np.stack([a, b])
-
-        dnu_de = (nus(e + he, t) - nus(e - he, t)) / (2.0 * he)
-        dnu_dt = np.where(safe,
-                          (nus(e, t + ht) - nus(e, t - ht)) / (2.0 * ht_div),
-                          0.0)
+        f_et, f_tt = surface.t_velocity_rates(e, t)
+        dnu_de = nu_rate(f_et)
+        dnu_dt = nu_rate(f_tt)
 
         # decompose S = nt nu_h - nh T against the tangents
-        x, y, z = surface.point(e, t)
-        E1 = np.stack(frame_components(z, *surface.eps_velocity(e, t)), axis=-1)
-        E2 = np.stack(frame_components(z, *surface.t_velocity(e, t)), axis=-1)
-        g11 = np.sum(E1 * E1, axis=-1)
-        g12 = np.sum(E1 * E2, axis=-1)
-        g22 = np.sum(E2 * E2, axis=-1)
-        det = g11 * g22 - g12 * g12
-        Sf = np.stack([nt * nu1, nt * nu2, -nh], axis=-1)
-        b1 = np.sum(Sf * E1, axis=-1)
-        b2 = np.sum(Sf * E2, axis=-1)
-        alpha_s = (g22 * b1 - g12 * b2) / det
-        beta_s = (-g12 * b1 + g11 * b2) / det
+        alpha_s, beta_s = tf.solve(np.stack([nt * nu1, nt * nu2, -nh], axis=-1))
         s_nu1 = alpha_s * dnu_de[0] + beta_s * dnu_dt[0]
         s_nu2 = alpha_s * dnu_de[1] + beta_s * dnu_dt[1]
         M = (s_nu1 + nu2 * nh / 2.0) * zx + (s_nu2 - nu1 * nh / 2.0) * zy
-
-        sigma = orientation * np.sign(t)
         H = -sigma * (dnu_dt[0] * zx + dnu_dt[1] * zy) / speed
         return {"nh": nh, "nt": nt, "zx": zx, "zy": zy,
                 "grad_s_nu_z": M, "H": H}
@@ -458,24 +432,20 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
     """Geometry shared by the integrand evaluations at nodes (E, T)."""
     X, Y, Z = patch.points(E, T)
     f = patch.geom(E, T)
-    (e1x, e1y, e1z), (e2x, e2y, e2z) = patch.tangents(E, T)
-    E1 = np.stack(frame_components(Z, e1x, e1y, e1z), axis=-1)
-    E2 = np.stack(frame_components(Z, e2x, e2y, e2z), axis=-1)
-    g11 = np.sum(E1 * E1, axis=-1)
-    g12 = np.sum(E1 * E2, axis=-1)
-    g22 = np.sum(E2 * E2, axis=-1)
-    det = g11 * g22 - g12 * g12
-    dS = np.sqrt(det)
+    tf = TangentFrame(Z, *patch.tangents(E, T))
     Zf = np.stack([f["zx"], f["zy"], np.zeros_like(f["zx"])], axis=-1)
-    b1 = np.sum(Zf * E1, axis=-1)
-    b2 = np.sum(Zf * E2, axis=-1)
-    alpha = (g22 * b1 - g12 * b2) / det
-    beta = (-g12 * b1 + g11 * b2) / det
-    return f, dS, alpha, beta
+    alpha, beta = tf.solve(Zf)
+    return f, tf.area_element(), alpha, beta
 
 
 def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
-                  weight_fn, boundary_tau: bool, delta: float):
+                  weight_fn, delta: float, boundary_const: float | None = None):
+    """Surface and singular-curve parts of Q(u) at one grid level.
+
+    The u^2 coefficient of the singular-curve integral is
+    4 <N,T> <Z,Y>^2 <Z,nu> from the patch geometry, or ``boundary_const``
+    when a closed form supplies it.
+    """
     ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
     E, T = np.meshgrid(ne_nodes, nt_nodes, indexing="ij")
@@ -501,11 +471,11 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
     if patch.singular == "curve":
         be, bw = gl_line(*patch.eps_range, n_eps)
         # length element along the base curve is 1 by construction
-        f0 = patch.geom(be, np.zeros_like(be))
         u0 = u.value(be, np.zeros_like(be))
         du0 = u.d_eps(be, np.zeros_like(be))
         b_s = float(np.sum(du0 * du0 * bw))
-        if boundary_tau:
+        coeff = boundary_const
+        if coeff is None:
             # <N,T> is smooth across the singular curve: take it at t = 0.
             # <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at
             # two probe offsets and extrapolate linearly to t -> 0.
@@ -524,6 +494,7 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
                     samples.append(fs["zy"] ** 2 * zdotnu)
                 return 2.0 * samples[1] - samples[0]
 
+            f0 = patch.geom(be, np.zeros_like(be))
             lim_plus = side_limit(1.0)
             lim_minus = side_limit(-1.0)
             p_plus = f0["nt"] * lim_plus
@@ -533,7 +504,8 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
                 "boundary_product_minus": float(np.mean(p_minus)),
                 "boundary_sides_max_gap": float(np.max(np.abs(p_plus - p_minus))),
             }
-            b_tau = float(np.sum(4.0 * p_plus * u0 * u0 * bw))
+            coeff = 4.0 * p_plus
+        b_tau = float(np.sum(coeff * u0 * u0 * bw))
     return surface, b_tau, b_s, sides
 
 
@@ -570,9 +542,10 @@ def q_form(patch, u: TestFunction, grid=(24, 24),
 
     On catalog patches the <nabla_S nu_h, Z> entry of the potential comes
     from the exact second partials of the defining function; a ruled sweep
-    (no defining field) is adapted through ``patch_from_ruled`` and its
-    geometry is discrete, so those results are exploratory.  Two grid levels
-    give the quadrature error estimate.
+    (no defining field) is adapted through ``patch_from_ruled``, whose
+    geometry comes from the closed-form derivatives of the sweep.  Two grid
+    levels give the quadrature error estimate; a non-finite result raises
+    GeometryError.
     """
     from .stationary import RuledSurface
 
@@ -581,21 +554,16 @@ def q_form(patch, u: TestFunction, grid=(24, 24),
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
-    lo = _q_form_level(patch, u, grid[0], grid[1], _general_weight, True, delta)
-    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], _general_weight, True, delta)
+    lo = _q_form_level(patch, u, grid[0], grid[1], _general_weight, delta)
+    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], _general_weight, delta)
     return _assemble_report(lo, hi, grid, delta)
 
 
-_SIMPLIFIED_WEIGHTS = {
-    # closed-form integrand weights of the catalog families
-    "plane_ab": lambda f: f["nh"] * f["nt"] ** 2,
-    "saddle_curve": lambda f: 2.0 * f["nh"] ** 2,
-}
-
-_SIMPLIFIED_BOUNDARY_CONST = {
-    # u^2 coefficient of the singular-curve integral in the closed forms
-    "plane_ab": 0.0,
-    "saddle_curve": 4.0,
+_SIMPLIFIED = {
+    # closed-form integrand weight and u^2 coefficient of the singular-curve
+    # integral of the catalog families
+    "plane_ab": (lambda f: f["nh"] * f["nt"] ** 2, 0.0),
+    "saddle_curve": (lambda f: 2.0 * f["nh"] ** 2, 4.0),
 }
 
 
@@ -608,31 +576,24 @@ def q_form_simplified(kind: str, u: TestFunction, grid=(24, 24),
     persistent mismatch beyond the combined quadrature error is reported
     structurally (see ``compare_q_forms``), not reconciled.
     """
-    if kind not in _SIMPLIFIED_WEIGHTS:
+    if kind not in _SIMPLIFIED:
         raise BadParams(f"no simplified form for {kind!r}")
     name = {"plane_ab": "plane-ab", "saddle_curve": "saddle-curve"}[kind]
     patch = patch_for_catalog(name, params or {})
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
-    weight = _SIMPLIFIED_WEIGHTS[kind]
-    bconst = _SIMPLIFIED_BOUNDARY_CONST[kind]
-
-    def level(n_eps, n_t):
-        surface, _, b_s, _ = _q_form_level(patch, u, n_eps, n_t, weight, False, delta)
-        be, bw = gl_line(*patch.eps_range, n_eps)
-        u0 = u.value(be, np.zeros_like(be))
-        b_tau = float(bconst * np.sum(u0 * u0 * bw))
-        return surface, b_tau, b_s, {}
-
-    lo = level(grid[0], grid[1])
-    hi = level(2 * grid[0], 2 * grid[1])
+    weight, bconst = _SIMPLIFIED[kind]
+    lo = _q_form_level(patch, u, grid[0], grid[1], weight, delta, bconst)
+    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], weight, delta, bconst)
     return _assemble_report(lo, hi, grid, delta)
 
 
 def _assemble_report(lo, hi, grid, delta) -> QuadratureReport:
     parts_lo = np.array(lo[:3])
     parts_hi = np.array(hi[:3])
+    if not np.all(np.isfinite(parts_lo) & np.isfinite(parts_hi)):
+        raise GeometryError(f"Q(u) is not finite: parts {parts_hi.tolist()}")
     err = float(np.sum(np.abs(parts_hi - parts_lo)))
     extras = dict(hi[3])
     extras["delta"] = delta
@@ -701,8 +662,8 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     es = np.linspace(*patch.eps_range, grid[0])
     ts = np.linspace(*patch.t_range, grid[1])
     E, T = np.meshgrid(es, ts, indexing="ij")
-    X, Y,eZ = patch.points(E, T)
-    f = raw_fields(fld, X, Y, eZ)
+    X, Y, Z = patch.points(E, T)
+    f = raw_fields(fld, X, Y, Z)
     if bool(np.any(f["nh"] < EPS_SING)):
         raise SingularPointFound("patch contains singular points")
     sup_nt = float(np.max(f["nt"]))
@@ -789,14 +750,6 @@ def jacobi_profile(field: ScalarField, p: Point, s_range=(-3.0, 3.0),
 # Area comparison (calibration-style)
 # ---------------------------------------------------------------------------
 
-_PLANE_GRAPH = {
-    # (assemble F from graph height h(s1, s2), and its partials)
-    "plane-x": lambda s1, s2, h, h1, h2: ((h, s1, s2), ((h1, 1.0, 0.0), (h2, 0.0, 1.0))),
-    "plane-y": lambda s1, s2, h, h1, h2: ((s1, h, s2), ((1.0, h1, 0.0), (0.0, h2, 1.0))),
-    "plane-z": lambda s1, s2, h, h1, h2: ((s1, s2, h), ((1.0, 0.0, h1), (0.0, 1.0, h2))),
-}
-
-
 def _graph_area(kind: str, window, h_fn, cells: int) -> float:
     """Sub-Riemannian area of a graph over the window.
 
@@ -809,11 +762,9 @@ def _graph_area(kind: str, window, h_fn, cells: int) -> float:
     S1, S2 = np.meshgrid(n1, n2, indexing="ij")
     W = np.outer(w1, w2)
     h, h1, h2 = h_fn(S1, S2)
-    coords, (t1, t2) = _PLANE_GRAPH[kind](S1, S2, h, h1, h2)
+    coords, tangents = _PLANE_GRAPH[kind](S1, S2, h, h1, h2)
     x, y, z = np.broadcast_arrays(*coords)
-    e1 = np.stack(frame_components(z, *np.broadcast_arrays(*t1)), axis=-1)
-    e2 = np.stack(frame_components(z, *np.broadcast_arrays(*t2)), axis=-1)
-    n = np.cross(e1, e2)
+    n = TangentFrame(z, *tangents).normal
     horiz = np.hypot(n[..., 0], n[..., 1])
     return float(np.sum(horiz * W))
 
@@ -836,17 +787,13 @@ def area_compare(base_kind: str, eta: float, window=((-2.0, 2.0), (-2.0, 2.0)),
     b1 = Bump(0.5 * (a_lo + a_hi), 0.0, bump_width_frac * 0.5 * (a_hi - a_lo))
     b2 = Bump(0.5 * (b_lo + b_hi), 0.0, bump_width_frac * 0.5 * (b_hi - b_lo))
 
-    def h_base(s1, s2):
-        zero = np.zeros_like(s1)
-        return np.full_like(s1, -c), zero, zero
-
     def h_comp(s1, s2):
         return (-c + eta * b1(s1) * b2(s2),
                 eta * b1.deriv(s1) * b2(s2),
                 eta * b1(s1) * b2.deriv(s2))
 
     out = {}
-    for tag, fn in (("base", h_base), ("comp", h_comp)):
+    for tag, fn in (("base", _level_graph(c)), ("comp", h_comp)):
         lo = _graph_area(base_kind, window, fn, grid)
         hi = _graph_area(base_kind, window, fn, 2 * grid)
         out[f"A_{tag}"] = hi
@@ -854,4 +801,6 @@ def area_compare(base_kind: str, eta: float, window=((-2.0, 2.0), (-2.0, 2.0)),
     out["delta_area"] = out["A_comp"] - out["A_base"]
     out["error_estimate"] = out["A_base_error"] + out["A_comp_error"]
     out["eta"] = float(eta)
+    if not all(math.isfinite(v) for v in out.values()):
+        raise GeometryError(f"area comparison is not finite at eta = {eta:g}")
     return out

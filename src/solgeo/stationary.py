@@ -21,14 +21,17 @@ For a generic base curve (neither an integral curve of X nor of Y), with
 k = xdot e^{-z} - ydot e^{z} and s = k t / sqrt2, the vertical component of
 V has the closed form
 
-    <V, T>(eps, t) = [ A (e^{-s} - e^{s}) + B (e^{-s} + e^{s} - 2) ] / sqrt2
+    <V, T>(eps, t) = [ -2 A sinh(s) + 4 B sinh(s/2)^2 ] / sqrt2
     A = k/2 + zdot^2 / k
     B = zddot / k - zdot kdot / k^2
 
-(everything evaluated at eps).  For the degenerate kinds the closed form
-above loses meaning (k = 0 or the rulings are vertical) and the component
-is obtained by finite differences of F instead; the scan then reports the
-singular locus rather than assuming it.
+(everything evaluated at eps; the sinh forms keep it accurate as k -> 0).
+The variation field itself is computed on every branch by the chain rule
+through the closed-form flow: along a characteristic curve the frame
+components of the velocity are constant, so every derivative of F has a
+closed form.  The A/B formula above is the cross-check of that computation
+on the generic branch, and a finite difference of F is kept as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -41,13 +44,16 @@ import numpy as np
 from .curves import CharacteristicCurve, LINE_FAMILY_TOL, _eval_raw, make_curve
 from .errors import BadParams, BranchUnsupported, DegenerateRuling, NotHorizontal
 from .expressions import ScalarField, catalog
-from .frame import CoordVector, Point, SQRT2, frame_components
+from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 
 #: dichotomy threshold for the degenerate base-curve branches
 BRANCH_TOL = 1e-12
 
 #: singular-locus detection threshold (scaled per t-line)
 EPS_SCAN = 1e-9
+
+#: agreement of the analytic <V, T> with its A/B closed form (rounding bound)
+CLOSED_FORM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,16 +174,31 @@ class RuledSurface:
         vx, vy, vz = self.ruling_velocity(eps)
         return _ruling_velocity_eval(gx, gy, gz, vx, vy, vz, t)
 
-    def eps_velocity(self, eps, t, h: float = 1e-6):
-        """dF/deps by central finite differences (Richardson extrapolated)."""
-        def diff(step):
-            xp = np.stack(self.point(eps + step, t))
-            xm = np.stack(self.point(eps - step, t))
-            return (xp - xm) / (2.0 * step)
-        d1 = diff(h)
-        d2 = diff(h / 2.0)
-        out = (4.0 * d2 - d1) / 3.0
-        return out[0], out[1], out[2]
+    def eps_velocity(self, eps, t):
+        """dF/deps, the variation field V, by the chain rule through the flow.
+
+        The base curve and its rulings have constant frame components, so
+        along the base the ruling velocity moves only with z = z0 + a eps:
+        v' = (a vx, -a vy, 0), with vz the same for every eps.  Hence
+        dF/deps = Gammadot + (a vx p(t), -a vy q(t), 0) with the flow weights
+        p = expm1(vz t)/vz and q = -expm1(-vz t)/vz (both t on line rulings).
+        """
+        eps = np.asarray(eps, dtype=float)
+        t = np.asarray(t, dtype=float)
+        dx, dy, dz = self.gamma.velocity(eps)
+        vx, vy, vz = self.ruling_velocity(eps)
+        a = self.gamma.curve.zdot0
+        x, y, _ = _ruling_eval(dx, dy, dz, a * vx, -a * vy, vz, t)
+        return tuple(np.broadcast_arrays(x, y, dz))
+
+    def t_velocity_rates(self, eps, t):
+        """(d2F/deps dt, d2F/dt2) in closed form."""
+        vx, vy, vz = self.ruling_velocity(eps)
+        a = self.gamma.curve.zdot0
+        tx, ty, tz = _ruling_velocity_eval(0.0, 0.0, 0.0, vx, vy, vz, t)
+        zero = np.zeros_like(tx)
+        # tz is vz on exponential rulings and 0 on line rulings
+        return (a * tx, -a * ty, zero), (tz * tx, -tz * ty, zero)
 
     def ruling(self, eps: float) -> CharacteristicCurve:
         """The t-line through Gamma(eps) as a characteristic-curve record."""
@@ -206,23 +227,23 @@ class RuledSurface:
         s = k * t / SQRT2
         A = k / 2.0 + dz * dz / k
         B = ddz / k - dz * kdot / (k * k)
-        em = np.exp(-s)
-        ep = np.exp(s)
-        return (A * (em - ep) + B * (em + ep - 2.0)) / SQRT2
+        return (-2.0 * A * np.sinh(s) + 4.0 * B * np.sinh(0.5 * s) ** 2) / SQRT2
 
     def vertical_component_fd(self, eps, t, h: float = 1e-6):
-        """<V, T> by finite differences of F contracted with the frame."""
-        vx, vy, vz = self.eps_velocity(eps, t, h=h)
-        x, y, z = self.point(eps, t)
-        _, _, c = frame_components(z, vx, vy, vz)
-        return c
+        """Test oracle: <V, T> from Richardson-extrapolated central
+        differences of F in eps, contracted with the frame."""
+        def diff(step):
+            xp = np.stack(self.point(eps + step, t))
+            xm = np.stack(self.point(eps - step, t))
+            return (xp - xm) / (2.0 * step)
+        v = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+        _, _, z = self.point(eps, t)
+        return frame_components(z, v[0], v[1], v[2])[2]
 
     def vertical_component(self, eps, t):
-        """Closed form where available, finite differences otherwise."""
-        try:
-            return self.vertical_component_closed(eps, t)
-        except BranchUnsupported:
-            return self.vertical_component_fd(eps, t)
+        """<V, T>: the T-component of the analytic dF/deps, on every branch."""
+        _, _, z = self.point(eps, t)
+        return frame_components(z, *self.eps_velocity(eps, t))[2]
 
     # -- grids ------------------------------------------------------------
 
@@ -241,17 +262,18 @@ class RuledSurface:
     def intrinsic_mean_curvature(self, eps, t, h: float = 1e-4):
         """|H| estimated from the parametrization alone.
 
-        The surface normal comes from the cross product of discrete
-        tangents; the characteristic direction is the unit t-velocity.
-        H is the derivative of the horizontal unit normal along that
-        direction (connection terms vanish for horizontal directions).
+        The surface normal comes from the cross product of the tangents;
+        the characteristic direction is the unit t-velocity.  H is the
+        derivative of the horizontal unit normal along that direction
+        (connection terms vanish for horizontal directions), taken by
+        central differences in t, so this is an oracle independent of the
+        analytic derivatives ``patch_from_ruled`` uses.
         """
         def nu_h_at(tt):
             x, y, z = self.point(eps, tt)
-            e1 = np.stack(frame_components(z, *self.eps_velocity(eps, tt)), axis=-1)
-            e2 = np.stack(frame_components(z, *self.t_velocity(eps, tt)), axis=-1)
-            n = np.cross(e1, e2)
-            nh = n.copy()
+            tf = TangentFrame(z, self.eps_velocity(eps, tt), self.t_velocity(eps, tt))
+            e2 = tf.e2
+            nh = tf.normal.copy()
             nh[..., 2] = 0.0
             norm = np.linalg.norm(nh, axis=-1, keepdims=True)
             return nh / norm, e2
@@ -339,25 +361,22 @@ def orthogonality_check(surface) -> float:
     return float(np.max(num / den))
 
 
-def jacobi_vertical(surface: RuledSurface, eps, t,
-                    fd_rtol: float = 1e-5) -> float:
+def jacobi_vertical(surface: RuledSurface, eps, t) -> float:
     """Vertical component <V, T> of the variation field at (eps, t).
 
-    On the generic branch returns the closed form, cross-checked against
-    the finite-difference contraction at relative tolerance ``fd_rtol``;
-    degenerate branches fall back to the finite-difference value.
+    On the generic branch the value is cross-checked against the A/B
+    closed form at relative tolerance ``CLOSED_FORM_RTOL``.
     """
+    value = float(surface.vertical_component(eps, t))
     try:
-        closed = surface.vertical_component_closed(eps, t)
+        closed = float(surface.vertical_component_closed(eps, t))
     except BranchUnsupported:
-        return float(surface.vertical_component_fd(eps, t))
-    fd = surface.vertical_component_fd(eps, t)
-    scale = 1.0 + abs(float(fd))
-    if abs(float(closed) - float(fd)) > fd_rtol * scale:
+        return value
+    if abs(closed - value) > CLOSED_FORM_RTOL * (1.0 + abs(value)):
         raise AssertionError(
-            f"closed-form and finite-difference vertical components disagree "
-            f"at ({eps}, {t}): {closed} vs {fd}")
-    return float(closed)
+            f"closed-form and analytic vertical components disagree "
+            f"at ({eps}, {t}): {closed} vs {value}")
+    return value
 
 
 def uniqueness_scan(surface, eps_sing: float = EPS_SCAN) -> list:

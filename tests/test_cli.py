@@ -187,3 +187,30 @@ def test_unknown_surface(tmp_path, capsys):
                 "--param", "a=1", "--param", "b=-1", "--out", str(tmp_path / "u")])
     # adapted patch refuses a*b < 0 which has no singular line: config error
     assert code in (2, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["area", "--surface", "plane-x", "--eta", "1e300", "--n", "8"],
+    ["qform", "--surface", "saddle-curve", "--param", "z0=710", "--battery", "2", "--n", "4"],
+])
+def test_nonfinite_verdict_exit_3(tmp_path, capsys, argv):
+    code = run(["stability", *argv, "--out", str(tmp_path / "nf")])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "nf" / "summary.json").exists()
+
+
+def test_nonfinite_param_exit_2(tmp_path, capsys):
+    code = run(["residual", "--surface", "plane-x", "--param", "c=nan",
+                "--grid", "4", "--out", str(tmp_path / "np")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--param c must be finite" in err
+    assert "offset" not in err
+
+
+def test_surface_without_adapted_patch_exit_2(tmp_path, capsys):
+    code = run(["stability", "qform", "--surface", "tilted", "--battery", "2",
+                "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert "no adapted patch" in capsys.readouterr().err

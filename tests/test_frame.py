@@ -11,6 +11,7 @@ from solgeo.frame import (
     Point,
     SQRT2,
     TORSION_NORM_SQ,
+    TangentFrame,
     connection,
     frame_at,
     inner,
@@ -70,6 +71,26 @@ def test_orthonormality_bulk(rng):
         vecs = [to_frame(p, c) for c in frame_at(p)]
         gram = np.array([[inner(u, v) for v in vecs] for u in vecs])
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+
+def test_tangent_frame_normal_and_solve(rng):
+    z = rng.uniform(-2, 2, 50)
+    t1, t2 = (tuple(rng.normal(size=(3, 50))) for _ in range(2))
+    tf = TangentFrame(z, t1, t2)
+    assert tf.e1 == pytest.approx(np.stack(
+        [to_frame(Point(0.0, 0.0, zi), CoordVector(*v)).as_array()
+         for zi, v in zip(z, np.stack(t1, axis=-1))]))
+    n = tf.normal
+    assert np.max(np.abs(np.sum(n * tf.e1, -1)) + np.abs(np.sum(n * tf.e2, -1))) < 1e-12
+    assert tf.area_element() == pytest.approx(np.linalg.norm(n, axis=-1))
+    # a tangential vector plus a normal part: the solve recovers its coefficients
+    alpha, beta = rng.normal(size=(2, 50))
+    v = alpha[:, None] * tf.e1 + beta[:, None] * tf.e2 + 0.7 * n
+    got_a, got_b = tf.solve(v)
+    assert got_a == pytest.approx(alpha) and got_b == pytest.approx(beta)
+    # scalar components broadcast against z
+    flat = TangentFrame(z, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    assert flat.e1.shape == flat.e2.shape == (50, 3)
 
 
 def test_lie_bracket_table():

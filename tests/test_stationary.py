@@ -104,7 +104,8 @@ def test_jacobi_vertical_closed_vs_fd(rng):
         closed = s.vertical_component_closed(eps, t)
         fd = s.vertical_component_fd(eps, t)
         assert abs(closed - fd) <= 1e-5 * (1.0 + abs(fd))
-        assert jacobi_vertical(s, eps, t) == pytest.approx(closed)
+        value = jacobi_vertical(s, eps, t)
+        assert abs(value - closed) <= 1e-12 * (1.0 + abs(value))
 
 
 def test_jacobi_vertical_nonzero_off_base(rng):
@@ -119,13 +120,45 @@ def test_jacobi_vertical_degenerate_branches_fall_back():
     sx = sweep_surface(HorizontalCurve.x_line(Point(0, 0, 0)), (-1, 1), (-2, 2))
     with pytest.raises(BranchUnsupported):
         sx.vertical_component_closed(0.2, 0.5)
-    # fallback value matches the hand-derived degenerate form -zdot^2 t
-    assert jacobi_vertical(sx, 0.2, 0.5) == pytest.approx(-0.5, rel=1e-4)
+    # the value matches the hand-derived degenerate form -zdot^2 t
+    assert jacobi_vertical(sx, 0.2, 0.5) == pytest.approx(-0.5, rel=1e-12)
     sy = sweep_surface(HorizontalCurve.y_line(Point(0, 0, 0)), (-1, 1), (-2, 2))
     # hand-derived: -(k/sqrt2) sinh(k t / sqrt2) with k = 2 xdot e^{-z}
     k = -2.0 / SQRT2
     want = -(k / SQRT2) * math.sinh(k * 0.5 / SQRT2)
-    assert jacobi_vertical(sy, 0.0, 0.5) == pytest.approx(want, rel=1e-4)
+    assert jacobi_vertical(sy, 0.0, 0.5) == pytest.approx(want, rel=1e-12)
+
+
+def _central(fn, step):
+    """Richardson-extrapolated central difference of a vector-valued fn."""
+    def diff(h):
+        return (np.stack(fn(h)) - np.stack(fn(-h))) / (2.0 * h)
+    return (4.0 * diff(step / 2.0) - diff(step)) / 3.0
+
+
+@pytest.mark.parametrize("kind", ["generic", "near-x-line", "x-line", "y-line", "skewed"])
+def test_analytic_sweep_derivatives_match_finite_differences(kind):
+    gamma = {"generic": generic_gamma(),
+             "near-x-line": generic_gamma(1e-6),
+             "x-line": HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)),
+             "y-line": HorizontalCurve.y_line(Point(0.3, 0.1, -0.2)),
+             "skewed": generic_gamma(1.1, Point(0, 0, 0))}[kind]
+    s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5), skew=0.5 if kind == "skewed" else 0.0)
+    E, T = np.meshgrid(np.linspace(-0.9, 0.9, 13), np.linspace(-2.4, 2.4, 17), indexing="ij")
+
+    def rel(got, want):
+        got, want = np.stack(got), np.stack(want)
+        return np.max(np.abs(got - want) / (1.0 + np.abs(want)))
+
+    assert rel(s.eps_velocity(E, T), _central(lambda h: s.point(E + h, T), 1e-6)) < 1e-5
+    f_et, f_tt = s.t_velocity_rates(E, T)
+    assert rel(f_et, _central(lambda h: s.t_velocity(E + h, T), 1e-5)) < 1e-5
+    assert rel(f_tt, _central(lambda h: s.t_velocity(E, T + h), 1e-5)) < 1e-5
+    fd = s.vertical_component_fd(E, T)
+    assert np.max(np.abs(s.vertical_component(E, T) - fd) / (1.0 + np.abs(fd))) < 1e-5
+    # the closed-form cross-check passes, also where it is ill-conditioned
+    for e, t in zip(E.flat[::7], T.flat[::7]):
+        assert jacobi_vertical(s, e, t) == s.vertical_component(e, t)
 
 
 def test_uniqueness_scan_single_locus():
