@@ -21,13 +21,16 @@ from solgeo.stability import (
 )
 
 SURFACES = [
-    ("plane-x", {}, None),
-    ("plane-y", {}, None),
-    ("plane-z", {}, None),
-    ("plane-ab", {"a": 1.0, "b": 1.0, "c": 0.0}, "plane_ab"),
-    ("saddle-curve", {}, "saddle_curve"),
-    ("saddle-point", {}, None),
+    ("plane-x", {}),
+    ("plane-y", {}),
+    ("plane-z", {}),
+    ("plane-ab", {"a": 1.0, "b": 1.0, "c": 0.0}),
+    ("saddle-curve", {}),
+    ("saddle-point", {}),
 ]
+
+#: surfaces whose family has a closed-form Q(u)
+CLOSED_FORM = ("plane-ab", "saddle-curve")
 
 
 def main():
@@ -38,7 +41,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'surface':<14} {'min Q(u)':>12} {'max err':>10} {'nonneg':>7}  closed-form")
-    for name, params, simplified_kind in SURFACES:
+    for name, params in SURFACES:
         patch = patch_for_catalog(name, params)
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
         funcs = battery_test_functions(patch, args.battery, args.seed, delta)
@@ -47,9 +50,8 @@ def main():
             rep = q_form(patch, u, grid=(args.n, args.n), delta=delta)
             totals.append(rep.total)
             errors.append(rep.error_estimate)
-            if simplified_kind:
-                simple = q_form_simplified(simplified_kind, u, grid=(args.n, args.n),
-                                           params=params, delta=delta)
+            if name in CLOSED_FORM:
+                simple = q_form_simplified(patch, u, grid=(args.n, args.n), delta=delta)
                 comp = compare_q_forms(rep, simple)
                 verdicts.add("agree" if comp["agree"] else f"mismatch:{comp['mismatch_term']}")
         ok = all(t >= -e for t, e in zip(totals, errors))

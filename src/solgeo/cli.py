@@ -361,8 +361,8 @@ def cmd_stability(cfg: RunConfig) -> int:
         comparisons = []
         for tf in funcs:
             general = q_form(patch, tf, grid=(int(o["n"]), int(o["n"])), delta=delta)
-            simple = q_form_simplified(kind, tf, grid=(int(o["n"]), int(o["n"])),
-                                       params=params, delta=delta)
+            simple = q_form_simplified(patch, tf, grid=(int(o["n"]), int(o["n"])),
+                                       delta=delta)
             comp = compare_q_forms(general, simple)
             comp["general"] = general.to_json_dict()
             comp["simplified"] = simple.to_json_dict()

@@ -27,6 +27,7 @@ run-to-run identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -173,6 +174,9 @@ class SurfacePatch:
     Pointwise geometry comes from the defining scalar field when one exists;
     otherwise ``geometry`` supplies it from the exact derivatives of the
     parametrization (see ``patch_from_ruled``).
+
+    The geometry Q(u) reads at the quadrature nodes is tabulated on first
+    use, once per (n_eps, n_t, delta), and lives as long as the patch.
     """
 
     name: str
@@ -184,6 +188,7 @@ class SurfacePatch:
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
     geometry: object = None        # callable (eps, t) -> dict, overrides field
+    _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def points(self, eps, t):
         return self.F(eps, t)
@@ -394,9 +399,18 @@ def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
 # Quadrature
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; read-only, shared."""
+    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def gl_line(lo: float, hi: float, cells: int, order: int = GL_ORDER):
     """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    xs, ws = np.polynomial.legendre.leggauss(order)
+    xs, ws = leggauss(order)
     edges = np.linspace(lo, hi, cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -438,6 +452,104 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
     return f, tf.area_element(), alpha, beta
 
 
+#: geometry entries the integrand weights read
+_WEIGHT_KEYS = ("nh", "nt", "zy", "grad_s_nu_z")
+
+# Overflowing parameters produce non-finite intermediates; the finiteness
+# checks on the assembled results give the verdict, so numpy stays quiet.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@dataclass
+class _LevelTable:
+    """Everything in Q(u) that does not depend on u, at one grid level.
+
+    The nodes are an (n, 1) column and a (1, m) row, so a separable u is
+    evaluated on n + m points and broadcast over the grid.  On a patch with
+    a singular curve the curve's nodes and weights are kept as well; the
+    u^2 coefficient of its integral is computed on first use.
+    """
+
+    e: np.ndarray
+    t: np.ndarray
+    W2d: np.ndarray
+    dS: np.ndarray
+    alpha: np.ndarray              # Z = alpha dF/deps + beta dF/dt
+    beta: np.ndarray
+    geom: dict                     # the _WEIGHT_KEYS entries at the nodes
+    be: np.ndarray | None = None
+    bw: np.ndarray | None = None
+    sides: tuple | None = None     # (coefficient, report extras)
+
+
+def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _LevelTable:
+    """The patch's table at one grid level, built on first use.
+
+    A patch that fails the minimality gate stores nothing, so every call
+    raises NotMinimal.
+    """
+    key = (n_eps, n_t, delta)
+    table = patch._tables.get(key)
+    if table is not None:
+        return table
+    ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
+    nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
+    E, T = np.meshgrid(ne_nodes, nt_nodes, indexing="ij")
+    f, dS, alpha, beta = _patch_frame_data(patch, E, T)
+
+    nonsing = f["nh"] > 1e-3
+    h_max = float(np.max(np.abs(f["H"][nonsing]))) if nonsing.any() else 0.0
+    if h_max > MINIMALITY_TOL:
+        raise NotMinimal(f"patch is not minimal: max |H| = {h_max:.3e}")
+
+    table = _LevelTable(ne_nodes[:, None], nt_nodes[None, :], np.outer(ne_w, nt_w),
+                        dS, alpha, beta, {k: f[k] for k in _WEIGHT_KEYS})
+    if patch.singular == "curve":
+        # length element along the base curve is 1 by construction
+        table.be, table.bw = ne_nodes, ne_w
+    patch._tables[key] = table
+    return table
+
+
+def _side_limits(patch: SurfacePatch, table: _LevelTable, delta: float):
+    """4 <N,T> <Z,Y>^2 <Z,nu> at the singular-curve nodes, with its report.
+
+    <N,T> is smooth across the singular curve: take it at t = 0.
+    <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at two probe
+    offsets and extrapolate linearly to t -> 0.
+    """
+    if table.sides is not None:
+        return table.sides
+    be = table.be
+
+    def side_limit(sgn):
+        samples = []
+        for frac in (0.5, 0.25):
+            tp = sgn * frac * delta
+            fs = patch.geom(be, np.full_like(be, tp))
+            _, _, zs = patch.points(be, np.full_like(be, tp))
+            _, (t2x, t2y, t2z) = patch.tangents(be, np.full_like(be, tp))
+            tv = np.stack(frame_components(zs, t2x, t2y, t2z), axis=-1)
+            tv = tv / np.linalg.norm(tv, axis=-1, keepdims=True)
+            # nu points away from the singular curve on each side
+            nu = sgn * tv
+            zdotnu = fs["zx"] * nu[..., 0] + fs["zy"] * nu[..., 1]
+            samples.append(fs["zy"] ** 2 * zdotnu)
+        return 2.0 * samples[1] - samples[0]
+
+    f0 = patch.geom(be, np.zeros_like(be))
+    p_plus = f0["nt"] * side_limit(1.0)
+    p_minus = f0["nt"] * side_limit(-1.0)
+    sides = {
+        "boundary_product_plus": float(np.mean(p_plus)),
+        "boundary_product_minus": float(np.mean(p_minus)),
+        "boundary_sides_max_gap": float(np.max(np.abs(p_plus - p_minus))),
+    }
+    table.sides = (4.0 * p_plus, sides)
+    return table.sides
+
+
+@_quiet
 def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
                   weight_fn, delta: float, boundary_const: float | None = None):
     """Surface and singular-curve parts of Q(u) at one grid level.
@@ -446,66 +558,24 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
     4 <N,T> <Z,Y>^2 <Z,nu> from the patch geometry, or ``boundary_const``
     when a closed form supplies it.
     """
-    ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
-    nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
-    E, T = np.meshgrid(ne_nodes, nt_nodes, indexing="ij")
-    W2d = np.outer(ne_w, nt_w)
-
-    f, dS, alpha, beta = _patch_frame_data(patch, E, T)
-
-    nonsing = f["nh"] > 1e-3
-    h_max = float(np.max(np.abs(f["H"][nonsing]))) if nonsing.any() else 0.0
-    if h_max > MINIMALITY_TOL:
-        raise NotMinimal(f"patch is not minimal: max |H| = {h_max:.3e}")
-
-    uu = u.value(E, T)
-    Zu = alpha * u.d_eps(E, T) + beta * u.d_t(E, T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad_term = np.where(Zu == 0.0, 0.0, Zu * Zu / f["nh"])
-    pot = weight_fn(f)
-    surface = float(np.sum((grad_term + pot * uu * uu) * dS * W2d))
+    lv = _level_table(patch, n_eps, n_t, delta)
+    uu = u.value(lv.e, lv.t)
+    Zu = lv.alpha * u.d_eps(lv.e, lv.t) + lv.beta * u.d_t(lv.e, lv.t)
+    grad_term = np.where(Zu == 0.0, 0.0, Zu * Zu / lv.geom["nh"])
+    pot = weight_fn(lv.geom)
+    surface = float(np.sum((grad_term + pot * uu * uu) * lv.dS * lv.W2d))
 
     b_tau = 0.0
     b_s = 0.0
     sides = {}
-    if patch.singular == "curve":
-        be, bw = gl_line(*patch.eps_range, n_eps)
-        # length element along the base curve is 1 by construction
-        u0 = u.value(be, np.zeros_like(be))
-        du0 = u.d_eps(be, np.zeros_like(be))
-        b_s = float(np.sum(du0 * du0 * bw))
+    if lv.be is not None:
+        u0 = u.value(lv.be, np.zeros_like(lv.be))
+        du0 = u.d_eps(lv.be, np.zeros_like(lv.be))
+        b_s = float(np.sum(du0 * du0 * lv.bw))
         coeff = boundary_const
         if coeff is None:
-            # <N,T> is smooth across the singular curve: take it at t = 0.
-            # <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at
-            # two probe offsets and extrapolate linearly to t -> 0.
-            def side_limit(sgn):
-                samples = []
-                for frac in (0.5, 0.25):
-                    tp = sgn * frac * delta
-                    fs = patch.geom(be, np.full_like(be, tp))
-                    _, _, zs = patch.points(be, np.full_like(be, tp))
-                    _, (t2x, t2y, t2z) = patch.tangents(be, np.full_like(be, tp))
-                    tv = np.stack(frame_components(zs, t2x, t2y, t2z), axis=-1)
-                    tv = tv / np.linalg.norm(tv, axis=-1, keepdims=True)
-                    # nu points away from the singular curve on each side
-                    nu = sgn * tv
-                    zdotnu = fs["zx"] * nu[..., 0] + fs["zy"] * nu[..., 1]
-                    samples.append(fs["zy"] ** 2 * zdotnu)
-                return 2.0 * samples[1] - samples[0]
-
-            f0 = patch.geom(be, np.zeros_like(be))
-            lim_plus = side_limit(1.0)
-            lim_minus = side_limit(-1.0)
-            p_plus = f0["nt"] * lim_plus
-            p_minus = f0["nt"] * lim_minus
-            sides = {
-                "boundary_product_plus": float(np.mean(p_plus)),
-                "boundary_product_minus": float(np.mean(p_minus)),
-                "boundary_sides_max_gap": float(np.max(np.abs(p_plus - p_minus))),
-            }
-            coeff = 4.0 * p_plus
-        b_tau = float(np.sum(coeff * u0 * u0 * bw))
+            coeff, sides = _side_limits(patch, lv, delta)
+        b_tau = float(np.sum(coeff * u0 * u0 * lv.bw))
     return surface, b_tau, b_s, sides
 
 
@@ -551,45 +621,41 @@ def q_form(patch, u: TestFunction, grid=(24, 24),
 
     if isinstance(patch, RuledSurface):
         patch = patch_from_ruled(patch)
-    if delta is None:
-        delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
-    _check_admissible(patch, u, delta)
-    lo = _q_form_level(patch, u, grid[0], grid[1], _general_weight, delta)
-    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], _general_weight, delta)
-    return _assemble_report(lo, hi, grid, delta)
+    return _two_levels(patch, u, grid, delta, _general_weight, None)
 
 
 _SIMPLIFIED = {
     # closed-form integrand weight and u^2 coefficient of the singular-curve
     # integral of the catalog families
-    "plane_ab": (lambda f: f["nh"] * f["nt"] ** 2, 0.0),
-    "saddle_curve": (lambda f: 2.0 * f["nh"] ** 2, 4.0),
+    "plane-ab": (lambda f: f["nh"] * f["nt"] ** 2, 0.0),
+    "saddle-curve": (lambda f: 2.0 * f["nh"] ** 2, 4.0),
 }
 
 
-def q_form_simplified(kind: str, u: TestFunction, grid=(24, 24),
-                      params: dict | None = None,
+def q_form_simplified(patch: SurfacePatch, u: TestFunction, grid=(24, 24),
                       delta: float | None = None) -> QuadratureReport:
-    """Q(u) with the closed-form integrands of the catalog families.
+    """Q(u) with the closed-form integrands of the patch's catalog family.
 
-    ``q_form`` and this function are compared by the acceptance suite; a
-    persistent mismatch beyond the combined quadrature error is reported
-    structurally (see ``compare_q_forms``), not reconciled.
+    Only ``plane-ab`` and ``saddle-curve`` patches have one; the geometry
+    table is shared with ``q_form`` on the same patch.  The two are compared
+    by the acceptance suite; a persistent mismatch beyond the combined
+    quadrature error is reported structurally (see ``compare_q_forms``),
+    not reconciled.
     """
-    if kind not in _SIMPLIFIED:
-        raise BadParams(f"no simplified form for {kind!r}")
-    name = {"plane_ab": "plane-ab", "saddle_curve": "saddle-curve"}[kind]
-    patch = patch_for_catalog(name, params or {})
+    if patch.name not in _SIMPLIFIED:
+        raise BadParams(f"no simplified form for patch {patch.name!r}")
+    weight, bconst = _SIMPLIFIED[patch.name]
+    return _two_levels(patch, u, grid, delta, weight, bconst)
+
+
+def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureReport:
+    """Q(u) at grid and twice the grid; their difference is the error estimate."""
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
-    weight, bconst = _SIMPLIFIED[kind]
-    lo = _q_form_level(patch, u, grid[0], grid[1], weight, delta, bconst)
-    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], weight, delta, bconst)
-    return _assemble_report(lo, hi, grid, delta)
-
-
-def _assemble_report(lo, hi, grid, delta) -> QuadratureReport:
+    lo = _q_form_level(patch, u, grid[0], grid[1], weight_fn, delta, boundary_const)
+    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], weight_fn, delta,
+                       boundary_const)
     parts_lo = np.array(lo[:3])
     parts_hi = np.array(hi[:3])
     if not np.all(np.isfinite(parts_lo) & np.isfinite(parts_hi)):
@@ -769,6 +835,7 @@ def _graph_area(kind: str, window, h_fn, cells: int) -> float:
     return float(np.sum(horiz * W))
 
 
+@_quiet
 def area_compare(base_kind: str, eta: float, window=((-2.0, 2.0), (-2.0, 2.0)),
                  grid: int = 100, c: float = 0.0,
                  bump_width_frac: float = 0.8) -> dict:

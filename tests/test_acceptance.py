@@ -349,7 +349,7 @@ def test_criterion_08_q_form_comparison():
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
         for u in battery_test_functions(patch, 5, 13, delta):
             general = q_form(patch, u, grid=(12, 12), delta=delta)
-            simple = q_form_simplified(kind, u, grid=(12, 12), params=params, delta=delta)
+            simple = q_form_simplified(patch, u, grid=(12, 12), delta=delta)
             comp = compare_q_forms(general, simple)
             # either agreement within 10x the combined error, or a structured
             # mismatch naming the term; silence fails

@@ -193,10 +193,14 @@ def test_unknown_surface(tmp_path, capsys):
     ["area", "--surface", "plane-x", "--eta", "1e300", "--n", "8"],
     ["qform", "--surface", "saddle-curve", "--param", "z0=710", "--battery", "2", "--n", "4"],
 ])
-def test_nonfinite_verdict_exit_3(tmp_path, capsys, argv):
+def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     code = run(["stability", *argv, "--out", str(tmp_path / "nf")])
     assert code == 3
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    # the finiteness gate gives the verdict; numpy's warnings stay out of it
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "nf" / "summary.json").exists()
 
 

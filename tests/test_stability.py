@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solgeo.errors import BadParams, Inadmissible, PerturbationNotCompact, SingularPointFound
-from solgeo.expressions import catalog
+import solgeo.stability as stability
+from solgeo.errors import (
+    BadParams,
+    Inadmissible,
+    NotMinimal,
+    PerturbationNotCompact,
+    SingularPointFound,
+)
+from solgeo.expressions import catalog, parse
 from solgeo.frame import Point
 from solgeo.stability import (
     Bump,
     QuadratureReport,
+    SurfacePatch,
     TestFunction,
     area_compare,
     battery_test_functions,
@@ -19,6 +27,7 @@ from solgeo.stability import (
     gl_line,
     jacobi_profile,
     patch_for_catalog,
+    patch_from_ruled,
     q_form,
     q_form_simplified,
     sufficient_condition,
@@ -70,6 +79,10 @@ def test_gl_line_integrates_polynomials():
     vals = nodes ** 7 - 3 * nodes ** 4 + nodes
     exact = (2.0 ** 8 - 1.0) / 8 - 3 * (2.0 ** 5 + 1.0) / 5 + (2.0 ** 2 - 1.0) / 2
     assert np.sum(vals * weights) == pytest.approx(exact, rel=1e-13)
+    # the cached reference nodes are shared, so they are read-only
+    xs, ws = stability.leggauss(stability.GL_ORDER)
+    assert not xs.flags.writeable and not ws.flags.writeable
+    assert nodes.flags.writeable
 
 
 # -- q_form -------------------------------------------------------------------
@@ -147,7 +160,7 @@ def test_q_form_vs_simplified_plane_ab():
     patch = patch_for_catalog("plane-ab", params)
     u = battery_test_functions(patch, 1, 5, 0.6)[0]
     general = q_form(patch, u, grid=(14, 14), delta=0.6)
-    simple = q_form_simplified("plane_ab", u, grid=(14, 14), params=params, delta=0.6)
+    simple = q_form_simplified(patch, u, grid=(14, 14), delta=0.6)
     comp = compare_q_forms(general, simple)
     assert comp["agree"]
     # the closed form here is literally the same integrand
@@ -158,7 +171,7 @@ def test_q_form_vs_simplified_saddle_curve_mismatch_named():
     patch = patch_for_catalog("saddle-curve", {})
     u = battery_test_functions(patch, 1, 5, 0.6)[0]
     general = q_form(patch, u, grid=(14, 14), delta=0.6)
-    simple = q_form_simplified("saddle_curve", u, grid=(14, 14), delta=0.6)
+    simple = q_form_simplified(patch, u, grid=(14, 14), delta=0.6)
     comp = compare_q_forms(general, simple)
     # the printed closed form carries |N_h|^2 u^2 where the general weight
     # evaluates to |N_h| u^2; the comparison must name the term either way
@@ -218,6 +231,102 @@ def test_q_form_boundary_sides_agree():
     assert rep.extras["boundary_product_plus"] == pytest.approx(
         rep.extras["boundary_product_minus"], abs=1e-10)
     assert rep.extras["boundary_product_plus"] == pytest.approx(1.0, abs=1e-9)
+
+
+# -- geometry table ------------------------------------------------------------
+
+ADAPTED = (("plane-x", {}), ("plane-y", {}), ("plane-z", {}),
+           ("plane-ab", {"a": 1.0, "b": 1.0, "c": 0.0}), ("saddle-curve", {}),
+           ("saddle-point", {}))
+
+
+def _ruled_patch():
+    from solgeo.stationary import HorizontalCurve, sweep_surface
+
+    base = HorizontalCurve.x_line(Point(0.1, -0.2, 0.3))
+    return patch_from_ruled(sweep_surface(base, (-1.2, 1.2), (-3.0, 3.0)))
+
+
+def _count_geometry(monkeypatch):
+    """Count ``_patch_frame_data`` and ``SurfacePatch.geom`` calls."""
+    counts = {"frame_data": 0, "geom": 0}
+    frame_data = stability._patch_frame_data
+    geom = SurfacePatch.geom
+
+    def counting_frame_data(*args):
+        counts["frame_data"] += 1
+        return frame_data(*args)
+
+    def counting_geom(*args):
+        counts["geom"] += 1
+        return geom(*args)
+
+    monkeypatch.setattr(stability, "_patch_frame_data", counting_frame_data)
+    monkeypatch.setattr(SurfacePatch, "geom", counting_geom)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda name=name, params=params: patch_for_catalog(name, params)
+     for name, params in ADAPTED] + [_ruled_patch],
+    ids=[name for name, _ in ADAPTED] + ["ruled-sweep"])
+def test_q_form_warm_table_matches_fresh_patch(make):
+    warm = make()
+    delta = 0.1 * (warm.t_range[1] - warm.t_range[0])
+    u1, u2 = battery_test_functions(warm, 2, 17, delta)
+    q_form(warm, u1, grid=(3, 3), delta=delta)  # leaves levels (3, 3) and (6, 6)
+    for grid in ((6, 6), (3, 6)):
+        got = q_form(warm, u2, grid=grid, delta=delta).to_json_dict()
+        assert got == q_form(make(), u2, grid=grid, delta=delta).to_json_dict()
+
+
+def test_battery_builds_geometry_once_per_level(monkeypatch):
+    counts = _count_geometry(monkeypatch)
+    patch = patch_for_catalog("saddle-curve", {})
+    for u in battery_test_functions(patch, 8, 3, 0.6):
+        q_form(patch, u, grid=(6, 6), delta=0.6)
+    assert counts["frame_data"] == 2
+
+
+@pytest.mark.parametrize("name,params", ADAPTED[3:5])
+def test_compare_shares_the_geometry_table(monkeypatch, name, params):
+    counts = _count_geometry(monkeypatch)
+    patch = patch_for_catalog(name, params)
+    funcs = battery_test_functions(patch, 3, 9, 0.6)
+    q_form(patch, funcs[0], grid=(6, 6), delta=0.6)
+    built = dict(counts)
+    for u in funcs:
+        compare_q_forms(q_form(patch, u, grid=(6, 6), delta=0.6),
+                        q_form_simplified(patch, u, grid=(6, 6), delta=0.6))
+    assert built["frame_data"] == 2
+    assert counts == built
+
+
+def test_non_minimal_patch_raises_on_every_call():
+    # the paraboloid z = -x^2/2 over the (x, y) plane is not minimal
+    def F(e, t):
+        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
+        return e, t, -0.5 * e * e
+
+    def tangents(e, t):
+        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
+        zero, one = np.zeros_like(e), np.ones_like(e)
+        return (one, zero, -e), (zero, one, zero)
+
+    patch = SurfacePatch("paraboloid", parse("z + 0.5*x*x"), (-2.0, 2.0), (-2.0, 2.0),
+                         F, tangents)
+    u = TestFunction(Bump(0.0, 0.2, 1.0), Bump(0.0, 0.2, 1.0))
+    for _ in range(2):
+        with pytest.raises(NotMinimal):
+            q_form(patch, u, grid=(4, 4))
+
+
+def test_q_form_simplified_needs_a_closed_form_family():
+    patch = patch_for_catalog("plane-x", {})
+    u = TestFunction(Bump(0.0, 0.2, 1.0), Bump(0.0, 0.2, 1.0))
+    with pytest.raises(BadParams):
+        q_form_simplified(patch, u, grid=(4, 4))
 
 
 # -- sufficient condition ------------------------------------------------------
