@@ -54,7 +54,7 @@ class RunConfig:
 
     def validate(self):
         o = self.options
-        for key in ("eps_sing", "eps_level", "delta"):
+        for key in ("eps_sing", "delta"):
             if key in o and o[key] is not None and o[key] <= 0:
                 raise ConfigError(f"{key} must be positive")
         for key in ("grid", "n", "battery"):
@@ -288,11 +288,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ne, nt = (int(v) for v in o["grid"])
     s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt), skew=o["skew"])
     E, T, X, Y, Z = s.mesh()
-    # |N_h| from the cross product of the tangents
-    nrm = TangentFrame(Z, s.eps_velocity(E, T), s.t_velocity(E, T)).normal
+    # |N_h| from the cross product of the tangents; <V, T> from V = dF/deps
+    V = s.eps_velocity(E, T)
+    nrm = TangentFrame(Z, V, s.t_velocity(E, T)).normal
     with np.errstate(invalid="ignore", divide="ignore"):
         nh = np.hypot(nrm[..., 0], nrm[..., 1]) / np.linalg.norm(nrm, axis=-1)
-    vt = np.asarray(s.vertical_component(E, T), dtype=float)
+    vt = frame_components(Z, *V)[2]
 
     out_dir = o["out"]
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
@@ -411,12 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--eps-sing", dest="eps_sing", type=float)
-        p.add_argument("--eps-level", dest="eps_level", type=float)
 
     p = sub.add_parser("residual", help="minimal-surface residual on a window grid")
     common(p)
+    p.add_argument("--eps-sing", dest="eps_sing", type=float)
     p.add_argument("--surface", choices=CATALOG_NAMES)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--u", help="defining expression, e.g. 'exp(z)*y + x'")
@@ -447,6 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="second-variation checks")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("mode", choices=("qform", "compare", "sufficient", "area"))
     p.add_argument("--surface", choices=CATALOG_NAMES)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
@@ -463,20 +463,16 @@ def _build_parser() -> argparse.ArgumentParser:
 _DEFAULTS = {
     "residual": {"surface": None, "param": None, "u": None,
                  "window": [-2.0, 2.0, -2.0, 2.0, -2.0, 2.0], "grid": 50,
-                 "band": 0.1, "out": "solgeo-out", "seed": 0,
-                 "eps_sing": EPS_SING, "eps_level": 1e-9},
+                 "band": 0.1, "out": "solgeo-out", "eps_sing": EPS_SING},
     "curve": {"p0": [0.0, 0.0, 0.0], "alpha": None, "v": None,
-              "t": [0.0, 3.0], "n": 100, "oracle": False,
-              "out": "solgeo-out", "seed": 0, "eps_sing": EPS_SING,
-              "eps_level": 1e-9},
+              "t": [0.0, 3.0], "n": 100, "oracle": False, "out": "solgeo-out"},
     "sweep": {"gamma": "exp", "x0": [0.0, 0.0, 0.0], "v0": None, "theta": 0.7,
               "eps": [-1.5, 1.5], "t": [-3.0, 3.0], "grid": [48, 48],
-              "skew": 0.0, "scan_singular": False, "out": "solgeo-out",
-              "seed": 0, "eps_sing": EPS_SING, "eps_level": 1e-9},
+              "skew": 0.0, "scan_singular": False, "out": "solgeo-out"},
     "stability": {"mode": "qform", "surface": "plane-x", "param": None,
                   "family": None, "battery": 50, "n": 16, "delta": None,
                   "eta": 0.3, "flip_orientation": False, "out": "solgeo-out",
-                  "seed": 7, "eps_sing": EPS_SING, "eps_level": 1e-9},
+                  "seed": 7},
 }
 
 

@@ -42,8 +42,8 @@ from .errors import (
     SingularPointFound,
 )
 from .expressions import ScalarField, catalog, neg
-from .frame import SQRT2, Point, TangentFrame, frame_components
-from .stationary import plane_ab_singular_line_z
+from .frame import Point, TangentFrame, frame_components
+from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
 from .surface import EPS_SING, raw_fields
 
 GL_ORDER = 8
@@ -173,7 +173,9 @@ class SurfacePatch:
 
     Pointwise geometry comes from the defining scalar field when one exists;
     otherwise ``geometry`` supplies it from the exact derivatives of the
-    parametrization (see ``patch_from_ruled``).
+    parametrization (see ``patch_from_ruled``).  Either way ``geom``
+    evaluates F and its tangents once per node set and returns their
+    ``TangentFrame`` under "frame".
 
     The geometry Q(u) reads at the quadrature nodes is tabulated on first
     use, once per (n_eps, n_t, delta), and lives as long as the patch.
@@ -187,17 +189,21 @@ class SurfacePatch:
     tangents: object               # callable (eps, t) -> ((x,y,z), (x,y,z))
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
-    geometry: object = None        # callable (eps, t) -> dict, overrides field
+    geometry: object = None        # callable (eps, t, z, frame) -> dict, overrides field
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def points(self, eps, t):
         return self.F(eps, t)
 
     def geom(self, eps, t) -> dict:
-        if self.geometry is not None:
-            return self.geometry(eps, t)
         X, Y, Z = self.F(eps, t)
-        return raw_fields(self.field, X, Y, Z)
+        tf = TangentFrame(Z, *self.tangents(eps, t))
+        if self.geometry is not None:
+            f = self.geometry(eps, t, Z, tf)
+        else:
+            f = raw_fields(self.field, X, Y, Z)
+        f["frame"] = tf
+        return f
 
 
 _PLANE_GRAPH = {
@@ -250,46 +256,19 @@ def patch_for_catalog(name: str, params: dict | None = None,
             raise BadParams(
                 "adapted plane-ab patch needs a*b > 0 (otherwise the plane has "
                 "no singular line; use plane-x or plane-y)")
-        zs = plane_ab_singular_line_z(a, b)
-        px = -c * a / (a * a + b * b)
-        py = -c * b / (a * a + b * b)
-        yx = -math.exp(zs) / SQRT2
-        yy = math.exp(-zs) / SQRT2
-        er = eps_range or (-3.0, 3.0)
-        tr = t_range or (-3.0, 3.0)
-
-        # base curve: unit-speed singular line; rulings: vertical lines (-X)
-        def F(e, t):
-            e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-            return px + yx * e, py + yy * e, zs - t
-
-        def tangents(e, t):
-            e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-            zero = np.zeros_like(e)
-            return ((np.full_like(e, yx), np.full_like(e, yy), zero),
-                    (zero, zero, -np.ones_like(e)))
-
-        return SurfacePatch(name, fld, er, tr, F, tangents, "curve")
+        # base curve: the unit-speed singular line; rulings: vertical lines (-X)
+        base = HorizontalCurve.y_line(Point(-c * a / (a * a + b * b),
+                                            -c * b / (a * a + b * b),
+                                            plane_ab_singular_line_z(a, b)))
+        return _sweep_patch(name, fld, sweep_surface(
+            base, eps_range or (-3.0, 3.0), t_range or (-3.0, 3.0)))
 
     if name == "saddle-curve":
-        x0 = float(params.get("x0", 0.0))
-        y0 = float(params.get("y0", 0.0))
-        er = eps_range or (-2.0, 2.0)
-        tr = t_range or (-3.0, 3.0)
-
         # base curve: the vertical line (x0, y0, eps); rulings: Y-lines
-        def F(e, t):
-            e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-            ee = np.exp(e)
-            return x0 - ee * t / SQRT2, y0 + t / (ee * SQRT2), e
-
-        def tangents(e, t):
-            e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-            ee = np.exp(e)
-            return ((-ee * t / SQRT2, -t / (ee * SQRT2), np.ones_like(e)),
-                    (-ee / SQRT2, 1.0 / (ee * SQRT2), np.zeros_like(e)))
-
-        return SurfacePatch(name, fld, er, tr, F, tangents, "curve")
+        base = HorizontalCurve.x_line(Point(float(params.get("x0", 0.0)),
+                                            float(params.get("y0", 0.0)), 0.0))
+        return _sweep_patch(name, fld, sweep_surface(
+            base, eps_range or (-2.0, 2.0), t_range or (-3.0, 3.0)))
 
     if name == "saddle-point":
         x0 = float(params.get("x0", 0.0))
@@ -310,6 +289,19 @@ def patch_for_catalog(name: str, params: dict | None = None,
     raise BadParams(f"no adapted patch for catalog surface {name!r}")
 
 
+def _sweep_patch(name, fld, surface, geometry=None) -> SurfacePatch:
+    """Patch over a ruled sweep: F and its tangents come from the sweep's
+    closed-form flow, and the base curve is the singular curve at t = 0."""
+    def F(e, t):
+        return surface.point(e, t)
+
+    def tangents(e, t):
+        return surface.eps_velocity(e, t), surface.t_velocity(e, t)
+
+    return SurfacePatch(name, fld, surface.eps_range, surface.t_range, F, tangents,
+                        "curve", geometry=geometry)
+
+
 def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
     """Quadrature patch over a ruled sweep, geometry from the parametrization.
 
@@ -321,39 +313,30 @@ def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
     flips it).  All derivatives are exact: <nabla_S nu_h, Z> and H come
     from the closed-form second derivatives of the sweep.
     """
-    from .stationary import RuledSurface
-
     if not isinstance(surface, RuledSurface):
         raise BadParams("patch_from_ruled expects a ruled surface")
     if surface.skew:
         raise BadParams("skewed fixtures have no adapted stability patch")
 
-    def F(e, t):
-        return surface.point(e, t)
-
-    def tangents(e, t):
-        return surface.eps_velocity(e, t), surface.t_velocity(e, t)
-
-    def frame_data(e, t):
-        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-        _, _, z = surface.point(e, t)
-        tf = TangentFrame(z, *tangents(e, t))
+    def frame_data(t, tf):
         sigma = orientation * np.sign(t)
         speed = np.hypot(tf.e2[..., 0], tf.e2[..., 1])
         # Z = sigma * unit ruling velocity; nu_h = -J(Z) = (zy, -zx)
         zx = sigma * tf.e2[..., 0] / speed
         zy = sigma * tf.e2[..., 1] / speed
         n = tf.normal / np.linalg.norm(tf.normal, axis=-1, keepdims=True)
-        return e, t, z, tf, sigma, speed, zx, zy, n
+        return sigma, speed, zx, zy, n
 
     # pin the global normal sign once, where the alignment is unambiguous
     e_ref = 0.5 * (surface.eps_range[0] + surface.eps_range[1])
     t_ref = 0.25 * (surface.t_range[1] - surface.t_range[0])
-    *_, zx_r, zy_r, n_ref = frame_data(e_ref, t_ref)
+    tf_ref = TangentFrame(surface.point(e_ref, t_ref)[2], surface.eps_velocity(e_ref, t_ref),
+                          surface.t_velocity(e_ref, t_ref))
+    *_, zx_r, zy_r, n_ref = frame_data(t_ref, tf_ref)
     s_ref = math.copysign(1.0, float(n_ref[..., 0] * zy_r - n_ref[..., 1] * zx_r))
 
-    def geometry(e, t):
-        e, t, z, tf, sigma, speed, zx, zy, n = frame_data(e, t)
+    def geometry(e, t, z, tf):
+        sigma, speed, zx, zy, n = frame_data(t, tf)
         nu1, nu2 = zy, -zx
         n = s_ref * n
         nh = np.hypot(n[..., 0], n[..., 1])
@@ -383,16 +366,7 @@ def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
         return {"nh": nh, "nt": nt, "zx": zx, "zy": zy,
                 "grad_s_nu_z": M, "H": H}
 
-    return SurfacePatch(
-        name="ruled-sweep",
-        field=None,
-        eps_range=surface.eps_range,
-        t_range=surface.t_range,
-        F=F,
-        tangents=tangents,
-        singular="curve",
-        geometry=geometry,
-    )
+    return _sweep_patch("ruled-sweep", None, surface, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +418,8 @@ class QuadratureReport:
 
 def _patch_frame_data(patch: SurfacePatch, E, T):
     """Geometry shared by the integrand evaluations at nodes (E, T)."""
-    X, Y, Z = patch.points(E, T)
     f = patch.geom(E, T)
-    tf = TangentFrame(Z, *patch.tangents(E, T))
+    tf = f["frame"]
     Zf = np.stack([f["zx"], f["zy"], np.zeros_like(f["zx"])], axis=-1)
     alpha, beta = tf.solve(Zf)
     return f, tf.area_element(), alpha, beta
@@ -494,15 +467,15 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         return table
     ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
-    E, T = np.meshgrid(ne_nodes, nt_nodes, indexing="ij")
-    f, dS, alpha, beta = _patch_frame_data(patch, E, T)
+    e, t = ne_nodes[:, None], nt_nodes[None, :]
+    f, dS, alpha, beta = _patch_frame_data(patch, e, t)
 
     nonsing = f["nh"] > 1e-3
     h_max = float(np.max(np.abs(f["H"][nonsing]))) if nonsing.any() else 0.0
     if h_max > MINIMALITY_TOL:
         raise NotMinimal(f"patch is not minimal: max |H| = {h_max:.3e}")
 
-    table = _LevelTable(ne_nodes[:, None], nt_nodes[None, :], np.outer(ne_w, nt_w),
+    table = _LevelTable(e, t, np.outer(ne_w, nt_w),
                         dS, alpha, beta, {k: f[k] for k in _WEIGHT_KEYS})
     if patch.singular == "curve":
         # length element along the base curve is 1 by construction
@@ -525,11 +498,8 @@ def _side_limits(patch: SurfacePatch, table: _LevelTable, delta: float):
     def side_limit(sgn):
         samples = []
         for frac in (0.5, 0.25):
-            tp = sgn * frac * delta
-            fs = patch.geom(be, np.full_like(be, tp))
-            _, _, zs = patch.points(be, np.full_like(be, tp))
-            _, (t2x, t2y, t2z) = patch.tangents(be, np.full_like(be, tp))
-            tv = np.stack(frame_components(zs, t2x, t2y, t2z), axis=-1)
+            fs = patch.geom(be, np.full_like(be, sgn * frac * delta))
+            tv = fs["frame"].e2
             tv = tv / np.linalg.norm(tv, axis=-1, keepdims=True)
             # nu points away from the singular curve on each side
             nu = sgn * tv
@@ -617,8 +587,6 @@ def q_form(patch, u: TestFunction, grid=(24, 24),
     levels give the quadrature error estimate; a non-finite result raises
     GeometryError.
     """
-    from .stationary import RuledSurface
-
     if isinstance(patch, RuledSurface):
         patch = patch_from_ruled(patch)
     return _two_levels(patch, u, grid, delta, _general_weight, None)

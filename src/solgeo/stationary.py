@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CharacteristicCurve, LINE_FAMILY_TOL, _eval_raw, make_curve
+from .curves import CharacteristicCurve, _eval_raw, make_curve
 from .errors import BadParams, BranchUnsupported, DegenerateRuling, NotHorizontal
 from .expressions import ScalarField, catalog
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
@@ -160,19 +160,31 @@ class RuledSurface:
             jz = (jz + self.skew * dz) / n
         return jx, jy, jz
 
+    def _flow(self, eps, t):
+        """Positions and velocities of the rulings from Gamma(eps) at t.
+
+        The base curve's frame components (a, b) are constant, so every
+        ruling starts with the same vertical speed, the a-component of
+        J(a, b) = (-b, a) blended with (a, b) by ``skew``; that one scalar
+        picks the line or the exponential branch for the whole sweep.
+        """
+        gx, gy, gz = self.gamma.point(eps)
+        vx, vy, _ = self.ruling_velocity(eps)
+        return _eval_raw(gx, gy, gz, vx, vy, self._ruling_vz(), t)
+
+    def _ruling_vz(self) -> float:
+        a, b = self.gamma.curve.frame_velocity()
+        return (-b + self.skew * a) / math.hypot(1.0, self.skew)
+
     def point(self, eps, t):
         """F(eps, t); broadcasts over arrays."""
-        eps = np.asarray(eps, dtype=float)
-        t = np.asarray(t, dtype=float)
-        gx, gy, gz = self.gamma.point(eps)
-        vx, vy, vz = self.ruling_velocity(eps)
-        return _ruling_eval(gx, gy, gz, vx, vy, vz, t)
+        x, y, z, *_ = self._flow(eps, t)
+        return x, y, z
 
     def t_velocity(self, eps, t):
         """dF/dt, the ruling velocity at parameter t (analytic)."""
-        gx, gy, gz = self.gamma.point(eps)
-        vx, vy, vz = self.ruling_velocity(eps)
-        return _ruling_velocity_eval(gx, gy, gz, vx, vy, vz, t)
+        *_, dx, dy, dz = self._flow(eps, t)
+        return tuple(np.broadcast_arrays(dx, dy, dz))
 
     def eps_velocity(self, eps, t):
         """dF/deps, the variation field V, by the chain rule through the flow.
@@ -183,21 +195,18 @@ class RuledSurface:
         dF/deps = Gammadot + (a vx p(t), -a vy q(t), 0) with the flow weights
         p = expm1(vz t)/vz and q = -expm1(-vz t)/vz (both t on line rulings).
         """
-        eps = np.asarray(eps, dtype=float)
-        t = np.asarray(t, dtype=float)
         dx, dy, dz = self.gamma.velocity(eps)
-        vx, vy, vz = self.ruling_velocity(eps)
+        vx, vy, _ = self.ruling_velocity(eps)
         a = self.gamma.curve.zdot0
-        x, y, _ = _ruling_eval(dx, dy, dz, a * vx, -a * vy, vz, t)
+        x, y, *_ = _eval_raw(dx, dy, dz, a * vx, -a * vy, self._ruling_vz(), t)
         return tuple(np.broadcast_arrays(x, y, dz))
 
     def t_velocity_rates(self, eps, t):
         """(d2F/deps dt, d2F/dt2) in closed form."""
-        vx, vy, vz = self.ruling_velocity(eps)
+        vx, vy, _ = self.ruling_velocity(eps)
         a = self.gamma.curve.zdot0
-        tx, ty, tz = _ruling_velocity_eval(0.0, 0.0, 0.0, vx, vy, vz, t)
+        *_, tx, ty, tz = _eval_raw(0.0, 0.0, 0.0, vx, vy, self._ruling_vz(), t)
         zero = np.zeros_like(tx)
-        # tz is vz on exponential rulings and 0 on line rulings
         return (a * tx, -a * ty, zero), (tz * tx, -tz * ty, zero)
 
     def ruling(self, eps: float) -> CharacteristicCurve:
@@ -291,33 +300,6 @@ class RuledSurface:
         zdir = e2 / speed
         # orient nu_h consistently along the center line (sign irrelevant for H)
         return -np.sum(dnu / speed * zdir, axis=-1)
-
-
-def _ruling_eval(gx, gy, gz, vx, vy, vz, t):
-    """Vectorized closed-form characteristic flow from array initial data."""
-    gx, gy, gz, vx, vy, vz, t = np.broadcast_arrays(gx, gy, gz, vx, vy, vz, t)
-    line = np.abs(vz) < LINE_FAMILY_TOL
-    x = np.empty_like(gx)
-    y = np.empty_like(gy)
-    z = np.empty_like(gz)
-    x[line] = gx[line] + vx[line] * t[line]
-    y[line] = gy[line] + vy[line] * t[line]
-    z[line] = gz[line]
-    e = ~line
-    with np.errstate(over="raise"):
-        x[e] = gx[e] + vx[e] / vz[e] * np.expm1(vz[e] * t[e])
-        y[e] = gy[e] - vy[e] / vz[e] * np.expm1(-vz[e] * t[e])
-    z[e] = gz[e] + vz[e] * t[e]
-    return x, y, z
-
-
-def _ruling_velocity_eval(gx, gy, gz, vx, vy, vz, t):
-    gx, gy, gz, vx, vy, vz, t = np.broadcast_arrays(gx, gy, gz, vx, vy, vz, t)
-    line = np.abs(vz) < LINE_FAMILY_TOL
-    dx = np.where(line, vx, vx * np.exp(vz * t))
-    dy = np.where(line, vy, vy * np.exp(-vz * t))
-    dz = np.where(line, 0.0, vz)
-    return dx, dy, dz
 
 
 def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,

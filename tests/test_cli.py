@@ -204,6 +204,30 @@ def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     assert not (tmp_path / "nf" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "y-line", "--t", "-800", "800"],
+    ["--gamma", "exp", "--theta", "1.5", "--t", "-800", "800"],
+])
+def test_sweep_overflow_exit_3(tmp_path, capsys, argv):
+    code = run(["sweep", *argv, "--out", str(tmp_path / "ov")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "ov" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--eps-level", "1e-3"],
+    ["curve", "--eps-sing", "1e-6"],
+    ["sweep", "--seed", "1"],
+    ["residual", "--surface", "plane-x", "--eps-level", "1e-3"],
+])
+def test_removed_options_exit_2(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "ro")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "ro").exists()
+
+
 def test_nonfinite_param_exit_2(tmp_path, capsys):
     code = run(["residual", "--surface", "plane-x", "--param", "c=nan",
                 "--grid", "4", "--out", str(tmp_path / "np")])

@@ -155,6 +155,55 @@ def test_q_form_admissibility_enforced():
         q_form(patch, wide, grid=(8, 8), delta=0.5)
 
 
+# -- catalog curve patches: sweeps against their hand-written closed forms -----
+
+def _plane_ab_closed(a, b, c):
+    """(px + yx eps, py + yy eps, zs - t): the singular line swept by -X."""
+    zs = 0.5 * math.log(b / a)
+    px, py = -c * a / (a * a + b * b), -c * b / (a * a + b * b)
+    yx, yy = -math.exp(zs) / math.sqrt(2.0), math.exp(-zs) / math.sqrt(2.0)
+
+    def closed(e, t):
+        zero, one = np.zeros_like(e), np.ones_like(e)
+        return ((px + yx * e, py + yy * e, zs - t),
+                ((yx * one, yy * one, zero), (zero, zero, -one)))
+    return closed
+
+
+def _saddle_curve_closed(x0, y0):
+    """(x0 - e^eps t/sqrt2, y0 + e^-eps t/sqrt2, eps): the axis swept by Y."""
+    def closed(e, t):
+        ee, r2 = np.exp(e), math.sqrt(2.0)
+        return ((x0 - ee * t / r2, y0 + t / (ee * r2), e),
+                ((-ee * t / r2, -t / (ee * r2), np.ones_like(e)),
+                 (-ee / r2, 1.0 / (ee * r2), np.zeros_like(e))))
+    return closed
+
+
+@pytest.mark.parametrize("name,params,closed", [
+    ("plane-ab", {"a": 1.0, "b": 1.0, "c": 0.0}, _plane_ab_closed(1.0, 1.0, 0.0)),
+    ("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3}, _plane_ab_closed(2.0, 0.5, 0.3)),
+    ("saddle-curve", {}, _saddle_curve_closed(0.0, 0.0)),
+    ("saddle-curve", {"x0": 0.3, "y0": -0.2, "z0": 0.4}, _saddle_curve_closed(0.3, -0.2)),
+])
+def test_catalog_curve_patch_is_its_closed_form(name, params, closed):
+    patch = patch_for_catalog(name, params)
+    E, T = np.meshgrid(np.linspace(*patch.eps_range, 17), np.linspace(*patch.t_range, 19),
+                       indexing="ij")
+    want_points, want_tangents = closed(E, T)
+
+    def rel(got, want):
+        got, want = np.broadcast_arrays(*got), np.broadcast_arrays(*want)
+        return max(np.max(np.abs(g - w) / (1.0 + np.abs(w))) for g, w in zip(got, want))
+
+    assert rel(patch.points(E, T), want_points) < 1e-14
+    got_e, got_t = patch.tangents(E, T)
+    assert rel(got_e, want_tangents[0]) < 1e-14
+    assert rel(got_t, want_tangents[1]) < 1e-14
+    # the patch keeps the catalog field, so it lies on the field's zero set
+    assert np.max(np.abs(patch.field.values(*patch.points(E, T)))) < 1e-12
+
+
 def test_q_form_vs_simplified_plane_ab():
     params = {"a": 1.0, "b": 1.0, "c": 0.0}
     patch = patch_for_catalog("plane-ab", params)

@@ -36,14 +36,22 @@ def test_horizontal_curve_requires_horizontality():
         HorizontalCurve.from_initial_data(Point(0, 0, 0), CoordVector(1, 1, 0))
 
 
-def test_sweep_t_lines_are_characteristic_curves(rng):
-    s = sweep_surface(generic_gamma(), (-1.5, 1.5), (-3, 3), grid=(24, 24))
+@pytest.mark.parametrize("kind", ["generic", "x-line", "y-line", "skewed"])
+def test_sweep_t_lines_are_characteristic_curves(rng, kind):
+    gamma = {"generic": generic_gamma(),
+             "x-line": HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)),
+             "y-line": HorizontalCurve.y_line(Point(0.3, 0.1, -0.2)),
+             "skewed": generic_gamma(1.1, Point(0, 0, 0))}[kind]
+    s = sweep_surface(gamma, (-1.5, 1.5), (-3, 3), grid=(24, 24),
+                      skew=0.5 if kind == "skewed" else 0.0)
     for eps in rng.uniform(-1.5, 1.5, 8):
         curve = s.ruling(float(eps))
         ts = np.linspace(-3, 3, 31)
-        ref, _ = eval_curve(curve, ts)
+        ref, ref_v = eval_curve(curve, ts)
         got = np.stack(s.point(float(eps), ts), axis=-1)
         assert np.max(np.abs(got - ref)) < 1e-10
+        got_v = np.stack(s.t_velocity(float(eps), ts), axis=-1)
+        assert np.max(np.abs(got_v - ref_v)) < 1e-10
 
 
 def test_x_line_sweep_lies_on_saddle_curve_surface():
