@@ -31,7 +31,7 @@ from .exporters import json_dumps, write_csv, write_json, write_obj
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 from .stationary import HorizontalCurve, orthogonality_check, sweep_surface, uniqueness_scan
 from .surface import EPS_SING, raw_fields
-from .curves import eval_curve, integrate_ode, make_curve
+from .curves import eval_curve, integrate_ode, is_geodesic, make_curve
 from .stability import (
     area_compare,
     battery_test_functions,
@@ -87,17 +87,24 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    if isinstance(like, (list, tuple)):
-        parts = value.replace(",", " ").split()
-        return [type(like[0])(p) for p in parts] if like else parts
-    return value
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key, value, like):
+    """A config-file string as the type, and for a list the length, of the default."""
+    if like is None:
+        return value
+    parts = value.replace(",", " ").split() if isinstance(like, list) else [value]
+    kinds = like if isinstance(like, list) else [like]
+    if len(parts) != len(kinds):
+        raise ConfigError(f"config key {key} takes {len(kinds)} values, got {len(parts)}")
+    try:
+        out = [_BOOLS[p.lower()] if isinstance(d, bool) else type(d)(p)
+               for p, d in zip(parts, kinds)]
+    except (KeyError, ValueError):
+        raise ConfigError(f"config key {key}: bad value {value!r}") from None
+    return out if isinstance(like, list) else out[0]
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
@@ -105,13 +112,16 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     fromfile = {}
     if getattr(args, "config", None):
         fromfile = _load_config_file(args.config)
+    unknown = sorted(set(fromfile) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{args.config}: {args.command} has no option {', '.join(unknown)}")
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
         elif key in fromfile:
-            out[key] = _coerce(fromfile[key], default)
+            out[key] = _coerce(key, fromfile[key], default)
         else:
             out[key] = default
     return out
@@ -201,15 +211,17 @@ def cmd_residual(cfg: RunConfig) -> int:
 # curve
 # ---------------------------------------------------------------------------
 
+def _horizontal_unit(p0: Point, angle: float) -> CoordVector:
+    """cos(angle) X + sin(angle) Y at p0, in coordinates."""
+    return CoordVector(-math.sin(angle) * math.exp(p0.z) / SQRT2,
+                       math.sin(angle) * math.exp(-p0.z) / SQRT2, math.cos(angle))
+
+
 def cmd_curve(cfg: RunConfig) -> int:
     o = cfg.options
     p0 = Point(*o["p0"])
     if o.get("alpha") is not None:
-        a = float(o["alpha"])
-        ez = math.exp(p0.z)
-        v0 = CoordVector(-math.sin(a) * ez / SQRT2,
-                         math.sin(a) * math.exp(-p0.z) / SQRT2,
-                         math.cos(a))
+        v0 = _horizontal_unit(p0, float(o["alpha"]))
     elif o.get("v") is not None:
         v0 = CoordVector(*o["v"])
     else:
@@ -223,35 +235,27 @@ def cmd_curve(cfg: RunConfig) -> int:
     write_csv(os.path.join(out_dir, "curve.csv"),
               ["t", "x", "y", "z", "xdot", "ydot", "zdot"], rows)
 
-    from .curves import is_geodesic
-
-    _, b, c = frame_components(pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
-    a_comp = vel[:, 2]
+    a, b, c = frame_components(pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
     summary = {
         "config": cfg.as_dict(),
         "family": curve.family,
         "geodesic": is_geodesic(curve),
         "horizontality_drift": float(np.max(np.abs(c))),
-        "unit_speed_drift": float(np.max(np.abs(np.sqrt(a_comp**2 + b**2 + c**2) - 1.0))),
+        "unit_speed_drift": float(np.max(np.abs(np.sqrt(a**2 + b**2 + c**2) - 1.0))),
     }
     if o.get("oracle"):
-        path = integrate_ode(p0, v0, t1, int(o["n"])) if t0 == 0.0 else None
-        if path is None:
-            # two one-sided integrations, matching the sample grid
-            devs = []
-            for lo, hi in ((0.0, t0), (0.0, t1)):
-                if hi == lo:
-                    continue
-                seg = ts[(ts >= min(lo, hi)) & (ts <= max(lo, hi))]
-                if len(seg) < 2:
-                    continue
-                p = integrate_ode(p0, v0, hi, len(seg))
-                ref, _ = eval_curve(curve, p.t)
-                devs.append(float(np.max(np.abs(p.points - ref))))
-            summary["oracle_sup_deviation"] = max(devs) if devs else 0.0
-        else:
-            ref, _ = eval_curve(curve, path.t)
-            summary["oracle_sup_deviation"] = float(np.max(np.abs(path.points - ref)))
+        # two one-sided integrations from p0, matching the sample grid
+        devs = []
+        for lo, hi in ((0.0, t0), (0.0, t1)):
+            if hi == lo:
+                continue
+            seg = ts[(ts >= min(lo, hi)) & (ts <= max(lo, hi))]
+            if len(seg) < 2:
+                continue
+            p = integrate_ode(p0, v0, hi, len(seg))
+            ref, _ = eval_curve(curve, p.t)
+            devs.append(float(np.max(np.abs(p.points - ref))))
+        summary["oracle_sup_deviation"] = max(devs) if devs else 0.0
     write_json(os.path.join(out_dir, "summary.json"), summary)
     sys.stdout.write(json_dumps(summary))
     return 0
@@ -270,10 +274,7 @@ def _gamma_from_options(o) -> HorizontalCurve:
         return HorizontalCurve.y_line(p0)
     if kind == "exp":
         if o.get("theta") is not None:
-            th = float(o["theta"])
-            v0 = CoordVector(-math.sin(th) * math.exp(p0.z) / SQRT2,
-                             math.sin(th) * math.exp(-p0.z) / SQRT2,
-                             math.cos(th))
+            v0 = _horizontal_unit(p0, float(o["theta"]))
         elif o.get("v0") is not None:
             v0 = CoordVector(*o["v0"])
         else:

@@ -109,6 +109,17 @@ def test_csv_precision_17_digits(tmp_path):
     assert f"{float(value):.17g}" == value
 
 
+def test_residual_csv_cells_17_digits(tmp_path):
+    out = tmp_path / "r17"
+    assert run(["residual", "--surface", "saddle-point", "--grid", "9", "--out", str(out)]) == 0
+    lines = read(out / "residual.csv").decode().splitlines()
+    assert len(lines) == 1 + 9**3
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 7
+        assert all(f"{float(cell):.17g}" == cell for cell in cells), line
+
+
 def test_stability_sufficient_and_flip(tmp_path):
     out = tmp_path / "st"
     code = run(["stability", "sufficient", "--surface", "plane-x",
@@ -176,6 +187,23 @@ def test_config_file_precedence(tmp_path):
     assert summary["config"]["band"] == 0.2
 
 
+@pytest.mark.parametrize("argv, line, key", [
+    (["residual", "--surface", "plane-x"], "grid=abc", "grid"),
+    (["residual", "--surface", "plane-x"], "window=1 2 3", "window"),
+    (["residual", "--surface", "plane-x"], "band=", "band"),
+    (["curve", "--alpha", "0.3"], "oracle=maybe", "oracle"),
+])
+def test_bad_config_value_exit_2(tmp_path, capsys, argv, line, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line + "\n")
+    code = run([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "bv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"config key {key}" in err
+    assert not (tmp_path / "bv").exists()
+
+
 def test_config_validation(tmp_path, capsys):
     code = run(["residual", "--surface", "plane-x", "--grid", "1",
                 "--out", str(tmp_path / "v")])
@@ -225,6 +253,23 @@ def test_sweep_overflow_exit_3(tmp_path, capsys, argv):
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "ro")]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "ro").exists()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("eps_level=1e-3", "eps_level"),
+    ("seed=4", "seed"),
+    ("bogus=1", "bogus"),
+])
+def test_removed_config_keys_exit_2(tmp_path, capsys, line, key):
+    # a config file may not set what the command line may not
+    cfgfile = tmp_path / "ro.cfg"
+    cfgfile.write_text(line + "\n")
+    code = run(["curve", "--config", str(cfgfile), "--alpha", "0.3",
+                "--out", str(tmp_path / "ro")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"has no option {key}" in err
     assert not (tmp_path / "ro").exists()
 
 
