@@ -29,7 +29,9 @@ from .errors import BadParams, ExprSyntaxError, GeometryError
 from .expressions import CATALOG_NAMES, catalog, parse as parse_field
 from .exporters import json_dumps, write_csv, write_json, write_obj
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
-from .stationary import HorizontalCurve, orthogonality_check, sweep_surface, uniqueness_scan
+from .stationary import HorizontalCurve, orthogonality_check, singular_loci, sweep_surface
+# bench/spans.py rebinds solgeo.cli.uniqueness_scan, so it stays imported here
+from .stationary import uniqueness_scan  # noqa: F401
 from .surface import EPS_SING, raw_fields
 from .curves import eval_curve, integrate_ode, is_geodesic, make_curve
 from .stability import (
@@ -91,24 +93,35 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(key, value, like):
-    """A config-file string as the type, and for a list the length, of the default."""
-    if like is None:
-        return value
-    parts = value.replace(",", " ").split() if isinstance(like, list) else [value]
-    kinds = like if isinstance(like, list) else [like]
-    if len(parts) != len(kinds):
-        raise ConfigError(f"config key {key} takes {len(kinds)} values, got {len(parts)}")
+def _coerce(key, value, action: argparse.Action):
+    """A config-file string as the value its option's argparse action stores.
+
+    The action gives the type and the number of values; a store_const flag
+    takes a boolean, and a repeatable option any number of values.
+    """
+    if not action.option_strings:
+        raise ConfigError(f"config key {key} is set by the positional argument, "
+                          f"not a config file")
+    many = action.nargs is not None or isinstance(action, argparse._AppendAction)
+    parts = value.replace(",", " ").split() if many else [value]
     try:
-        out = [_BOOLS[p.lower()] if isinstance(d, bool) else type(d)(p)
-               for p, d in zip(parts, kinds)]
+        if action.nargs == 0:
+            return _BOOLS[value.lower()]
+        out = [(action.type or str)(p) for p in parts]
     except (KeyError, ValueError):
         raise ConfigError(f"config key {key}: bad value {value!r}") from None
-    return out if isinstance(like, list) else out[0]
+    if isinstance(action.nargs, int) and len(out) != action.nargs:
+        raise ConfigError(f"config key {key} takes {action.nargs} values, got {len(out)}")
+    return out if many else out[0]
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag > config file > default, per option."""
+    """Flag > config file > default, per option.
+
+    Every config-file value is checked against the argparse action of its
+    option in the subcommand's parser, also where a flag overrides it.
+    """
+    actions = {a.dest: a for a in args.parser._actions}
     fromfile = {}
     if getattr(args, "config", None):
         fromfile = _load_config_file(args.config)
@@ -118,12 +131,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in fromfile:
-            out[key] = _coerce(key, fromfile[key], default)
-        else:
-            out[key] = default
+        value = _coerce(key, fromfile[key], actions[key]) if key in fromfile else default
+        out[key] = value if flag is None else flag
     return out
 
 
@@ -288,10 +297,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     gamma = _gamma_from_options(o)
     ne, nt = (int(v) for v in o["grid"])
     s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt), skew=o["skew"])
-    E, T, X, Y, Z = s.mesh()
+    tg = s.t_grid()
+    E, T = np.meshgrid(s.eps_grid(), tg, indexing="ij")
     # |N_h| from the cross product of the tangents; <V, T> from V = dF/deps
-    V = s.eps_velocity(E, T)
-    nrm = TangentFrame(Z, V, s.t_velocity(E, T)).normal
+    (X, Y, Z), (V, F_t) = s.chart(E, T)
+    nrm = TangentFrame(Z, V, F_t).normal
     with np.errstate(invalid="ignore", divide="ignore"):
         nh = np.hypot(nrm[..., 0], nrm[..., 1]) / np.linalg.norm(nrm, axis=-1)
     vt = frame_components(Z, *V)[2]
@@ -315,7 +325,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         "max_abs_intrinsic_H": max(abs(h) for h in h_samples) if h_samples else None,
     }
     if o.get("scan_singular"):
-        summary["singular_loci"] = uniqueness_scan(s)
+        summary["singular_loci"] = singular_loci(tg, vt)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     sys.stdout.write(json_dumps(summary))
     return 0
@@ -411,6 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
 
@@ -485,8 +496,6 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         options = _merge(args, _DEFAULTS[args.command])
-        if args.command == "stability":
-            options["mode"] = args.mode
         cfg = RunConfig(args.command, options)
         cfg.validate()
         handler = {

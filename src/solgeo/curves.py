@@ -18,9 +18,7 @@ small zdot0 t and makes the zdot0 -> 0 limit land on the line family.
 
 ``integrate_ode`` integrates the defining second-order equation as a
 first-order system with an adaptive 4th/5th-order method; it exists purely
-as an independent oracle for the closed forms (it accepts a curvature
-parameter for exploratory use, but only H = 0 is part of the verified
-surface).
+as an independent oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -43,6 +41,10 @@ OVERFLOW_LIMIT = 700.0
 #: geodesics are the integral curves of X or Y; frame-component tolerance
 GEODESIC_TOL = 1e-9
 
+#: relative and absolute tolerances of the ODE oracle
+ODE_RTOL = 1e-12
+ODE_ATOL = 1e-14
+
 
 @dataclass(frozen=True)
 class CharacteristicCurve:
@@ -64,12 +66,11 @@ def horizontality_defect(p0: Point, v0: CoordVector) -> float:
     return v0.dy * math.exp(p0.z) + v0.dx * math.exp(-p0.z)
 
 
-def make_curve(p0: Point, v0: CoordVector,
-               tol: float = TOL_HORIZONTAL) -> CharacteristicCurve:
+def make_curve(p0: Point, v0: CoordVector) -> CharacteristicCurve:
     """Classify and normalize initial data into a curve record.
 
     The velocity is normalized to unit frame length.  Raises NotHorizontal
-    when the (scale-invariant) horizontality defect exceeds ``tol`` and
+    when the (scale-invariant) horizontality defect exceeds TOL_HORIZONTAL and
     ZeroVelocity on vanishing input.
     """
     from .frame import to_frame
@@ -79,7 +80,7 @@ def make_curve(p0: Point, v0: CoordVector,
     if speed == 0.0:
         raise ZeroVelocity(f"zero initial velocity at {p0}")
     defect = horizontality_defect(p0, v0)
-    if abs(defect) / speed > tol:
+    if abs(defect) / speed > TOL_HORIZONTAL:
         raise NotHorizontal(defect)
     v = CoordVector(v0.dx / speed, v0.dy / speed, v0.dz / speed)
     zdot0 = v.dz
@@ -148,14 +149,12 @@ class SampledPath:
     velocities: np.ndarray  # (n, 3)
 
 
-def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int,
-                  curvature: float = 0.0,
-                  rtol: float = 1e-12, atol: float = 1e-14) -> SampledPath:
+def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> SampledPath:
     """Adaptive RK45 integration of the characteristic-curve system.
 
     State is (x, y, z, a, b) with (a, b) the frame velocity components;
-    horizontality is built into the state, and the curvature couples (a, b)
-    by a rotation rate.  Used solely as an oracle against ``eval_curve``.
+    horizontality is built into the state, and curvature H = 0 leaves
+    (a, b) constant.  Used solely as an oracle against ``eval_curve``.
     """
     from .frame import to_frame
 
@@ -172,13 +171,11 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int,
     def rhs(t, s):
         x, y, z, a, b = s
         ez = math.exp(z)
-        return [-ez * b / SQRT2, b / (ez * SQRT2), a,
-                curvature * b, -curvature * a]
+        return [-ez * b / SQRT2, b / (ez * SQRT2), a, 0.0, 0.0]
 
     t_eval = np.linspace(0.0, t_end, steps)
-    span = (0.0, t_end) if t_end >= 0 else (0.0, t_end)
-    sol = solve_ivp(rhs, span, [p0.x, p0.y, p0.z, w.a / speed, w.b / speed],
-                    method="RK45", rtol=rtol, atol=atol, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, t_end), [p0.x, p0.y, p0.z, w.a / speed, w.b / speed],
+                    method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL, t_eval=t_eval)
     if not sol.success:
         raise GeometryError(f"ODE integration failed: {sol.message}")
     x, y, z, a, b = sol.y

@@ -55,10 +55,6 @@ class BadParams(GeometryError):
     pass
 
 
-class PerturbationNotCompact(GeometryError):
-    pass
-
-
 class EvaluationError(GeometryError):
     """Raised when a field evaluation hits a pole or overflows.
 

@@ -33,14 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    GeometryError,
-    Inadmissible,
-    NotMinimal,
-    PerturbationNotCompact,
-    SingularPointFound,
-)
+from .errors import BadParams, GeometryError, Inadmissible, NotMinimal, SingularPointFound
 from .expressions import ScalarField, catalog, neg
 from .frame import Point, TangentFrame, frame_components
 from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
@@ -48,6 +41,17 @@ from .surface import EPS_SING, raw_fields
 
 GL_ORDER = 8
 MINIMALITY_TOL = 1e-7
+
+#: general and closed-form Q(u) agree when their totals differ by less than
+#: this many times the combined error estimate
+AGREE_FACTOR = 10.0
+
+#: sup <N, T> below which the sufficient condition counts as met
+SUFFICIENT_TOL = 1e-8
+
+#: window of the area comparison, and the share of it the bump's support spans
+AREA_WINDOW = ((-2.0, 2.0), (-2.0, 2.0))
+BUMP_WIDTH_FRAC = 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +170,16 @@ def battery_test_functions(patch, count: int, seed: int, delta: float):
 class SurfacePatch:
     """Parametrized patch of a surface, adapted to its singular set.
 
-    ``F`` maps parameter arrays (eps, t) to coordinate arrays; ``tangents``
-    returns (dF/deps, dF/dt) as coordinate triples.  For surfaces with a
-    singular curve the curve sits at t = 0 and the base parametrization has
-    unit speed, so the length element along it is 1.
+    ``chart`` maps parameter arrays (eps, t) to ((x, y, z), (dF/deps,
+    dF/dt)): the coordinates of F and its two tangents as coordinate
+    triples, from one evaluation of the parametrization.  For surfaces with
+    a singular curve the curve sits at t = 0 and the base parametrization
+    has unit speed, so the length element along it is 1.
 
     Pointwise geometry comes from the defining scalar field when one exists;
     otherwise ``geometry`` supplies it from the exact derivatives of the
     parametrization (see ``patch_from_ruled``).  Either way ``geom``
-    evaluates F and its tangents once per node set and returns their
+    evaluates the chart once per node set and returns the tangents'
     ``TangentFrame`` under "frame".
 
     The geometry Q(u) reads at the quadrature nodes is tabulated on first
@@ -185,19 +190,15 @@ class SurfacePatch:
     field: ScalarField | None
     eps_range: tuple
     t_range: tuple
-    F: object                      # callable (eps, t) -> (x, y, z)
-    tangents: object               # callable (eps, t) -> ((x,y,z), (x,y,z))
+    chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt))
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
     geometry: object = None        # callable (eps, t, z, frame) -> dict, overrides field
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def points(self, eps, t):
-        return self.F(eps, t)
-
     def geom(self, eps, t) -> dict:
-        X, Y, Z = self.F(eps, t)
-        tf = TangentFrame(Z, *self.tangents(eps, t))
+        (X, Y, Z), tangents = self.chart(eps, t)
+        tf = TangentFrame(Z, *tangents)
         if self.geometry is not None:
             f = self.geometry(eps, t, Z, tf)
         else:
@@ -222,31 +223,32 @@ def _level_graph(c: float):
     return h
 
 
-def _graph_patch(name, fld, kind, h_fn, er, tr, singular="none", point_param=None):
-    """Patch of a graph over a coordinate plane, laid out by ``_PLANE_GRAPH``."""
-    def graph(e, t):
-        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-        return _PLANE_GRAPH[kind](e, t, *h_fn(e, t))
+def _graph_chart(kind: str, h_fn):
+    """Chart of the graph of ``h_fn`` over a coordinate plane, laid out by
+    ``_PLANE_GRAPH``.
 
-    def F(e, t):
-        return tuple(np.broadcast_arrays(*graph(e, t)[0]))
+    ``h_fn`` sees the nodes as given, so an (n, 1) column and a (1, m) row
+    are evaluated on n + m points where h is separable; the coordinates
+    are broadcast to the grid.
+    """
+    layout = _PLANE_GRAPH[kind]
 
-    def tangents(e, t):
-        return graph(e, t)[1]
+    def chart(s1, s2):
+        s1, s2 = np.asarray(s1, float), np.asarray(s2, float)
+        coords, tangents = layout(s1, s2, *h_fn(s1, s2))
+        return tuple(np.broadcast_arrays(*coords)), tangents
+    return chart
 
-    return SurfacePatch(name, fld, er, tr, F, tangents, singular, point_param)
 
-
-def patch_for_catalog(name: str, params: dict | None = None,
-                      eps_range=None, t_range=None) -> SurfacePatch:
+def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
     """Adapted quadrature patch for a catalog surface."""
     params = dict(params or {})
     fld = catalog(name, **params)
 
     if name in ("plane-x", "plane-y", "plane-z"):
         c = float(params.get("c", 0.0))
-        return _graph_patch(name, fld, name, _level_graph(c),
-                            eps_range or (-3.0, 3.0), t_range or (-3.0, 3.0))
+        return SurfacePatch(name, fld, (-3.0, 3.0), (-3.0, 3.0),
+                            _graph_chart(name, _level_graph(c)))
 
     if name == "plane-ab":
         a = float(params.get("a", 1.0))
@@ -260,15 +262,13 @@ def patch_for_catalog(name: str, params: dict | None = None,
         base = HorizontalCurve.y_line(Point(-c * a / (a * a + b * b),
                                             -c * b / (a * a + b * b),
                                             plane_ab_singular_line_z(a, b)))
-        return _sweep_patch(name, fld, sweep_surface(
-            base, eps_range or (-3.0, 3.0), t_range or (-3.0, 3.0)))
+        return _sweep_patch(name, fld, sweep_surface(base, (-3.0, 3.0), (-3.0, 3.0)))
 
     if name == "saddle-curve":
         # base curve: the vertical line (x0, y0, eps); rulings: Y-lines
         base = HorizontalCurve.x_line(Point(float(params.get("x0", 0.0)),
                                             float(params.get("y0", 0.0)), 0.0))
-        return _sweep_patch(name, fld, sweep_surface(
-            base, eps_range or (-2.0, 2.0), t_range or (-3.0, 3.0)))
+        return _sweep_patch(name, fld, sweep_surface(base, (-2.0, 2.0), (-3.0, 3.0)))
 
     if name == "saddle-point":
         x0 = float(params.get("x0", 0.0))
@@ -281,37 +281,29 @@ def patch_for_catalog(name: str, params: dict | None = None,
             ee = np.exp(z - z0)
             return x0 - ee * (y - y0), -ee, -ee * (y - y0)
 
-        return _graph_patch(name, fld, "plane-x", h,
-                            eps_range or (y0 - 3.0, y0 + 3.0),
-                            t_range or (-z0 - 2.0, -z0 + 2.0),
-                            "point", (y0, -z0))
+        return SurfacePatch(name, fld, (y0 - 3.0, y0 + 3.0), (-z0 - 2.0, -z0 + 2.0),
+                            _graph_chart("plane-x", h), "point", (y0, -z0))
 
     raise BadParams(f"no adapted patch for catalog surface {name!r}")
 
 
 def _sweep_patch(name, fld, surface, geometry=None) -> SurfacePatch:
-    """Patch over a ruled sweep: F and its tangents come from the sweep's
-    closed-form flow, and the base curve is the singular curve at t = 0."""
-    def F(e, t):
-        return surface.point(e, t)
-
-    def tangents(e, t):
-        return surface.eps_velocity(e, t), surface.t_velocity(e, t)
-
-    return SurfacePatch(name, fld, surface.eps_range, surface.t_range, F, tangents,
+    """Patch over a ruled sweep: the chart is the sweep's closed-form flow,
+    and the base curve is the singular curve at t = 0."""
+    return SurfacePatch(name, fld, surface.eps_range, surface.t_range, surface.chart,
                         "curve", geometry=geometry)
 
 
-def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
+def patch_from_ruled(surface) -> SurfacePatch:
     """Quadrature patch over a ruled sweep, geometry from the parametrization.
 
     Serves sweeps with no defining scalar field (the non-geodesic family).
     The characteristic direction Z is the unit ruling velocity carrying the
     side-dependent sign that realizes it as J of the horizontal normal
     nu_h = -J(Z); the unit normal is the metric cross product of the
-    tangents, its global sign fixed at a reference point (``orientation``
-    flips it).  All derivatives are exact: <nabla_S nu_h, Z> and H come
-    from the closed-form second derivatives of the sweep.
+    tangents, its global sign fixed at a reference point.  All derivatives
+    are exact: <nabla_S nu_h, Z> and H come from the closed-form second
+    derivatives of the sweep.
     """
     if not isinstance(surface, RuledSurface):
         raise BadParams("patch_from_ruled expects a ruled surface")
@@ -319,7 +311,7 @@ def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
         raise BadParams("skewed fixtures have no adapted stability patch")
 
     def frame_data(t, tf):
-        sigma = orientation * np.sign(t)
+        sigma = np.sign(t)
         speed = np.hypot(tf.e2[..., 0], tf.e2[..., 1])
         # Z = sigma * unit ruling velocity; nu_h = -J(Z) = (zy, -zx)
         zx = sigma * tf.e2[..., 0] / speed
@@ -330,8 +322,8 @@ def patch_from_ruled(surface, orientation: float = 1.0) -> SurfacePatch:
     # pin the global normal sign once, where the alignment is unambiguous
     e_ref = 0.5 * (surface.eps_range[0] + surface.eps_range[1])
     t_ref = 0.25 * (surface.t_range[1] - surface.t_range[0])
-    tf_ref = TangentFrame(surface.point(e_ref, t_ref)[2], surface.eps_velocity(e_ref, t_ref),
-                          surface.t_velocity(e_ref, t_ref))
+    (_, _, z_ref), tangents_ref = surface.chart(e_ref, t_ref)
+    tf_ref = TangentFrame(z_ref, *tangents_ref)
     *_, zx_r, zy_r, n_ref = frame_data(t_ref, tf_ref)
     s_ref = math.copysign(1.0, float(n_ref[..., 0] * zy_r - n_ref[..., 1] * zx_r))
 
@@ -382,9 +374,9 @@ def leggauss(order: int):
     return xs, ws
 
 
-def gl_line(lo: float, hi: float, cells: int, order: int = GL_ORDER):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    xs, ws = leggauss(order)
+def gl_line(lo: float, hi: float, cells: int):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi], GL_ORDER per cell."""
+    xs, ws = leggauss(GL_ORDER)
     edges = np.linspace(lo, hi, cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -642,17 +634,15 @@ def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureR
     )
 
 
-def compare_q_forms(general: QuadratureReport,
-                    simplified: QuadratureReport,
-                    factor: float = 10.0) -> dict:
+def compare_q_forms(general: QuadratureReport, simplified: QuadratureReport) -> dict:
     """Structured comparison of the general and closed-form evaluations.
 
-    Agreement means the totals differ by less than ``factor`` times the
-    combined error estimate.  On mismatch the part with the largest
+    Agreement means the totals differ by less than ``AGREE_FACTOR`` times
+    the combined error estimate.  On mismatch the part with the largest
     discrepancy is named, so the outcome is reportable either way.
     """
     combined = general.error_estimate + simplified.error_estimate
-    threshold = factor * combined
+    threshold = AGREE_FACTOR * combined
     diff = abs(general.total - simplified.total)
     parts = {
         "surface_u2_weight": abs(general.surface_integral - simplified.surface_integral),
@@ -680,8 +670,7 @@ def flipped(field: ScalarField) -> ScalarField:
 
 
 def sufficient_condition(field: ScalarField, patch: SurfacePatch,
-                         grid=(64, 64), flip: bool = False,
-                         tol: float = 1e-8) -> dict:
+                         grid=(64, 64), flip: bool = False) -> dict:
     """Stability test for surfaces with empty singular set.
 
     The hypothesis is <N, T> <= 0 everywhere (with the inner-normal
@@ -696,7 +685,7 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     es = np.linspace(*patch.eps_range, grid[0])
     ts = np.linspace(*patch.t_range, grid[1])
     E, T = np.meshgrid(es, ts, indexing="ij")
-    X, Y, Z = patch.points(E, T)
+    (X, Y, Z), _ = patch.chart(E, T)
     f = raw_fields(fld, X, Y, Z)
     if bool(np.any(f["nh"] < EPS_SING)):
         raise SingularPointFound("patch contains singular points")
@@ -709,14 +698,14 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     a_plus_b[mask] = (-f["nh"][mask] * (f["Zq"][mask] + f["q"][mask] ** 2)
                       / (f["zx"][mask] ** 2) - f["nt"][mask] / zx[mask])
     sup_apb = float(np.max(a_plus_b[mask])) if mask.any() else float("nan")
-    degenerate_ok = bool(np.all(np.abs(f["nt"][~mask]) <= tol)) if (~mask).any() else True
+    degenerate_ok = bool(np.all(np.abs(f["nt"][~mask]) <= SUFFICIENT_TOL))
     return {
         "sup_NT": sup_nt,
         "sup_quantity": sup_quantity,
         "sup_a_plus_b": sup_apb,
         "zx_degenerate_fraction": float(np.mean(~mask)),
         "zx_degenerate_vertical_ok": degenerate_ok,
-        "condition_met": bool(sup_nt <= tol),
+        "condition_met": bool(sup_nt <= SUFFICIENT_TOL),
         "flip": bool(flip),
     }
 
@@ -790,37 +779,26 @@ def _graph_area(kind: str, window, h_fn, cells: int) -> float:
     With n the metric cross product of the frame tangents, the integrand
     |N_h| dSigma collapses to the horizontal norm of n.
     """
-    (a_lo, a_hi), (b_lo, b_hi) = window
-    n1, w1 = gl_line(a_lo, a_hi, cells)
-    n2, w2 = gl_line(b_lo, b_hi, cells)
-    S1, S2 = np.meshgrid(n1, n2, indexing="ij")
-    W = np.outer(w1, w2)
-    h, h1, h2 = h_fn(S1, S2)
-    coords, tangents = _PLANE_GRAPH[kind](S1, S2, h, h1, h2)
-    x, y, z = np.broadcast_arrays(*coords)
+    n1, w1 = gl_line(*window[0], cells)
+    n2, w2 = gl_line(*window[1], cells)
+    (_, _, z), tangents = _graph_chart(kind, h_fn)(n1[:, None], n2[None, :])
     n = TangentFrame(z, *tangents).normal
     horiz = np.hypot(n[..., 0], n[..., 1])
-    return float(np.sum(horiz * W))
+    return float(np.sum(horiz * np.outer(w1, w2)))
 
 
 @_quiet
-def area_compare(base_kind: str, eta: float, window=((-2.0, 2.0), (-2.0, 2.0)),
-                 grid: int = 100, c: float = 0.0,
-                 bump_width_frac: float = 0.8) -> dict:
+def area_compare(base_kind: str, eta: float, grid: int = 100, c: float = 0.0) -> dict:
     """Areas of a coordinate plane and a compactly supported graph bump over it.
 
     The perturbed surface agrees with the plane outside the bump support,
-    which must sit strictly inside the window.  Two refinement levels give
-    the quadrature error estimate.
+    which spans BUMP_WIDTH_FRAC of AREA_WINDOW and so sits strictly inside
+    it.  Two refinement levels give the quadrature error estimate.
     """
     if base_kind not in _PLANE_GRAPH:
         raise BadParams(f"area comparison supports plane-x/y/z, got {base_kind!r}")
-    if not (0.0 < bump_width_frac < 1.0):
-        raise PerturbationNotCompact(
-            "bump support must sit strictly inside the window")
-    (a_lo, a_hi), (b_lo, b_hi) = window
-    b1 = Bump(0.5 * (a_lo + a_hi), 0.0, bump_width_frac * 0.5 * (a_hi - a_lo))
-    b2 = Bump(0.5 * (b_lo + b_hi), 0.0, bump_width_frac * 0.5 * (b_hi - b_lo))
+    b1, b2 = (Bump(0.5 * (lo + hi), 0.0, BUMP_WIDTH_FRAC * 0.5 * (hi - lo))
+              for lo, hi in AREA_WINDOW)
 
     def h_comp(s1, s2):
         return (-c + eta * b1(s1) * b2(s2),
@@ -829,8 +807,8 @@ def area_compare(base_kind: str, eta: float, window=((-2.0, 2.0), (-2.0, 2.0)),
 
     out = {}
     for tag, fn in (("base", _level_graph(c)), ("comp", h_comp)):
-        lo = _graph_area(base_kind, window, fn, grid)
-        hi = _graph_area(base_kind, window, fn, 2 * grid)
+        lo = _graph_area(base_kind, AREA_WINDOW, fn, grid)
+        hi = _graph_area(base_kind, AREA_WINDOW, fn, 2 * grid)
         out[f"A_{tag}"] = hi
         out[f"A_{tag}_error"] = abs(hi - lo)
     out["delta_area"] = out["A_comp"] - out["A_base"]

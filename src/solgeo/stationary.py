@@ -44,7 +44,7 @@ import numpy as np
 from .curves import CharacteristicCurve, _eval_raw, make_curve
 from .errors import BadParams, BranchUnsupported, DegenerateRuling, NotHorizontal
 from .expressions import ScalarField, catalog
-from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
+from .frame import CoordVector, Point, SQRT2, TOL_HORIZONTAL, TangentFrame, frame_components
 
 #: dichotomy threshold for the degenerate base-curve branches
 BRANCH_TOL = 1e-12
@@ -54,6 +54,10 @@ EPS_SCAN = 1e-9
 
 #: agreement of the analytic <V, T> with its A/B closed form (rounding bound)
 CLOSED_FORM_RTOL = 1e-12
+
+#: central-difference steps of the <V, T> (in eps) and intrinsic-H (in t) oracles
+VT_FD_STEP = 1e-6
+H_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,18 +88,15 @@ class HorizontalCurve:
         return HorizontalCurve(c, kind)
 
     @staticmethod
-    def x_line(p0: Point, direction: float = 1.0) -> "HorizontalCurve":
+    def x_line(p0: Point) -> "HorizontalCurve":
         """Integral curve of X through p0 (a vertical line)."""
-        return HorizontalCurve.from_initial_data(
-            p0, CoordVector(0.0, 0.0, math.copysign(1.0, direction)))
+        return HorizontalCurve.from_initial_data(p0, CoordVector(0.0, 0.0, 1.0))
 
     @staticmethod
-    def y_line(p0: Point, direction: float = 1.0) -> "HorizontalCurve":
+    def y_line(p0: Point) -> "HorizontalCurve":
         """Integral curve of Y through p0 (a horizontal straight line)."""
-        s = math.copysign(1.0, direction)
         return HorizontalCurve.from_initial_data(
-            p0, CoordVector(-s * math.exp(p0.z) / SQRT2,
-                            s * math.exp(-p0.z) / SQRT2, 0.0))
+            p0, CoordVector(-math.exp(p0.z) / SQRT2, math.exp(-p0.z) / SQRT2, 0.0))
 
     def point(self, eps):
         x, y, z, *_ = self._raw(eps)
@@ -186,6 +187,11 @@ class RuledSurface:
         *_, dx, dy, dz = self._flow(eps, t)
         return tuple(np.broadcast_arrays(dx, dy, dz))
 
+    def chart(self, eps, t):
+        """(F, (dF/deps, dF/dt)) at (eps, t); F and dF/dt from one flow."""
+        x, y, z, dx, dy, dz = self._flow(eps, t)
+        return (x, y, z), (self.eps_velocity(eps, t), tuple(np.broadcast_arrays(dx, dy, dz)))
+
     def eps_velocity(self, eps, t):
         """dF/deps, the variation field V, by the chain rule through the flow.
 
@@ -238,14 +244,14 @@ class RuledSurface:
         B = ddz / k - dz * kdot / (k * k)
         return (-2.0 * A * np.sinh(s) + 4.0 * B * np.sinh(0.5 * s) ** 2) / SQRT2
 
-    def vertical_component_fd(self, eps, t, h: float = 1e-6):
+    def vertical_component_fd(self, eps, t):
         """Test oracle: <V, T> from Richardson-extrapolated central
         differences of F in eps, contracted with the frame."""
         def diff(step):
             xp = np.stack(self.point(eps + step, t))
             xm = np.stack(self.point(eps - step, t))
             return (xp - xm) / (2.0 * step)
-        v = (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+        v = (4.0 * diff(VT_FD_STEP / 2.0) - diff(VT_FD_STEP)) / 3.0
         _, _, z = self.point(eps, t)
         return frame_components(z, v[0], v[1], v[2])[2]
 
@@ -268,7 +274,7 @@ class RuledSurface:
         X, Y, Z = self.point(E, T)
         return E, T, X, Y, Z
 
-    def intrinsic_mean_curvature(self, eps, t, h: float = 1e-4):
+    def intrinsic_mean_curvature(self, eps, t):
         """|H| estimated from the parametrization alone.
 
         The surface normal comes from the cross product of the tangents;
@@ -279,8 +285,8 @@ class RuledSurface:
         analytic derivatives ``patch_from_ruled`` uses.
         """
         def nu_h_at(tt):
-            x, y, z = self.point(eps, tt)
-            tf = TangentFrame(z, self.eps_velocity(eps, tt), self.t_velocity(eps, tt))
+            (_, _, z), tangents = self.chart(eps, tt)
+            tf = TangentFrame(z, *tangents)
             e2 = tf.e2
             nh = tf.normal.copy()
             nh[..., 2] = 0.0
@@ -293,8 +299,8 @@ class RuledSurface:
             return (nup - num) / (2.0 * step)
 
         nu0, e2 = nu_h_at(t)
-        d1 = d_nu(h)
-        d2 = d_nu(h / 2.0)
+        d1 = d_nu(H_FD_STEP)
+        d2 = d_nu(H_FD_STEP / 2.0)
         dnu = (4.0 * d2 - d1) / 3.0
         speed = np.linalg.norm(e2, axis=-1, keepdims=True)
         zdir = e2 / speed
@@ -303,8 +309,7 @@ class RuledSurface:
 
 
 def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,
-                  grid=(64, 64), skew: float = 0.0,
-                  horiz_tol: float = 1e-9) -> RuledSurface:
+                  grid=(64, 64), skew: float = 0.0) -> RuledSurface:
     """Sweep a ruled surface from a horizontal base curve.
 
     Validates horizontality and regularity of the base curve over the
@@ -316,7 +321,7 @@ def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,
         raise BadParams("degenerate parameter ranges")
     probe = np.linspace(eps_lo, eps_hi, 33)
     defect = np.max(np.abs(gamma.horizontality_defect(probe)))
-    if defect > horiz_tol:
+    if defect > TOL_HORIZONTAL:
         raise NotHorizontal(float(defect))
     vx, vy, vz = gamma.velocity(probe)
     speed2 = np.min(vx * vx + vy * vy + vz * vz)
@@ -361,22 +366,27 @@ def jacobi_vertical(surface: RuledSurface, eps, t) -> float:
     return value
 
 
-def uniqueness_scan(surface, eps_sing: float = EPS_SCAN) -> list:
+def uniqueness_scan(surface) -> list:
     """Locate singular loci from the sign structure of <V, T> on the grid.
 
-    Returns one entry per connected t-band where the vertical component
-    vanishes (below eps_sing scaled by the per-line magnitude) or changes
-    sign.  Area-stationary sweeps must yield exactly the band at t = 0.
+    Area-stationary sweeps must yield exactly the band at t = 0; see
+    ``singular_loci``.
     """
-    eps = surface.eps_grid()
-    tg = surface.t_grid()
-    E, T = np.meshgrid(eps, tg, indexing="ij")
-    v = np.asarray(surface.vertical_component(E, T), dtype=float)
+    E, T = np.meshgrid(surface.eps_grid(), surface.t_grid(), indexing="ij")
+    return singular_loci(surface.t_grid(), surface.vertical_component(E, T))
+
+
+def singular_loci(tg, vt) -> list:
+    """Singular loci of <V, T> given on an eps x t grid, one row per eps.
+
+    Returns one entry per connected t-band where the vertical component
+    vanishes (below EPS_SCAN scaled by the per-line magnitude) or changes
+    sign.
+    """
     dt = tg[1] - tg[0]
     candidates = []
-    for i in range(len(eps)):
-        line = v[i]
-        scale = eps_sing * (1.0 + np.max(np.abs(line)))
+    for line in np.asarray(vt, dtype=float):
+        scale = EPS_SCAN * (1.0 + np.max(np.abs(line)))
         hits = np.abs(line) < scale
         candidates.extend(tg[hits])
         sign_change = line[:-1] * line[1:] < 0.0

@@ -41,6 +41,9 @@ EPS_LEVEL = 1e-9
 #: relative agreement demanded between the coordinate and frame residuals
 RESIDUAL_CROSSCHECK_RTOL = 1e-9
 
+#: agreement demanded between the three forms of the stability quantity
+STABILITY_QUANTITY_TOL = 1e-12
+
 
 def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
@@ -159,25 +162,24 @@ class SurfacePointData:
     singular: bool
 
 
-def point_data(field: ScalarField, p: Point,
-               eps_sing: float = EPS_SING,
-               eps_level: float = EPS_LEVEL) -> SurfacePointData:
+def point_data(field: ScalarField, p: Point) -> SurfacePointData:
     """Adapted surface frame at ``p``, which must lie on the zero set.
 
     Raises DegeneratePoint when the full gradient vanishes and OffSurface
-    when |u(p)| / |grad u(p)| exceeds ``eps_level``.
+    when |u(p)| / |grad u(p)| exceeds EPS_LEVEL; the point is singular
+    when |N_h| < EPS_SING.
     """
     f = raw_fields(field, p.x, p.y, p.z)
     gn = float(f["grad_norm"])
     if gn == 0.0:
         raise DegeneratePoint(f"gradient vanishes at {p}")
-    if abs(float(f["u"])) / gn >= eps_level:
+    if abs(float(f["u"])) / gn >= EPS_LEVEL:
         raise OffSurface(f"|u|={float(f['u']):.3e} exceeds level tolerance at {p}")
     W1, W2, W3 = float(f["W1"]), float(f["W2"]), float(f["W3"])
     N = FrameVector(-W1 / gn, -W2 / gn, -W3 / gn)
     nh = float(f["nh"])
     nt = float(f["nt"])
-    if nh < eps_sing:
+    if nh < EPS_SING:
         return SurfacePointData(p, N, nh, nt, None, None, None, True)
     nu_h = FrameVector(float(f["nu1"]), float(f["nu2"]), 0.0)
     Z = FrameVector(float(f["zx"]), float(f["zy"]), 0.0)
@@ -261,8 +263,7 @@ def torsion_terms_detail(field: ScalarField, p: Point) -> dict:
     }
 
 
-def necessary_stability_quantity(field: ScalarField, p: Point,
-                                 check_tol: float = 1e-12) -> float:
+def necessary_stability_quantity(field: ScalarField, p: Point) -> float:
     """<Z,X>^2 - 1, the non-positive quantity every stable non-singular
     surface must exhibit.
 
@@ -270,8 +271,8 @@ def necessary_stability_quantity(field: ScalarField, p: Point,
 
         W - <tau(Z), nu_h>  ==  <nu_h, Y>^2 - 1  ==  <Z, X>^2 - 1
 
-    agree (with <tau(Z),nu_h> taken in the adapted-frame form above and
-    W = -1/2).
+    agree to STABILITY_QUANTITY_TOL (with <tau(Z),nu_h> taken in the
+    adapted-frame form above and W = -1/2).
     """
     from .frame import webster_curvature
 
@@ -281,7 +282,7 @@ def necessary_stability_quantity(field: ScalarField, p: Point,
     e1 = webster_curvature() - tau_znu
     e2 = d.nu_h.b ** 2 - 1.0
     e3 = zx * zx - 1.0
-    if abs(e1 - e3) > check_tol or abs(e2 - e3) > check_tol:
+    if abs(e1 - e3) > STABILITY_QUANTITY_TOL or abs(e2 - e3) > STABILITY_QUANTITY_TOL:
         raise AssertionError(
             f"stability quantity expressions disagree at {p}: {e1}, {e2}, {e3}")
     return e3

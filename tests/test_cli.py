@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from solgeo.cli import main
@@ -287,3 +288,52 @@ def test_surface_without_adapted_patch_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "t")])
     assert code == 2
     assert "no adapted patch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, line, flags", [
+    (["stability", "qform", "--surface", "plane-x", "--battery", "2", "--n", "4"],
+     "delta=0.5", ["--delta", "0.5"]),
+    (["stability", "qform", "--surface", "plane-z", "--battery", "2", "--n", "4"],
+     "param=c=0.3", ["--param", "c=0.3"]),
+    (["curve", "--t", "0", "1", "--n", "5"], "v=0 0 1", ["--v", "0", "0", "1"]),
+    (["curve", "--t", "0", "1", "--n", "5"], "alpha=0.3", ["--alpha", "0.3"]),
+    (["sweep", "--grid", "4", "4"], "v0=0, 0, 1", ["--v0", "0", "0", "1"]),
+])
+def test_config_file_equals_flags(tmp_path, argv, line, flags):
+    # options without a default take their type and arity from the option
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    assert run([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    from_file = read(tmp_path / "o" / "summary.json")
+    assert run([*argv, *flags, "--out", str(tmp_path / "o")]) == 0
+    assert from_file == read(tmp_path / "o" / "summary.json")
+
+
+def test_config_mode_exit_2(tmp_path, capsys):
+    # the positional argument sets the mode; a config line may not contradict it
+    cfgfile = tmp_path / "mode.cfg"
+    cfgfile.write_text("mode=area\n")
+    code = run(["stability", "qform", "--surface", "plane-x", "--battery", "2", "--n", "4",
+                "--config", str(cfgfile), "--out", str(tmp_path / "m")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key mode") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
+def test_sweep_scan_evaluates_the_grid_once(tmp_path, monkeypatch):
+    from solgeo.stationary import RuledSurface
+
+    sizes = []
+    eps_velocity = RuledSurface.eps_velocity
+
+    def counting(self, eps, t):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(eps), np.shape(t)))))
+        return eps_velocity(self, eps, t)
+
+    monkeypatch.setattr(RuledSurface, "eps_velocity", counting)
+    assert run(["sweep", "--grid", "48", "48", "--scan-singular",
+                "--out", str(tmp_path / "s")]) == 0
+    assert [n for n in sizes if n > 1] == [48 * 48]
+    summary = json.loads(read(tmp_path / "s" / "summary.json"))
+    assert len(summary["singular_loci"]) == 1

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solgeo.stability as stability
-from solgeo.errors import (
-    BadParams,
-    Inadmissible,
-    NotMinimal,
-    PerturbationNotCompact,
-    SingularPointFound,
-)
+from solgeo.errors import BadParams, Inadmissible, NotMinimal, SingularPointFound
 from solgeo.expressions import catalog, parse
-from solgeo.frame import Point
+from solgeo.frame import Point, TangentFrame
 from solgeo.stability import (
     Bump,
     QuadratureReport,
@@ -196,12 +190,12 @@ def test_catalog_curve_patch_is_its_closed_form(name, params, closed):
         got, want = np.broadcast_arrays(*got), np.broadcast_arrays(*want)
         return max(np.max(np.abs(g - w) / (1.0 + np.abs(w))) for g, w in zip(got, want))
 
-    assert rel(patch.points(E, T), want_points) < 1e-14
-    got_e, got_t = patch.tangents(E, T)
+    got_points, (got_e, got_t) = patch.chart(E, T)
+    assert rel(got_points, want_points) < 1e-14
     assert rel(got_e, want_tangents[0]) < 1e-14
     assert rel(got_t, want_tangents[1]) < 1e-14
     # the patch keeps the catalog field, so it lies on the field's zero set
-    assert np.max(np.abs(patch.field.values(*patch.points(E, T)))) < 1e-12
+    assert np.max(np.abs(patch.field.values(*got_points))) < 1e-12
 
 
 def test_q_form_vs_simplified_plane_ab():
@@ -354,17 +348,13 @@ def test_compare_shares_the_geometry_table(monkeypatch, name, params):
 
 def test_non_minimal_patch_raises_on_every_call():
     # the paraboloid z = -x^2/2 over the (x, y) plane is not minimal
-    def F(e, t):
-        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
-        return e, t, -0.5 * e * e
-
-    def tangents(e, t):
+    def chart(e, t):
         e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
         zero, one = np.zeros_like(e), np.ones_like(e)
-        return (one, zero, -e), (zero, one, zero)
+        return (e, t, -0.5 * e * e), ((one, zero, -e), (zero, one, zero))
 
     patch = SurfacePatch("paraboloid", parse("z + 0.5*x*x"), (-2.0, 2.0), (-2.0, 2.0),
-                         F, tangents)
+                         chart)
     u = TestFunction(Bump(0.0, 0.2, 1.0), Bump(0.0, 0.2, 1.0))
     for _ in range(2):
         with pytest.raises(NotMinimal):
@@ -474,5 +464,57 @@ def test_area_compare_monotone_in_eta():
 def test_area_compare_validation():
     with pytest.raises(BadParams):
         area_compare("saddle-point", 0.3)
-    with pytest.raises(PerturbationNotCompact):
-        area_compare("plane-z", 0.3, bump_width_frac=1.5)
+
+
+def _meshgrid_graph_area(kind, window, h_fn, cells):
+    """The meshgrid graph area that ``_graph_area`` replaced, kept as its oracle."""
+    (a_lo, a_hi), (b_lo, b_hi) = window
+    n1, w1 = gl_line(a_lo, a_hi, cells)
+    n2, w2 = gl_line(b_lo, b_hi, cells)
+    S1, S2 = np.meshgrid(n1, n2, indexing="ij")
+    W = np.outer(w1, w2)
+    h, h1, h2 = h_fn(S1, S2)
+    coords, tangents = stability._PLANE_GRAPH[kind](S1, S2, h, h1, h2)
+    x, y, z = np.broadcast_arrays(*coords)
+    n = TangentFrame(z, *tangents).normal
+    horiz = np.hypot(n[..., 0], n[..., 1])
+    return float(np.sum(horiz * W))
+
+
+def _bumped_graph(c, eta):
+    b1, b2 = Bump(0.1, 0.3, 1.5), Bump(-0.2, 0.0, 1.2)
+
+    def h(s1, s2):
+        return (-c + eta * b1(s1) * b2(s2),
+                eta * b1.deriv(s1) * b2(s2),
+                eta * b1(s1) * b2.deriv(s2))
+    return h
+
+
+@pytest.mark.parametrize("kind", ["plane-x", "plane-y", "plane-z"])
+@pytest.mark.parametrize("height", ["level", "bumped"])
+@pytest.mark.parametrize("cells", [13, 40])
+def test_graph_area_is_the_meshgrid_area_bit_for_bit(kind, height, cells):
+    h_fn = stability._level_graph(0.3) if height == "level" else _bumped_graph(-0.4, 0.35)
+    window = ((-2.0, 2.0), (-1.5, 2.5))
+    got = stability._graph_area(kind, window, h_fn, cells)
+    assert got == _meshgrid_graph_area(kind, window, h_fn, cells)
+
+
+@pytest.mark.parametrize("make", [lambda: patch_for_catalog("saddle-curve", {}), _ruled_patch],
+                         ids=["saddle-curve", "ruled-sweep"])
+def test_sweep_patch_geom_runs_the_flow_once(monkeypatch, make):
+    from solgeo.stationary import RuledSurface
+
+    patch = make()
+    calls = []
+    flow = RuledSurface._flow
+
+    def counting_flow(self, eps, t):
+        calls.append(np.broadcast_shapes(np.shape(eps), np.shape(t)))
+        return flow(self, eps, t)
+
+    monkeypatch.setattr(RuledSurface, "_flow", counting_flow)
+    e, t = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(0.3, 2.0, 7)[None, :]
+    patch.geom(e, t)
+    assert calls == [(5, 7)]
