@@ -274,6 +274,10 @@ def cmd_curve(cfg: RunConfig) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+#: initial angle of the sweep's base curve when no --v0 gives its velocity
+SWEEP_THETA = 0.7
+
+
 def _gamma_from_options(o) -> HorizontalCurve:
     kind = o["gamma"]
     p0 = Point(*o["x0"])
@@ -282,18 +286,23 @@ def _gamma_from_options(o) -> HorizontalCurve:
     if kind in ("y-line", "line"):
         return HorizontalCurve.y_line(p0)
     if kind == "exp":
-        if o.get("theta") is not None:
-            v0 = _horizontal_unit(p0, float(o["theta"]))
-        elif o.get("v0") is not None:
+        if o["v0"] is not None:
             v0 = CoordVector(*o["v0"])
         else:
-            raise ConfigError("--gamma exp needs --v0 or --theta")
+            v0 = _horizontal_unit(p0, float(o["theta"]))
         return HorizontalCurve.from_initial_data(p0, v0)
     raise ConfigError(f"unknown --gamma kind {kind!r}")
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     o = cfg.options
+    if o["v0"] is None:
+        if o["theta"] is None:
+            o["theta"] = SWEEP_THETA
+    elif o["theta"] is not None:
+        raise ConfigError("--v0 and --theta both set the initial velocity; give one")
+    elif o["gamma"] != "exp":
+        raise ConfigError(f"--v0 sets the velocity of --gamma exp, not {o['gamma']}")
     gamma = _gamma_from_options(o)
     ne, nt = (int(v) for v in o["grid"])
     s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt), skew=o["skew"])
@@ -478,7 +487,7 @@ _DEFAULTS = {
                  "band": 0.1, "out": "solgeo-out", "eps_sing": EPS_SING},
     "curve": {"p0": [0.0, 0.0, 0.0], "alpha": None, "v": None,
               "t": [0.0, 3.0], "n": 100, "oracle": False, "out": "solgeo-out"},
-    "sweep": {"gamma": "exp", "x0": [0.0, 0.0, 0.0], "v0": None, "theta": 0.7,
+    "sweep": {"gamma": "exp", "x0": [0.0, 0.0, 0.0], "v0": None, "theta": None,
               "eps": [-1.5, 1.5], "t": [-3.0, 3.0], "grid": [48, 48],
               "skew": 0.0, "scan_singular": False, "out": "solgeo-out"},
     "stability": {"mode": "qform", "surface": "plane-x", "param": None,

@@ -142,43 +142,64 @@ def coord_components(z, a, b, c):
     return dx, dy, dz
 
 
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _stacked(components) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
 class TangentFrame:
     """Two coordinate tangents of a parametrized surface, in the frame.
 
-    ``e1`` and ``e2`` are the (..., 3) frame components of the tangents at
-    height ``z``; ``normal`` is their metric cross product and ``solve``
-    the first-fundamental-form solve against them.  Scalar tangent
-    components broadcast against ``z``.
+    ``t1`` and ``t2`` are the (a, b, c) frame components of the tangents at
+    height ``z``, one array per component; scalar tangent components
+    broadcast against ``z``.  ``normal_components`` is their metric cross
+    product and ``solve`` the first-fundamental-form solve against them,
+    both component by component.  The stacked (..., 3) ``e1``, ``e2`` and
+    ``normal`` are built on first access, for callers that index them.
     """
 
     def __init__(self, z, t1, t2):
-        self.e1 = np.stack(np.broadcast_arrays(*frame_components(z, *t1)), axis=-1)
-        self.e2 = np.stack(np.broadcast_arrays(*frame_components(z, *t2)), axis=-1)
+        self.t1 = frame_components(z, *t1)
+        self.t2 = frame_components(z, *t2)
+
+    @cached_property
+    def normal_components(self) -> tuple:
+        """t1 x t2 in frame components (the frame is orthonormal)."""
+        (a1, b1, c1), (a2, b2, c2) = self.t1, self.t2
+        return b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+
+    @cached_property
+    def e1(self) -> np.ndarray:
+        return _stacked(self.t1)
+
+    @cached_property
+    def e2(self) -> np.ndarray:
+        return _stacked(self.t2)
 
     @cached_property
     def normal(self) -> np.ndarray:
-        """e1 x e2 in frame components (the frame is orthonormal)."""
-        return np.cross(self.e1, self.e2)
+        return _stacked(self.normal_components)
 
     @cached_property
     def gram(self):
         """(g11, g12, g22, det) of the first fundamental form."""
-        g11 = np.sum(self.e1 * self.e1, axis=-1)
-        g12 = np.sum(self.e1 * self.e2, axis=-1)
-        g22 = np.sum(self.e2 * self.e2, axis=-1)
+        g11 = _dot(self.t1, self.t1)
+        g12 = _dot(self.t1, self.t2)
+        g22 = _dot(self.t2, self.t2)
         return g11, g12, g22, g11 * g22 - g12 * g12
 
     def area_element(self) -> np.ndarray:
         return np.sqrt(self.gram[3])
 
-    def solve(self, v):
-        """(alpha, beta) with alpha e1 + beta e2 the tangential part of ``v``.
-
-        ``v`` holds (..., 3) frame components.
-        """
+    def solve(self, a, b, c):
+        """(alpha, beta) with alpha t1 + beta t2 the tangential part of the
+        vector with frame components (a, b, c)."""
         g11, g12, g22, det = self.gram
-        b1 = np.sum(v * self.e1, axis=-1)
-        b2 = np.sum(v * self.e2, axis=-1)
+        b1 = _dot((a, b, c), self.t1)
+        b2 = _dot((a, b, c), self.t2)
         return (g22 * b1 - g12 * b2) / det, (-g12 * b1 + g11 * b2) / det
 
 

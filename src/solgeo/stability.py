@@ -37,7 +37,7 @@ from .errors import BadParams, GeometryError, Inadmissible, NotMinimal, Singular
 from .expressions import ScalarField, catalog, neg
 from .frame import Point, TangentFrame, frame_components
 from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
-from .surface import EPS_SING, raw_fields
+from .surface import EPS_SING, frame_fields, raw_fields
 
 GL_ORDER = 8
 MINIMALITY_TOL = 1e-7
@@ -115,14 +115,10 @@ class TestFunction:
     phi: Bump
     psi: Bump
 
-    def value(self, eps, t):
-        return self.phi(eps) * self.psi(t)
-
-    def d_eps(self, eps, t):
-        return self.phi.deriv(eps) * self.psi(t)
-
-    def d_t(self, eps, t):
-        return self.phi(eps) * self.psi.deriv(t)
+    def factors(self, eps, t):
+        """(phi, phi', psi, psi') on the 1-D nodes ``eps`` and ``t``; Q(u)
+        reads u only through these."""
+        return self.phi(eps), self.phi.deriv(eps), self.psi(t), self.psi.deriv(t)
 
 
 def battery_test_functions(patch, count: int, seed: int, delta: float):
@@ -176,13 +172,14 @@ class SurfacePatch:
     a singular curve the curve sits at t = 0 and the base parametrization
     has unit speed, so the length element along it is 1.
 
-    Pointwise geometry comes from the defining scalar field when one exists;
+    ``geom`` evaluates the chart once per node set and returns |N_h|
+    ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H, with
+    the tangents' ``TangentFrame`` under "frame".  That geometry comes from
+    the defining scalar field when one exists (``surface.frame_fields``);
     otherwise ``geometry`` supplies it from the exact derivatives of the
-    parametrization (see ``patch_from_ruled``).  Either way ``geom``
-    evaluates the chart once per node set and returns the tangents'
-    ``TangentFrame`` under "frame".
+    parametrization (see ``patch_from_ruled``).
 
-    The geometry Q(u) reads at the quadrature nodes is tabulated on first
+    Q(u) is tabulated as a bilinear form at the quadrature nodes on first
     use, once per (n_eps, n_t, delta), and lives as long as the patch.
     """
 
@@ -202,7 +199,7 @@ class SurfacePatch:
         if self.geometry is not None:
             f = self.geometry(eps, t, Z, tf)
         else:
-            f = raw_fields(self.field, X, Y, Z)
+            f = frame_fields(self.field, X, Y, Z)
         f["frame"] = tf
         return f
 
@@ -312,12 +309,14 @@ def patch_from_ruled(surface) -> SurfacePatch:
 
     def frame_data(t, tf):
         sigma = np.sign(t)
-        speed = np.hypot(tf.e2[..., 0], tf.e2[..., 1])
+        ra, rb, _ = tf.t2
+        speed = np.hypot(ra, rb)
         # Z = sigma * unit ruling velocity; nu_h = -J(Z) = (zy, -zx)
-        zx = sigma * tf.e2[..., 0] / speed
-        zy = sigma * tf.e2[..., 1] / speed
-        n = tf.normal / np.linalg.norm(tf.normal, axis=-1, keepdims=True)
-        return sigma, speed, zx, zy, n
+        zx = sigma * ra / speed
+        zy = sigma * rb / speed
+        n1, n2, n3 = tf.normal_components
+        norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+        return sigma, speed, zx, zy, (n1 / norm, n2 / norm, n3 / norm)
 
     # pin the global normal sign once, where the alignment is unambiguous
     e_ref = 0.5 * (surface.eps_range[0] + surface.eps_range[1])
@@ -325,14 +324,14 @@ def patch_from_ruled(surface) -> SurfacePatch:
     (_, _, z_ref), tangents_ref = surface.chart(e_ref, t_ref)
     tf_ref = TangentFrame(z_ref, *tangents_ref)
     *_, zx_r, zy_r, n_ref = frame_data(t_ref, tf_ref)
-    s_ref = math.copysign(1.0, float(n_ref[..., 0] * zy_r - n_ref[..., 1] * zx_r))
+    s_ref = math.copysign(1.0, float(n_ref[0] * zy_r - n_ref[1] * zx_r))
 
     def geometry(e, t, z, tf):
-        sigma, speed, zx, zy, n = frame_data(t, tf)
+        sigma, speed, zx, zy, (n1, n2, n3) = frame_data(t, tf)
         nu1, nu2 = zy, -zx
-        n = s_ref * n
-        nh = np.hypot(n[..., 0], n[..., 1])
-        nt = n[..., 2]
+        nh = np.hypot(n1, n2)
+        nt = s_ref * n3
+        ua, ub = tf.t2[0] / speed, tf.t2[1] / speed
 
         def nu_rate(d_ft):
             """Rate of (nu1, nu2) from the rate d_ft of the ruling velocity
@@ -340,17 +339,15 @@ def patch_from_ruled(surface) -> SurfacePatch:
             those of d_ft plus z' times (0, <F_t,T>, <F_t,Y>); F_t is
             horizontal, so the X- and Y-parts need no z' term."""
             da, db, _ = frame_components(z, *d_ft)
-            ua, ub = tf.e2[..., 0] / speed, tf.e2[..., 1] / speed
             along = ua * da + ub * db
-            return (np.stack([sigma * (db - ub * along), -sigma * (da - ua * along)])
-                    / speed)
+            return sigma * (db - ub * along) / speed, -sigma * (da - ua * along) / speed
 
         f_et, f_tt = surface.t_velocity_rates(e, t)
         dnu_de = nu_rate(f_et)
         dnu_dt = nu_rate(f_tt)
 
         # decompose S = nt nu_h - nh T against the tangents
-        alpha_s, beta_s = tf.solve(np.stack([nt * nu1, nt * nu2, -nh], axis=-1))
+        alpha_s, beta_s = tf.solve(nt * nu1, nt * nu2, -nh)
         s_nu1 = alpha_s * dnu_de[0] + beta_s * dnu_dt[0]
         s_nu2 = alpha_s * dnu_de[1] + beta_s * dnu_dt[1]
         M = (s_nu1 + nu2 * nh / 2.0) * zx + (s_nu2 - nu1 * nh / 2.0) * zy
@@ -412,13 +409,9 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
     """Geometry shared by the integrand evaluations at nodes (E, T)."""
     f = patch.geom(E, T)
     tf = f["frame"]
-    Zf = np.stack([f["zx"], f["zy"], np.zeros_like(f["zx"])], axis=-1)
-    alpha, beta = tf.solve(Zf)
+    alpha, beta = tf.solve(f["zx"], f["zy"], 0.0)
     return f, tf.area_element(), alpha, beta
 
-
-#: geometry entries the integrand weights read
-_WEIGHT_KEYS = ("nh", "nt", "zy", "grad_s_nu_z")
 
 # Overflowing parameters produce non-finite intermediates; the finiteness
 # checks on the assembled results give the verdict, so numpy stays quiet.
@@ -427,22 +420,31 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 @dataclass
 class _LevelTable:
-    """Everything in Q(u) that does not depend on u, at one grid level.
+    """Q(u) at one grid level as a bilinear form in the factors of u.
 
-    The nodes are an (n, 1) column and a (1, m) row, so a separable u is
-    evaluated on n + m points and broadcast over the grid.  On a patch with
-    a singular curve the curve's nodes and weights are kept as well; the
-    u^2 coefficient of its integral is computed on first use.
+    With w = dS W the quadrature weight on the (n, m) grid of the 1-D nodes
+    ``e`` and ``t``, and Z = alpha dF/deps + beta dF/dt, the surface part of
+    Q(phi(eps) psi(t)) is
+
+        phi'^2 . K_aa psi^2 + (phi phi') . K_ab (psi psi')
+          + phi^2 . (K_bb psi'^2 + K_pot psi^2)
+
+    with K_aa = alpha^2 w/|N_h|, K_ab = 2 alpha beta w/|N_h|,
+    K_bb = beta^2 w/|N_h| and K_pot = pot w for each potential weight.
+    Nodes where |N_h| = 0 hold 0 in K_aa, K_ab and K_bb; their Z(u)^2/|N_h|
+    term is kept aside in ``zero_nh`` and is finite only where Z(u) = 0.
+    On a patch with a singular curve the curve runs along the eps nodes
+    with weights ``bw``; the u^2 coefficient of its integral is computed on
+    first use.
     """
 
     e: np.ndarray
     t: np.ndarray
-    W2d: np.ndarray
-    dS: np.ndarray
-    alpha: np.ndarray              # Z = alpha dF/deps + beta dF/dt
-    beta: np.ndarray
-    geom: dict                     # the _WEIGHT_KEYS entries at the nodes
-    be: np.ndarray | None = None
+    k_aa: np.ndarray
+    k_ab: np.ndarray
+    k_bb: np.ndarray
+    k_pot: dict                    # potential weight -> K_pot
+    zero_nh: tuple | None          # (i, j, alpha, beta, nh, w) where |N_h| = 0
     bw: np.ndarray | None = None
     sides: tuple | None = None     # (coefficient, report extras)
 
@@ -459,19 +461,30 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         return table
     ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
-    e, t = ne_nodes[:, None], nt_nodes[None, :]
-    f, dS, alpha, beta = _patch_frame_data(patch, e, t)
+    f, dS, alpha, beta = _patch_frame_data(patch, ne_nodes[:, None], nt_nodes[None, :])
 
-    nonsing = f["nh"] > 1e-3
+    nh = f["nh"]
+    nonsing = nh > 1e-3
     h_max = float(np.max(np.abs(f["H"][nonsing]))) if nonsing.any() else 0.0
     if h_max > MINIMALITY_TOL:
         raise NotMinimal(f"patch is not minimal: max |H| = {h_max:.3e}")
 
-    table = _LevelTable(e, t, np.outer(ne_w, nt_w),
-                        dS, alpha, beta, {k: f[k] for k in _WEIGHT_KEYS})
+    w = dS * np.outer(ne_w, nt_w)
+    zero = nh == 0.0
+    w_nh = np.where(zero, 0.0, w / nh)
+    a_w = alpha * w_nh
+    weights = [_general_weight]
+    if patch.name in _SIMPLIFIED:
+        weights.append(_SIMPLIFIED[patch.name][0])
+    zero_nh = None
+    if zero.any():
+        i, j = np.nonzero(np.broadcast_to(zero, w.shape))
+        zero_nh = (i, j, *(np.broadcast_to(a, w.shape)[i, j] for a in (alpha, beta, nh, w)))
+    table = _LevelTable(ne_nodes, nt_nodes, alpha * a_w, 2.0 * beta * a_w,
+                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh)
     if patch.singular == "curve":
-        # length element along the base curve is 1 by construction
-        table.be, table.bw = ne_nodes, ne_w
+        # the singular curve is t = 0, with length element 1 by construction
+        table.bw = ne_w
     patch._tables[key] = table
     return table
 
@@ -485,17 +498,16 @@ def _side_limits(patch: SurfacePatch, table: _LevelTable, delta: float):
     """
     if table.sides is not None:
         return table.sides
-    be = table.be
+    be = table.e
 
     def side_limit(sgn):
         samples = []
         for frac in (0.5, 0.25):
             fs = patch.geom(be, np.full_like(be, sgn * frac * delta))
-            tv = fs["frame"].e2
-            tv = tv / np.linalg.norm(tv, axis=-1, keepdims=True)
+            ta, tb, tc = fs["frame"].t2
+            norm = np.sqrt(ta * ta + tb * tb + tc * tc)
             # nu points away from the singular curve on each side
-            nu = sgn * tv
-            zdotnu = fs["zx"] * nu[..., 0] + fs["zy"] * nu[..., 1]
+            zdotnu = fs["zx"] * (sgn * (ta / norm)) + fs["zy"] * (sgn * (tb / norm))
             samples.append(fs["zy"] ** 2 * zdotnu)
         return 2.0 * samples[1] - samples[0]
 
@@ -521,18 +533,22 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
     when a closed form supplies it.
     """
     lv = _level_table(patch, n_eps, n_t, delta)
-    uu = u.value(lv.e, lv.t)
-    Zu = lv.alpha * u.d_eps(lv.e, lv.t) + lv.beta * u.d_t(lv.e, lv.t)
-    grad_term = np.where(Zu == 0.0, 0.0, Zu * Zu / lv.geom["nh"])
-    pot = weight_fn(lv.geom)
-    surface = float(np.sum((grad_term + pot * uu * uu) * lv.dS * lv.W2d))
+    phi, dphi, psi, dpsi = u.factors(lv.e, lv.t)
+    psi2 = psi * psi
+    surface = float(dphi * dphi @ (lv.k_aa @ psi2) + dphi * phi @ (lv.k_ab @ (psi * dpsi))
+                    + phi * phi @ (lv.k_bb @ (dpsi * dpsi) + lv.k_pot[weight_fn] @ psi2))
+    if lv.zero_nh is not None:
+        i, j, alpha, beta, nh, w = lv.zero_nh
+        Zu = alpha * (dphi[i] * psi[j]) + beta * (phi[i] * dpsi[j])
+        surface += float(np.sum(np.where(Zu == 0.0, 0.0, Zu * Zu / nh) * w))
 
     b_tau = 0.0
     b_s = 0.0
     sides = {}
-    if lv.be is not None:
-        u0 = u.value(lv.be, np.zeros_like(lv.be))
-        du0 = u.d_eps(lv.be, np.zeros_like(lv.be))
+    if lv.bw is not None:
+        _, _, psi0, _ = u.factors(lv.e, np.zeros(1))
+        u0 = phi * psi0
+        du0 = dphi * psi0
         b_s = float(np.sum(du0 * du0 * lv.bw))
         coeff = boundary_const
         if coeff is None:
@@ -575,12 +591,16 @@ def q_form(patch, u: TestFunction, grid=(24, 24),
     On catalog patches the <nabla_S nu_h, Z> entry of the potential comes
     from the exact second partials of the defining function; a ruled sweep
     (no defining field) is adapted through ``patch_from_ruled``, whose
-    geometry comes from the closed-form derivatives of the sweep.  Two grid
+    geometry comes from the closed-form derivatives of the sweep.  The sweep
+    keeps that patch, and so its tables, for as long as it lives.  Two grid
     levels give the quadrature error estimate; a non-finite result raises
     GeometryError.
     """
     if isinstance(patch, RuledSurface):
-        patch = patch_from_ruled(patch)
+        memo = patch._memo
+        if "patch" not in memo:
+            memo["patch"] = patch_from_ruled(patch)
+        patch = memo["patch"]
     return _two_levels(patch, u, grid, delta, _general_weight, None)
 
 
@@ -782,8 +802,8 @@ def _graph_area(kind: str, window, h_fn, cells: int) -> float:
     n1, w1 = gl_line(*window[0], cells)
     n2, w2 = gl_line(*window[1], cells)
     (_, _, z), tangents = _graph_chart(kind, h_fn)(n1[:, None], n2[None, :])
-    n = TangentFrame(z, *tangents).normal
-    horiz = np.hypot(n[..., 0], n[..., 1])
+    na, nb, _ = TangentFrame(z, *tangents).normal_components
+    horiz = np.hypot(na, nb)
     return float(np.sum(horiz * np.outer(w1, w2)))
 
 

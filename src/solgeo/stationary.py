@@ -37,7 +37,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -147,6 +147,9 @@ class RuledSurface:
     n_eps: int
     n_t: int
     skew: float = 0.0   # fixture knob: blends the tangent into the ruling
+    # what other modules derive from the surface and keep while it lives
+    # (stability.q_form keeps its quadrature patch here)
+    _memo: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- geometry -------------------------------------------------------
 

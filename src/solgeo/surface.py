@@ -45,35 +45,42 @@ RESIDUAL_CROSSCHECK_RTOL = 1e-9
 STABILITY_QUANTITY_TOL = 1e-12
 
 
-def raw_fields(field: ScalarField, x, y, z):
-    """All pointwise surface quantities on broadcastable coordinate arrays.
+def _along(vec, df):
+    """Derivative along the coordinate vector ``vec`` from coordinate partials."""
+    return vec[0] * df[0] + vec[1] * df[1] + vec[2] * df[2]
 
-    Returns a dict of arrays.  Entries that need division by D (nu_h, Z,
-    curvature, ...) are valid only where ``singular`` is False; they are
-    computed with errors silenced and contain garbage on the singular set.
+
+def frame_fields(field: ScalarField, x, y, z) -> dict:
+    """The adapted-frame entries of ``raw_fields`` that a surface patch reads.
+
+    |N_h| ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H,
+    with the frame gradient and nu_h they are built from; u itself, the
+    ratio <N,T>/|N_h| and the residuals are left to ``raw_fields``.
     """
+    return _frame_fields(field, x, y, z)[0]
+
+
+def _frame_fields(field: ScalarField, x, y, z):
+    """``frame_fields`` plus the partials ``raw_fields`` continues from:
+    (e^z, e^-z, grad u, Hessian of u, d(W2), d(D), Z in coordinates)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     ez = np.exp(z)
     emz = np.exp(-z)
 
-    u = field.values(x, y, z)
-    ux, uy, uz = field.grad_arrays(x, y, z)
-    uxx, uxy, uxz, uyy, uyz, uzz = field.hessian_arrays(x, y, z)
+    ux, uy, uz = grad = field.grad_arrays(x, y, z)
+    uxx, uxy, uxz, uyy, uyz, uzz = hess = field.hessian_arrays(x, y, z)
 
     W1 = uz
     W2 = (-ez * ux + emz * uy) / SQRT2
     W3 = (ez * ux + emz * uy) / SQRT2
 
-    # coordinate partials of W1, W2, W3, needed for derivatives of nu_h
+    # coordinate partials of W1 and W2, needed for derivatives of nu_h
     dW1 = (uxz, uyz, uzz)
     dW2 = ((-ez * uxx + emz * uxy) / SQRT2,
            (-ez * uxy + emz * uyy) / SQRT2,
            (-ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
-    dW3 = ((ez * uxx + emz * uxy) / SQRT2,
-           (ez * uxy + emz * uyy) / SQRT2,
-           (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
 
     D2 = W1 * W1 + W2 * W2
     gn2 = D2 + W3 * W3
@@ -97,19 +104,44 @@ def raw_fields(field: ScalarField, x, y, z):
         sb = nt * nu2
         Sc = (ez * (-nh - sb) / SQRT2, emz * (sb - nh) / SQRT2, nt * nu1)
 
-        def along(vec, df):
-            return vec[0] * df[0] + vec[1] * df[1] + vec[2] * df[2]
-
-        H = -(along(Zc, dnu1) * zx + along(Zc, dnu2) * zy)
+        H = -(_along(Zc, dnu1) * zx + _along(Zc, dnu2) * zy)
         # <nabla_S nu_h, Z>; S carries a T-component -nh, which turns on the
         # constant connection terms nabla_T X = Y/2, nabla_T Y = -X/2
-        grad_s_nu_z = ((along(Sc, dnu1) + nu2 * nh / 2.0) * zx
-                       + (along(Sc, dnu2) - nu1 * nh / 2.0) * zy)
+        grad_s_nu_z = ((_along(Sc, dnu1) + nu2 * nh / 2.0) * zx
+                       + (_along(Sc, dnu2) - nu1 * nh / 2.0) * zy)
 
+    f = {
+        "W1": W1, "W2": W2, "W3": W3, "D": D, "D2": D2,
+        "grad_norm": gn, "nh": nh, "nt": nt,
+        "nu1": nu1, "nu2": nu2, "zx": zx, "zy": zy,
+        "H": H, "grad_s_nu_z": grad_s_nu_z,
+    }
+    return f, (ez, emz, grad, hess, dW2, dD, Zc)
+
+
+def raw_fields(field: ScalarField, x, y, z):
+    """All pointwise surface quantities on broadcastable coordinate arrays.
+
+    Returns a dict of arrays: the ``frame_fields`` entries plus u, the
+    ratio q = <N,T>/|N_h| and its derivative Zq along Z, and the residuals.
+    Entries that need division by D (nu_h, Z, curvature, ...) are valid
+    only where ``singular`` is False; they are computed with errors
+    silenced and contain garbage on the singular set.
+    """
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    u = field.values(x, y, z)
+    f, (ez, emz, (ux, uy, uz), hess, dW2, dD, Zc) = _frame_fields(field, x, y, z)
+    uxx, uxy, uxz, uyy, uyz, uzz = hess
+    W1, W2, W3, D, D2 = f["W1"], f["W2"], f["W3"], f["D"], f["D2"]
+    dW3 = ((ez * uxx + emz * uxy) / SQRT2,
+           (ez * uxy + emz * uyy) / SQRT2,
+           (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
         # ratio <N,T>/|N_h| and its derivative along Z (|grad u| cancels)
         q = -W3 / D
         dq = tuple(-dW3[i] / D + W3 * dD[i] / D2 for i in range(3))
-        Zq = along(Zc, dq)
+        Zq = _along(Zc, dq)
 
         normalized_residual_den = D2 * D
 
@@ -135,17 +167,15 @@ def raw_fields(field: ScalarField, x, y, z):
     YY = 0.5 * (ez * ez * uxx - 2.0 * uxy + emz * emz * uyy)
     residual_frame = W2 * W2 * XX - W1 * W2 * (YX + XY) + W1 * W1 * YY
 
-    return {
-        "u": u, "W1": W1, "W2": W2, "W3": W3, "D": D, "D2": D2,
-        "grad_norm": gn, "nh": nh, "nt": nt,
-        "nu1": nu1, "nu2": nu2, "zx": zx, "zy": zy,
-        "H": H, "grad_s_nu_z": grad_s_nu_z, "q": q, "Zq": Zq,
+    f.update({
+        "u": u, "q": q, "Zq": Zq,
         "residual_coord": residual_coord, "residual_frame": residual_frame,
         "residual_scale": residual_scale,
         "normalized_residual_den": normalized_residual_den,
-        "singular": nh < EPS_SING,
-        "degenerate": gn == 0.0,
-    }
+        "singular": f["nh"] < EPS_SING,
+        "degenerate": f["grad_norm"] == 0.0,
+    })
+    return f
 
 
 @dataclass(frozen=True)

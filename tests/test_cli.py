@@ -337,3 +337,33 @@ def test_sweep_scan_evaluates_the_grid_once(tmp_path, monkeypatch):
     assert [n for n in sizes if n > 1] == [48 * 48]
     summary = json.loads(read(tmp_path / "s" / "summary.json"))
     assert len(summary["singular_loci"]) == 1
+
+
+def test_sweep_v0_sets_the_base_velocity(tmp_path, capsys):
+    # a given --v0 is used: X = (0, 0, 1) at the origin is not the default theta
+    assert run(["sweep", "--grid", "6", "6", "--out", str(tmp_path / "d")]) == 0
+    assert run(["sweep", "--grid", "6", "6", "--v0", "0", "0", "1",
+                "--out", str(tmp_path / "v")]) == 0
+    default = json.loads(read(tmp_path / "d" / "summary.json"))
+    given = json.loads(read(tmp_path / "v" / "summary.json"))
+    assert default["config"]["theta"] == 0.7 and default["config"]["v0"] is None
+    assert given["config"]["theta"] is None and given["config"]["v0"] == [0.0, 0.0, 1.0]
+    assert read(tmp_path / "d" / "sweep.csv") != read(tmp_path / "v" / "sweep.csv")
+    # explicit --theta 0.7 and the default write the same files
+    assert run(["sweep", "--grid", "6", "6", "--theta", "0.7",
+                "--out", str(tmp_path / "t")]) == 0
+    assert read(tmp_path / "t" / "sweep.csv") == read(tmp_path / "d" / "sweep.csv")
+    capsys.readouterr()
+    # a non-horizontal --v0 is a precondition failure
+    assert run(["sweep", "--grid", "6", "6", "--v0", "1", "1", "0",
+                "--out", str(tmp_path / "n")]) == 3
+    assert "not horizontal" in capsys.readouterr().err
+    # --v0 and --theta both set the velocity
+    assert run(["sweep", "--grid", "6", "6", "--v0", "0", "0", "1", "--theta", "0.3",
+                "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "--v0" in err and "--theta" in err
+    # a line base curve has its own velocity
+    assert run(["sweep", "--grid", "6", "6", "--gamma", "x-line", "--v0", "0", "0", "1",
+                "--out", str(tmp_path / "x")]) == 2
+    assert "--gamma exp" in capsys.readouterr().err

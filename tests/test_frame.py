@@ -86,11 +86,41 @@ def test_tangent_frame_normal_and_solve(rng):
     # a tangential vector plus a normal part: the solve recovers its coefficients
     alpha, beta = rng.normal(size=(2, 50))
     v = alpha[:, None] * tf.e1 + beta[:, None] * tf.e2 + 0.7 * n
-    got_a, got_b = tf.solve(v)
+    got_a, got_b = tf.solve(*np.moveaxis(v, -1, 0))
     assert got_a == pytest.approx(alpha) and got_b == pytest.approx(beta)
     # scalar components broadcast against z
     flat = TangentFrame(z, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     assert flat.e1.shape == flat.e2.shape == (50, 3)
+
+
+def _stacked_solve_and_area(e1, e2, v):
+    """The (..., 3) first-fundamental-form solve and area element that the
+    componentwise ``TangentFrame`` replaced, kept as its oracle."""
+    g11 = np.sum(e1 * e1, axis=-1)
+    g12 = np.sum(e1 * e2, axis=-1)
+    g22 = np.sum(e2 * e2, axis=-1)
+    det = g11 * g22 - g12 * g12
+    b1 = np.sum(v * e1, axis=-1)
+    b2 = np.sum(v * e2, axis=-1)
+    return (g22 * b1 - g12 * b2) / det, (-g12 * b1 + g11 * b2) / det, np.sqrt(det)
+
+
+def test_componentwise_frame_matches_stacked_formulas(rng):
+    z = rng.uniform(-2, 2, (40, 30))
+    t1, t2, v = (tuple(rng.normal(size=(3, 40, 30))) for _ in range(3))
+    tf = TangentFrame(z, t1, t2)
+    want_a, want_b, want_area = _stacked_solve_and_area(tf.e1, tf.e2, np.stack(v, axis=-1))
+    got_a, got_b = tf.solve(*v)
+    for got, want in ((got_a, want_a), (got_b, want_b), (tf.area_element(), want_area)):
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13
+    # the stacked normal is the numpy cross product, bit for bit
+    assert np.array_equal(tf.normal, np.cross(tf.e1, tf.e2))
+    # a scalar component broadcasts, as the Z solve passes a zero T-part
+    got_a, got_b = tf.solve(v[0], v[1], 0.0)
+    want_a, want_b, _ = _stacked_solve_and_area(
+        tf.e1, tf.e2, np.stack([v[0], v[1], np.zeros_like(z)], axis=-1))
+    assert np.max(np.abs(got_a - want_a) / (1.0 + np.abs(want_a))) < 1e-13
+    assert np.max(np.abs(got_b - want_b) / (1.0 + np.abs(want_b))) < 1e-13
 
 
 def test_lie_bracket_table():

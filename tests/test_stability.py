@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solgeo.stability as stability
-from solgeo.errors import BadParams, Inadmissible, NotMinimal, SingularPointFound
+from solgeo.errors import (
+    BadParams,
+    GeometryError,
+    Inadmissible,
+    NotMinimal,
+    SingularPointFound,
+)
 from solgeo.expressions import catalog, parse
 from solgeo.frame import Point, TangentFrame
 from solgeo.stability import (
@@ -87,16 +93,13 @@ def test_q_form_zero_function():
     rep = q_form(patch, u, grid=(8, 8))
     assert isinstance(rep, QuadratureReport)
 
-    # an identically zero variation gives exactly zero
+    # an identically zero variation gives exactly zero; Q(u) reads u only
+    # through its factors
     class ZeroFn(TestFunction):
-        def value(self, eps, t):
-            return np.zeros_like(np.asarray(eps, dtype=float))
-
-        def d_eps(self, eps, t):
-            return np.zeros_like(np.asarray(eps, dtype=float))
-
-        def d_t(self, eps, t):
-            return np.zeros_like(np.asarray(eps, dtype=float))
+        def factors(self, eps, t):
+            e0 = np.zeros_like(np.asarray(eps, dtype=float))
+            t0 = np.zeros_like(np.asarray(t, dtype=float))
+            return e0, e0, t0, t0
 
     z = ZeroFn(Bump(0.0, 0.1, 0.5), Bump(0.0, 0.1, 0.5))
     rep0 = q_form(patch, z, grid=(8, 8))
@@ -114,9 +117,9 @@ def test_q_form_plane_x_matches_hand_integrand():
     W = np.outer(we, wt)
     z = T  # on this patch z = t
     dS = np.exp(z)
-    uu = u.value(E, T)
+    uu = u.phi(E) * u.psi(T)
     # Z = -X is the -t direction with unit speed; Z(u) = -u_t
-    zu = -u.d_t(E, T)
+    zu = -u.phi(E) * u.psi.deriv(T)
     nh = 1.0 / math.sqrt(2.0)
     integrand = zu ** 2 / nh + nh * 0.5 * uu ** 2
     ref = float(np.sum(integrand * dS * W))
@@ -322,6 +325,93 @@ def test_q_form_warm_table_matches_fresh_patch(make):
     for grid in ((6, 6), (3, 6)):
         got = q_form(warm, u2, grid=grid, delta=delta).to_json_dict()
         assert got == q_form(make(), u2, grid=grid, delta=delta).to_json_dict()
+
+
+def test_ruled_q_form_keeps_one_patch(monkeypatch):
+    from solgeo.stationary import HorizontalCurve, sweep_surface
+
+    counts = _count_geometry(monkeypatch)
+    sweep = sweep_surface(HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)), (-1.2, 1.2),
+                          (-3.0, 3.0))
+    u1, u2 = battery_test_functions(patch_from_ruled(sweep), 2, 4, 0.6)
+    first = q_form(sweep, u1, grid=(6, 6), delta=0.6)
+    q_form(sweep, u2, grid=(6, 6), delta=0.6)
+    assert counts["frame_data"] == 2  # one per grid level, for both calls
+    assert q_form(sweep, u1, grid=(6, 6), delta=0.6) == first
+
+
+def _per_node_surface(patch, u, n_eps, n_t, weight_fn):
+    """The per-node surface sum of Q(u) that the bilinear-form table
+    replaced, kept as its oracle."""
+    ne, we = gl_line(*patch.eps_range, n_eps)
+    nt, wt = gl_line(*patch.t_range, n_t)
+    e, t = ne[:, None], nt[None, :]
+    f, dS, alpha, beta = stability._patch_frame_data(patch, e, t)
+    uu = u.phi(e) * u.psi(t)
+    Zu = alpha * (u.phi.deriv(e) * u.psi(t)) + beta * (u.phi(e) * u.psi.deriv(t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_term = np.where(Zu == 0.0, 0.0, Zu * Zu / f["nh"])
+    pot = weight_fn(f)
+    return float(np.sum((grad_term + pot * uu * uu) * dS * np.outer(we, wt)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda name=name, params=params: patch_for_catalog(name, params)
+     for name, params in ADAPTED] + [_ruled_patch],
+    ids=[name for name, _ in ADAPTED] + ["ruled-sweep"])
+def test_bilinear_form_matches_per_node_sum(make):
+    patch = make()
+    delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
+    weights = [stability._general_weight]
+    if patch.name in stability._SIMPLIFIED:
+        weights.append(stability._SIMPLIFIED[patch.name][0])
+    for u in battery_test_functions(patch, 3, 29, delta):
+        for n_eps, n_t in ((5, 7), (10, 14)):
+            for weight in weights:
+                got = stability._q_form_level(patch, u, n_eps, n_t, weight, delta)[0]
+                want = _per_node_surface(patch, u, n_eps, n_t, weight)
+                assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (n_eps, weight)
+
+
+def _patch_with_zero_nh():
+    """A flat chart whose geometry has |N_h| = 0 at the first node of every
+    grid it is evaluated on, and Z = Y elsewhere."""
+    def chart(e, t):
+        e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
+        zero, one = np.zeros_like(e), np.ones_like(e)
+        return (e, t, zero), ((one, zero, zero), (zero, one, zero))
+
+    def geometry(e, t, z, frame):
+        shape = np.broadcast_shapes(np.shape(e), np.shape(t))
+        nh = np.ones(shape)
+        nh[(0,) * len(shape)] = 0.0
+        zero = np.zeros(shape)
+        return {"nh": nh, "nt": zero, "zx": zero, "zy": zero + 1.0,
+                "grad_s_nu_z": zero, "H": zero}
+
+    return SurfacePatch("zero-nh", None, (-1.0, 1.0), (-1.0, 1.0), chart,
+                        geometry=geometry)
+
+
+def test_zero_nh_node_is_finite_where_z_u_vanishes():
+    patch = _patch_with_zero_nh()
+    u = TestFunction(Bump(0.0, 0.2, 0.6), Bump(0.1, 0.2, 0.7))  # zero near the corner
+    rep = q_form(patch, u, grid=(4, 4))
+    assert math.isfinite(rep.total) and rep.total > 0.0
+    for n in (4, 8):
+        got = stability._q_form_level(patch, u, n, n, stability._general_weight, 0.2)[0]
+        want = _per_node_surface(patch, u, n, n, stability._general_weight)
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
+def test_zero_nh_node_is_not_finite_where_z_u_does_not_vanish():
+    patch = _patch_with_zero_nh()
+    # the first node of the 4-cell grid, t = -0.990..., lies on the psi
+    # plateau and on the falling edge of phi, so Z(u) = alpha phi' != 0 there
+    u = TestFunction(Bump(0.0, 0.1, 0.998), Bump(0.0, 0.992, 0.998))
+    with pytest.raises(GeometryError, match="not finite"):
+        q_form(patch, u, grid=(4, 4))
 
 
 def test_battery_builds_geometry_once_per_level(monkeypatch):
