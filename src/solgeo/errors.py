@@ -62,9 +62,9 @@ class EvaluationError(GeometryError):
     """
 
     def __init__(self, message: str, point=None):
-        self.point = point
+        self.point = None if point is None else tuple(float(c) for c in point)
         if point is not None:
-            message = f"{message} at point {tuple(point)}"
+            message = f"{message} at point {self.point}"
         super().__init__(message)
 
 

@@ -480,65 +480,49 @@ class ScalarField:
     # -- scalar API ---------------------------------------------------------
 
     def value(self, p: Point) -> float:
-        return float(self._checked(self._eval_at(self.expr, p), p))
+        return float(self.values(p.x, p.y, p.z))
 
     def gradient(self, p: Point) -> CoordVector:
-        gx, gy, gz = (self._checked(self._eval_at(g, p), p) for g in self.grad_exprs)
-        return CoordVector(float(gx), float(gy), float(gz))
+        return CoordVector(*(float(g) for g in self.grad_arrays(p.x, p.y, p.z)))
 
     def hessian(self, p: Point) -> np.ndarray:
-        uxx, uxy, uxz, uyy, uyz, uzz = (
-            self._checked(self._eval_at(h, p), p) for h in self.hess_exprs
-        )
+        uxx, uxy, uxz, uyy, uyz, uzz = self.hessian_arrays(p.x, p.y, p.z)
         return np.array([[uxx, uxy, uxz], [uxy, uyy, uyz], [uxz, uyz, uzz]], dtype=float)
-
-    @staticmethod
-    def _eval_at(expr: Expr, p: Point):
-        try:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                return expr.eval(p.x, p.y, p.z)
-        except (ZeroDivisionError, OverflowError) as e:
-            raise EvaluationError(str(e), (p.x, p.y, p.z)) from e
-
-    def _checked(self, value, p):
-        if not np.all(np.isfinite(value)):
-            raise EvaluationError("field evaluation is not finite", (p.x, p.y, p.z))
-        return value
 
     # -- array API (used by grid evaluation downstream) ----------------------
 
     def values(self, x, y, z):
-        return self._checked_arrays(self._eval_arrays(self.expr, x, y, z), x, y, z)
+        """u as a read-only view broadcast over the inputs."""
+        return self._eval_arrays(self.expr, x, y, z)
 
     def grad_arrays(self, x, y, z):
-        return tuple(self._checked_arrays(self._eval_arrays(g, x, y, z), x, y, z)
-                     for g in self.grad_exprs)
+        """(ux, uy, uz) as read-only views broadcast over the inputs."""
+        return tuple(self._eval_arrays(g, x, y, z) for g in self.grad_exprs)
 
     def hessian_arrays(self, x, y, z):
-        """(uxx, uxy, uxz, uyy, uyz, uzz) broadcast over the inputs."""
-        return tuple(self._checked_arrays(self._eval_arrays(h, x, y, z), x, y, z)
-                     for h in self.hess_exprs)
+        """(uxx, uxy, uxz, uyy, uyz, uzz) as read-only views broadcast over
+        the inputs."""
+        return tuple(self._eval_arrays(h, x, y, z) for h in self.hess_exprs)
 
     @staticmethod
     def _eval_arrays(expr: Expr, x, y, z):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return expr.eval(x, y, z)
-
-    def _checked_arrays(self, value, x, y, z):
-        value = np.broadcast_to(np.asarray(value, dtype=float),
-                                np.broadcast(np.asarray(x), np.asarray(y),
-                                             np.asarray(z)).shape).copy()
+        """``expr`` at the nodes, checked as the tree returns it (a constant
+        stays one number) and broadcast to the nodes' shape without a copy;
+        a pole or an overflow raises EvaluationError at its first node."""
+        x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+        message = "field evaluation is not finite"
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                value = np.asarray(expr.eval(x, y, z), dtype=float)
+        except (ZeroDivisionError, OverflowError) as e:
+            # only constant subtrees run in Python floats, so they fail at every node
+            value, message = np.asarray(np.nan), str(e)
         bad = ~np.isfinite(value)
         if bad.any():
-            i = tuple(idx[0] for idx in np.nonzero(bad))
-            pt = (np.broadcast_to(x, value.shape)[i],
-                  np.broadcast_to(y, value.shape)[i],
-                  np.broadcast_to(z, value.shape)[i])
-            raise EvaluationError("field evaluation is not finite", pt)
-        return value
+            i = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+            raise EvaluationError(message, tuple(np.broadcast_to(v, shape)[i] for v in (x, y, z)))
+        return np.broadcast_to(value, shape)
 
     def has_division(self) -> bool:
         return self.expr.has_division()

@@ -146,10 +146,6 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _stacked(components) -> np.ndarray:
-    return np.stack(np.broadcast_arrays(*components), axis=-1)
-
-
 class TangentFrame:
     """Two coordinate tangents of a parametrized surface, in the frame.
 
@@ -157,8 +153,7 @@ class TangentFrame:
     height ``z``, one array per component; scalar tangent components
     broadcast against ``z``.  ``normal_components`` is their metric cross
     product and ``solve`` the first-fundamental-form solve against them,
-    both component by component.  The stacked (..., 3) ``e1``, ``e2`` and
-    ``normal`` are built on first access, for callers that index them.
+    both component by component.
     """
 
     def __init__(self, z, t1, t2):
@@ -170,18 +165,6 @@ class TangentFrame:
         """t1 x t2 in frame components (the frame is orthonormal)."""
         (a1, b1, c1), (a2, b2, c2) = self.t1, self.t2
         return b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
-
-    @cached_property
-    def e1(self) -> np.ndarray:
-        return _stacked(self.t1)
-
-    @cached_property
-    def e2(self) -> np.ndarray:
-        return _stacked(self.t2)
-
-    @cached_property
-    def normal(self) -> np.ndarray:
-        return _stacked(self.normal_components)
 
     @cached_property
     def gram(self):

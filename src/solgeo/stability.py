@@ -167,17 +167,20 @@ class SurfacePatch:
     """Parametrized patch of a surface, adapted to its singular set.
 
     ``chart`` maps parameter arrays (eps, t) to ((x, y, z), (dF/deps,
-    dF/dt)): the coordinates of F and its two tangents as coordinate
-    triples, from one evaluation of the parametrization.  For surfaces with
-    a singular curve the curve sits at t = 0 and the base parametrization
-    has unit speed, so the length element along it is 1.
+    dF/dt), ...): the coordinates of F and its two tangents as coordinate
+    triples, from one evaluation of the parametrization, followed by
+    whatever else that evaluation hands to ``geometry`` (a ruled sweep's
+    chart adds the second derivatives (d2F/deps dt, d2F/dt2)).  For
+    surfaces with a singular curve the curve sits at t = 0 and the base
+    parametrization has unit speed, so the length element along it is 1.
 
     ``geom`` evaluates the chart once per node set and returns |N_h|
     ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H, with
     the tangents' ``TangentFrame`` under "frame".  That geometry comes from
     the defining scalar field when one exists (``surface.frame_fields``);
-    otherwise ``geometry`` supplies it from the exact derivatives of the
-    parametrization (see ``patch_from_ruled``).
+    otherwise ``geometry(t, z, frame, *rest)`` supplies it from the exact
+    derivatives of the parametrization, ``rest`` being what the chart
+    returned after the tangents (see ``patch_from_ruled``).
 
     Q(u) is tabulated as a bilinear form at the quadrature nodes on first
     use, once per (n_eps, n_t, delta), and lives as long as the patch.
@@ -187,17 +190,17 @@ class SurfacePatch:
     field: ScalarField | None
     eps_range: tuple
     t_range: tuple
-    chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt))
+    chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt), ...)
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
-    geometry: object = None        # callable (eps, t, z, frame) -> dict, overrides field
+    geometry: object = None        # callable (t, z, frame, *rest) -> dict, overrides field
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def geom(self, eps, t) -> dict:
-        (X, Y, Z), tangents = self.chart(eps, t)
+        (X, Y, Z), tangents, *rest = self.chart(eps, t)
         tf = TangentFrame(Z, *tangents)
         if self.geometry is not None:
-            f = self.geometry(eps, t, Z, tf)
+            f = self.geometry(t, Z, tf, *rest)
         else:
             f = frame_fields(self.field, X, Y, Z)
         f["frame"] = tf
@@ -285,7 +288,7 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
 
 def _sweep_patch(name, fld, surface, geometry=None) -> SurfacePatch:
-    """Patch over a ruled sweep: the chart is the sweep's closed-form flow,
+    """Patch over a ruled sweep: the chart is the sweep's closed-form jet,
     and the base curve is the singular curve at t = 0."""
     return SurfacePatch(name, fld, surface.eps_range, surface.t_range, surface.chart,
                         "curve", geometry=geometry)
@@ -300,7 +303,7 @@ def patch_from_ruled(surface) -> SurfacePatch:
     nu_h = -J(Z); the unit normal is the metric cross product of the
     tangents, its global sign fixed at a reference point.  All derivatives
     are exact: <nabla_S nu_h, Z> and H come from the closed-form second
-    derivatives of the sweep.
+    derivatives that the sweep's chart returns with its tangents.
     """
     if not isinstance(surface, RuledSurface):
         raise BadParams("patch_from_ruled expects a ruled surface")
@@ -321,12 +324,12 @@ def patch_from_ruled(surface) -> SurfacePatch:
     # pin the global normal sign once, where the alignment is unambiguous
     e_ref = 0.5 * (surface.eps_range[0] + surface.eps_range[1])
     t_ref = 0.25 * (surface.t_range[1] - surface.t_range[0])
-    (_, _, z_ref), tangents_ref = surface.chart(e_ref, t_ref)
+    (_, _, z_ref), tangents_ref, _ = surface.chart(e_ref, t_ref)
     tf_ref = TangentFrame(z_ref, *tangents_ref)
     *_, zx_r, zy_r, n_ref = frame_data(t_ref, tf_ref)
     s_ref = math.copysign(1.0, float(n_ref[0] * zy_r - n_ref[1] * zx_r))
 
-    def geometry(e, t, z, tf):
+    def geometry(t, z, tf, rates):
         sigma, speed, zx, zy, (n1, n2, n3) = frame_data(t, tf)
         nu1, nu2 = zy, -zx
         nh = np.hypot(n1, n2)
@@ -342,9 +345,7 @@ def patch_from_ruled(surface) -> SurfacePatch:
             along = ua * da + ub * db
             return sigma * (db - ub * along) / speed, -sigma * (da - ua * along) / speed
 
-        f_et, f_tt = surface.t_velocity_rates(e, t)
-        dnu_de = nu_rate(f_et)
-        dnu_dt = nu_rate(f_tt)
+        dnu_de, dnu_dt = (nu_rate(d_ft) for d_ft in rates)
 
         # decompose S = nt nu_h - nh T against the tangents
         alpha_s, beta_s = tf.solve(nt * nu1, nt * nu2, -nh)
@@ -705,7 +706,7 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     es = np.linspace(*patch.eps_range, grid[0])
     ts = np.linspace(*patch.t_range, grid[1])
     E, T = np.meshgrid(es, ts, indexing="ij")
-    (X, Y, Z), _ = patch.chart(E, T)
+    (X, Y, Z), *_ = patch.chart(E, T)
     f = raw_fields(fld, X, Y, Z)
     if bool(np.any(f["nh"] < EPS_SING)):
         raise SingularPointFound("patch contains singular points")

@@ -26,12 +26,14 @@ V has the closed form
     B = zddot / k - zdot kdot / k^2
 
 (everything evaluated at eps; the sinh forms keep it accurate as k -> 0).
-The variation field itself is computed on every branch by the chain rule
-through the closed-form flow: along a characteristic curve the frame
-components of the velocity are constant, so every derivative of F has a
-closed form.  The A/B formula above is the cross-check of that computation
-on the generic branch, and a finite difference of F is kept as a test
-oracle.
+Along the base curve and along every ruling the frame components of the
+velocity are constant, so F and its derivatives in eps and t have closed
+forms: ``RuledSurface.jet`` evaluates the base curve once, takes the
+ruling velocity from the constant frame pair J(a, b), and returns F with
+its first and mixed/second t-derivatives from that one evaluation.  The
+variation field <V, T> on every branch is the T-component of the jet's
+dF/deps; the A/B formula above is its cross-check on the generic branch,
+and a finite difference of F is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ class HorizontalCurve:
         return HorizontalCurve.from_initial_data(
             p0, CoordVector(-math.exp(p0.z) / SQRT2, math.exp(-p0.z) / SQRT2, 0.0))
 
-    def point(self, eps):
-        x, y, z, *_ = self._raw(eps)
-        return x, y, z
-
     def velocity(self, eps):
         *_, dx, dy, dz = self._raw(eps)
         return dx, dy, dz
@@ -127,16 +125,6 @@ class HorizontalCurve:
                          c.v0.dx, c.v0.dy, c.v0.dz, eps)
 
 
-def _j_rotate_coords(z, dx, dy, dz):
-    """Coordinate components of J applied to a horizontal coordinate vector."""
-    a, b, _ = frame_components(z, dx, dy, dz)
-    # J: (a, b) -> (-b, a); back to coordinates with zero T-part
-    ez = np.exp(z)
-    emz = np.exp(-z)
-    ja, jb = -b, a
-    return ez * (-jb) / SQRT2, emz * jb / SQRT2, ja
-
-
 @dataclass(frozen=True)
 class RuledSurface:
     """Surface swept by characteristic curves from a horizontal base curve."""
@@ -153,75 +141,60 @@ class RuledSurface:
 
     # -- geometry -------------------------------------------------------
 
-    def ruling_velocity(self, eps):
-        """Initial ruling velocity at Gamma(eps), J(Gammadot) by default."""
-        x, y, z, dx, dy, dz = self.gamma._raw(eps)
-        jx, jy, jz = _j_rotate_coords(z, dx, dy, dz)
-        if self.skew:
-            n = math.hypot(1.0, self.skew)
-            jx = (jx + self.skew * dx) / n
-            jy = (jy + self.skew * dy) / n
-            jz = (jz + self.skew * dz) / n
-        return jx, jy, jz
+    def jet(self, eps, t):
+        """(F, dF/deps, dF/dt, d2F/deps dt, d2F/dt2) at (eps, t), each a
+        coordinate triple broadcast over the inputs.
 
-    def _flow(self, eps, t):
-        """Positions and velocities of the rulings from Gamma(eps) at t.
-
-        The base curve's frame components (a, b) are constant, so every
-        ruling starts with the same vertical speed, the a-component of
-        J(a, b) = (-b, a) blended with (a, b) by ``skew``; that one scalar
-        picks the line or the exponential branch for the whole sweep.
+        The base curve's frame components (a, b) are constant, and so are
+        the ruling's, (ra, rb) = J(a, b) = (-b, a) blended with (a, b) by
+        ``skew``.  The ruling from Gamma(eps) therefore starts with the
+        coordinate velocity v = (-e^z rb/sqrt2, e^-z rb/sqrt2, ra) at
+        z = z0 + a eps, and the one scalar ra picks the line or the
+        exponential branch for the whole sweep.  Along the base v moves by
+        dv/deps = (a vx, -a vy, 0), so dF/deps = Gammadot + (a vx p(t),
+        -a vy q(t), 0) with the flow weights p = expm1(ra t)/ra and
+        q = -expm1(-ra t)/ra (both t on line rulings).  With (x', y') the
+        x and y components of dF/dt, d2F/deps dt = (a x', -a y', 0) and
+        d2F/dt2 = (ra x', -ra y', 0).
         """
-        gx, gy, gz = self.gamma.point(eps)
-        vx, vy, _ = self.ruling_velocity(eps)
-        return _eval_raw(gx, gy, gz, vx, vy, self._ruling_vz(), t)
-
-    def _ruling_vz(self) -> float:
         a, b = self.gamma.curve.frame_velocity()
-        return (-b + self.skew * a) / math.hypot(1.0, self.skew)
+        n = math.hypot(1.0, self.skew)
+        ra, rb = (-b + self.skew * a) / n, (a + self.skew * b) / n
+        gx, gy, gz, dx, dy, dz = self.gamma._raw(eps)
+        vx, vy = np.exp(gz) * (-rb) / SQRT2, np.exp(-gz) * rb / SQRT2
+        x, y, z, tx, ty, tz = _eval_raw(gx, gy, gz, vx, vy, ra, t)
+        ex, ey, *_ = _eval_raw(dx, dy, dz, a * vx, -a * vy, ra, t)
+        zero = np.zeros_like(tx)
+        return tuple(tuple(np.broadcast_arrays(*v)) for v in (
+            (x, y, z), (ex, ey, dz), (tx, ty, tz), (a * tx, -a * ty, zero),
+            (tz * tx, -tz * ty, zero)))
 
     def point(self, eps, t):
         """F(eps, t); broadcasts over arrays."""
-        x, y, z, *_ = self._flow(eps, t)
-        return x, y, z
+        return self.jet(eps, t)[0]
+
+    def eps_velocity(self, eps, t):
+        """dF/deps, the variation field V (analytic)."""
+        return self.jet(eps, t)[1]
 
     def t_velocity(self, eps, t):
         """dF/dt, the ruling velocity at parameter t (analytic)."""
-        *_, dx, dy, dz = self._flow(eps, t)
-        return tuple(np.broadcast_arrays(dx, dy, dz))
+        return self.jet(eps, t)[2]
 
     def chart(self, eps, t):
-        """(F, (dF/deps, dF/dt)) at (eps, t); F and dF/dt from one flow."""
-        x, y, z, dx, dy, dz = self._flow(eps, t)
-        return (x, y, z), (self.eps_velocity(eps, t), tuple(np.broadcast_arrays(dx, dy, dz)))
+        """(F, (dF/deps, dF/dt), (d2F/deps dt, d2F/dt2)) from one jet: the
+        coordinates, the tangents, and the rates of the ruling velocity
+        that ``stability.patch_from_ruled`` reads."""
+        F, F_e, F_t, F_et, F_tt = self.jet(eps, t)
+        return F, (F_e, F_t), (F_et, F_tt)
 
-    def eps_velocity(self, eps, t):
-        """dF/deps, the variation field V, by the chain rule through the flow.
-
-        The base curve and its rulings have constant frame components, so
-        along the base the ruling velocity moves only with z = z0 + a eps:
-        v' = (a vx, -a vy, 0), with vz the same for every eps.  Hence
-        dF/deps = Gammadot + (a vx p(t), -a vy q(t), 0) with the flow weights
-        p = expm1(vz t)/vz and q = -expm1(-vz t)/vz (both t on line rulings).
-        """
-        dx, dy, dz = self.gamma.velocity(eps)
-        vx, vy, _ = self.ruling_velocity(eps)
-        a = self.gamma.curve.zdot0
-        x, y, *_ = _eval_raw(dx, dy, dz, a * vx, -a * vy, self._ruling_vz(), t)
-        return tuple(np.broadcast_arrays(x, y, dz))
-
-    def t_velocity_rates(self, eps, t):
-        """(d2F/deps dt, d2F/dt2) in closed form."""
-        vx, vy, _ = self.ruling_velocity(eps)
-        a = self.gamma.curve.zdot0
-        *_, tx, ty, tz = _eval_raw(0.0, 0.0, 0.0, vx, vy, self._ruling_vz(), t)
-        zero = np.zeros_like(tx)
-        return (a * tx, -a * ty, zero), (tz * tx, -tz * ty, zero)
+    def ruling_velocity(self, eps):
+        """Initial ruling velocity at Gamma(eps), J(Gammadot) by default."""
+        return self.jet(eps, 0.0)[2]
 
     def ruling(self, eps: float) -> CharacteristicCurve:
         """The t-line through Gamma(eps) as a characteristic-curve record."""
-        gx, gy, gz = self.gamma.point(eps)
-        vx, vy, vz = self.ruling_velocity(eps)
+        (gx, gy, gz), _, (vx, vy, vz), *_ = self.jet(eps, 0.0)
         return make_curve(Point(float(gx), float(gy), float(gz)),
                           CoordVector(float(vx), float(vy), float(vz)))
 
@@ -260,8 +233,8 @@ class RuledSurface:
 
     def vertical_component(self, eps, t):
         """<V, T>: the T-component of the analytic dF/deps, on every branch."""
-        _, _, z = self.point(eps, t)
-        return frame_components(z, *self.eps_velocity(eps, t))[2]
+        (_, _, z), V, *_ = self.jet(eps, t)
+        return frame_components(z, *V)[2]
 
     # -- grids ------------------------------------------------------------
 
@@ -287,28 +260,21 @@ class RuledSurface:
         central differences in t, so this is an oracle independent of the
         analytic derivatives ``patch_from_ruled`` uses.
         """
-        def nu_h_at(tt):
-            (_, _, z), tangents = self.chart(eps, tt)
-            tf = TangentFrame(z, *tangents)
-            e2 = tf.e2
-            nh = tf.normal.copy()
-            nh[..., 2] = 0.0
-            norm = np.linalg.norm(nh, axis=-1, keepdims=True)
-            return nh / norm, e2
+        def nu_h(tt):
+            (_, _, z), tangents, _ = self.chart(eps, tt)
+            n1, n2, _ = TangentFrame(z, *tangents).normal_components
+            norm = np.sqrt(n1 * n1 + n2 * n2)
+            return np.stack([n1 / norm, n2 / norm])
 
         def d_nu(step):
-            nup, _ = nu_h_at(t + step)
-            num, _ = nu_h_at(t - step)
-            return (nup - num) / (2.0 * step)
+            return (nu_h(t + step) - nu_h(t - step)) / (2.0 * step)
 
-        nu0, e2 = nu_h_at(t)
-        d1 = d_nu(H_FD_STEP)
-        d2 = d_nu(H_FD_STEP / 2.0)
-        dnu = (4.0 * d2 - d1) / 3.0
-        speed = np.linalg.norm(e2, axis=-1, keepdims=True)
-        zdir = e2 / speed
+        dnu = (4.0 * d_nu(H_FD_STEP / 2.0) - d_nu(H_FD_STEP)) / 3.0
+        (_, _, z), tangents, _ = self.chart(eps, t)
+        ta, tb, tc = TangentFrame(z, *tangents).t2
+        speed = np.sqrt(ta * ta + tb * tb + tc * tc)
         # orient nu_h consistently along the center line (sign irrelevant for H)
-        return -np.sum(dnu / speed * zdir, axis=-1)
+        return -(dnu[0] / speed * (ta / speed) + dnu[1] / speed * (tb / speed))
 
 
 def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,

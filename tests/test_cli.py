@@ -233,6 +233,18 @@ def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     assert not (tmp_path / "nf" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("u,message", [
+    ("x/(y-1)", "field evaluation is not finite at point (-1.0, 1.0, -1.0)"),
+    # a constant subtree runs in Python floats and fails at the first node
+    ("x + 1/0", "float division by zero at point (-1.0, 0.0, -1.0)"),
+])
+def test_residual_pole_exit_3_names_the_point(tmp_path, capsys, u, message):
+    code = run(["residual", "--u", u, "--window", "-1", "1", "0", "2", "-1", "1",
+                "--grid", "3", "--out", str(tmp_path / "p")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--gamma", "y-line", "--t", "-800", "800"],
     ["--gamma", "exp", "--theta", "1.5", "--t", "-800", "800"],
@@ -325,16 +337,17 @@ def test_sweep_scan_evaluates_the_grid_once(tmp_path, monkeypatch):
     from solgeo.stationary import RuledSurface
 
     sizes = []
-    eps_velocity = RuledSurface.eps_velocity
+    jet = RuledSurface.jet
 
     def counting(self, eps, t):
         sizes.append(int(np.prod(np.broadcast_shapes(np.shape(eps), np.shape(t)))))
-        return eps_velocity(self, eps, t)
+        return jet(self, eps, t)
 
-    monkeypatch.setattr(RuledSurface, "eps_velocity", counting)
+    monkeypatch.setattr(RuledSurface, "jet", counting)
     assert run(["sweep", "--grid", "48", "48", "--scan-singular",
                 "--out", str(tmp_path / "s")]) == 0
-    assert [n for n in sizes if n > 1] == [48 * 48]
+    # one jet on the grid; the orthogonality check evaluates the base line
+    assert [n for n in sizes if n >= 48 * 48] == [48 * 48]
     summary = json.loads(read(tmp_path / "s" / "summary.json"))
     assert len(summary["singular_loci"]) == 1
 

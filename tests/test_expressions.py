@@ -80,6 +80,21 @@ def test_overflow_reported_with_point():
         f.value(Point(0, 0, 100.0))
 
 
+def test_array_api_returns_read_only_views_of_the_tree_value():
+    f = parse("x*x + 3*y")
+    x, y = np.linspace(-1, 1, 5)[:, None], np.linspace(0, 2, 4)[None, :]
+    ux, uy, uz = f.grad_arrays(x, y, 0.5)
+    assert ux.shape == uy.shape == uz.shape == (5, 4)
+    # a constant derivative is one number broadcast to the nodes, not a copy
+    assert uy.strides == uz.strides == (0, 0) and np.all(uy == 3.0)
+    for arr in (f.values(x, y, 0.5), ux, *f.hessian_arrays(x, y, 0.5)):
+        assert not arr.flags.writeable
+    # a bad node is still located on the broadcast grid
+    with pytest.raises(EvaluationError) as exc:
+        parse("1 / (x - 0.5)").values(x, y, 0.0)
+    assert exc.value.point == (0.5, 0.0, 0.0)
+
+
 def _finite_difference_grad(f, x, y, z, h=1e-5):
     out = []
     for axis in range(3):

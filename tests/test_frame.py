@@ -73,24 +73,29 @@ def test_orthonormality_bulk(rng):
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 
+def _stacked(components):
+    """(..., 3) array of a frame's component triple."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
 def test_tangent_frame_normal_and_solve(rng):
     z = rng.uniform(-2, 2, 50)
     t1, t2 = (tuple(rng.normal(size=(3, 50))) for _ in range(2))
     tf = TangentFrame(z, t1, t2)
-    assert tf.e1 == pytest.approx(np.stack(
+    e1, e2, n = _stacked(tf.t1), _stacked(tf.t2), _stacked(tf.normal_components)
+    assert e1 == pytest.approx(np.stack(
         [to_frame(Point(0.0, 0.0, zi), CoordVector(*v)).as_array()
          for zi, v in zip(z, np.stack(t1, axis=-1))]))
-    n = tf.normal
-    assert np.max(np.abs(np.sum(n * tf.e1, -1)) + np.abs(np.sum(n * tf.e2, -1))) < 1e-12
+    assert np.max(np.abs(np.sum(n * e1, -1)) + np.abs(np.sum(n * e2, -1))) < 1e-12
     assert tf.area_element() == pytest.approx(np.linalg.norm(n, axis=-1))
     # a tangential vector plus a normal part: the solve recovers its coefficients
     alpha, beta = rng.normal(size=(2, 50))
-    v = alpha[:, None] * tf.e1 + beta[:, None] * tf.e2 + 0.7 * n
+    v = alpha[:, None] * e1 + beta[:, None] * e2 + 0.7 * n
     got_a, got_b = tf.solve(*np.moveaxis(v, -1, 0))
     assert got_a == pytest.approx(alpha) and got_b == pytest.approx(beta)
     # scalar components broadcast against z
     flat = TangentFrame(z, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    assert flat.e1.shape == flat.e2.shape == (50, 3)
+    assert _stacked(flat.t1).shape == _stacked(flat.t2).shape == (50, 3)
 
 
 def _stacked_solve_and_area(e1, e2, v):
@@ -109,16 +114,17 @@ def test_componentwise_frame_matches_stacked_formulas(rng):
     z = rng.uniform(-2, 2, (40, 30))
     t1, t2, v = (tuple(rng.normal(size=(3, 40, 30))) for _ in range(3))
     tf = TangentFrame(z, t1, t2)
-    want_a, want_b, want_area = _stacked_solve_and_area(tf.e1, tf.e2, np.stack(v, axis=-1))
+    e1, e2 = _stacked(tf.t1), _stacked(tf.t2)
+    want_a, want_b, want_area = _stacked_solve_and_area(e1, e2, np.stack(v, axis=-1))
     got_a, got_b = tf.solve(*v)
     for got, want in ((got_a, want_a), (got_b, want_b), (tf.area_element(), want_area)):
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13
-    # the stacked normal is the numpy cross product, bit for bit
-    assert np.array_equal(tf.normal, np.cross(tf.e1, tf.e2))
+    # the normal is the numpy cross product, bit for bit
+    assert np.array_equal(_stacked(tf.normal_components), np.cross(e1, e2))
     # a scalar component broadcasts, as the Z solve passes a zero T-part
     got_a, got_b = tf.solve(v[0], v[1], 0.0)
     want_a, want_b, _ = _stacked_solve_and_area(
-        tf.e1, tf.e2, np.stack([v[0], v[1], np.zeros_like(z)], axis=-1))
+        e1, e2, np.stack([v[0], v[1], np.zeros_like(z)], axis=-1))
     assert np.max(np.abs(got_a - want_a) / (1.0 + np.abs(want_a))) < 1e-13
     assert np.max(np.abs(got_b - want_b) / (1.0 + np.abs(want_b))) < 1e-13
 

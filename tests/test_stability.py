@@ -193,7 +193,7 @@ def test_catalog_curve_patch_is_its_closed_form(name, params, closed):
         got, want = np.broadcast_arrays(*got), np.broadcast_arrays(*want)
         return max(np.max(np.abs(g - w) / (1.0 + np.abs(w))) for g, w in zip(got, want))
 
-    got_points, (got_e, got_t) = patch.chart(E, T)
+    got_points, (got_e, got_t), _ = patch.chart(E, T)
     assert rel(got_points, want_points) < 1e-14
     assert rel(got_e, want_tangents[0]) < 1e-14
     assert rel(got_t, want_tangents[1]) < 1e-14
@@ -382,8 +382,8 @@ def _patch_with_zero_nh():
         zero, one = np.zeros_like(e), np.ones_like(e)
         return (e, t, zero), ((one, zero, zero), (zero, one, zero))
 
-    def geometry(e, t, z, frame):
-        shape = np.broadcast_shapes(np.shape(e), np.shape(t))
+    def geometry(t, z, frame):
+        shape = np.shape(z)
         nh = np.ones(shape)
         nh[(0,) * len(shape)] = 0.0
         zero = np.zeros(shape)
@@ -566,8 +566,8 @@ def _meshgrid_graph_area(kind, window, h_fn, cells):
     h, h1, h2 = h_fn(S1, S2)
     coords, tangents = stability._PLANE_GRAPH[kind](S1, S2, h, h1, h2)
     x, y, z = np.broadcast_arrays(*coords)
-    n = TangentFrame(z, *tangents).normal
-    horiz = np.hypot(n[..., 0], n[..., 1])
+    n1, n2, _ = TangentFrame(z, *tangents).normal_components
+    horiz = np.hypot(n1, n2)
     return float(np.sum(horiz * W))
 
 
@@ -598,13 +598,13 @@ def test_sweep_patch_geom_runs_the_flow_once(monkeypatch, make):
 
     patch = make()
     calls = []
-    flow = RuledSurface._flow
+    jet = RuledSurface.jet
 
-    def counting_flow(self, eps, t):
+    def counting_jet(self, eps, t):
         calls.append(np.broadcast_shapes(np.shape(eps), np.shape(t)))
-        return flow(self, eps, t)
+        return jet(self, eps, t)
 
-    monkeypatch.setattr(RuledSurface, "_flow", counting_flow)
+    monkeypatch.setattr(RuledSurface, "jet", counting_jet)
     e, t = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(0.3, 2.0, 7)[None, :]
     patch.geom(e, t)
     assert calls == [(5, 7)]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import horizontal_velocity
-from solgeo.curves import eval_curve, is_geodesic
+from solgeo.curves import _eval_raw, eval_curve, is_geodesic
 from solgeo.errors import BadParams, BranchUnsupported, NotHorizontal
 from solgeo.expressions import catalog, parse
-from solgeo.frame import CoordVector, Point, SQRT2
+from solgeo.frame import CoordVector, Point, SQRT2, frame_components
 from solgeo.stationary import (
     HorizontalCurve,
     orthogonality_check,
@@ -159,7 +159,7 @@ def test_analytic_sweep_derivatives_match_finite_differences(kind):
         return np.max(np.abs(got - want) / (1.0 + np.abs(want)))
 
     assert rel(s.eps_velocity(E, T), _central(lambda h: s.point(E + h, T), 1e-6)) < 1e-5
-    f_et, f_tt = s.t_velocity_rates(E, T)
+    *_, f_et, f_tt = s.jet(E, T)
     assert rel(f_et, _central(lambda h: s.t_velocity(E + h, T), 1e-5)) < 1e-5
     assert rel(f_tt, _central(lambda h: s.t_velocity(E, T + h), 1e-5)) < 1e-5
     fd = s.vertical_component_fd(E, T)
@@ -167,6 +167,45 @@ def test_analytic_sweep_derivatives_match_finite_differences(kind):
     # the closed-form cross-check passes, also where it is ill-conditioned
     for e, t in zip(E.flat[::7], T.flat[::7]):
         assert jacobi_vertical(s, e, t) == s.vertical_component(e, t)
+
+
+def _per_derivative_jet(s, eps, t):
+    """F and its derivatives from one closed-form flow per derivative, with
+    the ruling velocity J-rotated from the evaluated base velocity: what
+    ``RuledSurface.jet`` replaced, kept as its oracle."""
+    gx, gy, gz, dx, dy, dz = s.gamma._raw(eps)
+    a, b, _ = frame_components(gz, dx, dy, dz)
+    vx, vy = np.exp(gz) * (-a) / SQRT2, np.exp(-gz) * a / SQRT2
+    if s.skew:
+        n = math.hypot(1.0, s.skew)
+        vx, vy = (vx + s.skew * dx) / n, (vy + s.skew * dy) / n
+    fa, fb = s.gamma.curve.frame_velocity()
+    vz = (-fb + s.skew * fa) / math.hypot(1.0, s.skew)
+    flow = _eval_raw(gx, gy, gz, vx, vy, vz, t)
+    ex, ey, *_ = _eval_raw(dx, dy, dz, fa * vx, -fa * vy, vz, t)
+    *_, tx, ty, tz = _eval_raw(0.0, 0.0, 0.0, vx, vy, vz, t)
+    zero = np.zeros_like(tx)
+    return (flow[:3], (ex, ey, dz), flow[3:], (fa * tx, -fa * ty, zero),
+            (tz * tx, -tz * ty, zero))
+
+
+@pytest.mark.parametrize("kind", ["generic", "near-x-line", "x-line", "y-line", "skewed"])
+def test_jet_is_the_per_derivative_flows(kind):
+    gamma = {"generic": generic_gamma(),
+             "near-x-line": generic_gamma(1e-6),
+             "x-line": HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)),
+             "y-line": HorizontalCurve.y_line(Point(0.3, 0.1, -0.2)),
+             "skewed": generic_gamma(1.1, Point(0, 0, 0))}[kind]
+    s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5), skew=0.5 if kind == "skewed" else 0.0)
+    E, T = np.meshgrid(np.linspace(-0.9, 0.9, 13), np.linspace(-2.4, 2.4, 17), indexing="ij")
+    got, want = s.jet(E, T), _per_derivative_jet(s, E, T)
+    for g_triple, w_triple in zip(got, want):
+        for g, w in zip(g_triple, np.broadcast_arrays(*w_triple)):
+            assert g.shape == E.shape
+            if kind == "skewed":  # J(a, b) blended in frame, not coordinate, components
+                assert np.max(np.abs(g - w) / (1.0 + np.abs(w))) <= 1e-14
+            else:
+                assert np.array_equal(g, w)
 
 
 def test_uniqueness_scan_single_locus():
