@@ -31,10 +31,6 @@ class SingularPoint(GeometryError):
     pass
 
 
-class DegenerateRuling(GeometryError):
-    pass
-
-
 class BranchUnsupported(GeometryError):
     pass
 

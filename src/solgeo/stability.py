@@ -814,7 +814,9 @@ def area_compare(base_kind: str, eta: float, grid: int = 100, c: float = 0.0) ->
 
     The perturbed surface agrees with the plane outside the bump support,
     which spans BUMP_WIDTH_FRAC of AREA_WINDOW and so sits strictly inside
-    it.  Two refinement levels give the quadrature error estimate.
+    it.  Two refinement levels give the quadrature error estimate, plus
+    the round-off eps*n*A of each level's sum of n non-negative terms
+    (the finer level has four times the nodes).
     """
     if base_kind not in _PLANE_GRAPH:
         raise BadParams(f"area comparison supports plane-x/y/z, got {base_kind!r}")
@@ -831,7 +833,8 @@ def area_compare(base_kind: str, eta: float, grid: int = 100, c: float = 0.0) ->
         lo = _graph_area(base_kind, AREA_WINDOW, fn, grid)
         hi = _graph_area(base_kind, AREA_WINDOW, fn, 2 * grid)
         out[f"A_{tag}"] = hi
-        out[f"A_{tag}_error"] = abs(hi - lo)
+        floor = np.finfo(float).eps * (GL_ORDER * grid) ** 2 * (lo + 4 * hi)
+        out[f"A_{tag}_error"] = abs(hi - lo) + floor
     out["delta_area"] = out["A_comp"] - out["A_base"]
     out["error_estimate"] = out["A_base_error"] + out["A_comp_error"]
     out["eta"] = float(eta)

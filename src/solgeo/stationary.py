@@ -13,27 +13,22 @@ variation field V = dF/deps vanishes precisely at t = 0.
 
 Supported base curves are the closed-form kinds (characteristic line and
 exponential families, and integral curves of X or of Y, which are special
-cases of those).  Arbitrary sampled curves are not accepted: the vertical
-component needs second derivatives of Gamma, and differentiating user
-samples silently would hide error.
+cases of those); arbitrary sampled curves are not accepted.  Along the
+base curve and along every ruling the frame components of the velocity
+are constant, so F and its derivatives have closed forms:
+``RuledSurface.jet`` evaluates the base curve once, takes the ruling
+velocity from the constant frame pair J(a, b), and returns F with its
+first and mixed/second t-derivatives from that one evaluation.  <V, T> on
+every branch is the T-component of the jet's dF/deps.
 
-For a generic base curve (neither an integral curve of X nor of Y), with
-k = xdot e^{-z} - ydot e^{z} and s = k t / sqrt2, the vertical component of
-V has the closed form
+The same constancy gives <V, T> in closed form.  With (a, b) the unit
+frame velocity of the base curve, f(t) = <V, T> along the ruling from
+Gamma(eps) solves f'' = b^2 f with f(0) = 0 and f'(0) = -1, so
 
-    <V, T>(eps, t) = [ -2 A sinh(s) + 4 B sinh(s/2)^2 ] / sqrt2
-    A = k/2 + zdot^2 / k
-    B = zddot / k - zdot kdot / k^2
+    <V, T>(eps, t) = -sinh(b t) / b        (-t where b = 0)
 
-(everything evaluated at eps; the sinh forms keep it accurate as k -> 0).
-Along the base curve and along every ruling the frame components of the
-velocity are constant, so F and its derivatives in eps and t have closed
-forms: ``RuledSurface.jet`` evaluates the base curve once, takes the
-ruling velocity from the constant frame pair J(a, b), and returns F with
-its first and mixed/second t-derivatives from that one evaluation.  The
-variation field <V, T> on every branch is the T-component of the jet's
-dF/deps; the A/B formula above is its cross-check on the generic branch,
-and a finite difference of F is kept as a test oracle.
+on every branch and for every eps.  ``jacobi_vertical`` cross-checks the
+jet against it; a finite difference of F stays the test oracle.
 """
 
 from __future__ import annotations
@@ -44,17 +39,17 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curves import CharacteristicCurve, _eval_raw, make_curve
-from .errors import BadParams, BranchUnsupported, DegenerateRuling, NotHorizontal
+from .errors import BadParams, BranchUnsupported
 from .expressions import ScalarField, catalog
-from .frame import CoordVector, Point, SQRT2, TOL_HORIZONTAL, TangentFrame, frame_components
+from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 
-#: dichotomy threshold for the degenerate base-curve branches
+#: frame-component threshold of the x-integral / y-integral labels
 BRANCH_TOL = 1e-12
 
 #: singular-locus detection threshold (scaled per t-line)
 EPS_SCAN = 1e-9
 
-#: agreement of the analytic <V, T> with its A/B closed form (rounding bound)
+#: agreement of the analytic <V, T> with its closed form (rounding bound)
 CLOSED_FORM_RTOL = 1e-12
 
 #: central-difference steps of the <V, T> (in eps) and intrinsic-H (in t) oracles
@@ -64,12 +59,13 @@ H_FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class HorizontalCurve:
-    """Closed-form horizontal curve record with analytic derivatives.
+    """Closed-form horizontal base curve of a sweep.
 
-    Wraps a characteristic-curve record (every built-in kind is one).
-    ``kind`` is 'generic', 'x-integral' or 'y-integral' and fixes which
-    sweep branch applies along the whole curve, since the classifying
-    quantities zdot and k are constant on characteristic curves.
+    Wraps a characteristic-curve record (every built-in kind is one), so
+    ``make_curve`` has already checked horizontality and normalized the
+    velocity to unit frame speed.  ``kind`` is 'generic', 'x-integral' or
+    'y-integral'; it only labels the sweep summary's ``branch``, since the
+    closed forms hold on every kind.
     """
 
     curve: CharacteristicCurve
@@ -79,8 +75,6 @@ class HorizontalCurve:
     def from_initial_data(p0: Point, v0: CoordVector) -> "HorizontalCurve":
         c = make_curve(p0, v0)
         a, b = c.frame_velocity()  # X- and Y-components of the unit velocity
-        if abs(b) < BRANCH_TOL and abs(a) < BRANCH_TOL:
-            raise DegenerateRuling("base curve velocity vanishes")
         if abs(b) < BRANCH_TOL:
             kind = "x-integral"
         elif abs(a) < BRANCH_TOL:
@@ -99,25 +93,6 @@ class HorizontalCurve:
         """Integral curve of Y through p0 (a horizontal straight line)."""
         return HorizontalCurve.from_initial_data(
             p0, CoordVector(-math.exp(p0.z) / SQRT2, math.exp(-p0.z) / SQRT2, 0.0))
-
-    def velocity(self, eps):
-        *_, dx, dy, dz = self._raw(eps)
-        return dx, dy, dz
-
-    def acceleration(self, eps):
-        c = self.curve
-        eps = np.asarray(eps, dtype=float)
-        if c.family == "line":
-            zero = np.zeros_like(eps)
-            return zero, zero, zero
-        zd = c.zdot0
-        return (zd * c.v0.dx * np.exp(zd * eps),
-                -zd * c.v0.dy * np.exp(-zd * eps),
-                np.zeros_like(eps))
-
-    def horizontality_defect(self, eps):
-        x, y, z, dx, dy, dz = self._raw(eps)
-        return dy * np.exp(z) + dx * np.exp(-z)
 
     def _raw(self, eps):
         c = self.curve
@@ -201,24 +176,13 @@ class RuledSurface:
     # -- vertical component of the variation field -----------------------
 
     def vertical_component_closed(self, eps, t):
-        """Closed-form <V, T>(eps, t); generic branch only."""
+        """Closed-form <V, T>(eps, t) = -sinh(b t)/b, or -t where b = 0;
+        unskewed rulings only."""
         if self.skew:
             raise BranchUnsupported("closed form needs unskewed rulings")
-        if self.gamma.kind != "generic":
-            raise BranchUnsupported(
-                f"closed form needs a generic base curve, got {self.gamma.kind}")
-        eps = np.asarray(eps, dtype=float)
-        t = np.asarray(t, dtype=float)
-        x, y, z, dx, dy, dz = self.gamma._raw(eps)
-        ddx, ddy, ddz = self.gamma.acceleration(eps)
-        emz = np.exp(-z)
-        ez = np.exp(z)
-        k = dx * emz - dy * ez
-        kdot = ddx * emz - dx * dz * emz - ddy * ez - dy * dz * ez
-        s = k * t / SQRT2
-        A = k / 2.0 + dz * dz / k
-        B = ddz / k - dz * kdot / (k * k)
-        return (-2.0 * A * np.sinh(s) + 4.0 * B * np.sinh(0.5 * s) ** 2) / SQRT2
+        _, b = self.gamma.curve.frame_velocity()
+        _, t = np.broadcast_arrays(eps, np.asarray(t, dtype=float))
+        return -np.sinh(b * t) / b if b else -t
 
     def vertical_component_fd(self, eps, t):
         """Test oracle: <V, T> from Richardson-extrapolated central
@@ -281,21 +245,14 @@ def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,
                   grid=(64, 64), skew: float = 0.0) -> RuledSurface:
     """Sweep a ruled surface from a horizontal base curve.
 
-    Validates horizontality and regularity of the base curve over the
-    requested range before returning the surface.
+    The base curve is horizontal and unit speed over any range:
+    ``make_curve`` checked its initial data, and its frame components are
+    constant along it.
     """
     eps_lo, eps_hi = float(eps_range[0]), float(eps_range[1])
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     if not (eps_hi > eps_lo and t_hi > t_lo):
         raise BadParams("degenerate parameter ranges")
-    probe = np.linspace(eps_lo, eps_hi, 33)
-    defect = np.max(np.abs(gamma.horizontality_defect(probe)))
-    if defect > TOL_HORIZONTAL:
-        raise NotHorizontal(float(defect))
-    vx, vy, vz = gamma.velocity(probe)
-    speed2 = np.min(vx * vx + vy * vy + vz * vz)
-    if speed2 == 0.0:
-        raise DegenerateRuling("base curve is not regular")
     return RuledSurface(gamma, (eps_lo, eps_hi), (t_lo, t_hi),
                         int(grid[0]), int(grid[1]), skew=skew)
 
@@ -320,8 +277,9 @@ def orthogonality_check(surface) -> float:
 def jacobi_vertical(surface: RuledSurface, eps, t) -> float:
     """Vertical component <V, T> of the variation field at (eps, t).
 
-    On the generic branch the value is cross-checked against the A/B
-    closed form at relative tolerance ``CLOSED_FORM_RTOL``.
+    The jet's value is cross-checked against the closed form
+    -sinh(b t)/b at relative tolerance ``CLOSED_FORM_RTOL`` on every
+    branch; skewed sweeps have no closed form and return it unchecked.
     """
     value = float(surface.vertical_component(eps, t))
     try:

@@ -248,13 +248,24 @@ def test_residual_pole_exit_3_names_the_point(tmp_path, capsys, u, message):
 @pytest.mark.parametrize("argv", [
     ["--gamma", "y-line", "--t", "-800", "800"],
     ["--gamma", "exp", "--theta", "1.5", "--t", "-800", "800"],
+    ["--gamma", "exp", "--eps", "-1000", "1000", "--grid", "4", "4"],
 ])
 def test_sweep_overflow_exit_3(tmp_path, capsys, argv):
     code = run(["sweep", *argv, "--out", str(tmp_path / "ov")])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: |zdot0*t| exceeds 700; evaluation would overflow\n"
     assert not (tmp_path / "ov" / "summary.json").exists()
+
+
+def test_sweep_far_base_curve_is_quiet(tmp_path, capsys):
+    # the base curve is evaluated only where the sweep needs it, so a wide
+    # eps range short of the overflow bound prints nothing on stderr
+    code = run(["sweep", "--gamma", "exp", "--eps", "-800", "800", "--grid", "4", "4",
+                "--out", str(tmp_path / "far")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "far" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -541,6 +541,16 @@ def test_area_compare_bump_increases_area(kind):
     assert rep["A_comp"] > rep["A_base"] + rep["error_estimate"]
 
 
+@pytest.mark.parametrize("kind", ["plane-x", "plane-y", "plane-z"])
+def test_area_compare_error_estimate_never_vacuous(kind):
+    # the two levels can agree to the last bit; the round-off floor keeps
+    # the estimate positive, and small next to any bump's area gain
+    for grid in (25, 40, 50, 100):
+        rep = area_compare(kind, 0.3, grid=grid)
+        assert rep["A_base_error"] > 0.0 and rep["A_comp_error"] > 0.0, (grid, rep)
+        assert 0.0 < rep["error_estimate"] < 1e-6, (grid, rep)
+
+
 def test_area_compare_zero_eta_equal():
     rep = area_compare("plane-z", 0.0, grid=20)
     assert rep["A_comp"] == pytest.approx(rep["A_base"], abs=1e-12)

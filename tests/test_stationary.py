@@ -10,6 +10,7 @@ from solgeo.expressions import catalog, parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
 from solgeo.stationary import (
     HorizontalCurve,
+    RuledSurface,
     orthogonality_check,
     jacobi_vertical,
     plane_ab_singular_line_z,
@@ -104,8 +105,18 @@ def test_jacobi_vertical_zero_on_base():
         assert s.vertical_component_closed(float(eps), 0.0) == 0.0
 
 
-def test_jacobi_vertical_closed_vs_fd(rng):
-    s = sweep_surface(generic_gamma(1.1, Point(-0.2, 0.4, -0.3)), (-1.2, 1.2), (-3, 3))
+#: one unskewed sweep per branch of the base curve
+_BRANCH_BASES = {
+    "generic": lambda: generic_gamma(1.1, Point(-0.2, 0.4, -0.3)),
+    "near-x-line": lambda: generic_gamma(1e-6, Point(-0.2, 0.4, -0.3)),
+    "x-line": lambda: HorizontalCurve.x_line(Point(-0.2, 0.4, -0.3)),
+    "y-line": lambda: HorizontalCurve.y_line(Point(-0.2, 0.4, -0.3)),
+}
+
+
+@pytest.mark.parametrize("branch", list(_BRANCH_BASES))
+def test_jacobi_vertical_closed_vs_fd(rng, branch):
+    s = sweep_surface(_BRANCH_BASES[branch](), (-1.2, 1.2), (-3, 3))
     for _ in range(50):
         eps = float(rng.uniform(-1.2, 1.2))
         t = float(rng.uniform(-3, 3))
@@ -124,17 +135,34 @@ def test_jacobi_vertical_nonzero_off_base(rng):
         assert abs(s.vertical_component_closed(eps, t)) > 1e-4
 
 
-def test_jacobi_vertical_degenerate_branches_fall_back():
+def test_jacobi_vertical_closed_form_on_line_branches():
     sx = sweep_surface(HorizontalCurve.x_line(Point(0, 0, 0)), (-1, 1), (-2, 2))
-    with pytest.raises(BranchUnsupported):
-        sx.vertical_component_closed(0.2, 0.5)
-    # the value matches the hand-derived degenerate form -zdot^2 t
+    # hand-derived: -zdot^2 t with zdot = 1, since b = 0 on an integral curve of X
+    assert sx.vertical_component_closed(0.2, 0.5) == pytest.approx(-0.5, rel=1e-12)
     assert jacobi_vertical(sx, 0.2, 0.5) == pytest.approx(-0.5, rel=1e-12)
     sy = sweep_surface(HorizontalCurve.y_line(Point(0, 0, 0)), (-1, 1), (-2, 2))
-    # hand-derived: -(k/sqrt2) sinh(k t / sqrt2) with k = 2 xdot e^{-z}
-    k = -2.0 / SQRT2
-    want = -(k / SQRT2) * math.sinh(k * 0.5 / SQRT2)
+    # hand-derived: -(k/sqrt2) sinh(k t / sqrt2) with k = 2 xdot e^{-z} = -sqrt2
+    want = -math.sinh(0.5)
+    assert sy.vertical_component_closed(0.0, 0.5) == pytest.approx(want, rel=1e-12)
     assert jacobi_vertical(sy, 0.0, 0.5) == pytest.approx(want, rel=1e-12)
+
+
+def test_jacobi_vertical_closed_form_needs_unskewed_rulings():
+    s = sweep_surface(generic_gamma(), (-1, 1), (-2, 2), skew=0.5)
+    with pytest.raises(BranchUnsupported):
+        s.vertical_component_closed(0.2, 0.5)
+    # no closed form to check against: the jet's value comes back as it is
+    assert jacobi_vertical(s, 0.2, 0.5) == s.vertical_component(0.2, 0.5)
+
+
+@pytest.mark.parametrize("base", [HorizontalCurve.x_line, HorizontalCurve.y_line])
+def test_jacobi_vertical_catches_a_perturbed_line_branch(monkeypatch, base):
+    s = sweep_surface(base(Point(0.1, -0.2, 0.3)), (-1, 1), (-2, 2))
+    exact = RuledSurface.vertical_component
+    monkeypatch.setattr(RuledSurface, "vertical_component",
+                        lambda self, eps, t: exact(self, eps, t) * (1.0 + 1e-9))
+    with pytest.raises(AssertionError, match="disagree"):
+        jacobi_vertical(s, 0.2, 0.5)
 
 
 def _central(fn, step):
