@@ -143,6 +143,18 @@ def test_stability_area(tmp_path):
     assert summary["area"]["base_strictly_smaller"] is True
 
 
+@pytest.mark.parametrize("n", ["2", "3"])
+@pytest.mark.parametrize("surface", ["plane-x", "plane-y", "plane-z"])
+def test_stability_area_smallest_grids(tmp_path, surface, n):
+    out = tmp_path / "sa"
+    code = run(["stability", "area", "--surface", surface, "--eta", "0.3",
+                "--n", n, "--out", str(out)])
+    assert code == 0
+    area = json.loads(read(out / "summary.json"))["area"]
+    assert all(np.isfinite(v) for k, v in area.items() if k != "base_strictly_smaller")
+    assert area["base_strictly_smaller"] is True
+
+
 def test_stability_qform_battery(tmp_path):
     out = tmp_path / "sq"
     code = run(["stability", "qform", "--surface", "saddle-curve",

@@ -566,6 +566,71 @@ def test_area_compare_validation():
         area_compare("saddle-point", 0.3)
 
 
+def _full_window_area_compare(kind, eta, grid, c):
+    """Both areas integrated over the whole window at grid and 2*grid, as
+    ``area_compare`` did before the closed-form base; kept as its oracle."""
+    b1, b2 = (Bump(0.5 * (lo + hi), 0.0, stability.BUMP_WIDTH_FRAC * 0.5 * (hi - lo))
+              for lo, hi in stability.AREA_WINDOW)
+
+    def h_comp(s1, s2):
+        return (-c + eta * b1(s1) * b2(s2),
+                eta * b1.deriv(s1) * b2(s2),
+                eta * b1(s1) * b2.deriv(s2))
+
+    out = {}
+    for tag, fn in (("base", stability._level_graph(c)), ("comp", h_comp)):
+        lo = stability._graph_area(kind, stability.AREA_WINDOW, fn, grid)
+        hi = stability._graph_area(kind, stability.AREA_WINDOW, fn, 2 * grid)
+        floor = np.finfo(float).eps * (stability.GL_ORDER * grid) ** 2 * (lo + 4 * hi)
+        out[f"A_{tag}"], out[f"A_{tag}_error"] = hi, abs(hi - lo) + floor
+    out["delta_area"] = out["A_comp"] - out["A_base"]
+    out["error_estimate"] = out["A_base_error"] + out["A_comp_error"]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["plane-x", "plane-y", "plane-z"])
+def test_area_compare_matches_the_full_window_oracle(kind):
+    for eta in (0.0, 0.1, 0.6):
+        for grid in (25, 40):
+            for c in (0.0, 0.4):
+                got = area_compare(kind, eta, grid=grid, c=c)
+                ref = _full_window_area_compare(kind, eta, grid, c)
+                tol = got["error_estimate"] + ref["error_estimate"]
+                case = (eta, grid, c, got, ref)
+                for key in ("A_base", "A_comp", "delta_area"):
+                    assert abs(got[key] - ref[key]) <= tol, (key, case)
+                assert ((got["delta_area"] > got["error_estimate"])
+                        == (ref["delta_area"] > ref["error_estimate"])), case
+
+
+@pytest.mark.parametrize("kind", ["plane-x", "plane-y", "plane-z"])
+@pytest.mark.parametrize("window", [stability.AREA_WINDOW, ((-0.3, 1.1), (-1.7, 0.9))],
+                         ids=["full", "off-centre"])
+def test_plane_area_is_the_level_graph_area(kind, window):
+    for c in (-0.7, 0.0, 0.4):
+        quad = stability._graph_area(kind, window, stability._level_graph(c), 25)
+        assert stability._PLANE_AREA[kind](*window) == pytest.approx(quad, rel=1e-13), c
+
+
+def test_area_compare_integrates_only_the_bump_support(monkeypatch):
+    calls = []
+    graph_area = stability._graph_area
+
+    def counting(kind, window, h_fn, cells):
+        calls.append((window, cells))
+        return graph_area(kind, window, h_fn, cells)
+
+    monkeypatch.setattr(stability, "_graph_area", counting)
+    support = ((-1.6, 1.6), (-1.6, 1.6))
+    for grid in (25, 40, 100):
+        calls.clear()
+        area_compare("plane-z", 0.3, grid=grid)
+        assert len(calls) == 2, (grid, calls)
+        for window, cells in calls:
+            assert window == support, (grid, calls)
+            assert cells % 2 == 0, (grid, calls)
+
+
 def _meshgrid_graph_area(kind, window, h_fn, cells):
     """The meshgrid graph area that ``_graph_area`` replaced, kept as its oracle."""
     (a_lo, a_hi), (b_lo, b_hi) = window
