@@ -17,6 +17,7 @@ precondition failure, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -422,7 +423,10 @@ def cmd_stability(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and ``_merge`` only reads the actions of a subcommand's parser."""
     ap = argparse.ArgumentParser(
         prog="solgeo",
         description="Sub-Riemannian geometry toolkit for the Sol manifold E(1,1)")

@@ -184,6 +184,17 @@ class SurfacePatch:
 
     Q(u) is tabulated as a bilinear form at the quadrature nodes on first
     use, once per (n_eps, n_t, delta), and lives as long as the patch.
+
+    ``eps_invariant`` declares that the patch is the orbit of a
+    one-parameter group of left translations h_s with h_s(F(eps, t)) =
+    F(eps + s, t).  A sweep from a base curve of constant frame velocity,
+    Gamma(eps) = g exp(eps v), is one: h_s = g exp(s v) g^-1 maps Gamma(eps)
+    to Gamma(eps + s) and preserves X, Y, T and J, so it maps each ruling
+    onto a ruling; so is a coordinate plane, translated along its first
+    parameter.  Left translations are isometries, so |N_h|, <N,T>, Z,
+    <nabla_S nu_h, Z>, H, the area element and the coordinates of Z against
+    the tangents are functions of t alone, and the tables evaluate them on
+    one eps-row of nodes, checked against the last row (``_first_row``).
     """
 
     name: str
@@ -194,6 +205,7 @@ class SurfacePatch:
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
     geometry: object = None        # callable (t, z, frame, *rest) -> dict, overrides field
+    eps_invariant: bool = False    # the geometry is a function of t alone
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def geom(self, eps, t) -> dict:
@@ -256,8 +268,9 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
     if name in ("plane-x", "plane-y", "plane-z"):
         c = float(params.get("c", 0.0))
+        # eps runs along a coordinate line of the plane: a left translation
         return SurfacePatch(name, fld, (-3.0, 3.0), (-3.0, 3.0),
-                            _graph_chart(name, _level_graph(c)))
+                            _graph_chart(name, _level_graph(c)), eps_invariant=True)
 
     if name == "plane-ab":
         a = float(params.get("a", 1.0))
@@ -298,9 +311,10 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
 def _sweep_patch(name, fld, surface, geometry=None) -> SurfacePatch:
     """Patch over a ruled sweep: the chart is the sweep's closed-form jet,
-    and the base curve is the singular curve at t = 0."""
+    and the base curve is the singular curve at t = 0.  Its frame velocity
+    is constant, so the sweep is invariant along eps (see ``SurfacePatch``)."""
     return SurfacePatch(name, fld, surface.eps_range, surface.t_range, surface.chart,
-                        "curve", geometry=geometry)
+                        "curve", geometry=geometry, eps_invariant=True)
 
 
 def patch_from_ruled(surface) -> SurfacePatch:
@@ -423,6 +437,39 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
     return f, tf.area_element(), alpha, beta
 
 
+#: the entries of ``SurfacePatch.geom`` that Q(u) reads; functions of t alone
+#: on a patch invariant along eps
+_ROW_KEYS = ("nh", "nt", "zx", "zy", "grad_s_nu_z", "H")
+
+#: relative tolerance of the check between the first and the last eps-row
+ROW_RTOL = 1e-12
+
+
+def _first_row(patch: SurfacePatch, e, t, values: dict) -> dict:
+    """The first of the two eps-rows ``e`` of each array in ``values``, as a
+    (1, m) row over the nodes ``t``, checked against the second row.
+
+    A finite entry that differs from its counterpart by more than
+    ROW_RTOL (1 + |v|) means the patch is not invariant along eps as it
+    declares: AssertionError.  A non-finite entry in either row passes
+    through to the result, so the caller's finiteness gate gives the verdict.
+    """
+    shape = np.broadcast_shapes(np.shape(e), np.shape(t))
+    out = {}
+    for key, v in values.items():
+        first, last = np.broadcast_to(v, shape)
+        both = np.isfinite(first) & np.isfinite(last)
+        gap = np.abs(first[both] - last[both]) > ROW_RTOL * (1.0 + np.abs(first[both]))
+        if gap.any():
+            j = np.flatnonzero(both)[np.argmax(gap)]
+            (e0, e1), tj = np.ravel(e).tolist(), np.ravel(t)[j].item()
+            raise AssertionError(
+                f"patch {patch.name!r} is not invariant along eps: {key} at t = {tj!r} "
+                f"is {first[j].item()!r} at eps = {e0!r} but {last[j].item()!r} at eps = {e1!r}")
+        out[key] = np.where(np.isfinite(last), first, last)[None, :]
+    return out
+
+
 # Overflowing parameters produce non-finite intermediates; the finiteness
 # checks on the assembled results give the verdict, so numpy stays quiet.
 _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -462,6 +509,8 @@ class _LevelTable:
 def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _LevelTable:
     """The patch's table at one grid level, built on first use.
 
+    On a patch invariant along eps the geometry is evaluated at the first
+    and the last eps node only, and the first row stands for every row.
     A patch that fails the minimality gate stores nothing, so every call
     raises NotMinimal.
     """
@@ -471,7 +520,14 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         return table
     ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
-    f, dS, alpha, beta = _patch_frame_data(patch, ne_nodes[:, None], nt_nodes[None, :])
+    e, t = ne_nodes[:, None], nt_nodes[None, :]
+    if patch.eps_invariant:
+        e = e[[0, -1]]
+    f, dS, alpha, beta = _patch_frame_data(patch, e, t)
+    if patch.eps_invariant:
+        f = _first_row(patch, e, t, {**{k: f[k] for k in _ROW_KEYS},
+                                     "dS": dS, "alpha": alpha, "beta": beta})
+        dS, alpha, beta = f["dS"], f["alpha"], f["beta"]
 
     nh = f["nh"]
     nonsing = nh > 1e-3
@@ -504,22 +560,30 @@ def _side_limits(patch: SurfacePatch, table: _LevelTable, delta: float):
 
     <N,T> is smooth across the singular curve: take it at t = 0.
     <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at two probe
-    offsets and extrapolate linearly to t -> 0.
+    offsets and extrapolate linearly to t -> 0.  On a patch invariant along
+    eps the probes run on the first and the last node of the curve, and the
+    first stands for every node.
     """
     if table.sides is not None:
         return table.sides
     # columns: t = 0, then each side (sgn) at the probe offsets delta/2, delta/4
     sgn = np.array([[1.0, 1.0, 1.0, -1.0, -1.0]])
     frac = np.array([[0.0, 0.5, 0.25, 0.5, 0.25]])
-    f = patch.geom(table.e[:, None], sgn * frac * delta)
-    ta, tb, tc = f["frame"].t2
+    e, t = table.e[:, None], sgn * frac * delta
+    if patch.eps_invariant:
+        e = e[[0, -1]]
+    f = patch.geom(e, t)
+    g = dict(zip(("ta", "tb", "tc"), f["frame"].t2), nt=f["nt"], zx=f["zx"], zy=f["zy"])
+    if patch.eps_invariant:
+        g = _first_row(patch, e, t, g)
+    ta, tb, tc = g["ta"], g["tb"], g["tc"]
     norm = np.sqrt(ta * ta + tb * tb + tc * tc)
     # nu points away from the singular curve on each side
-    zdotnu = f["zx"] * (sgn * (ta / norm)) + f["zy"] * (sgn * (tb / norm))
-    q = f["zy"] ** 2 * zdotnu
-    nt0 = f["nt"][:, 0]
-    p_plus = nt0 * (2.0 * q[:, 2] - q[:, 1])
-    p_minus = nt0 * (2.0 * q[:, 4] - q[:, 3])
+    zdotnu = g["zx"] * (sgn * (ta / norm)) + g["zy"] * (sgn * (tb / norm))
+    q = g["zy"] ** 2 * zdotnu
+    nt0 = g["nt"][:, 0]
+    p_plus = np.broadcast_to(nt0 * (2.0 * q[:, 2] - q[:, 1]), table.e.shape)
+    p_minus = np.broadcast_to(nt0 * (2.0 * q[:, 4] - q[:, 3]), table.e.shape)
     sides = {
         "boundary_product_plus": float(np.mean(p_plus)),
         "boundary_product_minus": float(np.mean(p_minus)),

@@ -29,6 +29,15 @@ Gamma(eps) solves f'' = b^2 f with f(0) = 0 and f'(0) = -1, so
 
 on every branch and for every eps.  ``jacobi_vertical`` cross-checks the
 jet against it; a finite difference of F stays the test oracle.
+
+That <V, T> does not depend on eps is one case of a symmetry of the whole
+sweep.  A base curve of constant frame velocity v is Gamma(eps) =
+g exp(eps v), and the left translation h_s = g exp(s v) g^-1 maps
+Gamma(eps) to Gamma(eps + s).  It preserves X, Y, T and J, so it maps the
+ruling from Gamma(eps) onto the ruling from Gamma(eps + s):
+F(eps + s, t) = h_s(F(eps, t)).  Left translations are isometries, so
+every metric quantity of the sweep is a function of t alone, and
+``stability`` tabulates Q(u) on one eps-row of nodes.
 """
 
 from __future__ import annotations
@@ -274,23 +283,28 @@ def orthogonality_check(surface) -> float:
     return float(np.max(num / den))
 
 
-def jacobi_vertical(surface: RuledSurface, eps, t) -> float:
+def jacobi_vertical(surface: RuledSurface, eps, t):
     """Vertical component <V, T> of the variation field at (eps, t).
 
-    The jet's value is cross-checked against the closed form
-    -sinh(b t)/b at relative tolerance ``CLOSED_FORM_RTOL`` on every
-    branch; skewed sweeps have no closed form and return it unchecked.
+    Broadcasts over arrays from one jet; a float for scalar input.  The
+    jet's values are cross-checked against the closed form -sinh(b t)/b
+    at relative tolerance ``CLOSED_FORM_RTOL`` on every branch, and a
+    disagreement names the first bad (eps, t); skewed sweeps have no
+    closed form and return the values unchecked.
     """
-    value = float(surface.vertical_component(eps, t))
+    value = surface.vertical_component(eps, t)
     try:
-        closed = float(surface.vertical_component_closed(eps, t))
+        closed = surface.vertical_component_closed(eps, t)
     except BranchUnsupported:
-        return value
-    if abs(closed - value) > CLOSED_FORM_RTOL * (1.0 + abs(value)):
+        closed = value  # nothing to check against
+    bad = np.abs(closed - value) > CLOSED_FORM_RTOL * (1.0 + np.abs(value))
+    if bad.any():
+        i = np.argmax(bad)
+        e, tt = (np.broadcast_to(v, bad.shape).flat[i] for v in (eps, t))
         raise AssertionError(
             f"closed-form and analytic vertical components disagree "
-            f"at ({eps}, {t}): {closed} vs {value}")
-    return value
+            f"at ({e}, {tt}): {closed.flat[i]} vs {value.flat[i]}")
+    return float(value) if value.ndim == 0 else value
 
 
 def uniqueness_scan(surface) -> list:

@@ -403,3 +403,45 @@ def test_sweep_v0_sets_the_base_velocity(tmp_path, capsys):
     assert run(["sweep", "--grid", "6", "6", "--gamma", "x-line", "--v0", "0", "0", "1",
                 "--out", str(tmp_path / "x")]) == 2
     assert "--gamma exp" in capsys.readouterr().err
+
+
+def test_main_runs_alike_in_one_process_and_in_fresh_ones(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a run after a failed parse and
+    # a run from a config file must not see anything a former run left
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import solgeo.cli as cli
+
+    runs = [
+        ["stability", "qform", "--surface", "plane-x", "--nope"],
+        ["curve", "--alpha", "0.4", "--n", "12", "--out", "c"],
+        ["sweep", "--config", "run.cfg", "--out", "s"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        if p)
+    results = {}
+    for side in ("fresh", "same"):
+        root = tmp_path / side
+        root.mkdir()
+        (root / "run.cfg").write_text("gamma = x-line\ngrid = 6, 5\nscan-singular = yes\n")
+        results[side] = []
+        for argv in runs:
+            if side == "fresh":
+                proc = subprocess.run([sys.executable, "-m", "solgeo.cli", *argv], cwd=root,
+                                      env=env, capture_output=True, text=True, timeout=120)
+                rc, out, err = proc.returncode, proc.stdout, proc.stderr
+            else:
+                monkeypatch.chdir(root)
+                rc = cli.main(argv)
+                out, err = capsys.readouterr()
+            summary = root / argv[-1] / "summary.json"
+            results[side].append((rc, out, err, summary.read_bytes() if rc == 0 else None))
+    assert [r[0] for r in results["same"]] == [2, 0, 0]
+    assert "unrecognized arguments: --nope" in results["same"][0][2]
+    assert results["same"] == results["fresh"]
+    assert cli._build_parser() is cli._build_parser()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,8 +296,9 @@ def _ruled_patch():
 
 
 def _count_geometry(monkeypatch):
-    """Count ``_patch_frame_data`` and ``SurfacePatch.geom`` calls."""
-    counts = {"frame_data": 0, "geom": 0}
+    """Count ``_patch_frame_data`` and ``SurfacePatch.geom`` calls, and the
+    nodes of each ``geom`` call."""
+    counts = {"frame_data": 0, "geom": 0, "nodes": []}
     frame_data = stability._patch_frame_data
     geom = SurfacePatch.geom
 
@@ -303,9 +306,10 @@ def _count_geometry(monkeypatch):
         counts["frame_data"] += 1
         return frame_data(*args)
 
-    def counting_geom(*args):
+    def counting_geom(patch, eps, t):
         counts["geom"] += 1
-        return geom(*args)
+        counts["nodes"].append(int(np.prod(np.broadcast_shapes(np.shape(eps), np.shape(t)))))
+        return geom(patch, eps, t)
 
     monkeypatch.setattr(stability, "_patch_frame_data", counting_frame_data)
     monkeypatch.setattr(SurfacePatch, "geom", counting_geom)
@@ -337,6 +341,9 @@ def test_ruled_q_form_keeps_one_patch(monkeypatch):
     first = q_form(sweep, u1, grid=(6, 6), delta=0.6)
     q_form(sweep, u2, grid=(6, 6), delta=0.6)
     assert counts["frame_data"] == 2  # one per grid level, for both calls
+    # per level: the first and the last eps-row of the table's nodes, then
+    # those two rows at the five probe offsets of the singular-curve limits
+    assert counts["nodes"] == [2 * 8 * 6, 2 * 5, 2 * 8 * 12, 2 * 5]
     assert q_form(sweep, u1, grid=(6, 6), delta=0.6) == first
 
 
@@ -420,6 +427,9 @@ def test_battery_builds_geometry_once_per_level(monkeypatch):
     for u in battery_test_functions(patch, 8, 3, 0.6):
         q_form(patch, u, grid=(6, 6), delta=0.6)
     assert counts["frame_data"] == 2
+    # per level: two eps-rows of 8 n_t nodes, then the same two rows at the
+    # five probe offsets of the singular-curve limits
+    assert counts["nodes"] == [2 * 8 * 6, 2 * 5, 2 * 8 * 12, 2 * 5]
 
 
 @pytest.mark.parametrize("name,params", ADAPTED[3:5])
@@ -428,12 +438,103 @@ def test_compare_shares_the_geometry_table(monkeypatch, name, params):
     patch = patch_for_catalog(name, params)
     funcs = battery_test_functions(patch, 3, 9, 0.6)
     q_form(patch, funcs[0], grid=(6, 6), delta=0.6)
-    built = dict(counts)
+    built = {**counts, "nodes": list(counts["nodes"])}
     for u in funcs:
         compare_q_forms(q_form(patch, u, grid=(6, 6), delta=0.6),
                         q_form_simplified(patch, u, grid=(6, 6), delta=0.6))
     assert built["frame_data"] == 2
     assert counts == built
+
+
+def _ruled(base, p0):
+    from solgeo.frame import CoordVector, SQRT2
+    from solgeo.stationary import HorizontalCurve, sweep_surface
+
+    if base == "exp":
+        th = 1.1  # neither an integral curve of X nor of Y
+        gamma = HorizontalCurve.from_initial_data(p0, CoordVector(
+            -math.exp(p0.z) * math.sin(th) / SQRT2, math.exp(-p0.z) * math.sin(th) / SQRT2,
+            math.cos(th)))
+    else:
+        gamma = {"x-line": HorizontalCurve.x_line, "y-line": HorizontalCurve.y_line}[base](p0)
+    return patch_from_ruled(sweep_surface(gamma, (-1.3, 0.9), (-2.5, 2.8)))
+
+
+#: every kind of patch the builders declare invariant along eps, off its
+#: default parameters
+INVARIANT = {
+    "plane-x": lambda: patch_for_catalog("plane-x", {"c": 0.4}),
+    "plane-y": lambda: patch_for_catalog("plane-y", {"c": -0.7}),
+    "plane-z": lambda: patch_for_catalog("plane-z", {"c": 0.25}),
+    "plane-ab": lambda: patch_for_catalog("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3}),
+    "plane-ab-negative": lambda: patch_for_catalog("plane-ab", {"a": -0.5, "b": -2.0, "c": -0.2}),
+    "saddle-curve": lambda: patch_for_catalog("saddle-curve", {"x0": 0.4, "y0": -0.3}),
+    "ruled-exp": lambda: _ruled("exp", Point(0.3, -0.2, 0.1)),
+    "ruled-x-line": lambda: _ruled("x-line", Point(0.4, -0.6, 0.2)),
+    "ruled-y-line": lambda: _ruled("y-line", Point(-0.5, 0.3, -0.4)),
+}
+
+
+def _close(got, want):
+    got, want = np.broadcast_arrays(got, want)
+    return bool(np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))))
+
+
+@pytest.mark.parametrize("make", list(INVARIANT.values()), ids=list(INVARIANT))
+def test_one_row_table_is_the_full_grid_table(make):
+    patch = make()
+    assert patch.eps_invariant
+    full = dataclasses.replace(patch, eps_invariant=False)
+    assert not full.eps_invariant and not full._tables
+    delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
+    weights = [stability._general_weight]
+    if patch.name in stability._SIMPLIFIED:
+        weights.append(stability._SIMPLIFIED[patch.name][0])
+    funcs = battery_test_functions(patch, 2, 31, delta)
+    for n_eps, n_t in ((5, 7), (10, 14)):
+        got = stability._level_table(patch, n_eps, n_t, delta)
+        want = stability._level_table(full, n_eps, n_t, delta)
+        for key in ("k_aa", "k_ab", "k_bb"):
+            assert getattr(got, key).shape == (8 * n_eps, 8 * n_t)
+            assert _close(getattr(got, key), getattr(want, key)), key
+        for weight in weights:
+            assert _close(got.k_pot[weight], want.k_pot[weight])
+        assert got.zero_nh is None and want.zero_nh is None
+        if patch.singular == "curve":
+            (c_got, s_got), (c_want, s_want) = (
+                stability._side_limits(p, lv, delta) for p, lv in ((patch, got), (full, want)))
+            assert c_got.shape == (8 * n_eps,) and _close(c_got, c_want)
+            assert s_got.keys() == s_want.keys()
+            assert all(_close(s_got[k], s_want[k]) for k in s_got)
+        for u in funcs:
+            for weight in weights:
+                q = stability._q_form_level(patch, u, n_eps, n_t, weight, delta)[0]
+                assert _close(q, _per_node_surface(patch, u, n_eps, n_t, weight))
+
+
+def test_saddle_point_patch_keeps_the_full_grid(monkeypatch):
+    # graph x = x0 - e^(z - z0) (y - y0) over (y, z): no left translation
+    # moves it along y onto itself
+    assert not patch_for_catalog("saddle-point", {"x0": 0.2, "z0": 0.3}).eps_invariant
+    counts = _count_geometry(monkeypatch)
+    patch = patch_for_catalog("saddle-point", {})
+    assert not patch.eps_invariant
+    for u in battery_test_functions(patch, 8, 3, 0.4):
+        q_form(patch, u, grid=(6, 6), delta=0.4)
+    assert counts["nodes"] == [64 * 6 * 6, 64 * 12 * 12]
+
+
+def test_a_wrongly_declared_invariance_raises():
+    true = patch_for_catalog("saddle-point", {})
+    patch = dataclasses.replace(true, eps_invariant=True)
+    u = battery_test_functions(true, 1, 5, 0.4)[0]
+    e0, *_, e1 = stability.gl_line(*true.eps_range, 4)[0].tolist()
+    with pytest.raises(AssertionError, match=(
+            r"^patch 'saddle-point' is not invariant along eps: \w+ at t = \S+ is \S+ at "
+            rf"eps = {re.escape(repr(e0))} but \S+ at eps = {re.escape(repr(e1))}$")):
+        q_form(patch, u, grid=(4, 4), delta=0.4)
+    assert not patch._tables  # no table, so no Q(u)
+    assert math.isfinite(q_form(true, u, grid=(4, 4), delta=0.4).total)
 
 
 def test_non_minimal_patch_raises_on_every_call():

@@ -127,6 +127,35 @@ def test_jacobi_vertical_closed_vs_fd(rng, branch):
         assert abs(value - closed) <= 1e-12 * (1.0 + abs(value))
 
 
+@pytest.mark.parametrize("branch", list(_BRANCH_BASES))
+def test_jacobi_vertical_over_arrays_is_the_per_point_calls(rng, branch):
+    s = sweep_surface(_BRANCH_BASES[branch](), (-1.2, 1.2), (-3, 3))
+    E = rng.uniform(-1.2, 1.2, (6, 5))
+    T = rng.uniform(-3.0, 3.0, (6, 5))
+    got = jacobi_vertical(s, E, T)
+    want = np.array([[jacobi_vertical(s, float(e), float(t)) for e, t in zip(er, tr)]
+                     for er, tr in zip(E, T)])
+    assert got.shape == E.shape and np.array_equal(got, want)
+    # broadcast: one eps against a row of t
+    row = jacobi_vertical(s, E[0, 0], T[0])
+    assert np.array_equal(row, [jacobi_vertical(s, float(E[0, 0]), float(t)) for t in T[0]])
+    assert type(jacobi_vertical(s, float(E[0, 0]), float(T[0, 0]))) is float
+
+
+def test_jacobi_vertical_names_the_first_bad_point(monkeypatch):
+    s = sweep_surface(HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)), (-1, 1), (-2, 2))
+    exact = RuledSurface.vertical_component
+    # off by 1e-9 relative where t > 1 only
+    monkeypatch.setattr(RuledSurface, "vertical_component", lambda self, eps, t: exact(
+        self, eps, t) * (1.0 + 1e-9 * (np.asarray(t) > 1.0)))
+    eps = np.array([0.1, 0.2, 0.3, 0.4])
+    t = np.array([0.5, 1.5, 0.7, 1.9])
+    with pytest.raises(AssertionError, match=r"disagree at \(0\.2, 1\.5\): "):
+        jacobi_vertical(s, eps, t)
+    assert np.array_equal(jacobi_vertical(s, eps, np.minimum(t, 1.0)),
+                          exact(s, eps, np.minimum(t, 1.0)))
+
+
 def test_jacobi_vertical_nonzero_off_base(rng):
     s = sweep_surface(generic_gamma(0.6), (-1, 1), (-3, 3))
     for _ in range(20):
