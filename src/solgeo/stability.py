@@ -176,7 +176,8 @@ class SurfacePatch:
 
     ``geom`` evaluates the chart once per node set and returns |N_h|
     ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H, with
-    the tangents' ``TangentFrame`` under "frame".  That geometry comes from
+    the tangents' ``TangentFrame`` under "frame" and the chart's coordinates
+    under "point".  That geometry comes from
     the defining scalar field when one exists (``surface.frame_fields``);
     otherwise ``geometry(t, z, frame, *rest)`` supplies it from the exact
     derivatives of the parametrization, ``rest`` being what the chart
@@ -194,7 +195,7 @@ class SurfacePatch:
     parameter.  Left translations are isometries, so |N_h|, <N,T>, Z,
     <nabla_S nu_h, Z>, H, the area element and the coordinates of Z against
     the tangents are functions of t alone, and the tables evaluate them on
-    one eps-row of nodes, checked against the last row (``_first_row``).
+    one eps-row of nodes, checked against the last row (``_geom_rows``).
     """
 
     name: str
@@ -216,6 +217,7 @@ class SurfacePatch:
         else:
             f = frame_fields(self.field, X, Y, Z)
         f["frame"] = tf
+        f["point"] = (X, Y, Z)
         return f
 
 
@@ -437,37 +439,62 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
     return f, tf.area_element(), alpha, beta
 
 
-#: the entries of ``SurfacePatch.geom`` that Q(u) reads; functions of t alone
-#: on a patch invariant along eps
-_ROW_KEYS = ("nh", "nt", "zx", "zy", "grad_s_nu_z", "H")
-
 #: relative tolerance of the check between the first and the last eps-row
 ROW_RTOL = 1e-12
 
+#: rounding of the chart's coordinates, in units of machine epsilon, that the
+#: row check allows for on top of ROW_RTOL
+ROW_ULPS = 4.0
 
-def _first_row(patch: SurfacePatch, e, t, values: dict) -> dict:
-    """The first of the two eps-rows ``e`` of each array in ``values``, as a
-    (1, m) row over the nodes ``t``, checked against the second row.
 
-    A finite entry that differs from its counterpart by more than
-    ROW_RTOL (1 + |v|) means the patch is not invariant along eps as it
-    declares: AssertionError.  A non-finite entry in either row passes
-    through to the result, so the caller's finiteness gate gives the verdict.
+def _geom_rows(patch: SurfacePatch, e, t) -> dict:
+    """The geometry that Q(u) reads at the nodes (e, t): |N_h| ("nh"),
+    <N,T> ("nt"), zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the
+    area element "dS", the coordinates "alpha", "beta" of Z against the
+    tangents, and the second tangent's frame components "ta", "tb", "tc".
+
+    On a patch invariant along eps only the first and the last row of the
+    column ``e`` are evaluated, and each entry is the first row, a (1, m)
+    array over ``t``, checked against the last.  Rounding the coordinates
+    of a point to doubles moves it by rho = eps_mach (|x| e^-z + |y| e^z +
+    |z|) in the frame, and Z and nu_h divide the rounding of the frame
+    gradient by |N_h|, their derivatives by |N_h|^2.  So an entry of order
+    k in 1/|N_h| may differ between the rows by (ROW_RTOL + ROW_ULPS rho)
+    (1 + |v|) / |N_h|^k, rho the larger of the two points' at that t.  A
+    finite entry that differs by more means the patch is not invariant
+    along eps as it declares: AssertionError.  A non-finite entry in either
+    row passes through to the result, so the caller's finiteness gate gives
+    the verdict.
     """
+    if patch.eps_invariant:
+        e = e[[0, -1]]
+    f, dS, alpha, beta = _patch_frame_data(patch, e, t)
+    ta, tb, tc = f["frame"].t2
+    by_order = ({"nh": f["nh"], "nt": f["nt"], "dS": dS, "ta": ta, "tb": tb, "tc": tc},
+                {"zx": f["zx"], "zy": f["zy"], "alpha": alpha, "beta": beta},
+                {"grad_s_nu_z": f["grad_s_nu_z"], "H": f["H"]})
+    g = {key: v for entries in by_order for key, v in entries.items()}
+    if not patch.eps_invariant:
+        return g
     shape = np.broadcast_shapes(np.shape(e), np.shape(t))
-    out = {}
-    for key, v in values.items():
-        first, last = np.broadcast_to(v, shape)
-        both = np.isfinite(first) & np.isfinite(last)
-        gap = np.abs(first[both] - last[both]) > ROW_RTOL * (1.0 + np.abs(first[both]))
-        if gap.any():
-            j = np.flatnonzero(both)[np.argmax(gap)]
-            (e0, e1), tj = np.ravel(e).tolist(), np.ravel(t)[j].item()
-            raise AssertionError(
-                f"patch {patch.name!r} is not invariant along eps: {key} at t = {tj!r} "
-                f"is {first[j].item()!r} at eps = {e0!r} but {last[j].item()!r} at eps = {e1!r}")
-        out[key] = np.where(np.isfinite(last), first, last)[None, :]
-    return out
+    x, y, z = (np.broadcast_to(c, shape) for c in f["point"])
+    rho = np.finfo(float).eps * (np.abs(x) * np.exp(-z) + np.abs(y) * np.exp(z) + np.abs(z))
+    rtol = ROW_RTOL + ROW_ULPS * np.max(rho, axis=0)
+    nh = np.abs(np.broadcast_to(f["nh"], shape)[0])
+    for k, entries in enumerate(by_order):
+        for key, v in entries.items():
+            first, last = np.broadcast_to(v, shape)
+            gap = np.isfinite(first) & np.isfinite(last) & (
+                np.abs(first - last) * nh ** k > rtol * (1.0 + np.abs(first)))
+            if gap.any():
+                j = int(np.argmax(gap))
+                (e0, e1), tj = np.ravel(e).tolist(), np.ravel(t)[j].item()
+                raise AssertionError(
+                    f"patch {patch.name!r} is not invariant along eps: {key} at t = {tj!r} "
+                    f"is {first[j].item()!r} at eps = {e0!r} but {last[j].item()!r} "
+                    f"at eps = {e1!r}")
+            g[key] = np.where(np.isfinite(last), first, last)[None, :]
+    return g
 
 
 # Overflowing parameters produce non-finite intermediates; the finiteness
@@ -520,14 +547,8 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         return table
     ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
-    e, t = ne_nodes[:, None], nt_nodes[None, :]
-    if patch.eps_invariant:
-        e = e[[0, -1]]
-    f, dS, alpha, beta = _patch_frame_data(patch, e, t)
-    if patch.eps_invariant:
-        f = _first_row(patch, e, t, {**{k: f[k] for k in _ROW_KEYS},
-                                     "dS": dS, "alpha": alpha, "beta": beta})
-        dS, alpha, beta = f["dS"], f["alpha"], f["beta"]
+    f = _geom_rows(patch, ne_nodes[:, None], nt_nodes[None, :])
+    dS, alpha, beta = f["dS"], f["alpha"], f["beta"]
 
     nh = f["nh"]
     nonsing = nh > 1e-3
@@ -569,13 +590,7 @@ def _side_limits(patch: SurfacePatch, table: _LevelTable, delta: float):
     # columns: t = 0, then each side (sgn) at the probe offsets delta/2, delta/4
     sgn = np.array([[1.0, 1.0, 1.0, -1.0, -1.0]])
     frac = np.array([[0.0, 0.5, 0.25, 0.5, 0.25]])
-    e, t = table.e[:, None], sgn * frac * delta
-    if patch.eps_invariant:
-        e = e[[0, -1]]
-    f = patch.geom(e, t)
-    g = dict(zip(("ta", "tb", "tc"), f["frame"].t2), nt=f["nt"], zx=f["zx"], zy=f["zy"])
-    if patch.eps_invariant:
-        g = _first_row(patch, e, t, g)
+    g = _geom_rows(patch, table.e[:, None], sgn * frac * delta)
     ta, tb, tc = g["ta"], g["tb"], g["tc"]
     norm = np.sqrt(ta * ta + tb * tb + tc * tc)
     # nu points away from the singular curve on each side

@@ -293,10 +293,11 @@ def jacobi_vertical(surface: RuledSurface, eps, t):
     closed form and return the values unchecked.
     """
     value = surface.vertical_component(eps, t)
+    result = float(value) if np.ndim(value) == 0 else value
     try:
         closed = surface.vertical_component_closed(eps, t)
     except BranchUnsupported:
-        closed = value  # nothing to check against
+        return result
     bad = np.abs(closed - value) > CLOSED_FORM_RTOL * (1.0 + np.abs(value))
     if bad.any():
         i = np.argmax(bad)
@@ -304,7 +305,7 @@ def jacobi_vertical(surface: RuledSurface, eps, t):
         raise AssertionError(
             f"closed-form and analytic vertical components disagree "
             f"at ({e}, {tt}): {closed.flat[i]} vs {value.flat[i]}")
-    return float(value) if value.ndim == 0 else value
+    return result
 
 
 def uniqueness_scan(surface) -> list:

@@ -405,14 +405,9 @@ def test_sweep_v0_sets_the_base_velocity(tmp_path, capsys):
     assert "--gamma exp" in capsys.readouterr().err
 
 
-def test_main_runs_alike_in_one_process_and_in_fresh_ones(tmp_path, capsys, monkeypatch):
+def test_main_runs_alike_on_the_cached_and_on_a_fresh_parser(tmp_path, capsys, monkeypatch):
     # the parser is built once per process; a run after a failed parse and
     # a run from a config file must not see anything a former run left
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     import solgeo.cli as cli
 
     runs = [
@@ -420,28 +415,55 @@ def test_main_runs_alike_in_one_process_and_in_fresh_ones(tmp_path, capsys, monk
         ["curve", "--alpha", "0.4", "--n", "12", "--out", "c"],
         ["sweep", "--config", "run.cfg", "--out", "s"],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
-        if p)
     results = {}
-    for side in ("fresh", "same"):
+    for side in ("fresh", "cached"):
         root = tmp_path / side
         root.mkdir()
         (root / "run.cfg").write_text("gamma = x-line\ngrid = 6, 5\nscan-singular = yes\n")
+        monkeypatch.chdir(root)
         results[side] = []
         for argv in runs:
             if side == "fresh":
-                proc = subprocess.run([sys.executable, "-m", "solgeo.cli", *argv], cwd=root,
-                                      env=env, capture_output=True, text=True, timeout=120)
-                rc, out, err = proc.returncode, proc.stdout, proc.stderr
-            else:
-                monkeypatch.chdir(root)
-                rc = cli.main(argv)
-                out, err = capsys.readouterr()
+                cli._build_parser.cache_clear()
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
             summary = root / argv[-1] / "summary.json"
             results[side].append((rc, out, err, summary.read_bytes() if rc == 0 else None))
-    assert [r[0] for r in results["same"]] == [2, 0, 0]
-    assert "unrecognized arguments: --nope" in results["same"][0][2]
-    assert results["same"] == results["fresh"]
+    assert [r[0] for r in results["cached"]] == [2, 0, 0]
+    assert "unrecognized arguments: --nope" in results["cached"][0][2]
+    assert results["cached"] == results["fresh"]
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("params", [["x0=1e6"], ["y0=-1e8", "x0=0.3"], ["z0=20"]],
+                         ids=["far-in-x", "far-in-y", "scaled-field"])
+def test_saddle_curve_one_row_tables_agree_with_the_full_grid(tmp_path, params):
+    # far from the z-axis the chart's coordinates round at 1e-10 and more;
+    # with z0 the field's gradient rounds at the level of e^-z0, which Z and
+    # H divide by |N_h| near the singular curve: the eps-rows of an
+    # invariant patch then differ by round-off, which the row check must
+    # let through
+    import dataclasses
+
+    from solgeo.stability import (battery_test_functions, patch_for_catalog, q_form,
+                                  q_form_simplified)
+
+    flags = [x for p in params for x in ("--param", p)]
+    grid = ["--battery", "3", "--n", "16", "--seed", "5"]
+    assert run(["stability", "qform", "--surface", "saddle-curve", *flags, *grid,
+                "--out", str(tmp_path / "q")]) == 0
+    assert run(["stability", "compare", "--family", "saddle_curve", *flags, *grid,
+                "--out", str(tmp_path / "c")]) == 0
+    qform = json.loads(read(tmp_path / "q" / "summary.json"))["reports"]
+    compare = json.loads(read(tmp_path / "c" / "summary.json"))["comparisons"]
+
+    patch = patch_for_catalog("saddle-curve", dict(p.split("=") for p in params))
+    assert patch.eps_invariant
+    full = dataclasses.replace(patch, eps_invariant=False)
+    delta = 0.1 * (full.t_range[1] - full.t_range[0])
+    for i, u in enumerate(battery_test_functions(full, 3, 5, delta)):
+        general = q_form(full, u, grid=(16, 16), delta=delta)
+        simple = q_form_simplified(full, u, grid=(16, 16), delta=delta)
+        for got, want in ((qform[i], general), (compare[i]["general"], general),
+                          (compare[i]["simplified"], simple)):
+            assert abs(got["total"] - want.total) <= want.error_estimate

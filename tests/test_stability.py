@@ -340,7 +340,8 @@ def test_ruled_q_form_keeps_one_patch(monkeypatch):
     u1, u2 = battery_test_functions(patch_from_ruled(sweep), 2, 4, 0.6)
     first = q_form(sweep, u1, grid=(6, 6), delta=0.6)
     q_form(sweep, u2, grid=(6, 6), delta=0.6)
-    assert counts["frame_data"] == 2  # one per grid level, for both calls
+    # per grid level, for both calls: the table, then the singular-curve limits
+    assert counts["frame_data"] == 4
     # per level: the first and the last eps-row of the table's nodes, then
     # those two rows at the five probe offsets of the singular-curve limits
     assert counts["nodes"] == [2 * 8 * 6, 2 * 5, 2 * 8 * 12, 2 * 5]
@@ -426,7 +427,7 @@ def test_battery_builds_geometry_once_per_level(monkeypatch):
     patch = patch_for_catalog("saddle-curve", {})
     for u in battery_test_functions(patch, 8, 3, 0.6):
         q_form(patch, u, grid=(6, 6), delta=0.6)
-    assert counts["frame_data"] == 2
+    assert counts["frame_data"] == 4  # the table and the side limits, per level
     # per level: two eps-rows of 8 n_t nodes, then the same two rows at the
     # five probe offsets of the singular-curve limits
     assert counts["nodes"] == [2 * 8 * 6, 2 * 5, 2 * 8 * 12, 2 * 5]
@@ -442,7 +443,7 @@ def test_compare_shares_the_geometry_table(monkeypatch, name, params):
     for u in funcs:
         compare_q_forms(q_form(patch, u, grid=(6, 6), delta=0.6),
                         q_form_simplified(patch, u, grid=(6, 6), delta=0.6))
-    assert built["frame_data"] == 2
+    assert built["frame_data"] == 4  # the table and the side limits, per level
     assert counts == built
 
 
