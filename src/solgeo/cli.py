@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import BadParams, ExprSyntaxError, GeometryError
 from .expressions import CATALOG_NAMES, catalog, parse as parse_field
-from .exporters import json_dumps, write_csv, write_json, write_obj
+from .exporters import write_csv, write_json, write_obj
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 from .stationary import HorizontalCurve, orthogonality_check, singular_loci, sweep_surface
 # bench/spans.py rebinds solgeo.cli.uniqueness_scan, so it stays imported here
@@ -212,8 +212,7 @@ def cmd_residual(cfg: RunConfig) -> int:
     }
     summary["minimal_flag"] = bool(
         band.any() and summary["max_abs_normalized_residual_on_surface"] < 1e-9)
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-    sys.stdout.write(json_dumps(summary))
+    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
     return 0
 
 
@@ -266,8 +265,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             ref, _ = eval_curve(curve, p.t)
             devs.append(float(np.max(np.abs(p.points - ref))))
         summary["oracle_sup_deviation"] = max(devs) if devs else 0.0
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-    sys.stdout.write(json_dumps(summary))
+    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
     return 0
 
 
@@ -336,8 +334,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     }
     if o.get("scan_singular"):
         summary["singular_loci"] = singular_loci(tg, vt)
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-    sys.stdout.write(json_dumps(summary))
+    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
     return 0
 
 
@@ -414,8 +411,7 @@ def cmd_stability(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown stability mode {mode!r}")
 
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-    sys.stdout.write(json_dumps(summary))
+    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
     return 0
 
 

@@ -69,12 +69,11 @@ def _jsonable(obj):
     return obj
 
 
-def json_dumps(summary: dict) -> str:
-    return json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
-
-
-def write_json(path, summary: dict) -> None:
+def write_json(path, summary: dict) -> str:
+    """Write ``summary`` to ``path`` and return the text written."""
+    text = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json_dumps(summary))
+        fh.write(text)
+    return text

@@ -124,8 +124,11 @@ def frame_components(z, dx, dy, dz):
 
     a = dz, b = (dy e^z - dx e^-z)/sqrt2, c = (dy e^z + dx e^-z)/sqrt2.
     """
-    ez = np.exp(z)
-    emz = np.exp(-z)
+    return _in_frame(np.exp(z), np.exp(-z), dx, dy, dz)
+
+
+def _in_frame(ez, emz, dx, dy, dz):
+    """``frame_components`` with e^z and e^-z given."""
     a = np.asarray(dz, dtype=float)
     b = (dy * ez - dx * emz) / SQRT2
     c = (dy * ez + dx * emz) / SQRT2
@@ -151,14 +154,15 @@ class TangentFrame:
 
     ``t1`` and ``t2`` are the (a, b, c) frame components of the tangents at
     height ``z``, one array per component; scalar tangent components
-    broadcast against ``z``.  ``normal_components`` is their metric cross
-    product and ``solve`` the first-fundamental-form solve against them,
-    both component by component.
+    broadcast against ``z``; e^z and e^-z are taken once for both.
+    ``normal_components`` is their metric cross product and ``solve`` the
+    first-fundamental-form solve against them, both component by component.
     """
 
     def __init__(self, z, t1, t2):
-        self.t1 = frame_components(z, *t1)
-        self.t2 = frame_components(z, *t2)
+        ez, emz = np.exp(z), np.exp(-z)
+        self.t1 = _in_frame(ez, emz, *t1)
+        self.t2 = _in_frame(ez, emz, *t2)
 
     @cached_property
     def normal_components(self) -> tuple:

@@ -79,25 +79,22 @@ class Bump:
         if not (0.0 <= self.plateau < self.width):
             raise BadParams(f"bump needs 0 <= plateau < width, got {self!r}")
 
+    def _edge(self, r):
+        """r - center, and the position s on the falling edge, clipped to
+        [0, 1]: 0 on the plateau, 1 outside the width."""
+        d = np.asarray(r, dtype=float) - self.center
+        s = np.clip((np.abs(d) - self.plateau) / (self.width - self.plateau), 0.0, 1.0)
+        return d, s
+
     def __call__(self, r):
-        a = np.abs(np.asarray(r, dtype=float) - self.center)
-        out = np.zeros_like(a)
-        out[a <= self.plateau] = 1.0
-        mid = (a > self.plateau) & (a < self.width)
-        s = (a[mid] - self.plateau) / (self.width - self.plateau)
+        _, s = self._edge(r)
         # cancellation near s = 1 can undershoot zero by an ulp
-        out[mid] = np.clip(_smooth_edge(s), 0.0, 1.0)
-        return out
+        return np.clip(_smooth_edge(s), 0.0, 1.0)
 
     def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        a = np.abs(r - self.center)
-        out = np.zeros_like(a)
-        mid = (a > self.plateau) & (a < self.width)
-        s = (a[mid] - self.plateau) / (self.width - self.plateau)
-        out[mid] = (_smooth_edge_deriv(s) / (self.width - self.plateau)
-                    * np.sign(r[mid] - self.center))
-        return out
+        d, s = self._edge(r)
+        # + 0.0 turns the -0.0 at both ends of the edge into 0.0
+        return _smooth_edge_deriv(s) / (self.width - self.plateau) * np.sign(d) + 0.0
 
     def support(self):
         return self.center - self.width, self.center + self.width
@@ -117,7 +114,7 @@ class TestFunction:
 
     def factors(self, eps, t):
         """(phi, phi', psi, psi') on the 1-D nodes ``eps`` and ``t``; Q(u)
-        reads u only through these."""
+        reads u only through these, and psi(0) on a singular curve."""
         return self.phi(eps), self.phi.deriv(eps), self.psi(t), self.psi.deriv(t)
 
 
@@ -443,15 +440,17 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
 ROW_RTOL = 1e-12
 
 #: rounding of the chart's coordinates, in units of machine epsilon, that the
-#: row check allows for on top of ROW_RTOL
+#: row check allows for on top of ROW_RTOL, and that Q(u)'s error estimate
+#: adds per grid level
 ROW_ULPS = 4.0
 
 
-def _geom_rows(patch: SurfacePatch, e, t) -> dict:
-    """The geometry that Q(u) reads at the nodes (e, t): |N_h| ("nh"),
-    <N,T> ("nt"), zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the
-    area element "dS", the coordinates "alpha", "beta" of Z against the
-    tangents, and the second tangent's frame components "ta", "tb", "tc".
+def _geom_rows(patch: SurfacePatch, e, t):
+    """The geometry that Q(u) reads at the nodes (e, t), and the largest
+    rho over them (see below).  The geometry is |N_h| ("nh"), <N,T> ("nt"),
+    zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the area element
+    "dS", the coordinates "alpha", "beta" of Z against the tangents, and
+    the second tangent's frame components "ta", "tb", "tc".
 
     On a patch invariant along eps only the first and the last row of the
     column ``e`` are evaluated, and each entry is the first row, a (1, m)
@@ -474,11 +473,13 @@ def _geom_rows(patch: SurfacePatch, e, t) -> dict:
                 {"zx": f["zx"], "zy": f["zy"], "alpha": alpha, "beta": beta},
                 {"grad_s_nu_z": f["grad_s_nu_z"], "H": f["H"]})
     g = {key: v for entries in by_order for key, v in entries.items()}
-    if not patch.eps_invariant:
-        return g
     shape = np.broadcast_shapes(np.shape(e), np.shape(t))
-    x, y, z = (np.broadcast_to(c, shape) for c in f["point"])
-    rho = np.finfo(float).eps * (np.abs(x) * np.exp(-z) + np.abs(y) * np.exp(z) + np.abs(z))
+    x, y, z = f["point"]
+    rho = np.broadcast_to(np.finfo(float).eps * (
+        np.abs(x) * np.exp(-z) + np.abs(y) * np.exp(z) + np.abs(z)), shape)
+    rho_max = float(np.max(rho))
+    if not patch.eps_invariant:
+        return g, rho_max
     rtol = ROW_RTOL + ROW_ULPS * np.max(rho, axis=0)
     nh = np.abs(np.broadcast_to(f["nh"], shape)[0])
     for k, entries in enumerate(by_order):
@@ -494,7 +495,7 @@ def _geom_rows(patch: SurfacePatch, e, t) -> dict:
                     f"is {first[j].item()!r} at eps = {e0!r} but {last[j].item()!r} "
                     f"at eps = {e1!r}")
             g[key] = np.where(np.isfinite(last), first, last)[None, :]
-    return g
+    return g, rho_max
 
 
 # Overflowing parameters produce non-finite intermediates; the finiteness
@@ -506,39 +507,49 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 class _LevelTable:
     """Q(u) at one grid level as a bilinear form in the factors of u.
 
-    With w = dS W the quadrature weight on the (n, m) grid of the 1-D nodes
-    ``e`` and ``t``, and Z = alpha dF/deps + beta dF/dt, the surface part of
+    With W_e the eps-weights ``ew``, w = dS W_t the weight along a row of
+    t nodes and Z = alpha dF/deps + beta dF/dt, the surface part of
     Q(phi(eps) psi(t)) is
 
-        phi'^2 . K_aa psi^2 + (phi phi') . K_ab (psi psi')
-          + phi^2 . (K_bb psi'^2 + K_pot psi^2)
+        (phi'^2 W_e) . K_aa psi^2 + (phi phi' W_e) . K_ab (psi psi')
+          + (phi^2 W_e) . (K_bb psi'^2 + K_pot psi^2)
 
     with K_aa = alpha^2 w/|N_h|, K_ab = 2 alpha beta w/|N_h|,
     K_bb = beta^2 w/|N_h| and K_pot = pot w for each potential weight.
-    Nodes where |N_h| = 0 hold 0 in K_aa, K_ab and K_bb; their Z(u)^2/|N_h|
-    term is kept aside in ``zero_nh`` and is finite only where Z(u) = 0.
-    On a patch with a singular curve the curve runs along the eps nodes
-    with weights ``bw``; the u^2 coefficient of its integral is computed on
-    first use.
+    The K arrays have a row per eps node, or one row on a patch invariant
+    along eps; a row's phi products are summed over the eps nodes it
+    stands for.  Nodes where |N_h| = 0 hold 0 in K_aa, K_ab and K_bb;
+    their Z(u)^2/|N_h| term is kept aside in ``zero_nh``, per eps node,
+    and is finite only where Z(u) = 0.  On a patch with a singular curve
+    the curve runs along the eps nodes with weights W_e.
     """
 
     e: np.ndarray
     t: np.ndarray
+    ew: np.ndarray
     k_aa: np.ndarray
     k_ab: np.ndarray
     k_bb: np.ndarray
     k_pot: dict                    # potential weight -> K_pot
-    zero_nh: tuple | None          # (i, j, alpha, beta, nh, w) where |N_h| = 0
-    bw: np.ndarray | None = None
-    sides: tuple | None = None     # (coefficient, report extras)
+    zero_nh: tuple | None          # (i, j, alpha, beta, nh, w W_e) where |N_h| = 0
+    rho: float                     # largest coordinate rounding (``_geom_rows``)
+    sides: tuple | None = None     # (coefficient, report extras) on a singular curve
+
+
+#: singular-curve probe columns: t = 0, then each side (sign) at the offsets
+#: delta/2 and delta/4
+_PROBE_SIDE = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
+_PROBE_FRAC = np.array([0.0, 0.5, 0.25, 0.5, 0.25])
 
 
 def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _LevelTable:
     """The patch's table at one grid level, built on first use.
 
-    On a patch invariant along eps the geometry is evaluated at the first
-    and the last eps node only, and the first row stands for every row.
-    A patch that fails the minimality gate stores nothing, so every call
+    One ``_geom_rows`` call evaluates the geometry: on a patch invariant
+    along eps at the first and the last eps node only, the first row
+    standing for every row.  On a patch with a singular curve the t-nodes
+    of that call end in the five probe columns of ``_side_limits``.  A
+    patch that fails the minimality gate stores nothing, so every call
     raises NotMinimal.
     """
     key = (n_eps, n_t, delta)
@@ -547,8 +558,14 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         return table
     ne_nodes, ne_w = gl_line(*patch.eps_range, n_eps)
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
-    f = _geom_rows(patch, ne_nodes[:, None], nt_nodes[None, :])
-    dS, alpha, beta = f["dS"], f["alpha"], f["beta"]
+    t = nt_nodes
+    if patch.singular == "curve":
+        t = np.concatenate((nt_nodes, _PROBE_SIDE * _PROBE_FRAC * delta))
+    g, rho = _geom_rows(patch, ne_nodes[:, None], t[None, :])
+    rows = 1 if patch.eps_invariant else ne_nodes.size
+    g = {k: np.broadcast_to(v, (rows, t.size)) for k, v in g.items()}
+    m = nt_nodes.size
+    f = {k: v[:, :m] for k, v in g.items()}
 
     nh = f["nh"]
     nonsing = nh > 1e-3
@@ -556,7 +573,8 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
     if h_max > MINIMALITY_TOL:
         raise NotMinimal(f"patch is not minimal: max |H| = {h_max:.3e}")
 
-    w = dS * np.outer(ne_w, nt_w)
+    alpha, beta = f["alpha"], f["beta"]
+    w = f["dS"] * nt_w
     zero = nh == 0.0
     w_nh = np.where(zero, 0.0, w / nh)
     a_w = alpha * w_nh
@@ -565,53 +583,49 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         weights.append(_SIMPLIFIED[patch.name][0])
     zero_nh = None
     if zero.any():
-        i, j = np.nonzero(np.broadcast_to(zero, w.shape))
-        zero_nh = (i, j, *(np.broadcast_to(a, w.shape)[i, j] for a in (alpha, beta, nh, w)))
-    table = _LevelTable(ne_nodes, nt_nodes, alpha * a_w, 2.0 * beta * a_w,
-                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh)
+        grid = (ne_nodes.size, m)
+        i, j = np.nonzero(np.broadcast_to(zero, grid))
+        zero_nh = (i, j, *(np.broadcast_to(a, grid)[i, j] for a in (alpha, beta, nh)),
+                   np.broadcast_to(w, grid)[i, j] * ne_w[i])
+    table = _LevelTable(ne_nodes, nt_nodes, ne_w, alpha * a_w, 2.0 * beta * a_w,
+                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh, rho)
     if patch.singular == "curve":
-        # the singular curve is t = 0, with length element 1 by construction
-        table.bw = ne_w
+        table.sides = _side_limits({k: v[:, m:] for k, v in g.items()}, ne_nodes.size)
     patch._tables[key] = table
     return table
 
 
-def _side_limits(patch: SurfacePatch, table: _LevelTable, delta: float):
-    """4 <N,T> <Z,Y>^2 <Z,nu> at the singular-curve nodes, with its report.
+def _side_limits(g: dict, n_eps: int):
+    """4 <N,T> <Z,Y>^2 <Z,nu> at the ``n_eps`` singular-curve nodes, with
+    its report, from the geometry ``g`` at the probe columns (t = 0, then
+    +-delta/2 and +-delta/4, see ``_PROBE_SIDE``): one row per node, or a
+    single row that stands for every node.
 
     <N,T> is smooth across the singular curve: take it at t = 0.
-    <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at two probe
-    offsets and extrapolate linearly to t -> 0.  On a patch invariant along
-    eps the probes run on the first and the last node of the curve, and the
-    first stands for every node.
+    <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at the two
+    probe offsets and extrapolate linearly to t -> 0.
     """
-    if table.sides is not None:
-        return table.sides
-    # columns: t = 0, then each side (sgn) at the probe offsets delta/2, delta/4
-    sgn = np.array([[1.0, 1.0, 1.0, -1.0, -1.0]])
-    frac = np.array([[0.0, 0.5, 0.25, 0.5, 0.25]])
-    g = _geom_rows(patch, table.e[:, None], sgn * frac * delta)
     ta, tb, tc = g["ta"], g["tb"], g["tc"]
     norm = np.sqrt(ta * ta + tb * tb + tc * tc)
     # nu points away from the singular curve on each side
-    zdotnu = g["zx"] * (sgn * (ta / norm)) + g["zy"] * (sgn * (tb / norm))
+    zdotnu = g["zx"] * (_PROBE_SIDE * (ta / norm)) + g["zy"] * (_PROBE_SIDE * (tb / norm))
     q = g["zy"] ** 2 * zdotnu
     nt0 = g["nt"][:, 0]
-    p_plus = np.broadcast_to(nt0 * (2.0 * q[:, 2] - q[:, 1]), table.e.shape)
-    p_minus = np.broadcast_to(nt0 * (2.0 * q[:, 4] - q[:, 3]), table.e.shape)
+    p_plus = np.broadcast_to(nt0 * (2.0 * q[:, 2] - q[:, 1]), (n_eps,))
+    p_minus = np.broadcast_to(nt0 * (2.0 * q[:, 4] - q[:, 3]), (n_eps,))
     sides = {
         "boundary_product_plus": float(np.mean(p_plus)),
         "boundary_product_minus": float(np.mean(p_minus)),
         "boundary_sides_max_gap": float(np.max(np.abs(p_plus - p_minus))),
     }
-    table.sides = (4.0 * p_plus, sides)
-    return table.sides
+    return 4.0 * p_plus, sides
 
 
 @_quiet
 def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
                   weight_fn, delta: float, boundary_const: float | None = None):
-    """Surface and singular-curve parts of Q(u) at one grid level.
+    """Surface and singular-curve parts of Q(u) at one grid level, their
+    report extras, and the level's rho.
 
     The u^2 coefficient of the singular-curve integral is
     4 <N,T> <Z,Y>^2 <Z,nu> from the patch geometry, or ``boundary_const``
@@ -619,9 +633,16 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
     """
     lv = _level_table(patch, n_eps, n_t, delta)
     phi, dphi, psi, dpsi = u.factors(lv.e, lv.t)
+    rows = len(lv.k_aa)
+
+    def fold(v):
+        """Sum of v W_e over the eps nodes of each table row."""
+        return (v * lv.ew).reshape(rows, -1).sum(axis=1)
+
     psi2 = psi * psi
-    surface = float(dphi * dphi @ (lv.k_aa @ psi2) + dphi * phi @ (lv.k_ab @ (psi * dpsi))
-                    + phi * phi @ (lv.k_bb @ (dpsi * dpsi) + lv.k_pot[weight_fn] @ psi2))
+    surface = float(fold(dphi * dphi) @ (lv.k_aa @ psi2)
+                    + fold(dphi * phi) @ (lv.k_ab @ (psi * dpsi))
+                    + fold(phi * phi) @ (lv.k_bb @ (dpsi * dpsi) + lv.k_pot[weight_fn] @ psi2))
     if lv.zero_nh is not None:
         i, j, alpha, beta, nh, w = lv.zero_nh
         Zu = alpha * (dphi[i] * psi[j]) + beta * (phi[i] * dpsi[j])
@@ -630,16 +651,16 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
     b_tau = 0.0
     b_s = 0.0
     sides = {}
-    if lv.bw is not None:
-        _, _, psi0, _ = u.factors(lv.e, np.zeros(1))
+    if lv.sides is not None:
+        psi0 = u.psi(np.zeros(1))
         u0 = phi * psi0
         du0 = dphi * psi0
-        b_s = float(np.sum(du0 * du0 * lv.bw))
+        b_s = float(np.sum(du0 * du0 * lv.ew))
         coeff = boundary_const
         if coeff is None:
-            coeff, sides = _side_limits(patch, lv, delta)
-        b_tau = float(np.sum(coeff * u0 * u0 * lv.bw))
-    return surface, b_tau, b_s, sides
+            coeff, sides = lv.sides
+        b_tau = float(np.sum(coeff * u0 * u0 * lv.ew))
+    return surface, b_tau, b_s, sides, lv.rho
 
 
 def _general_weight(f):
@@ -714,7 +735,9 @@ def q_form_simplified(patch: SurfacePatch, u: TestFunction, grid=(24, 24),
 
 
 def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureReport:
-    """Q(u) at grid and twice the grid; their difference is the error estimate."""
+    """Q(u) at grid and twice the grid.  The error estimate is their
+    difference plus ROW_ULPS rho |Q| per level: the geometry's rounding,
+    rho the largest coordinate rounding of the level's nodes."""
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
@@ -725,7 +748,9 @@ def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureR
     parts_hi = np.array(hi[:3])
     if not np.all(np.isfinite(parts_lo) & np.isfinite(parts_hi)):
         raise GeometryError(f"Q(u) is not finite: parts {parts_hi.tolist()}")
-    err = float(np.sum(np.abs(parts_hi - parts_lo)))
+    # the gap between the levels, plus each level's geometry round-off
+    err = float(np.sum(np.abs(parts_hi - parts_lo))
+                + ROW_ULPS * (lo[4] * np.sum(np.abs(parts_lo)) + hi[4] * np.sum(np.abs(parts_hi))))
     extras = dict(hi[3])
     extras["delta"] = delta
     return QuadratureReport(

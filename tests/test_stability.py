@@ -68,6 +68,34 @@ def test_bump_bounds(center, plateau, width):
     assert np.all(vals[(rs < lo) | (rs > hi)] == 0.0)
 
 
+def _masked_bump(b, r):
+    """Bump value and derivative by masks over the three pieces, the form
+    the clipped edge coordinate replaced; a zero derivative is +0.0."""
+    a = np.abs(r - b.center)
+    val, der = np.zeros_like(a), np.zeros_like(a)
+    val[a <= b.plateau] = 1.0
+    mid = (a > b.plateau) & (a < b.width)
+    s = (a[mid] - b.plateau) / (b.width - b.plateau)
+    val[mid] = np.clip(stability._smooth_edge(s), 0.0, 1.0)
+    der[mid] = (stability._smooth_edge_deriv(s) / (b.width - b.plateau)
+                * np.sign(r[mid] - b.center))
+    return val, der + 0.0
+
+
+@pytest.mark.parametrize("center,plateau,width", [
+    (0.0, 0.5, 1.5), (0.3, 0.4, 1.1), (-1.7, 0.0, 0.35), (2.25, 0.1, 0.1000001),
+    (-0.61, 0.3333, 0.9)])
+def test_bump_is_the_masked_bump_bit_for_bit(center, plateau, width):
+    b = Bump(center, plateau, width)
+    edges = [center + k * x for k in (-1.0, 1.0) for x in (plateau, width)] + [center]
+    near = [np.nextafter(x, d) for x in edges for d in (-np.inf, np.inf)]
+    r = np.concatenate([np.linspace(center - 1.5 * width, center + 1.5 * width, 4001),
+                        edges, near])
+    val, der = _masked_bump(b, r)
+    assert b(r).tobytes() == val.tobytes()
+    assert b.deriv(r).tobytes() == der.tobytes()
+
+
 def test_bump_validation():
     with pytest.raises(BadParams):
         Bump(0.0, 1.0, 0.5)
@@ -340,11 +368,11 @@ def test_ruled_q_form_keeps_one_patch(monkeypatch):
     u1, u2 = battery_test_functions(patch_from_ruled(sweep), 2, 4, 0.6)
     first = q_form(sweep, u1, grid=(6, 6), delta=0.6)
     q_form(sweep, u2, grid=(6, 6), delta=0.6)
-    # per grid level, for both calls: the table, then the singular-curve limits
-    assert counts["frame_data"] == 4
-    # per level: the first and the last eps-row of the table's nodes, then
-    # those two rows at the five probe offsets of the singular-curve limits
-    assert counts["nodes"] == [2 * 8 * 6, 2 * 5, 2 * 8 * 12, 2 * 5]
+    # one geometry call per grid level, for both calls: the first and the
+    # last eps-row of the table's t-nodes and the five probe columns of the
+    # singular-curve limits
+    assert counts["frame_data"] == 2
+    assert counts["nodes"] == [2 * (8 * 6 + 5), 2 * (8 * 12 + 5)]
     assert q_form(sweep, u1, grid=(6, 6), delta=0.6) == first
 
 
@@ -382,9 +410,11 @@ def test_bilinear_form_matches_per_node_sum(make):
                 assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (n_eps, weight)
 
 
-def _patch_with_zero_nh():
+def _patch_with_zero_nh(column=False):
     """A flat chart whose geometry has |N_h| = 0 at the first node of every
-    grid it is evaluated on, and Z = Y elsewhere."""
+    grid it is evaluated on, and Z = Y elsewhere.  With ``column`` it is
+    declared invariant along eps and |N_h| = 0 on the whole first
+    t-column."""
     def chart(e, t):
         e, t = np.broadcast_arrays(np.asarray(e, float), np.asarray(t, float))
         zero, one = np.zeros_like(e), np.ones_like(e)
@@ -393,13 +423,13 @@ def _patch_with_zero_nh():
     def geometry(t, z, frame):
         shape = np.shape(z)
         nh = np.ones(shape)
-        nh[(0,) * len(shape)] = 0.0
+        nh[(..., 0) if column else (0,) * len(shape)] = 0.0
         zero = np.zeros(shape)
         return {"nh": nh, "nt": zero, "zx": zero, "zy": zero + 1.0,
                 "grad_s_nu_z": zero, "H": zero}
 
     return SurfacePatch("zero-nh", None, (-1.0, 1.0), (-1.0, 1.0), chart,
-                        geometry=geometry)
+                        geometry=geometry, eps_invariant=column)
 
 
 def test_zero_nh_node_is_finite_where_z_u_vanishes():
@@ -422,15 +452,34 @@ def test_zero_nh_node_is_not_finite_where_z_u_does_not_vanish():
         q_form(patch, u, grid=(4, 4))
 
 
+def test_zero_nh_column_stands_for_every_eps_node():
+    patch = _patch_with_zero_nh(column=True)
+    full = dataclasses.replace(patch, eps_invariant=False)
+    # psi vanishes near t = -1, so Z(u) = 0 on the first t-column
+    u = TestFunction(Bump(0.0, 0.2, 0.6), Bump(0.1, 0.2, 0.7))
+    for n in (4, 8):
+        got = stability._q_form_level(patch, u, n, n, stability._general_weight, 0.2)[0]
+        want = stability._q_form_level(full, u, n, n, stability._general_weight, 0.2)[0]
+        assert _close(got, want) and got > 0.0
+        assert _close(got, _per_node_surface(full, u, n, n, stability._general_weight))
+        assert len(stability._level_table(patch, n, n, 0.2).zero_nh[0]) == 8 * n
+    # psi is 1 on the first t-column, and phi' != 0 at some eps node there,
+    # though not at the first one
+    u = TestFunction(Bump(0.0, 0.1, 0.9), Bump(0.0, 0.992, 0.998))
+    for p in (patch, full):
+        with pytest.raises(GeometryError, match="not finite"):
+            q_form(p, u, grid=(4, 4))
+
+
 def test_battery_builds_geometry_once_per_level(monkeypatch):
     counts = _count_geometry(monkeypatch)
     patch = patch_for_catalog("saddle-curve", {})
     for u in battery_test_functions(patch, 8, 3, 0.6):
         q_form(patch, u, grid=(6, 6), delta=0.6)
-    assert counts["frame_data"] == 4  # the table and the side limits, per level
-    # per level: two eps-rows of 8 n_t nodes, then the same two rows at the
-    # five probe offsets of the singular-curve limits
-    assert counts["nodes"] == [2 * 8 * 6, 2 * 5, 2 * 8 * 12, 2 * 5]
+    assert counts["frame_data"] == 2  # one geometry call per level
+    # per level: two eps-rows of 8 n_t nodes and the five probe columns of
+    # the singular-curve limits
+    assert counts["nodes"] == [2 * (8 * 6 + 5), 2 * (8 * 12 + 5)]
 
 
 @pytest.mark.parametrize("name,params", ADAPTED[3:5])
@@ -443,7 +492,8 @@ def test_compare_shares_the_geometry_table(monkeypatch, name, params):
     for u in funcs:
         compare_q_forms(q_form(patch, u, grid=(6, 6), delta=0.6),
                         q_form_simplified(patch, u, grid=(6, 6), delta=0.6))
-    assert built["frame_data"] == 4  # the table and the side limits, per level
+    assert built["frame_data"] == 2  # one geometry call per level
+    assert built["nodes"] == [2 * (8 * 6 + 5), 2 * (8 * 12 + 5)]
     assert counts == built
 
 
@@ -495,15 +545,17 @@ def test_one_row_table_is_the_full_grid_table(make):
     for n_eps, n_t in ((5, 7), (10, 14)):
         got = stability._level_table(patch, n_eps, n_t, delta)
         want = stability._level_table(full, n_eps, n_t, delta)
+        # the one row equals every row of the full grid
         for key in ("k_aa", "k_ab", "k_bb"):
-            assert getattr(got, key).shape == (8 * n_eps, 8 * n_t)
+            assert getattr(got, key).shape == (1, 8 * n_t)
+            assert getattr(want, key).shape == (8 * n_eps, 8 * n_t)
             assert _close(getattr(got, key), getattr(want, key)), key
         for weight in weights:
+            assert got.k_pot[weight].shape == (1, 8 * n_t)
             assert _close(got.k_pot[weight], want.k_pot[weight])
         assert got.zero_nh is None and want.zero_nh is None
         if patch.singular == "curve":
-            (c_got, s_got), (c_want, s_want) = (
-                stability._side_limits(p, lv, delta) for p, lv in ((patch, got), (full, want)))
+            (c_got, s_got), (c_want, s_want) = got.sides, want.sides
             assert c_got.shape == (8 * n_eps,) and _close(c_got, c_want)
             assert s_got.keys() == s_want.keys()
             assert all(_close(s_got[k], s_want[k]) for k in s_got)
@@ -511,6 +563,19 @@ def test_one_row_table_is_the_full_grid_table(make):
             for weight in weights:
                 q = stability._q_form_level(patch, u, n_eps, n_t, weight, delta)[0]
                 assert _close(q, _per_node_surface(patch, u, n_eps, n_t, weight))
+
+
+@pytest.mark.parametrize("x0", [-1e8, 1e6, -1e12])
+def test_error_estimate_covers_the_geometry_round_off(x0):
+    # the one-row and the full-grid tables round the chart's coordinates at
+    # different nodes; at x0 = -1e12 the two totals differ by more than the
+    # gap between the grid levels
+    patch = patch_for_catalog("saddle-curve", {"x0": x0})
+    full = dataclasses.replace(patch, eps_invariant=False)
+    delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
+    for u in battery_test_functions(patch, 3, 7, delta):
+        got, want = (q_form(p, u, grid=(16, 16), delta=delta) for p in (patch, full))
+        assert abs(got.total - want.total) <= min(got.error_estimate, want.error_estimate)
 
 
 def test_saddle_point_patch_keeps_the_full_grid(monkeypatch):
