@@ -189,6 +189,10 @@ def cmd_residual(cfg: RunConfig) -> int:
     # magnitude resolves against D^3 (away from the singular set)
     noise = 16.0 * np.finfo(float).eps * f["residual_scale"]
     band = on_surface & nonsing & (noise < 0.25e-9 * f["normalized_residual_den"])
+    if not band.any():
+        raise GeometryError(
+            f"the on-surface band is empty: no grid point has |u|/|grad u| < {o['band']:g} "
+            f"with a checkable normalized residual")
 
     rows = zip(X.ravel(), Y.ravel(), Z.ravel(),
                f["nh"].ravel(), f["H"].ravel(),
@@ -201,8 +205,7 @@ def cmd_residual(cfg: RunConfig) -> int:
     summary = {
         "config": cfg.as_dict(),
         "max_abs_residual": float(np.max(np.abs(f["residual_coord"]))),
-        "max_abs_normalized_residual_on_surface":
-            float(np.max(np.abs(normalized[band]))) if band.any() else None,
+        "max_abs_normalized_residual_on_surface": float(np.max(np.abs(normalized[band]))),
         "on_surface_points": int(np.sum(band)),
         "singular_loci": [
             [float(X[tuple(i)]), float(Y[tuple(i)]), float(Z[tuple(i)])]
@@ -210,8 +213,7 @@ def cmd_residual(cfg: RunConfig) -> int:
         ],
         "singular_count": int(len(singular_pts)),
     }
-    summary["minimal_flag"] = bool(
-        band.any() and summary["max_abs_normalized_residual_on_surface"] < 1e-9)
+    summary["minimal_flag"] = bool(summary["max_abs_normalized_residual_on_surface"] < 1e-9)
     sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
     return 0
 

@@ -173,12 +173,11 @@ class SurfacePatch:
 
     ``geom`` evaluates the chart once per node set and returns |N_h|
     ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H, with
-    the tangents' ``TangentFrame`` under "frame" and the chart's coordinates
-    under "point".  That geometry comes from
-    the defining scalar field when one exists (``surface.frame_fields``);
-    otherwise ``geometry(t, z, frame, *rest)`` supplies it from the exact
-    derivatives of the parametrization, ``rest`` being what the chart
-    returned after the tangents (see ``patch_from_ruled``).
+    the tangents' ``TangentFrame`` under "frame".  ``geometry(t, z, frame,
+    *rest)`` supplies that geometry from the exact derivatives of the
+    parametrization, ``rest`` being what the chart returned after the
+    tangents (every sweep, see ``patch_from_ruled``); without it the
+    geometry comes from the defining scalar field (``surface.frame_fields``).
 
     Q(u) is tabulated as a bilinear form at the quadrature nodes on first
     use, once per (n_eps, n_t, delta), and lives as long as the patch.
@@ -214,7 +213,6 @@ class SurfacePatch:
         else:
             f = frame_fields(self.field, X, Y, Z)
         f["frame"] = tf
-        f["point"] = (X, Y, Z)
         return f
 
 
@@ -283,13 +281,13 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
         base = HorizontalCurve.y_line(Point(-c * a / (a * a + b * b),
                                             -c * b / (a * a + b * b),
                                             plane_ab_singular_line_z(a, b)))
-        return _sweep_patch(name, fld, sweep_surface(base, (-3.0, 3.0), (-3.0, 3.0)))
+        return patch_from_ruled(sweep_surface(base, (-3.0, 3.0), (-3.0, 3.0)), name, fld)
 
     if name == "saddle-curve":
         # base curve: the vertical line (x0, y0, eps); rulings: Y-lines
         base = HorizontalCurve.x_line(Point(float(params.get("x0", 0.0)),
                                             float(params.get("y0", 0.0)), 0.0))
-        return _sweep_patch(name, fld, sweep_surface(base, (-2.0, 2.0), (-3.0, 3.0)))
+        return patch_from_ruled(sweep_surface(base, (-2.0, 2.0), (-3.0, 3.0)), name, fld)
 
     if name == "saddle-point":
         x0 = float(params.get("x0", 0.0))
@@ -308,18 +306,17 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
     raise BadParams(f"no adapted patch for catalog surface {name!r}")
 
 
-def _sweep_patch(name, fld, surface, geometry=None) -> SurfacePatch:
-    """Patch over a ruled sweep: the chart is the sweep's closed-form jet,
-    and the base curve is the singular curve at t = 0.  Its frame velocity
-    is constant, so the sweep is invariant along eps (see ``SurfacePatch``)."""
-    return SurfacePatch(name, fld, surface.eps_range, surface.t_range, surface.chart,
-                        "curve", geometry=geometry, eps_invariant=True)
-
-
-def patch_from_ruled(surface) -> SurfacePatch:
+def patch_from_ruled(surface, name: str = "ruled-sweep",
+                     field: ScalarField | None = None) -> SurfacePatch:
     """Quadrature patch over a ruled sweep, geometry from the parametrization.
 
-    Serves sweeps with no defining scalar field (the non-geodesic family).
+    Every sweep patch is built here; the catalog's ``plane-ab`` and
+    ``saddle-curve`` pass their ``name`` and keep their ``field`` for the
+    sufficient condition.  The chart is the sweep's jet, the base curve is
+    the singular curve at t = 0, and the patch is invariant along eps (see
+    ``SurfacePatch``).  The geometry reads z, the tangents and their rates,
+    never x or y, so translation offsets do not reach it.
+
     The characteristic direction Z is the unit ruling velocity carrying the
     side-dependent sign that realizes it as J of the horizontal normal
     nu_h = -J(Z); the unit normal is the metric cross product of the
@@ -378,7 +375,8 @@ def patch_from_ruled(surface) -> SurfacePatch:
         return {"nh": nh, "nt": nt, "zx": zx, "zy": zy,
                 "grad_s_nu_z": M, "H": H}
 
-    return _sweep_patch("ruled-sweep", None, surface, geometry)
+    return SurfacePatch(name, field, surface.eps_range, surface.t_range, surface.chart,
+                        "curve", geometry=geometry, eps_invariant=True)
 
 
 # ---------------------------------------------------------------------------
@@ -439,63 +437,44 @@ def _patch_frame_data(patch: SurfacePatch, E, T):
 #: relative tolerance of the check between the first and the last eps-row
 ROW_RTOL = 1e-12
 
-#: rounding of the chart's coordinates, in units of machine epsilon, that the
-#: row check allows for on top of ROW_RTOL, and that Q(u)'s error estimate
-#: adds per grid level
-ROW_ULPS = 4.0
-
 
 def _geom_rows(patch: SurfacePatch, e, t):
-    """The geometry that Q(u) reads at the nodes (e, t), and the largest
-    rho over them (see below).  The geometry is |N_h| ("nh"), <N,T> ("nt"),
-    zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the area element
-    "dS", the coordinates "alpha", "beta" of Z against the tangents, and
-    the second tangent's frame components "ta", "tb", "tc".
+    """The geometry that Q(u) reads at the nodes (e, t): |N_h| ("nh"),
+    <N,T> ("nt"), zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the
+    area element "dS", the coordinates "alpha", "beta" of Z against the
+    tangents, and the second tangent's frame components "ta", "tb", "tc".
 
     On a patch invariant along eps only the first and the last row of the
     column ``e`` are evaluated, and each entry is the first row, a (1, m)
-    array over ``t``, checked against the last.  Rounding the coordinates
-    of a point to doubles moves it by rho = eps_mach (|x| e^-z + |y| e^z +
-    |z|) in the frame, and Z and nu_h divide the rounding of the frame
-    gradient by |N_h|, their derivatives by |N_h|^2.  So an entry of order
-    k in 1/|N_h| may differ between the rows by (ROW_RTOL + ROW_ULPS rho)
-    (1 + |v|) / |N_h|^k, rho the larger of the two points' at that t.  A
-    finite entry that differs by more means the patch is not invariant
-    along eps as it declares: AssertionError.  A non-finite entry in either
-    row passes through to the result, so the caller's finiteness gate gives
-    the verdict.
+    array over ``t``, checked against the last.  A finite entry that
+    differs between the rows by more than ROW_RTOL (1 + |v|) means the
+    patch is not invariant along eps as it declares: AssertionError.  A
+    non-finite entry in either row passes through to the result, so the
+    caller's finiteness gate gives the verdict.
     """
     if patch.eps_invariant:
         e = e[[0, -1]]
     f, dS, alpha, beta = _patch_frame_data(patch, e, t)
     ta, tb, tc = f["frame"].t2
-    by_order = ({"nh": f["nh"], "nt": f["nt"], "dS": dS, "ta": ta, "tb": tb, "tc": tc},
-                {"zx": f["zx"], "zy": f["zy"], "alpha": alpha, "beta": beta},
-                {"grad_s_nu_z": f["grad_s_nu_z"], "H": f["H"]})
-    g = {key: v for entries in by_order for key, v in entries.items()}
-    shape = np.broadcast_shapes(np.shape(e), np.shape(t))
-    x, y, z = f["point"]
-    rho = np.broadcast_to(np.finfo(float).eps * (
-        np.abs(x) * np.exp(-z) + np.abs(y) * np.exp(z) + np.abs(z)), shape)
-    rho_max = float(np.max(rho))
+    g = {"nh": f["nh"], "nt": f["nt"], "zx": f["zx"], "zy": f["zy"],
+         "grad_s_nu_z": f["grad_s_nu_z"], "H": f["H"], "dS": dS, "alpha": alpha,
+         "beta": beta, "ta": ta, "tb": tb, "tc": tc}
     if not patch.eps_invariant:
-        return g, rho_max
-    rtol = ROW_RTOL + ROW_ULPS * np.max(rho, axis=0)
-    nh = np.abs(np.broadcast_to(f["nh"], shape)[0])
-    for k, entries in enumerate(by_order):
-        for key, v in entries.items():
-            first, last = np.broadcast_to(v, shape)
-            gap = np.isfinite(first) & np.isfinite(last) & (
-                np.abs(first - last) * nh ** k > rtol * (1.0 + np.abs(first)))
-            if gap.any():
-                j = int(np.argmax(gap))
-                (e0, e1), tj = np.ravel(e).tolist(), np.ravel(t)[j].item()
-                raise AssertionError(
-                    f"patch {patch.name!r} is not invariant along eps: {key} at t = {tj!r} "
-                    f"is {first[j].item()!r} at eps = {e0!r} but {last[j].item()!r} "
-                    f"at eps = {e1!r}")
-            g[key] = np.where(np.isfinite(last), first, last)[None, :]
-    return g, rho_max
+        return g
+    shape = np.broadcast_shapes(np.shape(e), np.shape(t))
+    for key, v in g.items():
+        first, last = np.broadcast_to(v, shape)
+        gap = np.isfinite(first) & np.isfinite(last) & (
+            np.abs(first - last) > ROW_RTOL * (1.0 + np.abs(first)))
+        if gap.any():
+            j = int(np.argmax(gap))
+            (e0, e1), tj = np.ravel(e).tolist(), np.ravel(t)[j].item()
+            raise AssertionError(
+                f"patch {patch.name!r} is not invariant along eps: {key} at t = {tj!r} "
+                f"is {first[j].item()!r} at eps = {e0!r} but {last[j].item()!r} "
+                f"at eps = {e1!r}")
+        g[key] = np.where(np.isfinite(last), first, last)[None, :]
+    return g
 
 
 # Overflowing parameters produce non-finite intermediates; the finiteness
@@ -532,7 +511,6 @@ class _LevelTable:
     k_bb: np.ndarray
     k_pot: dict                    # potential weight -> K_pot
     zero_nh: tuple | None          # (i, j, alpha, beta, nh, w W_e) where |N_h| = 0
-    rho: float                     # largest coordinate rounding (``_geom_rows``)
     sides: tuple | None = None     # (coefficient, report extras) on a singular curve
 
 
@@ -561,7 +539,7 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
     t = nt_nodes
     if patch.singular == "curve":
         t = np.concatenate((nt_nodes, _PROBE_SIDE * _PROBE_FRAC * delta))
-    g, rho = _geom_rows(patch, ne_nodes[:, None], t[None, :])
+    g = _geom_rows(patch, ne_nodes[:, None], t[None, :])
     rows = 1 if patch.eps_invariant else ne_nodes.size
     g = {k: np.broadcast_to(v, (rows, t.size)) for k, v in g.items()}
     m = nt_nodes.size
@@ -588,7 +566,7 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         zero_nh = (i, j, *(np.broadcast_to(a, grid)[i, j] for a in (alpha, beta, nh)),
                    np.broadcast_to(w, grid)[i, j] * ne_w[i])
     table = _LevelTable(ne_nodes, nt_nodes, ne_w, alpha * a_w, 2.0 * beta * a_w,
-                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh, rho)
+                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh)
     if patch.singular == "curve":
         table.sides = _side_limits({k: v[:, m:] for k, v in g.items()}, ne_nodes.size)
     patch._tables[key] = table
@@ -624,8 +602,8 @@ def _side_limits(g: dict, n_eps: int):
 @_quiet
 def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
                   weight_fn, delta: float, boundary_const: float | None = None):
-    """Surface and singular-curve parts of Q(u) at one grid level, their
-    report extras, and the level's rho.
+    """Surface and singular-curve parts of Q(u) at one grid level, and
+    their report extras.
 
     The u^2 coefficient of the singular-curve integral is
     4 <N,T> <Z,Y>^2 <Z,nu> from the patch geometry, or ``boundary_const``
@@ -660,7 +638,7 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
         if coeff is None:
             coeff, sides = lv.sides
         b_tau = float(np.sum(coeff * u0 * u0 * lv.ew))
-    return surface, b_tau, b_s, sides, lv.rho
+    return surface, b_tau, b_s, sides
 
 
 def _general_weight(f):
@@ -694,13 +672,14 @@ def q_form(patch, u: TestFunction, grid=(24, 24),
            delta: float | None = None) -> QuadratureReport:
     """Stability quadratic form Q(u) on an adapted patch or a ruled sweep.
 
-    On catalog patches the <nabla_S nu_h, Z> entry of the potential comes
-    from the exact second partials of the defining function; a ruled sweep
-    (no defining field) is adapted through ``patch_from_ruled``, whose
-    geometry comes from the closed-form derivatives of the sweep.  The sweep
-    keeps that patch, and so its tables, for as long as it lives.  Two grid
-    levels give the quadrature error estimate; a non-finite result raises
-    GeometryError.
+    On the graph patches (the coordinate planes and saddle-point) the
+    <nabla_S nu_h, Z> entry of the potential comes from the exact second
+    partials of the defining function; on every sweep patch, ``plane-ab``
+    and ``saddle-curve`` included, from the closed-form derivatives of the
+    sweep (``patch_from_ruled``).  A ruled sweep passed as such is adapted
+    through ``patch_from_ruled`` and keeps that patch, and so its tables,
+    for as long as it lives.  Two grid levels give the quadrature error
+    estimate; a non-finite result raises GeometryError.
     """
     if isinstance(patch, RuledSurface):
         memo = patch._memo
@@ -735,9 +714,8 @@ def q_form_simplified(patch: SurfacePatch, u: TestFunction, grid=(24, 24),
 
 
 def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureReport:
-    """Q(u) at grid and twice the grid.  The error estimate is their
-    difference plus ROW_ULPS rho |Q| per level: the geometry's rounding,
-    rho the largest coordinate rounding of the level's nodes."""
+    """Q(u) at grid and twice the grid; their difference is the error
+    estimate."""
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
@@ -748,9 +726,7 @@ def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureR
     parts_hi = np.array(hi[:3])
     if not np.all(np.isfinite(parts_lo) & np.isfinite(parts_hi)):
         raise GeometryError(f"Q(u) is not finite: parts {parts_hi.tolist()}")
-    # the gap between the levels, plus each level's geometry round-off
-    err = float(np.sum(np.abs(parts_hi - parts_lo))
-                + ROW_ULPS * (lo[4] * np.sum(np.abs(parts_lo)) + hi[4] * np.sum(np.abs(parts_hi))))
+    err = float(np.sum(np.abs(parts_hi - parts_lo)))
     extras = dict(hi[3])
     extras["delta"] = delta
     return QuadratureReport(
@@ -799,6 +775,7 @@ def flipped(field: ScalarField) -> ScalarField:
     return ScalarField.from_expr(neg(field.expr))
 
 
+@_quiet
 def sufficient_condition(field: ScalarField, patch: SurfacePatch,
                          grid=(64, 64), flip: bool = False) -> dict:
     """Stability test for surfaces with empty singular set.
@@ -809,7 +786,8 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     2 Z(<N,T>/|N_h|) + (<N,T>/|N_h|)^2 and the cosh-coefficient combination
     a + b of the Jacobi profile (non-positive exactly when the profile
     never crosses zero forward in s).  The met flag gates on the
-    hypothesis; the diagnostics are reported, not gated on.
+    hypothesis; the diagnostics are reported, not gated on.  A non-finite
+    sup <N, T> raises GeometryError.
     """
     fld = flipped(field) if flip else field
     es = np.linspace(*patch.eps_range, grid[0])
@@ -820,6 +798,8 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     if bool(np.any(f["nh"] < EPS_SING)):
         raise SingularPointFound("patch contains singular points")
     sup_nt = float(np.max(f["nt"]))
+    if not math.isfinite(sup_nt):
+        raise GeometryError(f"sup <N,T> is not finite: {sup_nt}")
     quantity = 2.0 * f["Zq"] + f["q"] ** 2
     sup_quantity = float(np.max(quantity))
     zx = np.abs(f["zx"])

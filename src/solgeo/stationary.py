@@ -382,8 +382,9 @@ def plane_ab_singular_line_z(a: float, b: float) -> float:
     """z-level of the singular line of the plane a x + b y + c = 0.
 
     Exists only for a b > 0, where -a e^z + b e^-z = 0 gives
-    z = log(sqrt(b/a)).
+    z = log(sqrt(b/a)), taken as a difference of logarithms so that b/a
+    cannot overflow.
     """
     if a * b <= 0:
         raise BadParams("the plane has a singular line only for a*b > 0")
-    return 0.5 * math.log(b / a)
+    return 0.5 * (math.log(abs(b)) - math.log(abs(a)))

@@ -232,7 +232,8 @@ def test_unknown_surface(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["area", "--surface", "plane-x", "--eta", "1e300", "--n", "8"],
-    ["qform", "--surface", "saddle-curve", "--param", "z0=710", "--battery", "2", "--n", "4"],
+    ["qform", "--surface", "saddle-point", "--param", "z0=710", "--battery", "2", "--n", "4"],
+    ["sufficient", "--surface", "plane-z", "--param", "c=1e300"],
 ])
 def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     code = run(["stability", *argv, "--out", str(tmp_path / "nf")])
@@ -243,6 +244,30 @@ def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "nf" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("mode", [
+    ["qform", "--surface", "plane-ab"], ["compare", "--family", "plane_ab"],
+    ["sufficient", "--surface", "plane-ab"]], ids=["qform", "compare", "sufficient"])
+@pytest.mark.parametrize("a,b", [("1e-200", "1e200"), ("1e-300", "1e300"),
+                                 ("-1e-200", "-1e200"), ("1e200", "1e-200")])
+def test_plane_ab_with_a_far_singular_line_exits_0(tmp_path, capsys, mode, a, b):
+    # b/a overflows, log|b| - log|a| does not: the singular line sits at
+    # z = +-460 or +-691
+    code = run(["stability", *mode, "--param", f"a={a}", "--param", f"b={b}",
+                "--battery", "2", "--n", "4", "--out", str(tmp_path / "ab")])
+    assert code == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
+def test_residual_empty_band_exit_3(tmp_path, capsys):
+    # the plane x = -100 lies outside the default window
+    code = run(["residual", "--surface", "plane-x", "--param", "c=100", "--grid", "4",
+                "--out", str(tmp_path / "eb")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the on-surface band is empty") and err.count("\n") == 1
+    assert not (tmp_path / "eb").exists()
 
 
 @pytest.mark.parametrize("u,message", [
@@ -438,11 +463,11 @@ def test_main_runs_alike_on_the_cached_and_on_a_fresh_parser(tmp_path, capsys, m
 @pytest.mark.parametrize("params", [["x0=1e6"], ["y0=-1e8", "x0=0.3"], ["z0=20"]],
                          ids=["far-in-x", "far-in-y", "scaled-field"])
 def test_saddle_curve_one_row_tables_agree_with_the_full_grid(tmp_path, params):
-    # far from the z-axis the chart's coordinates round at 1e-10 and more;
-    # with z0 the field's gradient rounds at the level of e^-z0, which Z and
-    # H divide by |N_h| near the singular curve: the eps-rows of an
-    # invariant patch then differ by round-off, which the row check must
-    # let through
+    # far from the z-axis the chart's coordinates round at 1e-10 and more,
+    # and z0 scales the catalog field; the sweep's geometry reads neither
+    # (only z, the tangents and their rates), so the eps-rows of the
+    # invariant patch pass the strict row check and the one-row tables give
+    # the full grid's Q(u)
     import dataclasses
 
     from solgeo.stability import (battery_test_functions, patch_for_catalog, q_form,

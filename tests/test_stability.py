@@ -259,26 +259,55 @@ def test_q_form_vs_simplified_saddle_curve_mismatch_named():
 
 
 def test_q_form_ruled_route_matches_field_route():
-    # the vertical-axis sweep is the saddle-curve surface with the same
-    # parametrization, so the parametrization geometry must reproduce the
-    # field geometry to rounding
-    import math
-
+    # the catalog sweeps take their geometry from the sweep's jet; the
+    # field route, the catalog field's gradient and Hessian on the same
+    # chart, is the reference it must reproduce to rounding
     from solgeo.stationary import HorizontalCurve, sweep_surface
-    from solgeo.stability import patch_from_ruled
 
     sweep = sweep_surface(HorizontalCurve.x_line(Point(0, 0, 0)), (-2.0, 2.0), (-3.0, 3.0))
-    ruled = patch_from_ruled(sweep)
-    field = patch_for_catalog("saddle-curve", {})
     E, T = np.meshgrid(np.linspace(-1.8, 1.8, 6), np.linspace(0.2, 2.8, 6), indexing="ij")
-    gr = ruled.geom(E, T)
-    gf = field.geom(E, T)
-    assert np.max(np.abs(np.asarray(gr["nh"]) - gf["nh"])) < 1e-12
-    assert np.max(np.abs(np.asarray(gr["grad_s_nu_z"]) - gf["grad_s_nu_z"])) < 1e-12
-    for u in battery_test_functions(field, 3, 21, 0.6):
-        qa = q_form(sweep, u, grid=(10, 10), delta=0.6)  # accepts the sweep directly
-        qb = q_form(field, u, grid=(10, 10), delta=0.6)
-        assert qa.total == pytest.approx(qb.total, abs=1e-12)
+    for name, params in (("saddle-curve", {}), ("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3})):
+        jet = patch_for_catalog(name, params)
+        assert jet.geometry is not None
+        field = SurfacePatch(name, jet.field, jet.eps_range, jet.t_range, jet.chart, "curve",
+                             geometry=None)
+        gj, gf = jet.geom(E, T), field.geom(E, T)
+        assert np.max(np.abs(gj["nh"] - gf["nh"])) < 1e-12, name
+        assert np.max(np.abs(gj["grad_s_nu_z"] - gf["grad_s_nu_z"])) < 1e-12, name
+        for u in battery_test_functions(field, 3, 21, 0.6):
+            want = q_form(field, u, grid=(10, 10), delta=0.6).total
+            assert q_form(jet, u, grid=(10, 10), delta=0.6).total == pytest.approx(want, abs=1e-12)
+            if name == "saddle-curve":  # the vertical-axis sweep itself
+                assert q_form(sweep, u, grid=(10, 10), delta=0.6).total == pytest.approx(
+                    want, abs=1e-12)
+
+
+#: congruent catalog sweeps.  The saddle-curve surface around the vertical
+#: line (x0, y0) is a left translation of the one around the z-axis, and
+#: its zero set does not depend on z0; every plane a x + b y + c = 0 with
+#: a b > 0 is the image of x + y = 0 under a left translation, (a, b, c)
+#: being defined up to a common factor.  Each patch's chart is the
+#: translate of the first one's, over the same parameter ranges.
+CONGRUENT = {
+    "saddle-curve": [{"x0": 0.0, "y0": 0.0, "z0": 0.0}, {"x0": 1e6, "y0": -1e8, "z0": 0.0},
+                     {"x0": 0.4, "y0": -0.3, "z0": 710.0},
+                     {"x0": -1e12, "y0": 0.0, "z0": -20.0}],
+    "plane-ab": [{"a": 1.0, "b": 1.0, "c": 0.0}, {"a": 2.0, "b": 0.5, "c": 0.3},
+                 {"a": -0.5, "b": -2.0, "c": -0.2}, {"a": 1e-3, "b": 5e2, "c": 1e6}],
+}
+
+
+@pytest.mark.parametrize("name", list(CONGRUENT))
+def test_q_form_is_invariant_under_left_translations(name):
+    first, *rest = (patch_for_catalog(name, params) for params in CONGRUENT[name])
+    delta = 0.1 * (first.t_range[1] - first.t_range[0])
+    funcs = battery_test_functions(first, 3, 7, delta)
+    want = [q_form(first, u, grid=(16, 16), delta=delta).total for u in funcs]
+    for params, patch in zip(CONGRUENT[name][1:], rest):
+        assert (patch.eps_range, patch.t_range) == (first.eps_range, first.t_range)
+        for u, w in zip(funcs, want):
+            got = q_form(patch, u, grid=(16, 16), delta=delta).total
+            assert abs(got - w) <= 1e-12 * (1.0 + abs(w)), (params, got, w)
 
 
 def test_q_form_exploratory_on_nongeodesic_sweep():
@@ -567,9 +596,10 @@ def test_one_row_table_is_the_full_grid_table(make):
 
 @pytest.mark.parametrize("x0", [-1e8, 1e6, -1e12])
 def test_error_estimate_covers_the_geometry_round_off(x0):
-    # the one-row and the full-grid tables round the chart's coordinates at
-    # different nodes; at x0 = -1e12 the two totals differ by more than the
-    # gap between the grid levels
+    # the one-row and the full-grid tables evaluate the geometry at
+    # different nodes; it reads z and the tangents, never x, so far from
+    # the z-axis the two totals still agree within the gap between the
+    # grid levels, which is the whole error estimate
     patch = patch_for_catalog("saddle-curve", {"x0": x0})
     full = dataclasses.replace(patch, eps_invariant=False)
     delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
