@@ -310,10 +310,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     tg = s.t_grid()
     E, T = np.meshgrid(s.eps_grid(), tg, indexing="ij")
     # |N_h| from the cross product of the tangents; <V, T> from V = dF/deps
-    (X, Y, Z), (V, F_t), _ = s.chart(E, T)
-    n1, n2, n3 = TangentFrame(Z, V, F_t).normal_components
+    (X, Y, Z), (V, F_t) = s.chart(E, T)
     with np.errstate(invalid="ignore", divide="ignore"):
-        nh = np.hypot(n1, n2) / np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+        nh, _ = TangentFrame(Z, V, F_t).unit_normal()
     vt = frame_components(Z, *V)[2]
 
     out_dir = o["out"]

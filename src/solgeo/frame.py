@@ -155,8 +155,10 @@ class TangentFrame:
     ``t1`` and ``t2`` are the (a, b, c) frame components of the tangents at
     height ``z``, one array per component; scalar tangent components
     broadcast against ``z``; e^z and e^-z are taken once for both.
-    ``normal_components`` is their metric cross product and ``solve`` the
-    first-fundamental-form solve against them, both component by component.
+    ``normal_components`` is their metric cross product, ``unit_normal``
+    its horizontal norm and T-component after normalization, and ``solve``
+    the first-fundamental-form solve against them, all component by
+    component.
     """
 
     def __init__(self, z, t1, t2):
@@ -169,6 +171,12 @@ class TangentFrame:
         """t1 x t2 in frame components (the frame is orthonormal)."""
         (a1, b1, c1), (a2, b2, c2) = self.t1, self.t2
         return b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+
+    def unit_normal(self):
+        """(|N_h|, <N,T>) of the unit normal N along t1 x t2."""
+        n1, n2, n3 = self.normal_components
+        norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+        return np.hypot(n1, n2) / norm, n3 / norm
 
     @cached_property
     def gram(self):

@@ -14,10 +14,11 @@ requires Q(u) >= 0 with
            + int_S0 S(u)^2 dl.
 
 The singular-curve integrals are taken once over the curve; nu is the unit
-normal to the curve inside the surface pointing away from it, and both
-one-sided evaluations are computed and reported (they agree on every
-catalog surface, and this convention reproduces the non-negative closed
-forms of the catalog surfaces).
+normal to the curve inside the surface pointing away from it.  On a sweep
+the characteristic direction Z is the unit ruling velocity pointing away
+from the curve on either side, so <Z,nu> = 1 and the u^2 coefficient is
+4 <N,T> <Z,Y>^2, read on the curve itself (this convention reproduces the
+non-negative closed forms of the catalog surfaces).
 
 All integrals use tensor-product Gauss-Legendre rules at two grid levels
 (n and 2n cells per axis); the difference between levels is the quadrature
@@ -35,7 +36,9 @@ import numpy as np
 
 from .errors import BadParams, GeometryError, Inadmissible, NotMinimal, SingularPointFound
 from .expressions import ScalarField, catalog, neg
-from .frame import SQRT2, Point, TangentFrame, frame_components
+from .frame import SQRT2, Point, TangentFrame
+# bench/spans.py rebinds solgeo.stability.frame_components, so it stays imported here
+from .frame import frame_components  # noqa: F401
 from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
 from .surface import EPS_SING, frame_fields, raw_fields
 
@@ -164,23 +167,20 @@ class SurfacePatch:
     """Parametrized patch of a surface, adapted to its singular set.
 
     ``chart`` maps parameter arrays (eps, t) to ((x, y, z), (dF/deps,
-    dF/dt), ...): the coordinates of F and its two tangents as coordinate
-    triples, from one evaluation of the parametrization, followed by
-    whatever else that evaluation hands to ``geometry`` (a ruled sweep's
-    chart adds the second derivatives (d2F/deps dt, d2F/dt2)).  For
-    surfaces with a singular curve the curve sits at t = 0 and the base
+    dF/dt)): the coordinates of F and its two tangents as coordinate
+    triples, from one evaluation of the parametrization.  For surfaces
+    with a singular curve the curve sits at t = 0 and the base
     parametrization has unit speed, so the length element along it is 1.
 
     ``geom`` evaluates the chart once per node set and returns |N_h|
     ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H, with
-    the tangents' ``TangentFrame`` under "frame".  ``geometry(t, z, frame,
-    *rest)`` supplies that geometry from the exact derivatives of the
-    parametrization, ``rest`` being what the chart returned after the
-    tangents (every sweep, see ``patch_from_ruled``); without it the
-    geometry comes from the defining scalar field (``surface.frame_fields``).
+    the tangents' ``TangentFrame`` under "frame".  ``geometry(t, z,
+    frame)`` supplies that geometry in closed form (every sweep, see
+    ``patch_from_ruled``); without it the geometry comes from the defining
+    scalar field (``surface.frame_fields``).
 
     Q(u) is tabulated as a bilinear form at the quadrature nodes on first
-    use, once per (n_eps, n_t, delta), and lives as long as the patch.
+    use, once per (n_eps, n_t), and lives as long as the patch.
 
     ``eps_invariant`` declares that the patch is the orbit of a
     one-parameter group of left translations h_s with h_s(F(eps, t)) =
@@ -198,18 +198,18 @@ class SurfacePatch:
     field: ScalarField | None
     eps_range: tuple
     t_range: tuple
-    chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt), ...)
+    chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt))
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
-    geometry: object = None        # callable (t, z, frame, *rest) -> dict, overrides field
+    geometry: object = None        # callable (t, z, frame) -> dict, overrides field
     eps_invariant: bool = False    # the geometry is a function of t alone
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def geom(self, eps, t) -> dict:
-        (X, Y, Z), tangents, *rest = self.chart(eps, t)
+        (X, Y, Z), tangents = self.chart(eps, t)
         tf = TangentFrame(Z, *tangents)
         if self.geometry is not None:
-            f = self.geometry(t, Z, tf, *rest)
+            f = self.geometry(t, Z, tf)
         else:
             f = frame_fields(self.field, X, Y, Z)
         f["frame"] = tf
@@ -308,72 +308,39 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
 def patch_from_ruled(surface, name: str = "ruled-sweep",
                      field: ScalarField | None = None) -> SurfacePatch:
-    """Quadrature patch over a ruled sweep, geometry from the parametrization.
+    """Quadrature patch over a ruled sweep, geometry in closed form.
 
     Every sweep patch is built here; the catalog's ``plane-ab`` and
     ``saddle-curve`` pass their ``name`` and keep their ``field`` for the
-    sufficient condition.  The chart is the sweep's jet, the base curve is
+    field route, the tests' reference.  The chart is the sweep's jet, the base curve is
     the singular curve at t = 0, and the patch is invariant along eps (see
-    ``SurfacePatch``).  The geometry reads z, the tangents and their rates,
-    never x or y, so translation offsets do not reach it.
+    ``SurfacePatch``).
 
-    The characteristic direction Z is the unit ruling velocity carrying the
-    side-dependent sign that realizes it as J of the horizontal normal
-    nu_h = -J(Z); the unit normal is the metric cross product of the
-    tangents, its global sign fixed at a reference point.  All derivatives
-    are exact: <nabla_S nu_h, Z> and H come from the closed-form second
-    derivatives that the sweep's chart returns with its tangents.
+    The base curve's unit frame velocity (a, b) is constant, so every
+    ruling has the one constant frame velocity (ra, rb, 0) = J(a, b).  The
+    characteristic direction Z = sigma (ra X + rb Y), with sigma =
+    copysign(1, t) the side of the singular curve, and nu_h = -J(Z) are
+    then constant frame fields on each side, and the constant connection
+    (nabla_T X = Y/2, nabla_T Y = -X/2) gives H = -<nabla_Z nu_h, Z> = 0
+    and, with S = <N,T> nu_h - |N_h| T, <nabla_S nu_h, Z> = -|N_h|/2.
+    |N_h| and <N,T> come from the unit normal N along the metric cross
+    product V x dF/dt of the tangents.  Its horizontal part is
+    <V,T> J(dF/dt) = -sigma <V,T> nu_h, and <V,T> = -sinh(b t)/b has the
+    sign of -t (see ``stationary``), so N_h points along nu_h on both
+    sides.  The geometry reads z and the tangents, never x or y, so
+    translation offsets do not reach it.
     """
     if not isinstance(surface, RuledSurface):
         raise BadParams("patch_from_ruled expects a ruled surface")
     if surface.skew:
         raise BadParams("skewed fixtures have no adapted stability patch")
+    ra, rb = surface.ruling_frame_velocity()
 
-    def frame_data(t, tf):
-        sigma = np.sign(t)
-        ra, rb, _ = tf.t2
-        speed = np.hypot(ra, rb)
-        # Z = sigma * unit ruling velocity; nu_h = -J(Z) = (zy, -zx)
-        zx = sigma * ra / speed
-        zy = sigma * rb / speed
-        n1, n2, n3 = tf.normal_components
-        norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-        return sigma, speed, zx, zy, (n1 / norm, n2 / norm, n3 / norm)
-
-    # pin the global normal sign once, where the alignment is unambiguous
-    e_ref = 0.5 * (surface.eps_range[0] + surface.eps_range[1])
-    t_ref = 0.25 * (surface.t_range[1] - surface.t_range[0])
-    (_, _, z_ref), tangents_ref, _ = surface.chart(e_ref, t_ref)
-    tf_ref = TangentFrame(z_ref, *tangents_ref)
-    *_, zx_r, zy_r, n_ref = frame_data(t_ref, tf_ref)
-    s_ref = math.copysign(1.0, float(n_ref[0] * zy_r - n_ref[1] * zx_r))
-
-    def geometry(t, z, tf, rates):
-        sigma, speed, zx, zy, (n1, n2, n3) = frame_data(t, tf)
-        nu1, nu2 = zy, -zx
-        nh = np.hypot(n1, n2)
-        nt = s_ref * n3
-        ua, ub = tf.t2[0] / speed, tf.t2[1] / speed
-
-        def nu_rate(d_ft):
-            """Rate of (nu1, nu2) from the rate d_ft of the ruling velocity
-            F_t along one parameter.  The frame components of F_t change by
-            those of d_ft plus z' times (0, <F_t,T>, <F_t,Y>); F_t is
-            horizontal, so the X- and Y-parts need no z' term."""
-            da, db, _ = frame_components(z, *d_ft)
-            along = ua * da + ub * db
-            return sigma * (db - ub * along) / speed, -sigma * (da - ua * along) / speed
-
-        dnu_de, dnu_dt = (nu_rate(d_ft) for d_ft in rates)
-
-        # decompose S = nt nu_h - nh T against the tangents
-        alpha_s, beta_s = tf.solve(nt * nu1, nt * nu2, -nh)
-        s_nu1 = alpha_s * dnu_de[0] + beta_s * dnu_dt[0]
-        s_nu2 = alpha_s * dnu_de[1] + beta_s * dnu_dt[1]
-        M = (s_nu1 + nu2 * nh / 2.0) * zx + (s_nu2 - nu1 * nh / 2.0) * zy
-        H = -sigma * (dnu_dt[0] * zx + dnu_dt[1] * zy) / speed
-        return {"nh": nh, "nt": nt, "zx": zx, "zy": zy,
-                "grad_s_nu_z": M, "H": H}
+    def geometry(t, z, tf):
+        sigma = np.copysign(1.0, t)
+        nh, nt = tf.unit_normal()
+        return {"nh": nh, "nt": nt, "zx": sigma * ra, "zy": sigma * rb,
+                "grad_s_nu_z": -0.5 * nh, "H": 0.0}
 
     return SurfacePatch(name, field, surface.eps_range, surface.t_range, surface.chart,
                         "curve", geometry=geometry, eps_invariant=True)
@@ -441,8 +408,8 @@ ROW_RTOL = 1e-12
 def _geom_rows(patch: SurfacePatch, e, t):
     """The geometry that Q(u) reads at the nodes (e, t): |N_h| ("nh"),
     <N,T> ("nt"), zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the
-    area element "dS", the coordinates "alpha", "beta" of Z against the
-    tangents, and the second tangent's frame components "ta", "tb", "tc".
+    area element "dS", and the coordinates "alpha", "beta" of Z against the
+    tangents.
 
     On a patch invariant along eps only the first and the last row of the
     column ``e`` are evaluated, and each entry is the first row, a (1, m)
@@ -455,10 +422,9 @@ def _geom_rows(patch: SurfacePatch, e, t):
     if patch.eps_invariant:
         e = e[[0, -1]]
     f, dS, alpha, beta = _patch_frame_data(patch, e, t)
-    ta, tb, tc = f["frame"].t2
     g = {"nh": f["nh"], "nt": f["nt"], "zx": f["zx"], "zy": f["zy"],
          "grad_s_nu_z": f["grad_s_nu_z"], "H": f["H"], "dS": dS, "alpha": alpha,
-         "beta": beta, "ta": ta, "tb": tb, "tc": tc}
+         "beta": beta}
     if not patch.eps_invariant:
         return g
     shape = np.broadcast_shapes(np.shape(e), np.shape(t))
@@ -500,7 +466,8 @@ class _LevelTable:
     stands for.  Nodes where |N_h| = 0 hold 0 in K_aa, K_ab and K_bb;
     their Z(u)^2/|N_h| term is kept aside in ``zero_nh``, per eps node,
     and is finite only where Z(u) = 0.  On a patch with a singular curve
-    the curve runs along the eps nodes with weights W_e.
+    the curve runs along the eps nodes with weights W_e, and ``curve``
+    holds <N,T> <Z,Y>^2 there, per row.
     """
 
     e: np.ndarray
@@ -511,26 +478,20 @@ class _LevelTable:
     k_bb: np.ndarray
     k_pot: dict                    # potential weight -> K_pot
     zero_nh: tuple | None          # (i, j, alpha, beta, nh, w W_e) where |N_h| = 0
-    sides: tuple | None = None     # (coefficient, report extras) on a singular curve
+    curve: np.ndarray | None       # <N,T> <Z,Y>^2 on a singular curve, or None
 
 
-#: singular-curve probe columns: t = 0, then each side (sign) at the offsets
-#: delta/2 and delta/4
-_PROBE_SIDE = np.array([1.0, 1.0, 1.0, -1.0, -1.0])
-_PROBE_FRAC = np.array([0.0, 0.5, 0.25, 0.5, 0.25])
-
-
-def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _LevelTable:
+def _level_table(patch: SurfacePatch, n_eps: int, n_t: int) -> _LevelTable:
     """The patch's table at one grid level, built on first use.
 
     One ``_geom_rows`` call evaluates the geometry: on a patch invariant
     along eps at the first and the last eps node only, the first row
     standing for every row.  On a patch with a singular curve the t-nodes
-    of that call end in the five probe columns of ``_side_limits``.  A
-    patch that fails the minimality gate stores nothing, so every call
-    raises NotMinimal.
+    of that call end in a column at t = 0, the curve, so the row check
+    covers its coefficient too.  A patch that fails the minimality gate
+    stores nothing, so every call raises NotMinimal.
     """
-    key = (n_eps, n_t, delta)
+    key = (n_eps, n_t)
     table = patch._tables.get(key)
     if table is not None:
         return table
@@ -538,7 +499,7 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
     nt_nodes, nt_w = gl_line(*patch.t_range, n_t)
     t = nt_nodes
     if patch.singular == "curve":
-        t = np.concatenate((nt_nodes, _PROBE_SIDE * _PROBE_FRAC * delta))
+        t = np.append(nt_nodes, 0.0)
     g = _geom_rows(patch, ne_nodes[:, None], t[None, :])
     rows = 1 if patch.eps_invariant else ne_nodes.size
     g = {k: np.broadcast_to(v, (rows, t.size)) for k, v in g.items()}
@@ -565,51 +526,25 @@ def _level_table(patch: SurfacePatch, n_eps: int, n_t: int, delta: float) -> _Le
         i, j = np.nonzero(np.broadcast_to(zero, grid))
         zero_nh = (i, j, *(np.broadcast_to(a, grid)[i, j] for a in (alpha, beta, nh)),
                    np.broadcast_to(w, grid)[i, j] * ne_w[i])
+    curve = g["nt"][:, m] * g["zy"][:, m] ** 2 if patch.singular == "curve" else None
     table = _LevelTable(ne_nodes, nt_nodes, ne_w, alpha * a_w, 2.0 * beta * a_w,
-                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh)
-    if patch.singular == "curve":
-        table.sides = _side_limits({k: v[:, m:] for k, v in g.items()}, ne_nodes.size)
+                        beta * beta * w_nh, {fn: fn(f) * w for fn in weights}, zero_nh,
+                        curve)
     patch._tables[key] = table
     return table
 
 
-def _side_limits(g: dict, n_eps: int):
-    """4 <N,T> <Z,Y>^2 <Z,nu> at the ``n_eps`` singular-curve nodes, with
-    its report, from the geometry ``g`` at the probe columns (t = 0, then
-    +-delta/2 and +-delta/4, see ``_PROBE_SIDE``): one row per node, or a
-    single row that stands for every node.
-
-    <N,T> is smooth across the singular curve: take it at t = 0.
-    <Z,Y>^2 <Z,nu> only has one-sided limits; sample each side at the two
-    probe offsets and extrapolate linearly to t -> 0.
-    """
-    ta, tb, tc = g["ta"], g["tb"], g["tc"]
-    norm = np.sqrt(ta * ta + tb * tb + tc * tc)
-    # nu points away from the singular curve on each side
-    zdotnu = g["zx"] * (_PROBE_SIDE * (ta / norm)) + g["zy"] * (_PROBE_SIDE * (tb / norm))
-    q = g["zy"] ** 2 * zdotnu
-    nt0 = g["nt"][:, 0]
-    p_plus = np.broadcast_to(nt0 * (2.0 * q[:, 2] - q[:, 1]), (n_eps,))
-    p_minus = np.broadcast_to(nt0 * (2.0 * q[:, 4] - q[:, 3]), (n_eps,))
-    sides = {
-        "boundary_product_plus": float(np.mean(p_plus)),
-        "boundary_product_minus": float(np.mean(p_minus)),
-        "boundary_sides_max_gap": float(np.max(np.abs(p_plus - p_minus))),
-    }
-    return 4.0 * p_plus, sides
-
-
 @_quiet
 def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
-                  weight_fn, delta: float, boundary_const: float | None = None):
+                  weight_fn, boundary_const: float | None = None):
     """Surface and singular-curve parts of Q(u) at one grid level, and
     their report extras.
 
-    The u^2 coefficient of the singular-curve integral is
-    4 <N,T> <Z,Y>^2 <Z,nu> from the patch geometry, or ``boundary_const``
-    when a closed form supplies it.
+    The u^2 coefficient of the singular-curve integral is 4 <N,T> <Z,Y>^2
+    from the patch geometry on the curve (<Z,nu> = 1 there, see the module
+    docstring), or ``boundary_const`` when a closed form supplies it.
     """
-    lv = _level_table(patch, n_eps, n_t, delta)
+    lv = _level_table(patch, n_eps, n_t)
     phi, dphi, psi, dpsi = u.factors(lv.e, lv.t)
     rows = len(lv.k_aa)
 
@@ -628,17 +563,18 @@ def _q_form_level(patch: SurfacePatch, u: TestFunction, n_eps: int, n_t: int,
 
     b_tau = 0.0
     b_s = 0.0
-    sides = {}
-    if lv.sides is not None:
+    extras = {}
+    if lv.curve is not None:
         psi0 = u.psi(np.zeros(1))
         u0 = phi * psi0
         du0 = dphi * psi0
         b_s = float(np.sum(du0 * du0 * lv.ew))
         coeff = boundary_const
         if coeff is None:
-            coeff, sides = lv.sides
+            coeff = 4.0 * lv.curve
+            extras = {"boundary_product": float(np.mean(lv.curve))}
         b_tau = float(np.sum(coeff * u0 * u0 * lv.ew))
-    return surface, b_tau, b_s, sides
+    return surface, b_tau, b_s, extras
 
 
 def _general_weight(f):
@@ -719,9 +655,8 @@ def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureR
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
-    lo = _q_form_level(patch, u, grid[0], grid[1], weight_fn, delta, boundary_const)
-    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], weight_fn, delta,
-                       boundary_const)
+    lo = _q_form_level(patch, u, grid[0], grid[1], weight_fn, boundary_const)
+    hi = _q_form_level(patch, u, 2 * grid[0], 2 * grid[1], weight_fn, boundary_const)
     parts_lo = np.array(lo[:3])
     parts_hi = np.array(hi[:3])
     if not np.all(np.isfinite(parts_lo) & np.isfinite(parts_hi)):
@@ -786,14 +721,20 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     2 Z(<N,T>/|N_h|) + (<N,T>/|N_h|)^2 and the cosh-coefficient combination
     a + b of the Jacobi profile (non-positive exactly when the profile
     never crosses zero forward in s).  The met flag gates on the
-    hypothesis; the diagnostics are reported, not gated on.  A non-finite
-    sup <N, T> raises GeometryError.
+    hypothesis; the diagnostics are reported, not gated on.  A patch that
+    declares a singular set, or has a singular point on the grid, raises
+    SingularPointFound (a grid can miss a singular curve or point); a
+    non-finite sup <N, T> raises GeometryError.
     """
+    if patch.singular != "none":
+        raise SingularPointFound(
+            f"the sufficient condition needs an empty singular set; patch "
+            f"{patch.name!r} has a singular {patch.singular}")
     fld = flipped(field) if flip else field
     es = np.linspace(*patch.eps_range, grid[0])
     ts = np.linspace(*patch.t_range, grid[1])
     E, T = np.meshgrid(es, ts, indexing="ij")
-    (X, Y, Z), *_ = patch.chart(E, T)
+    (X, Y, Z), _ = patch.chart(E, T)
     f = raw_fields(fld, X, Y, Z)
     if bool(np.any(f["nh"] < EPS_SING)):
         raise SingularPointFound("patch contains singular points")

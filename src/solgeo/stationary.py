@@ -18,8 +18,8 @@ base curve and along every ruling the frame components of the velocity
 are constant, so F and its derivatives have closed forms:
 ``RuledSurface.jet`` evaluates the base curve once, takes the ruling
 velocity from the constant frame pair J(a, b), and returns F with its
-first and mixed/second t-derivatives from that one evaluation.  <V, T> on
-every branch is the T-component of the jet's dF/deps.
+two first derivatives from that one evaluation.  <V, T> on every branch
+is the T-component of the jet's dF/deps.
 
 The same constancy gives <V, T> in closed form.  With (a, b) the unit
 frame velocity of the base curve, f(t) = <V, T> along the ruling from
@@ -126,32 +126,35 @@ class RuledSurface:
     # -- geometry -------------------------------------------------------
 
     def jet(self, eps, t):
-        """(F, dF/deps, dF/dt, d2F/deps dt, d2F/dt2) at (eps, t), each a
-        coordinate triple broadcast over the inputs.
+        """(F, dF/deps, dF/dt) at (eps, t), each a coordinate triple
+        broadcast over the inputs.
 
         The base curve's frame components (a, b) are constant, and so are
-        the ruling's, (ra, rb) = J(a, b) = (-b, a) blended with (a, b) by
-        ``skew``.  The ruling from Gamma(eps) therefore starts with the
-        coordinate velocity v = (-e^z rb/sqrt2, e^-z rb/sqrt2, ra) at
-        z = z0 + a eps, and the one scalar ra picks the line or the
-        exponential branch for the whole sweep.  Along the base v moves by
-        dv/deps = (a vx, -a vy, 0), so dF/deps = Gammadot + (a vx p(t),
-        -a vy q(t), 0) with the flow weights p = expm1(ra t)/ra and
-        q = -expm1(-ra t)/ra (both t on line rulings).  With (x', y') the
-        x and y components of dF/dt, d2F/deps dt = (a x', -a y', 0) and
-        d2F/dt2 = (ra x', -ra y', 0).
+        the ruling's, (ra, rb) (``ruling_frame_velocity``).  The ruling
+        from Gamma(eps) therefore starts with the coordinate velocity
+        v = (-e^z rb/sqrt2, e^-z rb/sqrt2, ra) at z = z0 + a eps, and the
+        one scalar ra picks the line or the exponential branch for the
+        whole sweep.  Along the base v moves by dv/deps = (a vx, -a vy, 0),
+        so dF/deps = Gammadot + (a vx p(t), -a vy q(t), 0) with the flow
+        weights p = expm1(ra t)/ra and q = -expm1(-ra t)/ra (both t on line
+        rulings).  dF/dt has the frame components (ra, rb, 0) at every t.
         """
-        a, b = self.gamma.curve.frame_velocity()
-        n = math.hypot(1.0, self.skew)
-        ra, rb = (-b + self.skew * a) / n, (a + self.skew * b) / n
+        a, _ = self.gamma.curve.frame_velocity()
+        ra, rb = self.ruling_frame_velocity()
         gx, gy, gz, dx, dy, dz = self.gamma._raw(eps)
         vx, vy = np.exp(gz) * (-rb) / SQRT2, np.exp(-gz) * rb / SQRT2
         x, y, z, tx, ty, tz = _eval_raw(gx, gy, gz, vx, vy, ra, t)
         ex, ey, *_ = _eval_raw(dx, dy, dz, a * vx, -a * vy, ra, t)
-        zero = np.zeros_like(tx)
-        return tuple(tuple(np.broadcast_arrays(*v)) for v in (
-            (x, y, z), (ex, ey, dz), (tx, ty, tz), (a * tx, -a * ty, zero),
-            (tz * tx, -tz * ty, zero)))
+        return tuple(tuple(np.broadcast_arrays(*v))
+                     for v in ((x, y, z), (ex, ey, dz), (tx, ty, tz)))
+
+    def ruling_frame_velocity(self):
+        """(ra, rb), the constant X- and Y-components of every ruling's
+        velocity: J(a, b) = (-b, a) of the base curve's (a, b), blended
+        with (a, b) by ``skew``."""
+        a, b = self.gamma.curve.frame_velocity()
+        n = math.hypot(1.0, self.skew)
+        return (-b + self.skew * a) / n, (a + self.skew * b) / n
 
     def point(self, eps, t):
         """F(eps, t); broadcasts over arrays."""
@@ -166,11 +169,10 @@ class RuledSurface:
         return self.jet(eps, t)[2]
 
     def chart(self, eps, t):
-        """(F, (dF/deps, dF/dt), (d2F/deps dt, d2F/dt2)) from one jet: the
-        coordinates, the tangents, and the rates of the ruling velocity
-        that ``stability.patch_from_ruled`` reads."""
-        F, F_e, F_t, F_et, F_tt = self.jet(eps, t)
-        return F, (F_e, F_t), (F_et, F_tt)
+        """(F, (dF/deps, dF/dt)) from one jet: the coordinates and the
+        tangents."""
+        F, F_e, F_t = self.jet(eps, t)
+        return F, (F_e, F_t)
 
     def ruling_velocity(self, eps):
         """Initial ruling velocity at Gamma(eps), J(Gammadot) by default."""
@@ -178,7 +180,7 @@ class RuledSurface:
 
     def ruling(self, eps: float) -> CharacteristicCurve:
         """The t-line through Gamma(eps) as a characteristic-curve record."""
-        (gx, gy, gz), _, (vx, vy, vz), *_ = self.jet(eps, 0.0)
+        (gx, gy, gz), _, (vx, vy, vz) = self.jet(eps, 0.0)
         return make_curve(Point(float(gx), float(gy), float(gz)),
                           CoordVector(float(vx), float(vy), float(vz)))
 
@@ -206,7 +208,7 @@ class RuledSurface:
 
     def vertical_component(self, eps, t):
         """<V, T>: the T-component of the analytic dF/deps, on every branch."""
-        (_, _, z), V, *_ = self.jet(eps, t)
+        (_, _, z), V, _ = self.jet(eps, t)
         return frame_components(z, *V)[2]
 
     # -- grids ------------------------------------------------------------
@@ -231,10 +233,10 @@ class RuledSurface:
         derivative of the horizontal unit normal along that direction
         (connection terms vanish for horizontal directions), taken by
         central differences in t, so this is an oracle independent of the
-        analytic derivatives ``patch_from_ruled`` uses.
+        H = 0 that ``patch_from_ruled`` takes in closed form.
         """
         def nu_h(tt):
-            (_, _, z), tangents, _ = self.chart(eps, tt)
+            (_, _, z), tangents = self.chart(eps, tt)
             n1, n2, _ = TangentFrame(z, *tangents).normal_components
             norm = np.sqrt(n1 * n1 + n2 * n2)
             return np.stack([n1 / norm, n2 / norm])
@@ -243,7 +245,7 @@ class RuledSurface:
             return (nu_h(t + step) - nu_h(t - step)) / (2.0 * step)
 
         dnu = (4.0 * d_nu(H_FD_STEP / 2.0) - d_nu(H_FD_STEP)) / 3.0
-        (_, _, z), tangents, _ = self.chart(eps, t)
+        (_, _, z), tangents = self.chart(eps, t)
         ta, tb, tc = TangentFrame(z, *tangents).t2
         speed = np.sqrt(ta * ta + tb * tb + tc * tc)
         # orient nu_h consistently along the center line (sign irrelevant for H)

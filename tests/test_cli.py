@@ -251,13 +251,34 @@ def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     ["sufficient", "--surface", "plane-ab"]], ids=["qform", "compare", "sufficient"])
 @pytest.mark.parametrize("a,b", [("1e-200", "1e200"), ("1e-300", "1e300"),
                                  ("-1e-200", "-1e200"), ("1e200", "1e-200")])
-def test_plane_ab_with_a_far_singular_line_exits_0(tmp_path, capsys, mode, a, b):
+def test_plane_ab_with_a_far_singular_line_exits_0(tmp_path, capsys, recwarn, mode, a, b):
     # b/a overflows, log|b| - log|a| does not: the singular line sits at
-    # z = +-460 or +-691
+    # z = +-460 or +-691.  The sufficient condition needs an empty singular
+    # set, so it refuses the plane, far line or not
     code = run(["stability", *mode, "--param", f"a={a}", "--param", f"b={b}",
                 "--battery", "2", "--n", "4", "--out", str(tmp_path / "ab")])
-    assert code == 0, capsys.readouterr().err
-    assert capsys.readouterr().err == ""
+    err = capsys.readouterr().err
+    if mode[0] == "sufficient":
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0, err
+        assert err == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("surface", ["plane-ab", "saddle-curve", "saddle-point"])
+@pytest.mark.parametrize("n", ["16", "17"])
+def test_sufficient_refuses_a_surface_with_a_singular_set(tmp_path, capsys, surface, n):
+    # an even grid never meets the singular curve at t = 0 or the singular
+    # point, so the refusal comes from the patch, not from the samples
+    code = run(["stability", "sufficient", "--surface", surface, "--n", n,
+                "--out", str(tmp_path / "s")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sufficient condition needs an empty singular set")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
 
 
 def test_residual_empty_band_exit_3(tmp_path, capsys):

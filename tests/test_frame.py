@@ -88,6 +88,11 @@ def test_tangent_frame_normal_and_solve(rng):
          for zi, v in zip(z, np.stack(t1, axis=-1))]))
     assert np.max(np.abs(np.sum(n * e1, -1)) + np.abs(np.sum(n * e2, -1))) < 1e-12
     assert tf.area_element() == pytest.approx(np.linalg.norm(n, axis=-1))
+    # the unit normal's horizontal norm and T-component
+    nh, nt = tf.unit_normal()
+    unit = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    assert nh == pytest.approx(np.hypot(unit[:, 0], unit[:, 1]))
+    assert nt == pytest.approx(unit[:, 2])
     # a tangential vector plus a normal part: the solve recovers its coefficients
     alpha, beta = rng.normal(size=(2, 50))
     v = alpha[:, None] * e1 + beta[:, None] * e2 + 0.7 * n

@@ -223,7 +223,7 @@ def test_catalog_curve_patch_is_its_closed_form(name, params, closed):
         got, want = np.broadcast_arrays(*got), np.broadcast_arrays(*want)
         return max(np.max(np.abs(g - w) / (1.0 + np.abs(w))) for g, w in zip(got, want))
 
-    got_points, (got_e, got_t), _ = patch.chart(E, T)
+    got_points, (got_e, got_t) = patch.chart(E, T)
     assert rel(got_points, want_points) < 1e-14
     assert rel(got_e, want_tangents[0]) < 1e-14
     assert rel(got_t, want_tangents[1]) < 1e-14
@@ -259,9 +259,10 @@ def test_q_form_vs_simplified_saddle_curve_mismatch_named():
 
 
 def test_q_form_ruled_route_matches_field_route():
-    # the catalog sweeps take their geometry from the sweep's jet; the
-    # field route, the catalog field's gradient and Hessian on the same
-    # chart, is the reference it must reproduce to rounding
+    # the catalog sweeps take their geometry in closed form; the field
+    # route, the catalog field's gradient and Hessian on the same chart, is
+    # the reference it must reproduce to rounding off the singular curve,
+    # where the field route has no Z
     from solgeo.stationary import HorizontalCurve, sweep_surface
 
     sweep = sweep_surface(HorizontalCurve.x_line(Point(0, 0, 0)), (-2.0, 2.0), (-3.0, 3.0))
@@ -275,11 +276,12 @@ def test_q_form_ruled_route_matches_field_route():
         assert np.max(np.abs(gj["nh"] - gf["nh"])) < 1e-12, name
         assert np.max(np.abs(gj["grad_s_nu_z"] - gf["grad_s_nu_z"])) < 1e-12, name
         for u in battery_test_functions(field, 3, 21, 0.6):
-            want = q_form(field, u, grid=(10, 10), delta=0.6).total
-            assert q_form(jet, u, grid=(10, 10), delta=0.6).total == pytest.approx(want, abs=1e-12)
+            want = stability._q_form_level(field, u, 20, 20, stability._general_weight)[0]
+            got = q_form(jet, u, grid=(10, 10), delta=0.6).surface_integral
+            assert got == pytest.approx(want, abs=1e-12)
             if name == "saddle-curve":  # the vertical-axis sweep itself
-                assert q_form(sweep, u, grid=(10, 10), delta=0.6).total == pytest.approx(
-                    want, abs=1e-12)
+                assert q_form(sweep, u, grid=(10, 10), delta=0.6).surface_integral == (
+                    pytest.approx(want, abs=1e-12))
 
 
 #: congruent catalog sweeps.  The saddle-curve surface around the vertical
@@ -329,13 +331,86 @@ def test_q_form_exploratory_on_nongeodesic_sweep():
         assert rep.error_estimate < 0.1
 
 
-def test_q_form_boundary_sides_agree():
-    patch = patch_for_catalog("saddle-curve", {})
+def _chart_normal(patch, e, t):
+    """(nu1, nu2, |N_h|, <N,T>) of the unit normal along the cross product
+    of the chart's tangents, with nu_h = N_h/|N_h|: the chart alone."""
+    (_, _, z), tangents = patch.chart(e, t)
+    n1, n2, n3 = TangentFrame(z, *tangents).normal_components
+    norm, horiz = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3), np.hypot(n1, n2)
+    return n1 / horiz, n2 / horiz, horiz / norm, n3 / norm
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _ruled("exp", Point(0.3, -0.2, 0.1), 0.4),
+    lambda: _ruled("exp", Point(-0.4, 0.5, -0.6), 2.2),
+    lambda: _ruled("x-line", Point(0.4, -0.6, 0.2)),
+    lambda: _ruled("y-line", Point(-0.5, 0.3, -0.4))], ids=["exp-0.4", "exp-2.2", "x-line",
+                                                           "y-line"])
+def test_closed_form_sweep_geometry_matches_finite_differences(make):
+    # nu_h, Z = J(nu_h) and S = <N,T> nu_h - |N_h| T from the chart alone;
+    # the rates of nu_h's frame components along S and Z by central
+    # differences in (eps, t), plus the connection terms of the T-component
+    # of S (nabla_T X = Y/2, nabla_T Y = -X/2).  The normal's orientation
+    # cancels in both contractions.
+    patch = make()
+    e = np.linspace(*patch.eps_range, 7)[1:-1, None]
+    t = np.concatenate((np.linspace(-2.3, -0.3, 5), np.linspace(0.3, 2.3, 5)))[None, :]
+    nu1, nu2, nh, nt = _chart_normal(patch, e, t)
+    zx, zy = -nu2, nu1
+
+    def d_nu(de, dt, h=1e-5):
+        """Central difference of (nu1, nu2) along (de, dt) in (eps, t)."""
+        plus, minus = (np.stack(_chart_normal(patch, e + s * de, t + s * dt)[:2])
+                       for s in (h, -h))
+        return (plus - minus) / (2.0 * h)
+
+    d_eps, d_t = d_nu(1.0, 0.0), d_nu(0.0, 1.0)
+    g = patch.geom(e, t)
+    tf = g["frame"]
+
+    def rate(a, b, c):
+        """Rate of (nu1, nu2) along the tangent with frame components (a, b, c)."""
+        alpha, beta = tf.solve(a, b, c)
+        return alpha * d_eps + beta * d_t
+
+    s1, s2 = rate(nt * nu1, nt * nu2, -nh)
+    grad_s = (s1 + nu2 * nh / 2.0) * zx + (s2 - nu1 * nh / 2.0) * zy
+    z1, z2 = rate(zx, zy, 0.0)
+    assert np.max(np.abs(grad_s + nh / 2.0)) < 1e-6
+    assert np.max(np.abs(grad_s - g["grad_s_nu_z"])) < 1e-6
+    assert np.max(np.abs(z1 * zx + z2 * zy)) < 1e-6 and g["H"] == 0.0
+    # the closed-form nu_h = (zy, -zx) is the chart's on both sides of the
+    # curve, so the patch's N is the chart's unit normal
+    assert np.max(np.abs(g["zy"] * nu1 - g["zx"] * nu2 - 1.0)) < 1e-12
+    assert np.max(np.abs(g["nh"] - nh)) < 1e-15 and np.max(np.abs(g["nt"] - nt)) < 1e-15
+
+
+@pytest.mark.parametrize("name,params", [
+    ("saddle-curve", {}), ("saddle-curve", {"x0": 0.3, "y0": -0.2, "z0": 0.4}),
+    ("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3})])
+def test_curve_coefficient_matches_the_field_routes_side_limits(name, params):
+    # the table reads <N,T> <Z,Y>^2 on the curve itself, its t = 0 column;
+    # on the field route <Z,Y>^2 <Z,nu> has one-sided limits only, taken by
+    # linear extrapolation from t = +-delta/2 and +-delta/4 on each side
+    patch = patch_for_catalog(name, params)
+    field = SurfacePatch(name, patch.field, patch.eps_range, patch.t_range, patch.chart, "curve")
+    e = gl_line(*patch.eps_range, 4)[0][:, None]
+    got = stability._level_table(patch, 4, 4).curve
+    nt0 = field.geom(e, np.zeros((1, 1)))["nt"][:, 0]
+    for side in (1.0, -1.0):
+        def q(frac):
+            g = field.geom(e, np.full((1, 1), side * frac * 0.6))
+            ta, tb, tc = g["frame"].t2
+            # nu = the unit t-tangent pointing away from the curve
+            zdotnu = side * (g["zx"] * ta + g["zy"] * tb) / np.sqrt(ta * ta + tb * tb + tc * tc)
+            return (g["zy"] ** 2 * zdotnu)[:, 0]
+
+        want = nt0 * (2.0 * q(0.25) - q(0.5))
+        assert np.max(np.abs(got - want)) <= 1e-10, side
     u = battery_test_functions(patch, 1, 2, 0.6)[0]
-    rep = q_form(patch, u, grid=(10, 10), delta=0.6)
-    assert rep.extras["boundary_product_plus"] == pytest.approx(
-        rep.extras["boundary_product_minus"], abs=1e-10)
-    assert rep.extras["boundary_product_plus"] == pytest.approx(1.0, abs=1e-9)
+    rep = q_form(patch, u, grid=(2, 2), delta=0.6)
+    assert rep.extras["boundary_product"] == got[0]
+    assert got[0] == pytest.approx(1.0 if name == "saddle-curve" else 0.0, abs=1e-15)
 
 
 # -- geometry table ------------------------------------------------------------
@@ -398,10 +473,9 @@ def test_ruled_q_form_keeps_one_patch(monkeypatch):
     first = q_form(sweep, u1, grid=(6, 6), delta=0.6)
     q_form(sweep, u2, grid=(6, 6), delta=0.6)
     # one geometry call per grid level, for both calls: the first and the
-    # last eps-row of the table's t-nodes and the five probe columns of the
-    # singular-curve limits
+    # last eps-row of the table's t-nodes and the singular curve at t = 0
     assert counts["frame_data"] == 2
-    assert counts["nodes"] == [2 * (8 * 6 + 5), 2 * (8 * 12 + 5)]
+    assert counts["nodes"] == [2 * (8 * 6 + 1), 2 * (8 * 12 + 1)]
     assert q_form(sweep, u1, grid=(6, 6), delta=0.6) == first
 
 
@@ -434,7 +508,7 @@ def test_bilinear_form_matches_per_node_sum(make):
     for u in battery_test_functions(patch, 3, 29, delta):
         for n_eps, n_t in ((5, 7), (10, 14)):
             for weight in weights:
-                got = stability._q_form_level(patch, u, n_eps, n_t, weight, delta)[0]
+                got = stability._q_form_level(patch, u, n_eps, n_t, weight)[0]
                 want = _per_node_surface(patch, u, n_eps, n_t, weight)
                 assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (n_eps, weight)
 
@@ -467,7 +541,7 @@ def test_zero_nh_node_is_finite_where_z_u_vanishes():
     rep = q_form(patch, u, grid=(4, 4))
     assert math.isfinite(rep.total) and rep.total > 0.0
     for n in (4, 8):
-        got = stability._q_form_level(patch, u, n, n, stability._general_weight, 0.2)[0]
+        got = stability._q_form_level(patch, u, n, n, stability._general_weight)[0]
         want = _per_node_surface(patch, u, n, n, stability._general_weight)
         assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
 
@@ -487,11 +561,11 @@ def test_zero_nh_column_stands_for_every_eps_node():
     # psi vanishes near t = -1, so Z(u) = 0 on the first t-column
     u = TestFunction(Bump(0.0, 0.2, 0.6), Bump(0.1, 0.2, 0.7))
     for n in (4, 8):
-        got = stability._q_form_level(patch, u, n, n, stability._general_weight, 0.2)[0]
-        want = stability._q_form_level(full, u, n, n, stability._general_weight, 0.2)[0]
+        got = stability._q_form_level(patch, u, n, n, stability._general_weight)[0]
+        want = stability._q_form_level(full, u, n, n, stability._general_weight)[0]
         assert _close(got, want) and got > 0.0
         assert _close(got, _per_node_surface(full, u, n, n, stability._general_weight))
-        assert len(stability._level_table(patch, n, n, 0.2).zero_nh[0]) == 8 * n
+        assert len(stability._level_table(patch, n, n).zero_nh[0]) == 8 * n
     # psi is 1 on the first t-column, and phi' != 0 at some eps node there,
     # though not at the first one
     u = TestFunction(Bump(0.0, 0.1, 0.9), Bump(0.0, 0.992, 0.998))
@@ -506,9 +580,8 @@ def test_battery_builds_geometry_once_per_level(monkeypatch):
     for u in battery_test_functions(patch, 8, 3, 0.6):
         q_form(patch, u, grid=(6, 6), delta=0.6)
     assert counts["frame_data"] == 2  # one geometry call per level
-    # per level: two eps-rows of 8 n_t nodes and the five probe columns of
-    # the singular-curve limits
-    assert counts["nodes"] == [2 * (8 * 6 + 5), 2 * (8 * 12 + 5)]
+    # per level: two eps-rows of 8 n_t nodes and the singular curve at t = 0
+    assert counts["nodes"] == [2 * (8 * 6 + 1), 2 * (8 * 12 + 1)]
 
 
 @pytest.mark.parametrize("name,params", ADAPTED[3:5])
@@ -522,16 +595,15 @@ def test_compare_shares_the_geometry_table(monkeypatch, name, params):
         compare_q_forms(q_form(patch, u, grid=(6, 6), delta=0.6),
                         q_form_simplified(patch, u, grid=(6, 6), delta=0.6))
     assert built["frame_data"] == 2  # one geometry call per level
-    assert built["nodes"] == [2 * (8 * 6 + 5), 2 * (8 * 12 + 5)]
+    assert built["nodes"] == [2 * (8 * 6 + 1), 2 * (8 * 12 + 1)]
     assert counts == built
 
 
-def _ruled(base, p0):
+def _ruled(base, p0, th=1.1):
     from solgeo.frame import CoordVector, SQRT2
     from solgeo.stationary import HorizontalCurve, sweep_surface
 
-    if base == "exp":
-        th = 1.1  # neither an integral curve of X nor of Y
+    if base == "exp":  # th = 1.1: neither an integral curve of X nor of Y
         gamma = HorizontalCurve.from_initial_data(p0, CoordVector(
             -math.exp(p0.z) * math.sin(th) / SQRT2, math.exp(-p0.z) * math.sin(th) / SQRT2,
             math.cos(th)))
@@ -572,8 +644,8 @@ def test_one_row_table_is_the_full_grid_table(make):
         weights.append(stability._SIMPLIFIED[patch.name][0])
     funcs = battery_test_functions(patch, 2, 31, delta)
     for n_eps, n_t in ((5, 7), (10, 14)):
-        got = stability._level_table(patch, n_eps, n_t, delta)
-        want = stability._level_table(full, n_eps, n_t, delta)
+        got = stability._level_table(patch, n_eps, n_t)
+        want = stability._level_table(full, n_eps, n_t)
         # the one row equals every row of the full grid
         for key in ("k_aa", "k_ab", "k_bb"):
             assert getattr(got, key).shape == (1, 8 * n_t)
@@ -584,13 +656,13 @@ def test_one_row_table_is_the_full_grid_table(make):
             assert _close(got.k_pot[weight], want.k_pot[weight])
         assert got.zero_nh is None and want.zero_nh is None
         if patch.singular == "curve":
-            (c_got, s_got), (c_want, s_want) = got.sides, want.sides
-            assert c_got.shape == (8 * n_eps,) and _close(c_got, c_want)
-            assert s_got.keys() == s_want.keys()
-            assert all(_close(s_got[k], s_want[k]) for k in s_got)
+            assert got.curve.shape == (1,) and want.curve.shape == (8 * n_eps,)
+            assert _close(got.curve, want.curve)
+        else:
+            assert got.curve is None and want.curve is None
         for u in funcs:
             for weight in weights:
-                q = stability._q_form_level(patch, u, n_eps, n_t, weight, delta)[0]
+                q = stability._q_form_level(patch, u, n_eps, n_t, weight)[0]
                 assert _close(q, _per_node_surface(patch, u, n_eps, n_t, weight))
 
 

@@ -216,14 +216,29 @@ def test_analytic_sweep_derivatives_match_finite_differences(kind):
         return np.max(np.abs(got - want) / (1.0 + np.abs(want)))
 
     assert rel(s.eps_velocity(E, T), _central(lambda h: s.point(E + h, T), 1e-6)) < 1e-5
-    *_, f_et, f_tt = s.jet(E, T)
-    assert rel(f_et, _central(lambda h: s.t_velocity(E + h, T), 1e-5)) < 1e-5
-    assert rel(f_tt, _central(lambda h: s.t_velocity(E, T + h), 1e-5)) < 1e-5
+    assert rel(s.t_velocity(E, T), _central(lambda h: s.point(E, T + h), 1e-6)) < 1e-5
     fd = s.vertical_component_fd(E, T)
     assert np.max(np.abs(s.vertical_component(E, T) - fd) / (1.0 + np.abs(fd))) < 1e-5
     # the closed-form cross-check passes, also where it is ill-conditioned
     for e, t in zip(E.flat[::7], T.flat[::7]):
         assert jacobi_vertical(s, e, t) == s.vertical_component(e, t)
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.0, 2.2, 2.7])
+@pytest.mark.parametrize("z0", [0.0, 0.4, -3.0])
+def test_rulings_have_one_constant_frame_velocity(theta, z0):
+    # what the closed-form sweep geometry rests on: every ruling's velocity
+    # has the frame components J(a, b) = (-b, a, 0) of the base velocity
+    # (a, b), at every node of the sweep
+    for gamma in (generic_gamma(theta, Point(0.2, -0.1, z0)),
+                  HorizontalCurve.x_line(Point(0.1, 0.4, z0)),
+                  HorizontalCurve.y_line(Point(-0.3, 0.2, z0))):
+        s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5))
+        E, T = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-2.5, 2.5, 11), indexing="ij")
+        (_, _, z), _, F_t = s.jet(E, T)
+        a, b = gamma.curve.frame_velocity()
+        got = np.stack(frame_components(z, *F_t))
+        assert np.max(np.abs(got - np.array([-b, a, 0.0])[:, None, None])) <= 1e-15
 
 
 def _per_derivative_jet(s, eps, t):
@@ -240,10 +255,7 @@ def _per_derivative_jet(s, eps, t):
     vz = (-fb + s.skew * fa) / math.hypot(1.0, s.skew)
     flow = _eval_raw(gx, gy, gz, vx, vy, vz, t)
     ex, ey, *_ = _eval_raw(dx, dy, dz, fa * vx, -fa * vy, vz, t)
-    *_, tx, ty, tz = _eval_raw(0.0, 0.0, 0.0, vx, vy, vz, t)
-    zero = np.zeros_like(tx)
-    return (flow[:3], (ex, ey, dz), flow[3:], (fa * tx, -fa * ty, zero),
-            (tz * tx, -tz * ty, zero))
+    return flow[:3], (ex, ey, dz), flow[3:]
 
 
 @pytest.mark.parametrize("kind", ["generic", "near-x-line", "x-line", "y-line", "skewed"])
@@ -256,6 +268,7 @@ def test_jet_is_the_per_derivative_flows(kind):
     s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5), skew=0.5 if kind == "skewed" else 0.0)
     E, T = np.meshgrid(np.linspace(-0.9, 0.9, 13), np.linspace(-2.4, 2.4, 17), indexing="ij")
     got, want = s.jet(E, T), _per_derivative_jet(s, E, T)
+    assert len(got) == len(want) == 3
     for g_triple, w_triple in zip(got, want):
         for g, w in zip(g_triple, np.broadcast_arrays(*w_triple)):
             assert g.shape == E.shape
