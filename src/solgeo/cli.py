@@ -7,11 +7,13 @@ curve      sample a characteristic curve, optionally against the ODE oracle
 sweep      sweep a ruled surface from a singular curve; export OBJ + CSV
 stability  qform | compare | sufficient | area
 
-Every run writes a JSON summary embedding the fully resolved configuration
-and the tool version; identical configurations (including the seed)
-reproduce byte-identical summaries.  Exit codes: 0 ok, 2 usage or config
-error (including parameters a construction rejects), 3 numerical or
-precondition failure, 4 internal error.
+Each command handler takes the checked options and returns its results;
+``main`` writes them as a JSON summary embedding the fully resolved
+configuration and the tool version, so identical configurations (including
+the seed) reproduce byte-identical summaries.  Exit codes: 0 ok, 2 usage or
+config error (including parameters a construction rejects, non-finite
+values and options a run would ignore), 3 numerical or precondition
+failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .stationary import HorizontalCurve, orthogonality_check, singular_loci, swe
 # bench/spans.py rebinds solgeo.cli.uniqueness_scan, so it stays imported here
 from .stationary import uniqueness_scan  # noqa: F401
 from .surface import EPS_SING, raw_fields
-from .curves import eval_curve, integrate_ode, is_geodesic, make_curve
+from .curves import check_height, eval_curve, integrate_ode, is_geodesic, make_curve
 from .stability import (
     area_compare,
     battery_test_functions,
@@ -50,30 +51,38 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    options: dict
+def _values(v) -> list:
+    return list(v) if isinstance(v, (list, tuple)) else [v]
 
-    def validate(self):
-        o = self.options
-        for key in ("eps_sing", "delta"):
-            if key in o and o[key] is not None and o[key] <= 0:
-                raise ConfigError(f"{key} must be positive")
-        for key in ("grid", "n", "battery"):
-            if key in o and o[key] is not None:
-                vals = o[key] if isinstance(o[key], (list, tuple)) else [o[key]]
-                if any(int(v) < 2 for v in vals):
-                    raise ConfigError(f"{key} must be at least 2")
-        for key in ("window", "t", "eps"):
-            if key in o and o[key] is not None:
-                vals = list(o[key])
-                for lo, hi in zip(vals[::2], vals[1::2]):
-                    if not hi > lo:
-                        raise ConfigError(f"{key} range must be increasing")
 
-    def as_dict(self):
-        return {"command": self.command, "version": __version__, **self.options}
+def _validate(o: dict, parser: argparse.ArgumentParser) -> None:
+    """Reject option values that no run can use or that a run would ignore."""
+    for key in ("eps_sing", "delta"):
+        if o.get(key) is not None and o[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
+    for key in ("grid", "n", "battery"):
+        if o.get(key) is not None and any(v < 2 for v in _values(o[key])):
+            raise ConfigError(f"{key} must be at least 2")
+    for key in ("window", "t", "eps"):
+        if o.get(key) is not None:
+            for lo, hi in zip(o[key][::2], o[key][1::2]):
+                if not hi > lo:
+                    raise ConfigError(f"{key} range must be increasing")
+    for a in parser._actions:
+        if a.type is float and o.get(a.dest) is not None:
+            if not all(math.isfinite(v) for v in _values(o[a.dest])):
+                raise ConfigError(f"{a.dest} must be finite")
+    if o.get("seed", 0) < 0:
+        raise ConfigError("seed must be non-negative")
+    if o.get("u") and o.get("param"):
+        raise ConfigError("--param sets catalog parameters; --u takes none")
+    if o.get("alpha") is not None and o.get("v") is not None:
+        raise ConfigError("--alpha and --v both set the initial velocity; give one")
+    if o.get("v0") is not None and o["theta"] is not None:
+        raise ConfigError("--v0 and --theta both set the initial velocity; give one")
+    for key in ("v0", "theta"):
+        if o.get(key) is not None and o["gamma"] != "exp":
+            raise ConfigError(f"--{key} sets the velocity of --gamma exp, not {o['gamma']}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -153,27 +162,25 @@ def _parse_params(items) -> dict:
     return params
 
 
-def _resolve_surface(options) -> tuple:
-    if options.get("u"):
-        return parse_field(options["u"]), None, {}
-    name = options.get("surface")
+def _resolve_surface(options):
+    if options["u"]:
+        return parse_field(options["u"])
+    name = options["surface"]
     if not name:
         raise ConfigError("need --surface NAME or --u EXPR")
     if name not in CATALOG_NAMES:
         raise ConfigError(f"unknown surface {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
-    params = _parse_params(options.get("param"))
-    return catalog(name, **params), name, params
+    return catalog(name, **_parse_params(options["param"]))
 
 
 # ---------------------------------------------------------------------------
 # residual
 # ---------------------------------------------------------------------------
 
-def cmd_residual(cfg: RunConfig) -> int:
-    o = cfg.options
-    field, name, params = _resolve_surface(o)
+def cmd_residual(o: dict) -> dict:
+    field = _resolve_surface(o)
     x0, x1, y0, y1, z0, z1 = o["window"]
-    n = int(o["grid"])
+    n = o["grid"]
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     zs = np.linspace(z0, z1, n)
@@ -197,13 +204,11 @@ def cmd_residual(cfg: RunConfig) -> int:
     rows = zip(X.ravel(), Y.ravel(), Z.ravel(),
                f["nh"].ravel(), f["H"].ravel(),
                f["residual_coord"].ravel(), f["nt"].ravel())
-    out_dir = o["out"]
-    write_csv(os.path.join(out_dir, "residual.csv"),
+    write_csv(os.path.join(o["out"], "residual.csv"),
               ["x", "y", "z", "Nh", "H", "residual", "NT"], rows)
 
     singular_pts = np.argwhere(on_surface & ~nonsing)
     summary = {
-        "config": cfg.as_dict(),
         "max_abs_residual": float(np.max(np.abs(f["residual_coord"]))),
         "max_abs_normalized_residual_on_surface": float(np.max(np.abs(normalized[band]))),
         "on_surface_points": int(np.sum(band)),
@@ -214,8 +219,7 @@ def cmd_residual(cfg: RunConfig) -> int:
         "singular_count": int(len(singular_pts)),
     }
     summary["minimal_flag"] = bool(summary["max_abs_normalized_residual_on_surface"] < 1e-9)
-    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
-    return 0
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -224,37 +228,35 @@ def cmd_residual(cfg: RunConfig) -> int:
 
 def _horizontal_unit(p0: Point, angle: float) -> CoordVector:
     """cos(angle) X + sin(angle) Y at p0, in coordinates."""
+    check_height(p0.z)
     return CoordVector(-math.sin(angle) * math.exp(p0.z) / SQRT2,
                        math.sin(angle) * math.exp(-p0.z) / SQRT2, math.cos(angle))
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    o = cfg.options
+def cmd_curve(o: dict) -> dict:
     p0 = Point(*o["p0"])
-    if o.get("alpha") is not None:
-        v0 = _horizontal_unit(p0, float(o["alpha"]))
-    elif o.get("v") is not None:
+    if o["alpha"] is not None:
+        v0 = _horizontal_unit(p0, o["alpha"])
+    elif o["v"] is not None:
         v0 = CoordVector(*o["v"])
     else:
         raise ConfigError("need --alpha or --v")
     curve = make_curve(p0, v0)
     t0, t1 = o["t"]
-    ts = np.linspace(t0, t1, int(o["n"]))
+    ts = np.linspace(t0, t1, o["n"])
     pos, vel = eval_curve(curve, ts)
     rows = zip(ts, pos[:, 0], pos[:, 1], pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
-    out_dir = o["out"]
-    write_csv(os.path.join(out_dir, "curve.csv"),
+    write_csv(os.path.join(o["out"], "curve.csv"),
               ["t", "x", "y", "z", "xdot", "ydot", "zdot"], rows)
 
     a, b, c = frame_components(pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
     summary = {
-        "config": cfg.as_dict(),
         "family": curve.family,
         "geodesic": is_geodesic(curve),
         "horizontality_drift": float(np.max(np.abs(c))),
         "unit_speed_drift": float(np.max(np.abs(np.sqrt(a**2 + b**2 + c**2) - 1.0))),
     }
-    if o.get("oracle"):
+    if o["oracle"]:
         # two one-sided integrations from p0, matching the sample grid
         devs = []
         for lo, hi in ((0.0, t0), (0.0, t1)):
@@ -267,8 +269,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             ref, _ = eval_curve(curve, p.t)
             devs.append(float(np.max(np.abs(p.points - ref))))
         summary["oracle_sup_deviation"] = max(devs) if devs else 0.0
-    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
-    return 0
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +291,16 @@ def _gamma_from_options(o) -> HorizontalCurve:
         if o["v0"] is not None:
             v0 = CoordVector(*o["v0"])
         else:
-            v0 = _horizontal_unit(p0, float(o["theta"]))
+            v0 = _horizontal_unit(p0, o["theta"])
         return HorizontalCurve.from_initial_data(p0, v0)
     raise ConfigError(f"unknown --gamma kind {kind!r}")
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    o = cfg.options
-    if o["v0"] is None:
-        if o["theta"] is None:
-            o["theta"] = SWEEP_THETA
-    elif o["theta"] is not None:
-        raise ConfigError("--v0 and --theta both set the initial velocity; give one")
-    elif o["gamma"] != "exp":
-        raise ConfigError(f"--v0 sets the velocity of --gamma exp, not {o['gamma']}")
+def cmd_sweep(o: dict) -> dict:
+    if o["v0"] is None and o["theta"] is None:
+        o["theta"] = SWEEP_THETA
     gamma = _gamma_from_options(o)
-    ne, nt = (int(v) for v in o["grid"])
+    ne, nt = o["grid"]
     s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt), skew=o["skew"])
     tg = s.t_grid()
     E, T = np.meshgrid(s.eps_grid(), tg, indexing="ij")
@@ -315,105 +310,80 @@ def cmd_sweep(cfg: RunConfig) -> int:
         nh, _ = TangentFrame(Z, V, F_t).unit_normal()
     vt = frame_components(Z, *V)[2]
 
-    out_dir = o["out"]
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    write_obj(os.path.join(out_dir, "sweep.obj"), verts, (ne, nt))
+    write_obj(os.path.join(o["out"], "sweep.obj"), verts, (ne, nt))
     rows = zip(E.ravel(), T.ravel(), X.ravel(), Y.ravel(), Z.ravel(),
                nh.ravel(), vt.ravel())
-    write_csv(os.path.join(out_dir, "sweep.csv"),
+    write_csv(os.path.join(o["out"], "sweep.csv"),
               ["eps", "t", "x", "y", "z", "Nh", "VT"], rows)
 
     mid_eps = 0.5 * (o["eps"][0] + o["eps"][1])
+    # 9 probes over 0.9 [t0, t1]; an end probe always clears the cut
     probe_ts = np.linspace(o["t"][0] * 0.9, o["t"][1] * 0.9, 9)
     probe_ts = probe_ts[np.abs(probe_ts) > 0.05 * (o["t"][1] - o["t"][0])]
     h_samples = [float(s.intrinsic_mean_curvature(mid_eps, float(t))) for t in probe_ts]
     summary = {
-        "config": cfg.as_dict(),
         "branch": gamma.kind,
         "orthogonality_defect": float(orthogonality_check(s)),
-        "max_abs_intrinsic_H": max(abs(h) for h in h_samples) if h_samples else None,
+        "max_abs_intrinsic_H": max(abs(h) for h in h_samples),
     }
-    if o.get("scan_singular"):
+    if o["scan_singular"]:
         summary["singular_loci"] = singular_loci(tg, vt)
-    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
-    return 0
+    return summary
 
 
 # ---------------------------------------------------------------------------
 # stability
 # ---------------------------------------------------------------------------
 
-def cmd_stability(cfg: RunConfig) -> int:
-    o = cfg.options
-    mode = o["mode"]
-    out_dir = o["out"]
-    summary = {"config": cfg.as_dict()}
+def _battery(o: dict, name: str) -> tuple:
+    """The patch of catalog surface ``name``, delta and the seeded battery."""
+    patch = patch_for_catalog(name, _parse_params(o["param"]))
+    delta = o["delta"] or 0.1 * (patch.t_range[1] - patch.t_range[0])
+    return patch, delta, battery_test_functions(patch, o["battery"], o["seed"], delta)
 
+
+def cmd_stability(o: dict) -> dict:
+    mode = o["mode"]
+    grid = (o["n"], o["n"])
     if mode == "qform":
-        name = o.get("surface")
-        params = _parse_params(o.get("param"))
-        patch = patch_for_catalog(name, params)
-        delta = o.get("delta") or 0.1 * (patch.t_range[1] - patch.t_range[0])
-        funcs = battery_test_functions(patch, int(o["battery"]), int(o["seed"]), delta)
-        reports = []
-        for tf in funcs:
-            rep = q_form(patch, tf, grid=(int(o["n"]), int(o["n"])), delta=delta)
-            reports.append(rep.to_json_dict())
+        patch, delta, funcs = _battery(o, o["surface"])
+        reports = [q_form(patch, tf, grid=grid, delta=delta).to_json_dict() for tf in funcs]
         totals = [r["total"] for r in reports]
         errors = [r["error_estimate"] for r in reports]
-        summary.update({
+        return {
             "reports": reports,
             "min_total": min(totals),
             "max_error_estimate": max(errors),
             "battery_nonnegative": bool(all(t >= -e for t, e in zip(totals, errors))),
-        })
-    elif mode == "compare":
-        kind = o.get("family")
+        }
+    if mode == "compare":
+        kind = o["family"]
         if kind not in ("plane_ab", "saddle_curve"):
             raise ConfigError("--family must be plane_ab or saddle_curve")
-        params = _parse_params(o.get("param"))
-        if kind == "plane_ab" and not params:
-            params = {"a": 1.0, "b": 1.0, "c": 0.0}
-        name = {"plane_ab": "plane-ab", "saddle_curve": "saddle-curve"}[kind]
-        patch = patch_for_catalog(name, params)
-        delta = o.get("delta") or 0.1 * (patch.t_range[1] - patch.t_range[0])
-        funcs = battery_test_functions(patch, int(o["battery"]), int(o["seed"]), delta)
+        patch, delta, funcs = _battery(o, kind.replace("_", "-"))
         comparisons = []
         for tf in funcs:
-            general = q_form(patch, tf, grid=(int(o["n"]), int(o["n"])), delta=delta)
-            simple = q_form_simplified(patch, tf, grid=(int(o["n"]), int(o["n"])),
-                                       delta=delta)
+            general = q_form(patch, tf, grid=grid, delta=delta)
+            simple = q_form_simplified(patch, tf, grid=grid, delta=delta)
             comp = compare_q_forms(general, simple)
             comp["general"] = general.to_json_dict()
             comp["simplified"] = simple.to_json_dict()
             comparisons.append(comp)
-        summary["comparisons"] = comparisons
-        summary["all_agree"] = bool(all(c["agree"] for c in comparisons))
         terms = sorted({c["mismatch_term"] for c in comparisons if c["mismatch_term"]})
-        summary["mismatch_terms"] = terms
-    elif mode == "sufficient":
-        name = o.get("surface")
-        params = _parse_params(o.get("param"))
-        patch = patch_for_catalog(name, params)
-        field = patch.field
-        rep = sufficient_condition(field, patch, grid=(int(o["n"]), int(o["n"])),
-                                   flip=bool(o.get("flip_orientation")))
-        summary["sufficient"] = rep
-    elif mode == "area":
-        name = o.get("surface")
-        if name not in ("plane-x", "plane-y", "plane-z"):
-            raise ConfigError("area mode supports plane-x, plane-y, plane-z")
-        params = _parse_params(o.get("param"))
-        rep = area_compare(name, float(o["eta"]), grid=int(o["n"]),
-                           c=float(params.get("c", 0.0)))
-        rep["base_strictly_smaller"] = bool(
-            rep["delta_area"] > rep["error_estimate"])
-        summary["area"] = rep
-    else:
-        raise ConfigError(f"unknown stability mode {mode!r}")
-
-    sys.stdout.write(write_json(os.path.join(out_dir, "summary.json"), summary))
-    return 0
+        return {"comparisons": comparisons,
+                "all_agree": bool(all(c["agree"] for c in comparisons)),
+                "mismatch_terms": terms}
+    if mode == "sufficient":
+        patch = patch_for_catalog(o["surface"], _parse_params(o["param"]))
+        return {"sufficient": sufficient_condition(patch.field, patch, grid=grid,
+                                                   flip=o["flip_orientation"])}
+    name = o["surface"]
+    if name not in ("plane-x", "plane-y", "plane-z"):
+        raise ConfigError("area mode supports plane-x, plane-y, plane-z")
+    rep = area_compare(name, o["eta"], grid=o["n"], **_parse_params(o["param"]))
+    rep["base_strictly_smaller"] = bool(rep["delta_area"] > rep["error_estimate"])
+    return {"area": rep}
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +476,18 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         options = _merge(args, _DEFAULTS[args.command])
-        cfg = RunConfig(args.command, options)
-        cfg.validate()
+        _validate(options, args.parser)
         handler = {
             "residual": cmd_residual,
             "curve": cmd_curve,
             "sweep": cmd_sweep,
             "stability": cmd_stability,
         }[args.command]
-        return handler(cfg)
+        results = handler(options)
+        summary = {"config": {"command": args.command, "version": __version__, **options},
+                   **results}
+        sys.stdout.write(write_json(os.path.join(options["out"], "summary.json"), summary))
+        return 0
     except (ConfigError, ExprSyntaxError, BadParams) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ as an independent oracle for the closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ LINE_FAMILY_TOL = 1e-12
 
 #: exp() argument bound; larger arguments are reported, not saturated
 OVERFLOW_LIMIT = 700.0
+
+#: largest |z| at which math.exp(z) and math.exp(-z) are finite
+HEIGHT_LIMIT = math.log(sys.float_info.max)
 
 #: geodesics are the integral curves of X or Y; frame-component tolerance
 GEODESIC_TOL = 1e-9
@@ -61,6 +65,12 @@ class CharacteristicCurve:
         return self.zdot0, self.c0 / SQRT2
 
 
+def check_height(z: float) -> None:
+    """Raise CurveOverflow where e^z or e^-z at height ``z`` overflows."""
+    if not abs(z) <= HEIGHT_LIMIT:
+        raise CurveOverflow(f"e^|z| overflows at height z = {z:g}")
+
+
 def horizontality_defect(p0: Point, v0: CoordVector) -> float:
     """ydot e^z + xdot e^-z, zero exactly when the velocity is horizontal."""
     return v0.dy * math.exp(p0.z) + v0.dx * math.exp(-p0.z)
@@ -70,11 +80,12 @@ def make_curve(p0: Point, v0: CoordVector) -> CharacteristicCurve:
     """Classify and normalize initial data into a curve record.
 
     The velocity is normalized to unit frame length.  Raises NotHorizontal
-    when the (scale-invariant) horizontality defect exceeds TOL_HORIZONTAL and
-    ZeroVelocity on vanishing input.
+    when the (scale-invariant) horizontality defect exceeds TOL_HORIZONTAL,
+    ZeroVelocity on vanishing input and CurveOverflow where e^z overflows.
     """
     from .frame import to_frame
 
+    check_height(p0.z)
     w = to_frame(p0, v0)
     speed = w.norm()
     if speed == 0.0:
@@ -160,13 +171,9 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> Sampl
 
     if steps < 2:
         raise GeometryError("need at least 2 sample steps")
+    make_curve(p0, v0)  # the same preconditions as the closed form
     w = to_frame(p0, v0)
     speed = w.norm()
-    if speed == 0.0:
-        raise ZeroVelocity(f"zero initial velocity at {p0}")
-    defect = horizontality_defect(p0, v0)
-    if abs(defect) / speed > TOL_HORIZONTAL:
-        raise NotHorizontal(defect)
 
     def rhs(t, s):
         x, y, z, a, b = s

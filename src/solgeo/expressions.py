@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import EvaluationError, ExprSyntaxError
+from .errors import BadParams, EvaluationError, ExprSyntaxError
 from .frame import CoordVector, Point
 
 # ---------------------------------------------------------------------------
@@ -552,60 +552,43 @@ def _lit(v: float) -> str:
     return f"({v:.17g})"
 
 
+#: name -> (defining-function template, parameter defaults).  plane-ab needs
+#: (a, b) != (0, 0); tilted is not minimal when c != 0; saddle-point is
+#: minimal with its one singular point at (x0, y0, -z0); saddle-curve is
+#: minimal with the singular line x = x0, y = y0, and z0 only rescales it.
+CATALOG = {
+    "plane-x": ("x + {c}", {"c": 0.0}),
+    "plane-y": ("y + {c}", {"c": 0.0}),
+    "plane-z": ("z + {c}", {"c": 0.0}),
+    "plane-ab": ("{a}*x + {b}*y + {c}", {"a": 1.0, "b": 1.0, "c": 0.0}),
+    "tilted": ("{a}*x + {b}*y + {c}*z + {d}", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}),
+    "saddle-point": ("exp(z - {z0})*(y - {y0}) + x - {x0}",
+                     {"x0": 0.0, "y0": 0.0, "z0": 0.0}),
+    "saddle-curve": ("exp(z - {z0})*(y - {y0}) + exp(-z - {z0})*(x - {x0})",
+                     {"x0": 0.0, "y0": 0.0, "z0": 0.0}),
+}
+
+CATALOG_NAMES = tuple(CATALOG)
+
+
+def catalog_params(name: str, params: dict | None = None) -> dict:
+    """Every parameter of catalog surface ``name`` as a float, ``params``
+    over the defaults; a name the surface does not take raises BadParams."""
+    if name not in CATALOG:
+        raise BadParams(f"unknown catalog surface {name!r}")
+    defaults = CATALOG[name][1]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise BadParams(f"{name} has no parameter {', '.join(unknown)}; "
+                        f"its parameters: {', '.join(defaults)}")
+    return {k: float(params.get(k, v)) for k, v in defaults.items()}
+
+
 def catalog(name: str, **params) -> ScalarField:
-    """Named defining functions so CLI users need not type formulas.
-
-    plane-x       x + c
-    plane-y       y + c
-    plane-z       z + c
-    plane-ab      a*x + b*y + c                  (requires (a, b) != (0, 0))
-    tilted        a*x + b*y + c*z + d            (not minimal when c != 0)
-    saddle-point  exp(z - z0)*(y - y0) + x - x0  (minimal for every parameter
-                  choice; its single singular point sits at (x0, y0, -z0))
-    saddle-curve  exp(z - z0)*(y - y0) + exp(-z - z0)*(x - x0)
-                  (minimal; zero set is independent of z0, which only
-                  rescales the function; the singular set is the vertical
-                  line x = x0, y = y0)
-    """
-    from .errors import BadParams
-
-    if name == "plane-x":
-        c = float(params.get("c", 0.0))
-        return parse(f"x + {_lit(c)}")
-    if name == "plane-y":
-        c = float(params.get("c", 0.0))
-        return parse(f"y + {_lit(c)}")
-    if name == "plane-z":
-        c = float(params.get("c", 0.0))
-        return parse(f"z + {_lit(c)}")
-    if name == "plane-ab":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
-        c = float(params.get("c", 0.0))
-        if a == 0.0 and b == 0.0:
-            raise BadParams("plane-ab needs (a, b) != (0, 0)")
-        return parse(f"{_lit(a)}*x + {_lit(b)}*y + {_lit(c)}")
-    if name == "tilted":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
-        c = float(params.get("c", 1.0))
-        d = float(params.get("d", 0.0))
-        return parse(f"{_lit(a)}*x + {_lit(b)}*y + {_lit(c)}*z + {_lit(d)}")
-    if name == "saddle-point":
-        x0 = float(params.get("x0", 0.0))
-        y0 = float(params.get("y0", 0.0))
-        z0 = float(params.get("z0", 0.0))
-        return parse(f"exp(z - {_lit(z0)})*(y - {_lit(y0)}) + x - {_lit(x0)}")
-    if name == "saddle-curve":
-        x0 = float(params.get("x0", 0.0))
-        y0 = float(params.get("y0", 0.0))
-        z0 = float(params.get("z0", 0.0))
-        return parse(
-            f"exp(z - {_lit(z0)})*(y - {_lit(y0)})"
-            f" + exp(-z - {_lit(z0)})*(x - {_lit(x0)})"
-        )
-    raise BadParams(f"unknown catalog surface {name!r}")
-
-
-CATALOG_NAMES = ("plane-x", "plane-y", "plane-z", "plane-ab", "tilted",
-                 "saddle-point", "saddle-curve")
+    """The defining function of catalog surface ``name`` (see ``CATALOG``),
+    so CLI users need not type formulas."""
+    p = catalog_params(name, params)
+    if name == "plane-ab" and p["a"] == 0.0 and p["b"] == 0.0:
+        raise BadParams("plane-ab needs (a, b) != (0, 0)")
+    return parse(CATALOG[name][0].format(**{k: _lit(v) for k, v in p.items()}))

@@ -70,9 +70,6 @@ class FrameVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c], dtype=float)
 
-    def scaled(self, factor: float) -> "FrameVector":
-        return FrameVector(factor * self.a, factor * self.b, factor * self.c)
-
     def __add__(self, other: "FrameVector") -> "FrameVector":
         return FrameVector(self.a + other.a, self.b + other.b, self.c + other.c)
 

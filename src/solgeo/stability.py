@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BadParams, GeometryError, Inadmissible, NotMinimal, SingularPointFound
-from .expressions import ScalarField, catalog, neg
+from .expressions import ScalarField, catalog, catalog_params, neg
 from .frame import SQRT2, Point, TangentFrame
 # bench/spans.py rebinds solgeo.stability.frame_components, so it stays imported here
 from .frame import frame_components  # noqa: F401
@@ -128,6 +128,9 @@ def battery_test_functions(patch, count: int, seed: int, delta: float):
     t_lo, t_hi = patch.t_range
     e_half = 0.5 * (e_hi - e_lo)
     t_half = 0.5 * (t_hi - t_lo)
+    if patch.singular == "curve" and delta * 1.2 > 0.45 * t_half:
+        raise BadParams(f"delta {delta:g} is too wide for the patch: 1.2*delta must "
+                        f"not exceed {0.45 * t_half:g}, 0.45 of its half t-range")
     out = []
     for _ in range(count):
         if patch.singular == "curve":
@@ -260,19 +263,16 @@ def _graph_chart(kind: str, h_fn):
 
 def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
     """Adapted quadrature patch for a catalog surface."""
-    params = dict(params or {})
-    fld = catalog(name, **params)
+    p = catalog_params(name, params)
+    fld = catalog(name, **p)
 
     if name in ("plane-x", "plane-y", "plane-z"):
-        c = float(params.get("c", 0.0))
         # eps runs along a coordinate line of the plane: a left translation
         return SurfacePatch(name, fld, (-3.0, 3.0), (-3.0, 3.0),
-                            _graph_chart(name, _level_graph(c)), eps_invariant=True)
+                            _graph_chart(name, _level_graph(p["c"])), eps_invariant=True)
 
     if name == "plane-ab":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
-        c = float(params.get("c", 0.0))
+        a, b, c = p["a"], p["b"], p["c"]
         if a * b <= 0.0:
             raise BadParams(
                 "adapted plane-ab patch needs a*b > 0 (otherwise the plane has "
@@ -285,14 +285,11 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
     if name == "saddle-curve":
         # base curve: the vertical line (x0, y0, eps); rulings: Y-lines
-        base = HorizontalCurve.x_line(Point(float(params.get("x0", 0.0)),
-                                            float(params.get("y0", 0.0)), 0.0))
+        base = HorizontalCurve.x_line(Point(p["x0"], p["y0"], 0.0))
         return patch_from_ruled(sweep_surface(base, (-2.0, 2.0), (-3.0, 3.0)), name, fld)
 
     if name == "saddle-point":
-        x0 = float(params.get("x0", 0.0))
-        y0 = float(params.get("y0", 0.0))
-        z0 = float(params.get("z0", 0.0))
+        x0, y0, z0 = p["x0"], p["y0"], p["z0"]
 
         # graph x = x0 - e^(z - z0) (y - y0) over (y, z); the singular point
         # sits at (y0, -z0)
@@ -720,11 +717,12 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     sup of <N, T> over the grid plus two diagnostics: the quantity
     2 Z(<N,T>/|N_h|) + (<N,T>/|N_h|)^2 and the cosh-coefficient combination
     a + b of the Jacobi profile (non-positive exactly when the profile
-    never crosses zero forward in s).  The met flag gates on the
-    hypothesis; the diagnostics are reported, not gated on.  A patch that
-    declares a singular set, or has a singular point on the grid, raises
-    SingularPointFound (a grid can miss a singular curve or point); a
-    non-finite sup <N, T> raises GeometryError.
+    never crosses zero forward in s), left out when no node has
+    |<Z,X>| > 1e-9.  The met flag gates on the hypothesis; the diagnostics
+    are reported, not gated on.  A patch that declares a singular set, or
+    has a singular point on the grid, raises SingularPointFound (a grid can
+    miss a singular curve or point); a non-finite sup <N, T> raises
+    GeometryError.
     """
     if patch.singular != "none":
         raise SingularPointFound(
@@ -745,20 +743,20 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     sup_quantity = float(np.max(quantity))
     zx = np.abs(f["zx"])
     mask = zx > 1e-9
-    a_plus_b = np.full_like(zx, np.nan)
-    a_plus_b[mask] = (-f["nh"][mask] * (f["Zq"][mask] + f["q"][mask] ** 2)
-                      / (f["zx"][mask] ** 2) - f["nt"][mask] / zx[mask])
-    sup_apb = float(np.max(a_plus_b[mask])) if mask.any() else float("nan")
     degenerate_ok = bool(np.all(np.abs(f["nt"][~mask]) <= SUFFICIENT_TOL))
-    return {
+    out = {
         "sup_NT": sup_nt,
         "sup_quantity": sup_quantity,
-        "sup_a_plus_b": sup_apb,
         "zx_degenerate_fraction": float(np.mean(~mask)),
         "zx_degenerate_vertical_ok": degenerate_ok,
         "condition_met": bool(sup_nt <= SUFFICIENT_TOL),
         "flip": bool(flip),
     }
+    if mask.any():
+        a_plus_b = (-f["nh"][mask] * (f["Zq"][mask] + f["q"][mask] ** 2)
+                    / (f["zx"][mask] ** 2) - f["nt"][mask] / zx[mask])
+        out["sup_a_plus_b"] = float(np.max(a_plus_b))
+    return out
 
 
 def jacobi_profile(field: ScalarField, p: Point, s_range=(-3.0, 3.0),
@@ -839,9 +837,10 @@ def _graph_area(kind: str, window, h_fn, cells: int) -> float:
 
 
 @_quiet
-def area_compare(base_kind: str, eta: float, grid: int = 100, c: float = 0.0) -> dict:
+def area_compare(base_kind: str, eta: float, grid: int = 100, **params) -> dict:
     """Areas of a coordinate plane and a compactly supported graph bump over it.
 
+    The plane is the catalog surface ``base_kind`` with ``params``.
     The plane's area over AREA_WINDOW is the closed form ``_PLANE_AREA``,
     with the round-off of a few ulps as its error.  The bumped graph agrees
     with the plane outside the bump support, which spans BUMP_WIDTH_FRAC of
@@ -855,6 +854,7 @@ def area_compare(base_kind: str, eta: float, grid: int = 100, c: float = 0.0) ->
     """
     if base_kind not in _PLANE_GRAPH:
         raise BadParams(f"area comparison supports plane-x/y/z, got {base_kind!r}")
+    c = catalog_params(base_kind, params)["c"]
     b1, b2 = (Bump(0.5 * (lo + hi), 0.0, BUMP_WIDTH_FRAC * 0.5 * (hi - lo))
               for lo, hi in AREA_WINDOW)
     support = (b1.support(), b2.support())

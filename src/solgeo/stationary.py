@@ -47,7 +47,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .curves import CharacteristicCurve, _eval_raw, make_curve
+from .curves import CharacteristicCurve, _eval_raw, check_height, make_curve
 from .errors import BadParams, BranchUnsupported
 from .expressions import ScalarField, catalog
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
@@ -100,6 +100,7 @@ class HorizontalCurve:
     @staticmethod
     def y_line(p0: Point) -> "HorizontalCurve":
         """Integral curve of Y through p0 (a horizontal straight line)."""
+        check_height(p0.z)
         return HorizontalCurve.from_initial_data(
             p0, CoordVector(-math.exp(p0.z) / SQRT2, math.exp(-p0.z) / SQRT2, 0.0))
 
@@ -373,11 +374,9 @@ def family_surfaces(kind: str, **params) -> ScalarField:
     singular curve: planes a x + b y + c = 0 and the saddle family around
     a vertical line.
     """
-    if kind == "plane_ab":
-        return catalog("plane-ab", **params)
-    if kind == "saddle_curve":
-        return catalog("saddle-curve", **params)
-    raise BadParams(f"unknown family {kind!r}; expected plane_ab or saddle_curve")
+    if kind not in ("plane_ab", "saddle_curve"):
+        raise BadParams(f"unknown family {kind!r}; expected plane_ab or saddle_curve")
+    return catalog(kind.replace("_", "-"), **params)
 
 
 def plane_ab_singular_line_z(a: float, b: float) -> float:

@@ -513,3 +513,98 @@ def test_saddle_curve_one_row_tables_agree_with_the_full_grid(tmp_path, params):
         for got, want in ((qform[i], general), (compare[i]["general"], general),
                           (compare[i]["simplified"], simple)):
             assert abs(got["total"] - want.total) <= want.error_estimate
+
+
+@pytest.mark.parametrize("argv, code", [
+    # non-finite option values and a negative seed
+    (["sweep", "--x0", "nan", "0", "0"], 2),
+    (["curve", "--p0", "0", "0", "nan", "--alpha", "0.3"], 2),
+    (["curve", "--alpha", "inf"], 2),
+    (["stability", "qform", "--seed", "-1", "--battery", "2", "--n", "4"], 2),
+    (["sweep", "--theta", "nan", "--grid", "4", "4"], 2),
+    (["sweep", "--skew", "inf", "--grid", "4", "4"], 2),
+    (["stability", "qform", "--delta", "nan", "--battery", "2", "--n", "4"], 2),
+    (["stability", "qform", "--delta", "inf", "--battery", "2", "--n", "4"], 2),
+    (["sweep", "--t", "-3", "inf", "--grid", "4", "4"], 2),
+    (["curve", "--t", "0", "inf", "--alpha", "0.3"], 2),
+    # a delta too wide for a patch with a singular curve
+    (["stability", "qform", "--surface", "plane-ab", "--delta", "1.2", "--battery", "2"], 2),
+    (["stability", "compare", "--family", "saddle_curve", "--delta", "2", "--battery", "2"], 2),
+    # a base height whose e^z or e^-z overflows
+    (["curve", "--p0", "0", "0", "800", "--alpha", "0.3"], 3),
+    (["sweep", "--x0", "0", "0", "800"], 3),
+    (["sweep", "--x0", "0", "0", "800", "--gamma", "x-line"], 3),
+    (["sweep", "--x0", "0", "0", "-800", "--gamma", "y-line"], 3),
+    # inputs the run would ignore
+    (["curve", "--alpha", "0.3", "--v", "0", "0", "1"], 2),
+    (["sweep", "--gamma", "x-line", "--theta", "0.3"], 2),
+    (["sweep", "--gamma", "y-line", "--theta", "0.3"], 2),
+    (["residual", "--u", "x + y", "--param", "c=1"], 2),
+])
+def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, argv, code):
+    assert run([*argv, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--surface", "tilted", "--param", "e=1"],
+    ["stability", "qform", "--surface", "plane-x", "--param", "C=0.5"],
+    ["stability", "compare", "--family", "plane_ab", "--param", "z0=1"],
+    ["stability", "sufficient", "--surface", "plane-y", "--param", "a=1"],
+    ["stability", "area", "--surface", "plane-z", "--param", "c=0.1", "--param", "d=1"],
+])
+def test_unknown_catalog_parameter_exit_2(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    unknown = argv[-1].split("=")[0]
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"has no parameter {unknown};" in err
+    assert "its parameters: " in err
+    assert not (tmp_path / "o").exists()
+
+
+def _no_null(value, where="summary"):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            # a comparison names a mismatching term only where the forms disagree
+            if not (k == "mismatch_term" and value["agree"]):
+                _no_null(v, f"{where}.{k}")
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _no_null(v, f"{where}[{i}]")
+    else:
+        assert value is not None, where
+        assert not isinstance(value, float) or np.isfinite(value), where
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise AssertionError(f"summary holds {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--surface", "saddle-point", "--grid", "12"],
+    ["residual", "--u", "x + y + z", "--grid", "12"],
+    ["curve", "--alpha", "0.3", "--oracle"],
+    ["curve", "--v", "0", "0", "1"],
+    ["sweep", "--scan-singular"],
+    ["sweep", "--gamma", "x-line", "--scan-singular"],
+    ["sweep", "--gamma", "y-line", "--grid", "12", "12"],
+    ["sweep", "--v0", "0", "0", "1", "--grid", "12", "12"],
+    ["sweep", "--skew", "0.5", "--grid", "12", "12"],
+    ["stability", "qform", "--battery", "3"],
+    ["stability", "compare", "--family", "plane_ab", "--battery", "2"],
+    ["stability", "compare", "--family", "saddle_curve", "--battery", "2"],
+    *(["stability", "sufficient", "--surface", plane, *flip]
+      for plane in ("plane-x", "plane-y", "plane-z") for flip in ([], ["--flip-orientation"])),
+    ["stability", "area", "--n", "8", "--surface", "plane-z"],
+])
+def test_summary_holds_no_null_or_nonfinite_value(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 0
+    summary = _strict_json(read(tmp_path / "o" / "summary.json"))
+    assert capsys.readouterr().out == read(tmp_path / "o" / "summary.json").decode()
+    _no_null({k: v for k, v in summary.items() if k != "config"})

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import horizontal_velocity, random_point
 from solgeo.curves import (
+    HEIGHT_LIMIT,
     eval_curve,
     integrate_ode,
     is_geodesic,
@@ -16,6 +17,7 @@ from solgeo.curves import (
 from solgeo.errors import CurveOverflow, NotHorizontal, ZeroVelocity
 from solgeo.expressions import parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
+from solgeo.stationary import HorizontalCurve
 
 
 def test_vertical_curve():
@@ -123,6 +125,29 @@ def test_overflow_reported():
     c = make_curve(Point(0, 0, 0), CoordVector(0, 0, 1))
     with pytest.raises(CurveOverflow):
         eval_curve(c, 800.0)
+
+
+@pytest.mark.parametrize("v0, error", [
+    (CoordVector(1, 1, 0), NotHorizontal),
+    (CoordVector(0, 0, 0), ZeroVelocity),
+])
+def test_oracle_keeps_the_closed_forms_preconditions(v0, error):
+    with pytest.raises(error):
+        integrate_ode(Point(0, 0, 0), v0, 1.0, 5)
+
+
+@pytest.mark.parametrize("z", [800.0, -800.0, math.nextafter(HEIGHT_LIMIT, math.inf)])
+def test_base_height_overflow_reported(z):
+    # e^z or e^-z overflows a float: reported before any exponential is taken
+    p = Point(0, 0, z)
+    for build in (lambda: make_curve(p, CoordVector(0, 0, 1)),
+                  lambda: integrate_ode(p, CoordVector(0, 0, 1), 1.0, 5),
+                  lambda: HorizontalCurve.y_line(p)):
+        with pytest.raises(CurveOverflow):
+            build()
+    for z_ok in (HEIGHT_LIMIT, -HEIGHT_LIMIT):
+        assert make_curve(Point(0, 0, z_ok), CoordVector(0, 0, 1)).family == "exponential"
+        assert HorizontalCurve.y_line(Point(0, 0, z_ok)).kind == "y-integral"
 
 
 def test_is_geodesic():

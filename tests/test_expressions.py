@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solgeo.errors import BadParams, EvaluationError, ExprSyntaxError
-from solgeo.expressions import CATALOG_NAMES, ScalarField, catalog, parse
+from solgeo.expressions import CATALOG_NAMES, ScalarField, catalog, catalog_params, parse
 from solgeo.frame import Point
 
 
@@ -190,6 +190,14 @@ def test_catalog_names_complete():
         catalog("nope")
     with pytest.raises(BadParams):
         catalog("plane-ab", a=0.0, b=0.0)
+
+
+def test_catalog_parameters_resolve_over_the_defaults():
+    assert catalog_params("plane-ab", {"c": "0.5"}) == {"a": 1.0, "b": 1.0, "c": 0.5}
+    assert catalog("plane-ab", c="0.5").source == catalog("plane-ab", a=1, b=1, c=0.5).source
+    for name in CATALOG_NAMES:
+        with pytest.raises(BadParams, match=f"{name} has no parameter C, q; its parameters: "):
+            catalog(name, q=1.0, C=0.5)
 
 
 def test_saddle_point_equivalent_forms(rng):
