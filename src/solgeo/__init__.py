@@ -10,28 +10,8 @@ second-variation (stability) quadratic form by quadrature.
 
 __version__ = "0.1.0"
 
-from .frame import (
-    CoordVector,
-    FrameVector,
-    Point,
-    connection,
-    frame_at,
-    j_rotate,
-    lie_bracket,
-    to_coord,
-    to_frame,
-    torsion,
-    webster_curvature,
-)
+from .frame import CoordVector, FrameVector, Point, to_frame
 from .expressions import ScalarField, catalog, parse
-from .surface import (
-    SurfacePointData,
-    mean_curvature,
-    minimal_residual,
-    necessary_stability_quantity,
-    point_data,
-    surface_torsion_terms,
-)
 from .curves import CharacteristicCurve, eval_curve, integrate_ode, is_geodesic, make_curve
 from .stationary import (
     HorizontalCurve,
@@ -62,36 +42,23 @@ __all__ = [
     "QuadratureReport",
     "RuledSurface",
     "ScalarField",
-    "SurfacePointData",
     "TestFunction",
     "area_compare",
     "catalog",
-    "connection",
     "eval_curve",
     "family_surfaces",
-    "frame_at",
     "integrate_ode",
     "is_geodesic",
-    "j_rotate",
     "jacobi_profile",
     "jacobi_vertical",
-    "lie_bracket",
     "make_curve",
-    "mean_curvature",
-    "minimal_residual",
-    "necessary_stability_quantity",
     "orthogonality_check",
     "parse",
-    "point_data",
     "q_form",
     "q_form_simplified",
     "singular_point_surface",
     "sufficient_condition",
-    "surface_torsion_terms",
     "sweep_surface",
-    "to_coord",
     "to_frame",
-    "torsion",
     "uniqueness_scan",
-    "webster_curvature",
 ]

@@ -55,8 +55,25 @@ def _values(v) -> list:
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-def _validate(o: dict, parser: argparse.ArgumentParser) -> None:
-    """Reject option values that no run can use or that a run would ignore."""
+#: the options each stability mode reads, besides --out and --config
+_STABILITY_READS = {
+    "qform": {"surface", "param", "battery", "n", "delta", "seed"},
+    "compare": {"family", "param", "battery", "n", "delta", "seed"},
+    "sufficient": {"surface", "param", "n", "flip_orientation"},
+    "area": {"surface", "param", "n", "eta"},
+}
+
+
+def _validate(o: dict, given: set, parser: argparse.ArgumentParser) -> None:
+    """Reject option values that no run can use or that a run would ignore.
+
+    ``given`` names the options set by a flag or by the config file.
+    """
+    if "mode" in o:
+        unread = sorted(given - _STABILITY_READS[o["mode"]] - {"mode", "out"})
+        if unread:
+            names = ", ".join("--" + k.replace("_", "-") for k in unread)
+            raise ConfigError(f"stability {o['mode']} does not read {names}")
     for key in ("eps_sing", "delta"):
         if o.get(key) is not None and o[key] <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -76,6 +93,8 @@ def _validate(o: dict, parser: argparse.ArgumentParser) -> None:
         raise ConfigError("seed must be non-negative")
     if o.get("u") and o.get("param"):
         raise ConfigError("--param sets catalog parameters; --u takes none")
+    if o.get("u") and o.get("surface"):
+        raise ConfigError("--u and --surface both give the surface; give one")
     if o.get("alpha") is not None and o.get("v") is not None:
         raise ConfigError("--alpha and --v both set the initial velocity; give one")
     if o.get("v0") is not None and o["theta"] is not None:
@@ -125,8 +144,9 @@ def _coerce(key, value, action: argparse.Action):
     return out if many else out[0]
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag > config file > default, per option.
+def _merge(args: argparse.Namespace, defaults: dict) -> tuple:
+    """Flag > config file > default, per option; returns the options and
+    the set of those a flag or the config file gave.
 
     Every config-file value is checked against the argparse action of its
     option in the subcommand's parser, also where a flag overrides it.
@@ -138,12 +158,14 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     unknown = sorted(set(fromfile) - set(defaults))
     if unknown:
         raise ConfigError(f"{args.config}: {args.command} has no option {', '.join(unknown)}")
-    out = {}
+    out, given = {}, set(fromfile)
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         value = _coerce(key, fromfile[key], actions[key]) if key in fromfile else default
         out[key] = value if flag is None else flag
-    return out
+        if flag is not None:
+            given.add(key)
+    return out, given
 
 
 def _parse_params(items) -> dict:
@@ -475,8 +497,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        options = _merge(args, _DEFAULTS[args.command])
-        _validate(options, args.parser)
+        options, given = _merge(args, _DEFAULTS[args.command])
+        _validate(options, given, args.parser)
         handler = {
             "residual": cmd_residual,
             "curve": cmd_curve,

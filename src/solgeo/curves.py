@@ -104,21 +104,26 @@ def _eval_raw(x0, y0, z0, xd, yd, zd, t):
     """Closed form for arbitrary (not necessarily unit) horizontal data.
 
     Returns positions and velocities as arrays broadcast over ``t``.
+    Raises CurveOverflow where |zdot0 t| or a height z0 + zdot0 t leaves
+    the range of e^z, before any e^z of those heights is taken.
     """
     t = np.asarray(t, dtype=float)
     if abs(zd) < LINE_FAMILY_TOL:
         ones = np.ones_like(t)
         return (x0 + xd * t, y0 + yd * t, z0 * ones,
                 xd * ones, yd * ones, zd * ones)
-    if np.any(np.abs(zd * t) > OVERFLOW_LIMIT):
+    zt = zd * t
+    if np.any(np.abs(zt) > OVERFLOW_LIMIT):
         raise CurveOverflow(
             f"|zdot0*t| exceeds {OVERFLOW_LIMIT:g}; evaluation would overflow")
-    ep = np.exp(zd * t)
-    em = np.exp(-zd * t)
-    return (x0 + xd / zd * np.expm1(zd * t),
-            y0 - yd / zd * np.expm1(-zd * t),
-            z0 + zd * t,
-            xd * ep, yd * em, zd * np.ones_like(t))
+    z = z0 + zt
+    if not np.all(np.abs(z) <= HEIGHT_LIMIT):
+        check_height(np.max(z))
+        check_height(np.min(z))
+    return (x0 + xd / zd * np.expm1(zt),
+            y0 - yd / zd * np.expm1(-zt),
+            z,
+            xd * np.exp(zt), yd * np.exp(-zt), zd * np.ones_like(t))
 
 
 def eval_curve(curve: CharacteristicCurve, t):
@@ -171,7 +176,8 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> Sampl
 
     if steps < 2:
         raise GeometryError("need at least 2 sample steps")
-    make_curve(p0, v0)  # the same preconditions as the closed form
+    curve = make_curve(p0, v0)  # the same preconditions as the closed form
+    check_height(p0.z + curve.zdot0 * t_end)
     w = to_frame(p0, v0)
     speed = w.norm()
 

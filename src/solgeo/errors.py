@@ -19,18 +19,6 @@ class CurveOverflow(GeometryError):
     pass
 
 
-class DegeneratePoint(GeometryError):
-    pass
-
-
-class OffSurface(GeometryError):
-    pass
-
-
-class SingularPoint(GeometryError):
-    pass
-
-
 class BranchUnsupported(GeometryError):
     pass
 

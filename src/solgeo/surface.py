@@ -27,22 +27,12 @@ term is forced by that identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegeneratePoint, OffSurface, SingularPoint
 from .expressions import ScalarField
-from .frame import FrameVector, Point, SQRT2
+from .frame import SQRT2
 
 EPS_SING = 1e-9
-EPS_LEVEL = 1e-9
-
-#: relative agreement demanded between the coordinate and frame residuals
-RESIDUAL_CROSSCHECK_RTOL = 1e-9
-
-#: agreement demanded between the three forms of the stability quantity
-STABILITY_QUANTITY_TOL = 1e-12
 
 
 def _along(vec, df):
@@ -173,153 +163,6 @@ def raw_fields(field: ScalarField, x, y, z):
         "residual_scale": residual_scale,
         "normalized_residual_den": normalized_residual_den,
         "singular": f["nh"] < EPS_SING,
-        "degenerate": f["grad_norm"] == 0.0,
     })
     return f
 
-
-@dataclass(frozen=True)
-class SurfacePointData:
-    """Adapted frame of the surface u = 0 at one point."""
-
-    p: Point
-    N: FrameVector          # inner unit normal
-    nh_norm: float          # |N_h|
-    nt: float               # <N, T>
-    nu_h: FrameVector | None
-    Z: FrameVector | None
-    S: FrameVector | None
-    singular: bool
-
-
-def point_data(field: ScalarField, p: Point) -> SurfacePointData:
-    """Adapted surface frame at ``p``, which must lie on the zero set.
-
-    Raises DegeneratePoint when the full gradient vanishes and OffSurface
-    when |u(p)| / |grad u(p)| exceeds EPS_LEVEL; the point is singular
-    when |N_h| < EPS_SING.
-    """
-    f = raw_fields(field, p.x, p.y, p.z)
-    gn = float(f["grad_norm"])
-    if gn == 0.0:
-        raise DegeneratePoint(f"gradient vanishes at {p}")
-    if abs(float(f["u"])) / gn >= EPS_LEVEL:
-        raise OffSurface(f"|u|={float(f['u']):.3e} exceeds level tolerance at {p}")
-    W1, W2, W3 = float(f["W1"]), float(f["W2"]), float(f["W3"])
-    N = FrameVector(-W1 / gn, -W2 / gn, -W3 / gn)
-    nh = float(f["nh"])
-    nt = float(f["nt"])
-    if nh < EPS_SING:
-        return SurfacePointData(p, N, nh, nt, None, None, None, True)
-    nu_h = FrameVector(float(f["nu1"]), float(f["nu2"]), 0.0)
-    Z = FrameVector(float(f["zx"]), float(f["zy"]), 0.0)
-    S = FrameVector(nt * nu_h.a, nt * nu_h.b, -nh)
-    return SurfacePointData(p, N, nh, nt, nu_h, Z, S, False)
-
-
-def mean_curvature(field: ScalarField, p: Point) -> float:
-    """H = -<nabla_Z nu_h, Z> from exact second partials of u."""
-    d = point_data(field, p)
-    if d.singular:
-        raise SingularPoint(f"mean curvature undefined on the singular set at {p}")
-    f = raw_fields(field, p.x, p.y, p.z)
-    return float(f["H"])
-
-
-def minimal_residual(field: ScalarField, p: Point) -> float:
-    """Unnormalized minimal-surface residual; defined even off the surface.
-
-    Cross-checks the coordinate polynomial against the frame form
-    (they agree identically; see the module docstring).
-    """
-    f = raw_fields(field, p.x, p.y, p.z)
-    coord = float(f["residual_coord"])
-    frame = float(f["residual_frame"])
-    scale = 1.0 + abs(coord) + abs(frame)
-    if abs(coord - 2.0 * frame) > RESIDUAL_CROSSCHECK_RTOL * scale:
-        raise AssertionError(
-            f"coordinate and frame residual forms disagree at {p}: "
-            f"{coord!r} vs 2*{frame!r}")
-    return coord
-
-
-def frame_minimal_residual(field: ScalarField, p: Point) -> float:
-    """The frame form Y(u)^2 XX(u) - Y(u)X(u)(YX+XY)(u) + X(u)^2 YY(u)."""
-    f = raw_fields(field, p.x, p.y, p.z)
-    return float(f["residual_frame"])
-
-
-def normalized_minimal_residual(field: ScalarField, p: Point) -> float:
-    """Residual divided by D^3; scale invariant, equals 2H off the singular set."""
-    f = raw_fields(field, p.x, p.y, p.z)
-    den = float(f["normalized_residual_den"])
-    if den == 0.0:
-        raise SingularPoint(f"normalized residual undefined at singular point {p}")
-    return float(f["residual_coord"]) / den
-
-
-def surface_torsion_terms(field: ScalarField, p: Point):
-    """Torsion contractions in the adapted frame: (<tau(Z),Z>, <tau(Z),nu_h>).
-
-    Returns the surface-adapted identities
-
-        <tau(Z), Z>    = -<Z,X><Z,Y>
-        <tau(Z), nu_h> = (1/2)(<Z,Y>^2 - <Z,X>^2)
-
-    The first is also the direct matrix contraction of the constant torsion
-    endomorphism with Z.  The direct contraction of the second identity
-    comes out with the opposite sign under this frame's torsion table and
-    J-orientation; ``torsion_terms_detail`` exposes both values.
-    """
-    d = _require_nonsingular(field, p)
-    zx, zy = d.Z.a, d.Z.b
-    tau_zz = -zx * zy
-    tau_znu = 0.5 * (zy * zy - zx * zx)
-    return tau_zz, tau_znu
-
-
-def torsion_terms_detail(field: ScalarField, p: Point) -> dict:
-    """Adapted-frame identities plus the direct endomorphism contractions."""
-    from .frame import inner, torsion
-
-    d = _require_nonsingular(field, p)
-    tau_zz, tau_znu = surface_torsion_terms(field, p)
-    tz = torsion(d.Z)
-    return {
-        "tau_zz": tau_zz,
-        "tau_znu": tau_znu,
-        "tau_zz_direct": inner(tz, d.Z),
-        "tau_znu_direct": inner(tz, d.nu_h),
-    }
-
-
-def necessary_stability_quantity(field: ScalarField, p: Point) -> float:
-    """<Z,X>^2 - 1, the non-positive quantity every stable non-singular
-    surface must exhibit.
-
-    Asserts that the three equivalent expressions
-
-        W - <tau(Z), nu_h>  ==  <nu_h, Y>^2 - 1  ==  <Z, X>^2 - 1
-
-    agree to STABILITY_QUANTITY_TOL (with <tau(Z),nu_h> taken in the
-    adapted-frame form above and W = -1/2).
-    """
-    from .frame import webster_curvature
-
-    d = _require_nonsingular(field, p)
-    zx = d.Z.a
-    _, tau_znu = surface_torsion_terms(field, p)
-    e1 = webster_curvature() - tau_znu
-    e2 = d.nu_h.b ** 2 - 1.0
-    e3 = zx * zx - 1.0
-    if abs(e1 - e3) > STABILITY_QUANTITY_TOL or abs(e2 - e3) > STABILITY_QUANTITY_TOL:
-        raise AssertionError(
-            f"stability quantity expressions disagree at {p}: {e1}, {e2}, {e3}")
-    return e3
-
-
-def _require_nonsingular(field: ScalarField, p: Point) -> SurfacePointData:
-    d = point_data(field, p)
-    if d.singular:
-        raise SingularPoint(f"operation needs a non-singular point, got {p}")
-    return d

@@ -255,8 +255,9 @@ def test_plane_ab_with_a_far_singular_line_exits_0(tmp_path, capsys, recwarn, mo
     # b/a overflows, log|b| - log|a| does not: the singular line sits at
     # z = +-460 or +-691.  The sufficient condition needs an empty singular
     # set, so it refuses the plane, far line or not
+    battery = [] if mode[0] == "sufficient" else ["--battery", "2"]
     code = run(["stability", *mode, "--param", f"a={a}", "--param", f"b={b}",
-                "--battery", "2", "--n", "4", "--out", str(tmp_path / "ab")])
+                *battery, "--n", "4", "--out", str(tmp_path / "ab")])
     err = capsys.readouterr().err
     if mode[0] == "sufficient":
         assert code == 3
@@ -546,6 +547,44 @@ def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, ar
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # heights z0 + zdot0 t past the range of e^z
+    (["curve", "--p0", "0", "0", "705", "--alpha", "0.3", "--t", "0", "10"], 3,
+     "overflows at height z = 714.553"),
+    (["curve", "--p0", "0", "0", "700", "--alpha", "1.0", "--t", "0", "20"], 3,
+     "overflows at height z = 710.806"),
+    (["curve", "--p0", "0", "0", "705", "--alpha", "0.3", "--t", "0", "10", "--oracle"], 3,
+     "overflows at height z = 714.553"),
+    (["sweep", "--x0", "0", "0", "709", "--theta", "1.2"], 3, "overflows at height z = 712.34"),
+    (["sweep", "--gamma", "x-line", "--x0", "0", "0", "709"], 3,
+     "overflows at height z = 710.5"),
+    # options the mode does not read
+    (["stability", "compare", "--family", "plane_ab", "--surface", "plane-z"], 2,
+     "stability compare does not read --surface"),
+    (["stability", "area", "--surface", "plane-z", "--delta", "0.1", "--battery", "9"], 2,
+     "stability area does not read --battery, --delta"),
+    (["stability", "qform", "--surface", "plane-z", "--eta", "0.1"], 2,
+     "stability qform does not read --eta"),
+    (["residual", "--u", "x", "--surface", "plane-y"], 2, "--u and --surface"),
+])
+def test_overflowing_heights_and_unread_options_exit_2_or_3(tmp_path, capsys, argv, code,
+                                                            message):
+    assert run([*argv, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not (tmp_path / "o" / "summary.json").exists()
+
+
+def test_unread_option_from_a_config_file_exit_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("eta=0.1\n")
+    code = run(["stability", "qform", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: stability qform does not read --eta\n"
     assert not (tmp_path / "o").exists()
 
 

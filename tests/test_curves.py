@@ -17,7 +17,7 @@ from solgeo.curves import (
 from solgeo.errors import CurveOverflow, NotHorizontal, ZeroVelocity
 from solgeo.expressions import parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
-from solgeo.stationary import HorizontalCurve
+from solgeo.stationary import HorizontalCurve, sweep_surface
 
 
 def test_vertical_curve():
@@ -148,6 +148,25 @@ def test_base_height_overflow_reported(z):
     for z_ok in (HEIGHT_LIMIT, -HEIGHT_LIMIT):
         assert make_curve(Point(0, 0, z_ok), CoordVector(0, 0, 1)).family == "exponential"
         assert HorizontalCurve.y_line(Point(0, 0, z_ok)).kind == "y-integral"
+
+
+@pytest.mark.parametrize("z0, t_end", [(705.0, 10.0), (-705.0, -10.0)])
+def test_height_climbing_past_the_bound_reported(z0, t_end):
+    # the base height is in range and |zdot0 t| < 700, but z0 + zdot0 t is not:
+    # the closed form, the oracle and a sweep's jet report it before any e^z
+    p = Point(0, 0, z0)
+    v = CoordVector(0, 0, 1)
+    c = make_curve(p, v)
+    with pytest.raises(CurveOverflow, match="overflows at height"):
+        eval_curve(c, np.linspace(0.0, t_end, 5))
+    with pytest.raises(CurveOverflow, match="overflows at height"):
+        integrate_ode(p, v, t_end, 5)
+    s = sweep_surface(HorizontalCurve.x_line(p), sorted((0.0, t_end)), (-1.0, 1.0))
+    with pytest.raises(CurveOverflow, match="overflows at height"):
+        s.jet(t_end, 0.0)
+    # up to the bound itself the closed form runs
+    edge = math.copysign(HEIGHT_LIMIT, z0) - z0
+    assert np.isfinite(eval_curve(c, edge)[1].as_array()).all()
 
 
 def test_is_geodesic():

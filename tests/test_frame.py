@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solgeo.frame import (
-    CoordVector,
-    FrameVector,
-    Point,
-    SQRT2,
-    TORSION_NORM_SQ,
-    TangentFrame,
-    connection,
-    frame_at,
-    inner,
-    j_rotate,
-    lie_bracket,
-    to_coord,
-    to_frame,
-    torsion,
-    webster_curvature,
-)
+from solgeo.frame import CoordVector, Point, SQRT2, TangentFrame, to_frame
+
+
+def frame_at(p: Point):
+    """Coordinate components of (X, Y, T) at ``p``, from the module docstring
+    of ``solgeo.frame``: X = d/dz, Y = (-e^z d/dx + e^-z d/dy)/sqrt2,
+    T = (e^z d/dx + e^-z d/dy)/sqrt2."""
+    ez, emz = math.exp(p.z), math.exp(-p.z)
+    return (CoordVector(0.0, 0.0, 1.0),
+            CoordVector(-ez / SQRT2, emz / SQRT2, 0.0),
+            CoordVector(ez / SQRT2, emz / SQRT2, 0.0))
+
+
+def in_frame(p: Point):
+    """``to_frame`` of the frame at ``p``, one row per field X, Y, T."""
+    return np.array([to_frame(p, v).as_array() for v in frame_at(p)])
+
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -31,18 +31,18 @@ def test_frame_at_origin():
     assert X.as_array() == pytest.approx([0, 0, 1])
     assert Y.as_array() == pytest.approx([-1 / SQRT2, 1 / SQRT2, 0])
     assert T.as_array() == pytest.approx([1 / SQRT2, 1 / SQRT2, 0])
+    assert in_frame(Point(0, 0, 0)) == pytest.approx(np.eye(3), abs=1e-15)
 
 
 def test_frame_depends_only_on_z():
-    a = frame_at(Point(5, -3, 0))
-    b = frame_at(Point(0, 0, 0))
-    for u, v in zip(a, b):
-        assert u.as_array() == pytest.approx(v.as_array())
+    # to_frame reads the height only: x and y translations leave it unchanged
+    v = CoordVector(0.3, -1.2, 0.7)
+    for z in (0.0, 1.0, -2.5):
+        assert to_frame(Point(5, -3, z), v) == to_frame(Point(0, 0, z), v)
 
 
 def test_frame_at_z_one():
-    _, Y, _ = frame_at(Point(0, 0, 1))
-    assert Y.as_array() == pytest.approx([-math.e / SQRT2, math.exp(-1) / SQRT2, 0])
+    assert in_frame(Point(0, 0, 1)) == pytest.approx(np.eye(3), abs=1e-15)
 
 
 def test_to_frame_examples():
@@ -56,21 +56,20 @@ def test_to_frame_examples():
 
 @given(finite, finite, finite, finite, finite, finite)
 @settings(max_examples=60, deadline=None)
-def test_roundtrip_coord_frame(x, y, z, dx, dy, dz):
+def test_roundtrip_coord_frame(x, y, z, a, b, c):
+    # a X + b Y + c T, assembled in coordinates, comes back as (a, b, c)
     p = Point(x, y, z)
-    v = CoordVector(dx, dy, dz)
-    back = to_coord(p, to_frame(p, v))
-    assert back.as_array() == pytest.approx(v.as_array(), abs=1e-12, rel=1e-12)
+    X, Y, T = (e.as_array() for e in frame_at(p))
+    v = CoordVector(*(a * X + b * Y + c * T))
+    assert to_frame(p, v).as_array() == pytest.approx([a, b, c], abs=1e-12, rel=1e-12)
 
 
 def test_orthonormality_bulk(rng):
-    # the frame matrix rows, converted through to_frame, form the identity Gram
+    # the frame fields, converted through to_frame, form the identity Gram
     zs = rng.uniform(-3, 3, 10_000)
     for z in zs[:: len(zs) // 100]:
-        p = Point(0.0, 0.0, float(z))
-        vecs = [to_frame(p, c) for c in frame_at(p)]
-        gram = np.array([[inner(u, v) for v in vecs] for u in vecs])
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+        vecs = in_frame(Point(0.0, 0.0, float(z)))
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(3))) < 1e-12
 
 
 def _stacked(components):
@@ -134,12 +133,28 @@ def test_componentwise_frame_matches_stacked_formulas(rng):
     assert np.max(np.abs(got_b - want_b) / (1.0 + np.abs(want_b))) < 1e-13
 
 
+#: [X,Y] = -T, [X,T] = -Y, [Y,T] = 0 in frame components, extended
+#: antisymmetrically; rows and columns in the order X, Y, T
+BRACKETS = np.array([
+    [[0, 0, 0], [0, 0, -1], [0, -1, 0]],
+    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+], dtype=float)
+
+
 def test_lie_bracket_table():
-    assert lie_bracket("X", "Y").as_array() == pytest.approx([0, 0, -1])
-    assert lie_bracket("Y", "X").as_array() == pytest.approx([0, 0, 1])
-    assert lie_bracket("Y", "T").as_array() == pytest.approx([0, 0, 0])
-    assert lie_bracket("X", "T").as_array() == pytest.approx([0, -1, 0])
-    assert lie_bracket("T", "T").as_array() == pytest.approx([0, 0, 0])
+    # the frame depends on z alone, so [U,V] = U^z dV/dz - V^z dU/dz with the
+    # exact z-derivatives dY/dz = -T and dT/dz = -Y of the coordinate fields
+    for z in (0.0, 0.8, -1.7):
+        p = Point(0.0, 0.0, z)
+        X, Y, T = (e.as_array() for e in frame_at(p))
+        fields = (X, Y, T)
+        dz = (np.zeros(3), -T, -Y)
+        for i in range(3):
+            for j in range(3):
+                coord = fields[i][2] * dz[j] - fields[j][2] * dz[i]
+                got = to_frame(p, CoordVector(*coord)).as_array()
+                assert got == pytest.approx(BRACKETS[i, j], abs=1e-15)
 
 
 def test_bracket_matches_numerical_commutator(rng):
@@ -148,13 +163,12 @@ def test_bracket_matches_numerical_commutator(rng):
         return [c.as_array() for c in frame_at(p)]
 
     h = 1e-6
-    names = ("X", "Y", "T")
     for _ in range(20):
         x, y, z = rng.uniform(-1.5, 1.5, 3)
         p = Point(float(x), float(y), float(z))
         comps = fields(p)
-        for i, ui in enumerate(names):
-            for j, vj in enumerate(names):
+        for i in range(3):
+            for j in range(3):
                 acc = np.zeros(3)
                 for axis in range(3):
                     step = np.zeros(3)
@@ -165,68 +179,7 @@ def test_bracket_matches_numerical_commutator(rng):
                     dU = (fields(pp)[i] - fields(pm)[i]) / (2 * h)
                     acc += comps[i][axis] * dV - comps[j][axis] * dU
                 got = to_frame(p, CoordVector(*acc)).as_array()
-                want = lie_bracket(ui, vj).as_array()
-                assert np.max(np.abs(got - want)) < 1e-6
-
-
-def test_connection_table_and_linearity():
-    assert connection(FrameVector(0, 0, 1), "X").as_array() == pytest.approx([0, 0.5, 0])
-    assert connection(FrameVector(1, 0, 0), "X").as_array() == pytest.approx([0, 0, 0])
-    got = connection(FrameVector(1, 0, 2), "Y")
-    assert got.as_array() == pytest.approx([-1, 0, 0])
-    # Reeb field parallel
-    for u in (FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector(0, 0, 1)):
-        assert connection(u, "T").norm() == 0.0
-
-
-def test_metric_compatibility_on_frame_pairs():
-    # <nabla_u v, w> + <v, nabla_u w> = 0 for orthonormal constant fields
-    syms = ("X", "Y", "T")
-    basis = {s: FrameVector(*(1.0 if s2 == s else 0.0 for s2 in syms)) for s in syms}
-    for u in syms:
-        for v in syms:
-            for w in syms:
-                lhs = inner(connection(basis[u], v), basis[w]) + inner(
-                    basis[v], connection(basis[u], w))
-                assert lhs == pytest.approx(0.0, abs=1e-15)
-
-
-def test_torsion_examples():
-    assert torsion(FrameVector(1, 0, 0)).as_array() == pytest.approx([0, -0.5, 0])
-    assert torsion(FrameVector(0, 0, 1)).as_array() == pytest.approx([0, 0, 0])
-    assert torsion(FrameVector(1, 1, 0)).as_array() == pytest.approx([-0.5, -0.5, 0])
-
-
-@given(finite, finite, finite, finite, finite, finite)
-@settings(max_examples=50, deadline=None)
-def test_torsion_symmetric(a1, b1, c1, a2, b2, c2):
-    u = FrameVector(a1, b1, c1)
-    v = FrameVector(a2, b2, c2)
-    assert inner(torsion(u), v) == pytest.approx(inner(u, torsion(v)), abs=1e-12)
-
-
-def test_torsion_consistent_with_connection_and_brackets():
-    # tau(V) = nabla_T V - nabla_V T - [T, V] for frame symbols
-    syms = ("X", "Y", "T")
-    basis = {s: FrameVector(*(1.0 if s2 == s else 0.0 for s2 in syms)) for s in syms}
-    for s in syms:
-        tor = connection(basis["T"], s).as_array() - connection(basis[s], "T").as_array()
-        tor -= -lie_bracket(s, "T").as_array()
-        assert tor == pytest.approx(torsion(basis[s]).as_array(), abs=1e-15)
-
-
-def test_webster_curvature_and_torsion_norm():
-    assert webster_curvature() == -0.5
-    assert -2.0 * TORSION_NORM_SQ == webster_curvature()
-
-
-def test_complex_structure_involution():
-    X = FrameVector(1, 0, 0)
-    Y = FrameVector(0, 1, 0)
-    assert j_rotate(X).as_array() == pytest.approx(Y.as_array())
-    assert j_rotate(Y).as_array() == pytest.approx([-1, 0, 0])
-    assert j_rotate(j_rotate(X)).as_array() == pytest.approx([-1, 0, 0])
-    assert j_rotate(FrameVector(0, 0, 1)).norm() == 0.0
+                assert np.max(np.abs(got - BRACKETS[i, j])) < 1e-6
 
 
 def test_point_rejects_nonfinite():

@@ -19,7 +19,14 @@ from solgeo.stationary import (
     uniqueness_scan,
     family_surfaces,
 )
-from solgeo.surface import point_data, raw_fields
+from solgeo.surface import raw_fields
+
+
+def on_surface_fields(field, p: Point) -> dict:
+    """``raw_fields`` at ``p``, which must lie on the zero set of ``field``."""
+    f = raw_fields(field, p.x, p.y, p.z)
+    assert abs(f["u"]) / f["grad_norm"] < 1e-9
+    return f
 
 
 def generic_gamma(theta=0.7, p0=Point(0.2, -0.1, 0.3)) -> HorizontalCurve:
@@ -312,8 +319,8 @@ def test_singular_point_surface_posts(rng):
     for p0 in (Point(0, 0, 0), Point(1, 0, 0), Point(-0.4, 0.8, 1.2)):
         f = singular_point_surface(p0)
         # the base point is on the surface and is its singular point
-        d = point_data(f, p0)
-        assert d.singular
+        d = on_surface_fields(f, p0)
+        assert d["singular"]
         # residual vanishes identically on and off the surface
         x, y, z = rng.uniform(-2, 2, (3, 200))
         fields = raw_fields(f, x, y, z)
@@ -340,10 +347,8 @@ def test_singular_point_surface_origin_formula():
 def test_family_surfaces():
     f = family_surfaces("plane_ab", a=1.0, b=1.0, c=0.0)
     # singular line sits in z = log sqrt(b/a) = 0
-    d = point_data(f, Point(0.5, -0.5, 0.0))
-    assert d.singular
-    d = point_data(f, Point(0.5, -0.5, 1.0))
-    assert not d.singular
+    assert on_surface_fields(f, Point(0.5, -0.5, 0.0))["singular"]
+    assert not on_surface_fields(f, Point(0.5, -0.5, 1.0))["singular"]
 
     g = family_surfaces("saddle_curve")
     assert g.source == catalog("saddle-curve").source
@@ -351,7 +356,7 @@ def test_family_surfaces():
     # a = 1, b = 0: no singular point anywhere on the plane
     h = family_surfaces("plane_ab", a=1.0, b=0.0, c=0.5)
     for z in np.linspace(-3, 3, 11):
-        assert not point_data(h, Point(-0.5, 1.0, float(z))).singular
+        assert not on_surface_fields(h, Point(-0.5, 1.0, float(z)))["singular"]
 
     with pytest.raises(BadParams):
         family_surfaces("nope")
@@ -371,8 +376,7 @@ def test_saddle_curve_translations_are_minimal(rng):
         fields = raw_fields(f, x, y, z)
         assert np.max(np.abs(fields["residual_coord"])) < 1e-10
         # singular set is the vertical line through (x0, y0)
-        d = point_data(f, Point(float(x0), float(y0), 2.0))
-        assert d.singular
+        assert on_surface_fields(f, Point(float(x0), float(y0), 2.0))["singular"]
 
 
 def test_nongeodesic_family_witness(rng):

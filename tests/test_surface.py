@@ -3,84 +3,89 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.errors import DegeneratePoint, OffSurface, SingularPoint
 from solgeo.expressions import catalog, parse
-from solgeo.frame import FrameVector, Point, frame_at, inner, j_rotate
-from solgeo.surface import (
-    frame_minimal_residual,
-    mean_curvature,
-    minimal_residual,
-    necessary_stability_quantity,
-    normalized_minimal_residual,
-    point_data,
-    raw_fields,
-    surface_torsion_terms,
-    torsion_terms_detail,
-)
+from solgeo.surface import raw_fields
 
 SQ = 1.0 / math.sqrt(2.0)
 
+#: |u|/|grad u| below which a point counts as lying on the zero set
+LEVEL_TOL = 1e-9
 
-def on_plane_x(y, z, c=0.0):
-    return Point(-c, y, z)
+
+def on_surface_fields(field, x, y, z):
+    """``raw_fields`` at points that must lie on the zero set of ``field``."""
+    f = raw_fields(field, x, y, z)
+    assert np.all(np.abs(f["u"]) / f["grad_norm"] < LEVEL_TOL)
+    return f
+
+
+def unit_normal(f):
+    """The inner unit normal N = -grad(u)/|grad(u)| in frame components."""
+    return tuple(-f[w] / f["grad_norm"] for w in ("W1", "W2", "W3"))
 
 
 def test_point_data_plane_x():
-    d = point_data(catalog("plane-x"), Point(0, 1, 1))
-    assert not d.singular
-    assert d.nu_h.as_array() == pytest.approx([0, 1, 0], abs=1e-14)
-    assert d.Z.as_array() == pytest.approx([-1, 0, 0], abs=1e-14)
-    assert d.nt == pytest.approx(-SQ)
-    assert d.nh_norm == pytest.approx(SQ)
+    f = on_surface_fields(catalog("plane-x"), 0.0, 1.0, 1.0)
+    assert not f["singular"]
+    assert [f["nu1"], f["nu2"]] == pytest.approx([0, 1], abs=1e-14)
+    assert [f["zx"], f["zy"]] == pytest.approx([-1, 0], abs=1e-14)
+    assert f["nt"] == pytest.approx(-SQ)
+    assert f["nh"] == pytest.approx(SQ)
 
 
 def test_point_data_saddle_curve_axis_singular():
-    f = catalog("saddle-curve")
-    d = point_data(f, Point(0, 0, 5))
-    assert d.singular
-    assert d.nu_h is None and d.Z is None
+    f = on_surface_fields(catalog("saddle-curve"), 0.0, 0.0, 5.0)
+    assert f["singular"]
 
 
 def test_point_data_plane_z():
-    d = point_data(catalog("plane-z"), Point(3, -2, 0))
-    assert not d.singular
-    assert d.N.as_array() == pytest.approx([-1, 0, 0], abs=1e-14)  # N = -X
-    assert d.nh_norm == pytest.approx(1.0)
-    assert d.nt == pytest.approx(0.0)
-    assert d.Z.as_array() == pytest.approx([0, -1, 0], abs=1e-14)
+    f = on_surface_fields(catalog("plane-z"), 3.0, -2.0, 0.0)
+    assert not f["singular"]
+    assert unit_normal(f) == pytest.approx((-1, 0, 0), abs=1e-14)  # N = -X
+    assert f["nh"] == pytest.approx(1.0)
+    assert f["nt"] == pytest.approx(0.0)
+    assert [f["zx"], f["zy"]] == pytest.approx([0, -1], abs=1e-14)
 
 
 def test_point_data_invariants(rng):
-    f = catalog("saddle-point")
-    for _ in range(50):
-        y, z = rng.uniform(-2, 2, 2)
-        p = Point(float(-math.exp(z) * y), float(y), float(z))
-        d = point_data(f, p)
-        assert d.N.norm() == pytest.approx(1.0, abs=1e-12)
-        assert d.nh_norm ** 2 + d.nt ** 2 == pytest.approx(1.0, abs=1e-10)
-        if not d.singular:
-            assert d.nu_h.norm() == pytest.approx(1.0, abs=1e-12)
-            assert d.nu_h.is_horizontal()
-            assert d.Z.as_array() == pytest.approx(j_rotate(d.nu_h).as_array(), abs=1e-14)
-            assert inner(d.Z, d.nu_h) == pytest.approx(0.0, abs=1e-13)
-            assert inner(d.Z, d.N) == pytest.approx(0.0, abs=1e-12)
-            assert inner(d.S, d.N) == pytest.approx(0.0, abs=1e-12)
-            assert inner(d.S, d.Z) == pytest.approx(0.0, abs=1e-12)
-            assert d.S.norm() == pytest.approx(1.0, abs=1e-12)
-            # Z is horizontal unit
-            assert d.Z.a ** 2 + d.Z.b ** 2 == pytest.approx(1.0, abs=1e-12)
+    y, z = rng.uniform(-2, 2, (2, 50))
+    f = on_surface_fields(catalog("saddle-point"), -np.exp(z) * y, y, z)
+    n1, n2, n3 = unit_normal(f)
+    assert n1 ** 2 + n2 ** 2 + n3 ** 2 == pytest.approx(np.ones(50), abs=1e-12)
+    assert f["nh"] ** 2 + f["nt"] ** 2 == pytest.approx(np.ones(50), abs=1e-10)
+    ok = ~f["singular"]
+    assert ok.any()
+    nu1, nu2, zx, zy, nh, nt = (f[k][ok] for k in ("nu1", "nu2", "zx", "zy", "nh", "nt"))
+    n1, n2, n3 = n1[ok], n2[ok], n3[ok]
+    assert np.hypot(nu1, nu2) == pytest.approx(np.ones_like(nu1), abs=1e-12)
+    # Z = J(nu_h), with J(X) = Y and J(Y) = -X
+    assert np.array_equal(zx, -nu2) and np.array_equal(zy, nu1)
+    assert np.max(np.abs(zx * nu1 + zy * nu2)) < 1e-13
+    assert np.max(np.abs(zx * n1 + zy * n2)) < 1e-12
+    # S = <N,T> nu_h - |N_h| T is the unit tangent orthogonal to Z
+    s1, s2, s3 = nt * nu1, nt * nu2, -nh
+    assert np.max(np.abs(s1 * n1 + s2 * n2 + s3 * n3)) < 1e-12
+    assert np.max(np.abs(s1 * zx + s2 * zy)) < 1e-12
+    assert np.sqrt(s1 ** 2 + s2 ** 2 + s3 ** 2) == pytest.approx(np.ones_like(s1), abs=1e-12)
+    # Z is horizontal unit
+    assert zx ** 2 + zy ** 2 == pytest.approx(np.ones_like(zx), abs=1e-12)
 
 
-def test_point_data_errors():
-    with pytest.raises(OffSurface):
-        point_data(catalog("plane-x"), Point(1.0, 0, 0))
-    with pytest.raises(DegeneratePoint):
-        point_data(parse("x^2 + y^2 + z^2"), Point(0, 0, 0))
+def test_characteristic_field_at_a_diagonal_direction():
+    # on the zero set of e^z y - z, the point with z = 1 - 1/sqrt2 has
+    # frame gradient components W1 = -1/sqrt2, W2 = 1/sqrt2, so Z = (X+Y)/sqrt2;
+    # off the axis of saddle-curve Z = +-Y
+    z0 = 1.0 - SQ
+    f = on_surface_fields(parse("exp(z)*y - z"), 0.0, z0 * math.exp(-z0), z0)
+    assert [f["zx"], f["zy"]] == pytest.approx([SQ, SQ], abs=1e-12)
+    f = on_surface_fields(catalog("saddle-curve"), -math.e ** 2, 1.0, 1.0)
+    assert [abs(f["zx"]), abs(f["zy"])] == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_nu_h_matches_generic_construction(rng):
-    # independent route: contract the gradient covector with the frame fields,
-    # project out the Reeb component, normalize, rotate by J
+    # independent route: contract the gradient covector with the frame fields
+    # X = d/dz, Y = (-e^z d/dx + e^-z d/dy)/sqrt2, project out the Reeb
+    # component, normalize, rotate by J
     for name, params in [("saddle-point", {}), ("plane-ab", {"a": 1.0, "b": 1.0}),
                          ("tilted", {"a": 0.3, "b": -0.7, "c": 1.1, "d": 0.0})]:
         f = catalog(name, **params)
@@ -92,59 +97,56 @@ def test_nu_h_matches_generic_construction(rng):
             if abs(g[0]) < 1e-6:
                 continue
             x = x - f.values(x, y, z) / g[0]
-            p = Point(float(x), float(y), float(z))
-            d = point_data(f, p)
-            if d.singular:
+            d = on_surface_fields(f, x, y, z)
+            if d["singular"]:
                 continue
             count += 1
-            grad = f.gradient(p)
-            comps = [grad.dx * e.dx + grad.dy * e.dy + grad.dz * e.dz
-                     for e in frame_at(p)]
-            hor = np.array([-comps[0], -comps[1], 0.0])
+            ux, uy, uz = f.grad_arrays(x, y, z)
+            hor = np.array([-uz, -(-math.exp(z) * ux + math.exp(-z) * uy) * SQ])
             hor /= np.linalg.norm(hor)
-            assert d.nu_h.as_array() == pytest.approx(hor, abs=1e-10)
-            z_ref = j_rotate(FrameVector(*hor))
-            assert d.Z.as_array() == pytest.approx(z_ref.as_array(), abs=1e-10)
+            assert [d["nu1"], d["nu2"]] == pytest.approx(hor, abs=1e-10)
+            assert [d["zx"], d["zy"]] == pytest.approx([-hor[1], hor[0]], abs=1e-10)
 
 
 def test_mean_curvature_trivially_minimal():
-    assert mean_curvature(catalog("plane-x", c=0.7), Point(-0.7, 3, -1)) == pytest.approx(0.0, abs=1e-14)
-    assert mean_curvature(catalog("saddle-point"), Point(-1, 1, 0)) == pytest.approx(0.0, abs=1e-14)
+    for field, p in ((catalog("plane-x", c=0.7), (-0.7, 3, -1)),
+                     (catalog("saddle-point"), (-1, 1, 0))):
+        f = on_surface_fields(field, *p)
+        assert not f["singular"]
+        assert f["H"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mean_curvature_nonzero_for_tilted():
-    f = parse("x + y + z")
-    p = Point(1, -2, 1)
-    assert abs(mean_curvature(f, p)) > 1e-3
+    f = on_surface_fields(parse("x + y + z"), 1.0, -2.0, 1.0)
+    assert not f["singular"]
+    assert abs(f["H"]) > 1e-3
 
 
 def test_minimal_residual_examples():
-    assert minimal_residual(catalog("saddle-point"), Point(-2, 2, 0)) == pytest.approx(0.0, abs=1e-12)
-    assert minimal_residual(catalog("plane-y", c=0.3), Point(9, -0.3, 2)) == pytest.approx(0.0, abs=1e-12)
-    assert abs(minimal_residual(parse("x + y + z"), Point(1, -2, 1))) > 1e-2
+    minimal = raw_fields(catalog("saddle-point"), -2.0, 2.0, 0.0)
+    assert minimal["residual_coord"] == pytest.approx(0.0, abs=1e-12)
+    minimal = raw_fields(catalog("plane-y", c=0.3), 9.0, -0.3, 2.0)
+    assert minimal["residual_coord"] == pytest.approx(0.0, abs=1e-12)
+    assert abs(raw_fields(parse("x + y + z"), 1.0, -2.0, 1.0)["residual_coord"]) > 1e-2
 
 
 def test_residual_forms_agree_even_with_uxx(rng):
-    # fields with nonvanishing u_xx exercise the x-second-derivative term
-    f = parse("x^2 + exp(z)*y + x*y*z")
-    for _ in range(50):
-        x, y, z = rng.uniform(-1.5, 1.5, 3)
-        p = Point(float(x), float(y), float(z))
-        coord = minimal_residual(f, p)  # internally cross-checked
-        assert coord == pytest.approx(2.0 * frame_minimal_residual(f, p), rel=1e-9, abs=1e-9)
+    # fields with nonvanishing u_xx exercise the x-second-derivative term;
+    # the coordinate polynomial is twice the frame form, off the surface too
+    x, y, z = rng.uniform(-1.5, 1.5, (3, 50))
+    f = raw_fields(parse("x^2 + exp(z)*y + x*y*z"), x, y, z)
+    coord, frame = f["residual_coord"], f["residual_frame"]
+    assert np.all(np.abs(coord - 2.0 * frame) <= 1e-9 * (1.0 + np.abs(coord) + np.abs(frame)))
+    assert coord == pytest.approx(2.0 * frame, rel=1e-9, abs=1e-9)
 
 
 def test_residual_consistent_with_mean_curvature(rng):
-    f = catalog("tilted", a=1.0, b=1.0, c=1.0, d=0.0)
-    for _ in range(30):
-        y, z = rng.uniform(-1.5, 1.5, 2)
-        x = -(y + z)
-        p = Point(float(x), float(y), float(z))
-        d = point_data(f, p)
-        if d.singular:
-            continue
-        H = mean_curvature(f, p)
-        assert normalized_minimal_residual(f, p) == pytest.approx(2.0 * H, rel=1e-9, abs=1e-12)
+    y, z = rng.uniform(-1.5, 1.5, (2, 30))
+    f = on_surface_fields(catalog("tilted", a=1.0, b=1.0, c=1.0, d=0.0), -(y + z), y, z)
+    ok = ~f["singular"]
+    assert ok.any()
+    normalized = f["residual_coord"][ok] / f["normalized_residual_den"][ok]
+    assert normalized == pytest.approx(2.0 * f["H"][ok], rel=1e-9, abs=1e-12)
 
 
 def test_residual_vanishes_iff_mean_curvature_does(rng):
@@ -152,104 +154,71 @@ def test_residual_vanishes_iff_mean_curvature_does(rng):
     # residual = 2 D^3 H, checked on a mix of minimal and non-minimal fields
     fields = [catalog("saddle-point"), catalog("plane-ab", a=1.0, b=2.0),
               parse("x + y + z"), parse("exp(z)*y - z")]
-    for f in fields:
+    for field in fields:
         for _ in range(40):
             x, y, z = rng.uniform(-1.5, 1.5, 3)
-            g = f.grad_arrays(x, y, z)
+            g = field.grad_arrays(x, y, z)
             if abs(g[0]) < 1e-6:
                 continue
-            x = float(x - f.values(x, y, z) / g[0])
-            p = Point(x, float(y), float(z))
-            d = point_data(f, p)
-            if d.singular:
+            x = x - field.values(x, y, z) / g[0]
+            f = on_surface_fields(field, x, y, z)
+            if f["singular"]:
                 continue
-            grad = f.gradient(p)
-            gn4 = (grad.dx ** 2 + grad.dy ** 2 + grad.dz ** 2) ** 2
-            small_res = abs(minimal_residual(f, p)) < 1e-8 * (1.0 + gn4)
-            small_h = abs(mean_curvature(f, p)) < 1e-8
+            small_res = abs(f["residual_coord"]) < 1e-8 * (1.0 + f["grad_norm"] ** 4)
+            small_h = abs(f["H"]) < 1e-8
             assert small_res == small_h
 
 
-def test_singularity_dichotomy(rng):
-    f = catalog("saddle-curve")
-    for _ in range(60):
-        y, z = rng.uniform(-2, 2, 2)
-        x = -math.exp(2 * z) * y
-        d = point_data(f, Point(float(x), float(y), float(z)))
-        assert d.singular == (d.nu_h is None)
+def test_every_exported_name_resolves():
+    import solgeo
 
-
-def test_surface_torsion_terms_examples():
-    # plane x = 0: Z = -X
-    tau_zz, tau_znu = surface_torsion_terms(catalog("plane-x"), Point(0, 1, 1))
-    assert tau_zz == pytest.approx(0.0, abs=1e-14)
-    assert tau_znu == pytest.approx(-0.5, abs=1e-14)
-    # saddle-curve off axis: Z = +-Y
-    tau_zz, tau_znu = surface_torsion_terms(catalog("saddle-curve"), Point(-math.e ** 2, 1, 1))
-    assert tau_zz == pytest.approx(0.0, abs=1e-12)
-    assert tau_znu == pytest.approx(0.5, abs=1e-12)
-
-
-def test_surface_torsion_symmetric_direction():
-    # on the zero set of e^z y - z, the point with z = 1 - 1/sqrt2 has
-    # frame gradient components W1 = -1/sqrt2, W2 = 1/sqrt2, so Z = (X+Y)/sqrt2
-    g = parse("exp(z)*y - z")
-    z0 = 1.0 - SQ
-    p = Point(0.0, z0 * math.exp(-z0), z0)
-    d = point_data(g, p)
-    assert d.Z.as_array() == pytest.approx([SQ, SQ, 0.0], abs=1e-12)
-    tau_zz, tau_znu = surface_torsion_terms(g, p)
-    assert tau_zz == pytest.approx(-0.5, abs=1e-12)
-    assert tau_znu == pytest.approx(0.0, abs=1e-12)
-
-
-def test_torsion_detail_sign_relation(rng):
-    # the direct endomorphism contraction reproduces <tau(Z),Z> exactly and
-    # <tau(Z),nu_h> up to a global sign (documented orientation mismatch)
-    f = catalog("saddle-point")
-    for _ in range(25):
-        y, z = rng.uniform(-1.5, 1.5, 2)
-        p = Point(float(-math.exp(z) * y), float(y), float(z))
-        if point_data(f, p).singular:
-            continue
-        det = torsion_terms_detail(f, p)
-        assert det["tau_zz_direct"] == pytest.approx(det["tau_zz"], abs=1e-12)
-        assert det["tau_znu_direct"] == pytest.approx(-det["tau_znu"], abs=1e-12)
-
-
-def test_necessary_stability_quantity():
-    assert necessary_stability_quantity(catalog("plane-x"), Point(0, 1, 1)) == pytest.approx(0.0, abs=1e-14)
-    val = necessary_stability_quantity(catalog("saddle-curve"), Point(-math.e ** 2, 1, 1))
-    assert val == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_necessary_stability_quantity_nonpositive(rng):
-    f = catalog("saddle-point")
-    for _ in range(40):
-        y, z = rng.uniform(-2, 2, 2)
-        p = Point(float(-math.exp(z) * y), float(y), float(z))
-        if point_data(f, p).singular:
-            continue
-        assert necessary_stability_quantity(f, p) <= 1e-12
-
-
-def test_singular_point_operations_raise():
-    f = catalog("saddle-curve")
-    p = Point(0, 0, 1.0)
-    with pytest.raises(SingularPoint):
-        mean_curvature(f, p)
-    with pytest.raises(SingularPoint):
-        surface_torsion_terms(f, p)
-    with pytest.raises(SingularPoint):
-        necessary_stability_quantity(f, p)
+    assert [name for name in solgeo.__all__ if not hasattr(solgeo, name)] == []
 
 
 def test_raw_fields_vectorized_consistency(rng):
-    f = catalog("saddle-point")
+    field = catalog("saddle-point")
     y, z = rng.uniform(-1, 1, (2, 7))
     x = -np.exp(z) * y
-    out = raw_fields(f, x, y, z)
+    out = on_surface_fields(field, x, y, z)
     for i in range(7):
-        d = point_data(f, Point(float(x[i]), float(y[i]), float(z[i])))
-        assert out["nh"][i] == pytest.approx(d.nh_norm, abs=1e-13)
-        assert out["nt"][i] == pytest.approx(d.nt, abs=1e-13)
+        d = raw_fields(field, x[i], y[i], z[i])
+        assert out["nh"][i] == pytest.approx(d["nh"], abs=1e-13)
+        assert out["nt"][i] == pytest.approx(d["nt"], abs=1e-13)
+
+
+def test_residual_identity_symbolically():
+    # a second symbolic engine: for a generic u(x, y, z), the coordinate
+    # polynomial and the frame form as raw_fields writes them differ by the
+    # factor 2 exactly, and XY, YX, YY are the frame operators applied twice
+    sp = pytest.importorskip("sympy")
+    x, y, z = sp.symbols("x y z", real=True)
+    u = sp.Function("u")(x, y, z)
+    ez, emz, r2 = sp.exp(z), sp.exp(-z), sp.sqrt(2)
+
+    def X(g):
+        return sp.diff(g, z)
+
+    def Y(g):
+        return (-ez * sp.diff(g, x) + emz * sp.diff(g, y)) / r2
+
+    var = {"x": x, "y": y, "z": z}
+    d = {name: sp.diff(u, *(var[c] for c in name)) for name in
+         ("x", "y", "z", "xx", "xy", "xz", "yy", "yz", "zz")}
+    ux, uy, uz = d["x"], d["y"], d["z"]
+    W1 = uz
+    W2 = (-ez * ux + emz * uy) / r2
+    G = r2 * W2
+    coord = (d["zz"] * G * G
+             + uz * uz * (ez * ez * d["xx"] - 2 * d["xy"] + emz * emz * d["yy"])
+             - uz * G * (-2 * ez * d["xz"] - ez * ux + 2 * emz * d["yz"] - emz * uy))
+    XX = d["zz"]
+    YX = (-ez * d["xz"] + emz * d["yz"]) / r2
+    XY = (-ez * (ux + d["xz"]) + emz * (d["yz"] - uy)) / r2
+    YY = (ez * ez * d["xx"] - 2 * d["xy"] + emz * emz * d["yy"]) / 2
+    frame = W2 * W2 * XX - W1 * W2 * (YX + XY) + W1 * W1 * YY
+
+    assert sp.simplify(coord - 2 * frame) == 0
+    assert sp.simplify(XY - X(Y(u))) == 0
+    assert sp.simplify(YX - Y(X(u))) == 0
+    assert sp.simplify(YY - Y(Y(u))) == 0
+    assert sp.simplify(W1 - X(u)) == 0 and sp.simplify(W2 - Y(u)) == 0
