@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BadParams, ExprSyntaxError, GeometryError
+from .errors import BadParams, CurveOverflow, ExprSyntaxError, GeometryError
 from .expressions import CATALOG_NAMES, catalog, parse as parse_field
 from .exporters import write_csv, write_json, write_obj
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
@@ -203,10 +203,11 @@ def cmd_residual(o: dict) -> dict:
     field = _resolve_surface(o)
     x0, x1, y0, y1, z0, z1 = o["window"]
     n = o["grid"]
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    zs = np.linspace(z0, z1, n)
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+    # the seven CSV columns as one block, which the writer reads without a copy
+    columns = np.empty((7, n, n, n))
+    X, Y, Z = columns[:3]
+    X[...], Y[...], Z[...] = np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n),
+                                         np.linspace(z0, z1, n), indexing="ij", sparse=True)
     f = raw_fields(field, X, Y, Z)
     eps_sing = o["eps_sing"]
 
@@ -223,11 +224,10 @@ def cmd_residual(o: dict) -> dict:
             f"the on-surface band is empty: no grid point has |u|/|grad u| < {o['band']:g} "
             f"with a checkable normalized residual")
 
-    rows = zip(X.ravel(), Y.ravel(), Z.ravel(),
-               f["nh"].ravel(), f["H"].ravel(),
-               f["residual_coord"].ravel(), f["nt"].ravel())
+    for C, key in zip(columns[3:], ("nh", "H", "residual_coord", "nt")):
+        C[...] = f[key]
     write_csv(os.path.join(o["out"], "residual.csv"),
-              ["x", "y", "z", "Nh", "H", "residual", "NT"], rows)
+              ["x", "y", "z", "Nh", "H", "residual", "NT"], columns.reshape(7, -1).T)
 
     singular_pts = np.argwhere(on_surface & ~nonsing)
     summary = {
@@ -255,6 +255,19 @@ def _horizontal_unit(p0: Point, angle: float) -> CoordVector:
                        math.sin(angle) * math.exp(-p0.z) / SQRT2, math.cos(angle))
 
 
+def _check_finite(*arrays) -> None:
+    """Raise CurveOverflow where a sampled coordinate is not finite.
+
+    Near the top of the height range, e^|z0| times the displacement along a
+    curve can overflow x or y while every height stays in range.
+    """
+    bad = sum(int(np.count_nonzero(~np.isfinite(a))) for a in arrays)
+    if bad:
+        total = sum(np.size(a) for a in arrays)
+        raise CurveOverflow(f"positions or velocities overflow: {bad} of {total} "
+                            f"sampled coordinates are not finite")
+
+
 def cmd_curve(o: dict) -> dict:
     p0 = Point(*o["p0"])
     if o["alpha"] is not None:
@@ -266,10 +279,11 @@ def cmd_curve(o: dict) -> dict:
     curve = make_curve(p0, v0)
     t0, t1 = o["t"]
     ts = np.linspace(t0, t1, o["n"])
-    pos, vel = eval_curve(curve, ts)
-    rows = zip(ts, pos[:, 0], pos[:, 1], pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos, vel = eval_curve(curve, ts)
+    _check_finite(pos, vel)
     write_csv(os.path.join(o["out"], "curve.csv"),
-              ["t", "x", "y", "z", "xdot", "ydot", "zdot"], rows)
+              ["t", "x", "y", "z", "xdot", "ydot", "zdot"], np.column_stack([ts, pos, vel]))
 
     a, b, c = frame_components(pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
     summary = {
@@ -327,17 +341,17 @@ def cmd_sweep(o: dict) -> dict:
     tg = s.t_grid()
     E, T = np.meshgrid(s.eps_grid(), tg, indexing="ij")
     # |N_h| from the cross product of the tangents; <V, T> from V = dF/deps
-    (X, Y, Z), (V, F_t) = s.chart(E, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (X, Y, Z), (V, F_t) = s.chart(E, T)
+    _check_finite(X, Y, Z, *V, *F_t)
     with np.errstate(invalid="ignore", divide="ignore"):
         nh, _ = TangentFrame(Z, V, F_t).unit_normal()
     vt = frame_components(Z, *V)[2]
 
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
     write_obj(os.path.join(o["out"], "sweep.obj"), verts, (ne, nt))
-    rows = zip(E.ravel(), T.ravel(), X.ravel(), Y.ravel(), Z.ravel(),
-               nh.ravel(), vt.ravel())
-    write_csv(os.path.join(o["out"], "sweep.csv"),
-              ["eps", "t", "x", "y", "z", "Nh", "VT"], rows)
+    write_csv(os.path.join(o["out"], "sweep.csv"), ["eps", "t", "x", "y", "z", "Nh", "VT"],
+              np.stack([E, T, X, Y, Z, nh, vt], axis=-1).reshape(-1, 7))
 
     mid_eps = 0.5 * (o["eps"][0] + o["eps"][1])
     # 9 probes over 0.9 [t0, t1]; an end probe always clears the cut

@@ -1,16 +1,18 @@
 """Flat-file exporters: CSV (oracle-grade precision), OBJ meshes, JSON.
 
 CSV cells are numbers formatted with ``%.17g``: 17 significant digits, so
-downstream tools can use the rows as oracles.  OBJ carries 9 (visualization
-grade).  JSON summaries are written with sorted keys and shortest round-trip
-floats, so identical inputs give byte-identical files.
+downstream tools can use the rows as oracles.  The writer formats each
+distinct value of a column once per block of rows and looks the text up for
+its other cells, which leaves the bytes as they were.  OBJ carries 9
+(visualization grade).  JSON summaries are written with sorted keys and
+shortest round-trip floats, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, islice
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -22,17 +24,37 @@ _CSV_CHUNK = 1024
 
 
 def write_csv(path, header, rows) -> None:
-    """Header line, then one line per row of numbers, each cell ``%.17g``."""
+    """Header line, then one line per row of numbers, each cell ``%.17g``.
+
+    ``rows`` is anything ``np.asarray(rows, dtype=float)`` takes, or an
+    iterator of rows.  In each block of rows, a column with at most half its
+    cells distinct has each distinct value formatted once; distinct means a
+    distinct bit pattern, since -0.0 and 0.0 print differently.  Other
+    columns are formatted cell by cell.
+    """
+    if isinstance(rows, Iterator):
+        rows = list(rows)
+    m = len(header)
+    data = np.asarray(rows, dtype=float).reshape(-1, m)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    block = line * _CSV_CHUNK
-    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        while cells := tuple(chain.from_iterable(islice(rows, _CSV_CHUNK))):
-            k = len(cells) // len(header)
-            fh.write((block if k == _CSV_CHUNK else line * k) % cells)
+        for start in range(0, len(data), _CSV_CHUNK):
+            block = data[start:start + _CSV_CHUNK]
+            cells = block.ravel().tolist()
+            fmt = []
+            for j, col in enumerate(block.T):
+                bits = col.view(np.int64)
+                ordered = np.sort(bits)
+                distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+                if 2 * len(distinct) <= len(col):
+                    text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], object)
+                    cells[j::m] = text[np.searchsorted(distinct, bits)].tolist()
+                    fmt.append("%s")
+                else:
+                    fmt.append("%.17g")
+            fh.write((",".join(fmt) + "\n") * len(block) % tuple(cells))
 
 
 def write_obj(path, vertices, shape) -> None:

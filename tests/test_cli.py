@@ -569,6 +569,15 @@ def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, ar
     (["stability", "qform", "--surface", "plane-z", "--eta", "0.1"], 2,
      "stability qform does not read --eta"),
     (["residual", "--u", "x", "--surface", "plane-y"], 2, "--u and --surface"),
+    # heights in range, but e^|z0| times the x or y displacement overflows
+    (["curve", "--p0", "0", "0", "705", "--alpha", "1.5707", "--t", "0", "10"], 3,
+     "100 of 600 sampled coordinates are not finite"),
+    (["curve", "--p0", "0", "0", "-705", "--alpha", "1.5707", "--t", "0", "10"], 3,
+     "100 of 600 sampled coordinates are not finite"),
+    (["sweep", "--x0", "0", "0", "705", "--theta", "1.5707"], 3,
+     "2304 of 20736 sampled coordinates are not finite"),
+    (["sweep", "--x0", "0", "0", "-705", "--theta", "1.5707"], 3,
+     "2304 of 20736 sampled coordinates are not finite"),
 ])
 def test_overflowing_heights_and_unread_options_exit_2_or_3(tmp_path, capsys, argv, code,
                                                             message):

@@ -1,8 +1,13 @@
 """The block-formatted writers against the per-cell and per-line rules they
 replaced, byte for byte."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solgeo.exporters import _CSV_CHUNK, write_csv, write_obj
 
@@ -47,11 +52,53 @@ def test_csv_chunk_edges(tmp_path, n_rows):
 
 
 def test_csv_one_shot_iterator(tmp_path):
-    # the rows as the CLI passes them: a zip over raveled arrays, read once
+    # rows that can be read once, as the benchmark's traced runs pass them
     x = np.linspace(-2.0, 2.0, 2 * _CSV_CHUNK + 17)
     path = tmp_path / "z.csv"
     write_csv(path, HEADER, iter(zip(x, x * x, np.exp(x))))
     assert path.read_bytes() == reference_csv(HEADER, zip(x, x * x, np.exp(x)))
+
+
+# +-0.0, +-inf, 5e-324, +-the largest float, and NaNs with four payloads
+EDGE_CELLS = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x1,
+                       0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, 0x7FF8000000000000,
+                       0xFFF8000000000000, 0x7FF0000000000001, 0x7FF80000DEADBEEF],
+                      dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def tables(draw):
+    """Row counts around the block size; each column either draws from a
+    small pool of finite and edge values, so that cells repeat, or has every
+    cell distinct."""
+    n_rows = draw(st.sampled_from([0, 1, 2, _CSV_CHUNK // 2, _CSV_CHUNK - 1, _CSV_CHUNK,
+                                   _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            finite = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=1, max_size=4))
+            edges = draw(st.lists(st.booleans(), min_size=len(EDGE_CELLS),
+                                  max_size=len(EDGE_CELLS)))
+            pool = np.concatenate([np.array(finite, dtype=float), EDGE_CELLS[edges]])
+            columns.append(pool[rng.integers(0, len(pool), n_rows)])
+        else:
+            columns.append(rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_csv_matches_per_cell_formatting(data):
+    header = [f"c{j}" for j in range(data.shape[1])]
+    expected = reference_csv(header, data.tolist())
+    transposed = np.ascontiguousarray(data.T).T  # rows strided, columns contiguous
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.csv"
+        for rows in (data, transposed, data.tolist()):
+            write_csv(path, header, rows)
+            assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1)])
