@@ -17,8 +17,8 @@ The exponential evaluation uses expm1, which removes the cancellation at
 small zdot0 t and makes the zdot0 -> 0 limit land on the line family.
 
 ``integrate_ode`` integrates the defining second-order equation as a
-first-order system with an adaptive 4th/5th-order method; it exists purely
-as an independent oracle for the closed forms.
+first-order system with scipy's adaptive 4th/5th-order method, imported only
+when it runs; it exists purely as an independent oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import CurveOverflow, GeometryError, NotHorizontal, ZeroVelocity
-from .frame import CoordVector, Point, SQRT2, TOL_HORIZONTAL
+from .frame import CoordVector, Point, SQRT2, TOL_HORIZONTAL, to_frame
 
 #: |zdot0| below this is classified as the line family
 LINE_FAMILY_TOL = 1e-12
@@ -83,8 +82,6 @@ def make_curve(p0: Point, v0: CoordVector) -> CharacteristicCurve:
     when the (scale-invariant) horizontality defect exceeds TOL_HORIZONTAL,
     ZeroVelocity on vanishing input and CurveOverflow where e^z overflows.
     """
-    from .frame import to_frame
-
     check_height(p0.z)
     w = to_frame(p0, v0)
     speed = w.norm()
@@ -172,7 +169,7 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> Sampl
     horizontality is built into the state, and curvature H = 0 leaves
     (a, b) constant.  Used solely as an oracle against ``eval_curve``.
     """
-    from .frame import to_frame
+    from scipy.integrate import solve_ivp
 
     if steps < 2:
         raise GeometryError("need at least 2 sample steps")

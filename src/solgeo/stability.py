@@ -40,7 +40,7 @@ from .frame import SQRT2, Point, TangentFrame
 # bench/spans.py rebinds solgeo.stability.frame_components, so it stays imported here
 from .frame import frame_components  # noqa: F401
 from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
-from .surface import EPS_SING, frame_fields, raw_fields
+from .surface import EPS_SING, _ratio_fields, frame_fields, raw_fields
 
 GL_ORDER = 8
 MINIMALITY_TOL = 1e-7
@@ -733,7 +733,7 @@ def sufficient_condition(field: ScalarField, patch: SurfacePatch,
     ts = np.linspace(*patch.t_range, grid[1])
     E, T = np.meshgrid(es, ts, indexing="ij")
     (X, Y, Z), _ = patch.chart(E, T)
-    f = raw_fields(fld, X, Y, Z)
+    f, _ = _ratio_fields(fld, X, Y, Z)
     if bool(np.any(f["nh"] < EPS_SING)):
         raise SingularPointFound("patch contains singular points")
     sup_nt = float(np.max(f["nt"]))

@@ -109,6 +109,24 @@ def _frame_fields(field: ScalarField, x, y, z):
     return f, (ez, emz, grad, hess, dW2, dD, Zc)
 
 
+def _ratio_fields(field: ScalarField, x, y, z):
+    """``_frame_fields`` with the ratio q = <N,T>/|N_h| and its derivative
+    Zq along Z added to the dict; the residuals are left to ``raw_fields``."""
+    f, partials = _frame_fields(field, x, y, z)
+    ez, emz, (ux, uy, uz), (uxx, uxy, uxz, uyy, uyz, uzz), dW2, dD, Zc = partials
+    W3, D, D2 = f["W3"], f["D"], f["D2"]
+    dW3 = ((ez * uxx + emz * uxy) / SQRT2,
+           (ez * uxy + emz * uyy) / SQRT2,
+           (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # |grad u| cancels from the ratio
+        f["q"] = -W3 / D
+        dq = tuple(-dW3[i] / D + W3 * dD[i] / D2 for i in range(3))
+        f["Zq"] = _along(Zc, dq)
+    return f, partials
+
+
 def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
 
@@ -120,20 +138,10 @@ def raw_fields(field: ScalarField, x, y, z):
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     u = field.values(x, y, z)
-    f, (ez, emz, (ux, uy, uz), hess, dW2, dD, Zc) = _frame_fields(field, x, y, z)
+    f, (ez, emz, (ux, uy, uz), hess, dW2, _, _) = _ratio_fields(field, x, y, z)
     uxx, uxy, uxz, uyy, uyz, uzz = hess
-    W1, W2, W3, D, D2 = f["W1"], f["W2"], f["W3"], f["D"], f["D2"]
-    dW3 = ((ez * uxx + emz * uxy) / SQRT2,
-           (ez * uxy + emz * uyy) / SQRT2,
-           (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # ratio <N,T>/|N_h| and its derivative along Z (|grad u| cancels)
-        q = -W3 / D
-        dq = tuple(-dW3[i] / D + W3 * dD[i] / D2 for i in range(3))
-        Zq = _along(Zc, dq)
-
-        normalized_residual_den = D2 * D
+    W1, W2, D, D2 = f["W1"], f["W2"], f["D"], f["D2"]
+    normalized_residual_den = D2 * D
 
     G = SQRT2 * W2
     residual_coord = (
@@ -158,7 +166,7 @@ def raw_fields(field: ScalarField, x, y, z):
     residual_frame = W2 * W2 * XX - W1 * W2 * (YX + XY) + W1 * W1 * YY
 
     f.update({
-        "u": u, "q": q, "Zq": Zq,
+        "u": u,
         "residual_coord": residual_coord, "residual_frame": residual_frame,
         "residual_scale": residual_scale,
         "normalized_residual_den": normalized_residual_den,

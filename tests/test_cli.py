@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,3 +660,43 @@ def test_summary_holds_no_null_or_nonfinite_value(tmp_path, capsys, argv):
     summary = _strict_json(read(tmp_path / "o" / "summary.json"))
     assert capsys.readouterr().out == read(tmp_path / "o" / "summary.json").decode()
     _no_null({k: v for k, v in summary.items() if k != "config"})
+
+
+# Run in a fresh interpreter: every mode but ``curve --oracle`` must leave
+# scipy unloaded, and the oracle must still load it and agree.
+_SCIPY_PROBE = """
+import json, os, sys
+import solgeo, solgeo.cli
+out = sys.argv[1]
+runs = [
+    ["residual", "--surface", "saddle-point", "--grid", "6"],
+    ["curve", "--alpha", "0.3", "--n", "20"],
+    ["sweep", "--grid", "12", "12", "--scan-singular"],
+    ["stability", "qform", "--surface", "plane-x", "--battery", "2", "--n", "4"],
+    ["stability", "compare", "--family", "plane_ab", "--battery", "2", "--n", "4"],
+    ["stability", "area", "--surface", "plane-z", "--n", "4"],
+    ["stability", "sufficient", "--surface", "plane-x", "--n", "8"],
+]
+codes = [solgeo.cli.main([*argv, "--out", os.path.join(out, str(i))])
+         for i, argv in enumerate(runs)]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+oracle = solgeo.cli.main(["curve", "--p0", "0.1", "0.2", "-0.3", "--alpha", "0.8",
+                          "--t", "-2", "2", "--n", "60", "--oracle",
+                          "--out", os.path.join(out, "oracle")])
+print(json.dumps({"codes": codes, "scipy": loaded, "oracle": oracle}))
+"""
+
+
+def test_scipy_loads_only_for_the_ode_oracle(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 7
+    assert report["scipy"] == []
+    assert report["oracle"] == 0
+    summary = json.loads(read(tmp_path / "oracle" / "summary.json"))
+    assert summary["oracle_sup_deviation"] < 1e-8
