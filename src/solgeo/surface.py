@@ -12,6 +12,11 @@ Conventions used throughout:
   derivatives of the nu_h components along Z, which come from the exact
   second partials of u.
 
+``frame_algebra`` is that geometry as arithmetic on e^z, e^-z and the
+coordinate partials of u, whatever supplies them: ``frame_fields`` and
+``raw_fields`` take them from the expression trees of a scalar field, and
+the graph patches of ``stability`` from a height function in closed form.
+
 The unnormalized minimal-surface residual is the coordinate polynomial
 
     u_zz G^2 + u_z^2 (e^{2z} u_xx - 2 u_xy + e^{-2z} u_yy)
@@ -58,9 +63,20 @@ def _frame_fields(field: ScalarField, x, y, z):
     z = np.asarray(z, dtype=float)
     ez = np.exp(z)
     emz = np.exp(-z)
+    grad = field.grad_arrays(x, y, z)
+    hess = field.hessian_arrays(x, y, z)
+    f, (dW2, dD, Zc) = frame_algebra(ez, emz, grad, hess)
+    return f, (ez, emz, grad, hess, dW2, dD, Zc)
 
-    ux, uy, uz = grad = field.grad_arrays(x, y, z)
-    uxx, uxy, uxz, uyy, uyz, uzz = hess = field.hessian_arrays(x, y, z)
+
+def frame_algebra(ez, emz, grad, hess):
+    """The ``frame_fields`` dict from e^z, e^-z and the coordinate partials
+    of u, grad u = (ux, uy, uz) and Hess u = (uxx, uxy, uxz, uyy, uyz,
+    uzz), plus (d(W2), d(D), Z in coordinates).  The inputs broadcast
+    against each other, so a partial that is constant along an axis, or
+    everywhere, can be passed in its natural shape."""
+    ux, uy, uz = grad
+    uxx, uxy, uxz, uyy, uyz, uzz = hess
 
     W1 = uz
     W2 = (-ez * ux + emz * uy) / SQRT2
@@ -106,7 +122,7 @@ def _frame_fields(field: ScalarField, x, y, z):
         "nu1": nu1, "nu2": nu2, "zx": zx, "zy": zy,
         "H": H, "grad_s_nu_z": grad_s_nu_z,
     }
-    return f, (ez, emz, grad, hess, dW2, dD, Zc)
+    return f, (dW2, dD, Zc)
 
 
 def _ratio_fields(field: ScalarField, x, y, z):
@@ -130,15 +146,16 @@ def _ratio_fields(field: ScalarField, x, y, z):
 def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
 
-    Returns a dict of arrays: the ``frame_fields`` entries plus u, the
-    ratio q = <N,T>/|N_h| and its derivative Zq along Z, and the residuals.
+    Returns a dict of arrays: the ``frame_fields`` entries plus u and the
+    residuals; the ratio q = <N,T>/|N_h| and its derivative Zq along Z are
+    left to ``_ratio_fields``.
     Entries that need division by D (nu_h, Z, curvature, ...) are valid
     only where ``singular`` is False; they are computed with errors
     silenced and contain garbage on the singular set.
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     u = field.values(x, y, z)
-    f, (ez, emz, (ux, uy, uz), hess, dW2, _, _) = _ratio_fields(field, x, y, z)
+    f, (ez, emz, (ux, uy, uz), hess, dW2, _, _) = _frame_fields(field, x, y, z)
     uxx, uxy, uxz, uyy, uyz, uzz = hess
     W1, W2, D, D2 = f["W1"], f["W2"], f["D"], f["D2"]
     normalized_residual_den = D2 * D

@@ -582,6 +582,11 @@ def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, ar
      "2304 of 20736 sampled coordinates are not finite"),
     (["sweep", "--x0", "0", "0", "-705", "--theta", "1.5707"], 3,
      "2304 of 20736 sampled coordinates are not finite"),
+    # graph patches whose e^z or height partials overflow at the nodes
+    (["stability", "qform", "--surface", "saddle-point", "--param", "z0=-705"], 3,
+     "field evaluation is not finite at point (inf, "),
+    (["stability", "qform", "--surface", "plane-z", "--param", "c=800"], 3,
+     "field evaluation is not finite at point ("),
 ])
 def test_overflowing_heights_and_unread_options_exit_2_or_3(tmp_path, capsys, argv, code,
                                                             message):
@@ -590,6 +595,47 @@ def test_overflowing_heights_and_unread_options_exit_2_or_3(tmp_path, capsys, ar
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert not (tmp_path / "o" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, nodes", [
+    (["area", "--surface", "plane-y", "--n", "200000", "--eta", "0.3"], (16 * 160000) ** 2),
+    (["qform", "--surface", "saddle-point", "--n", "91"], (16 * 91) ** 2),
+    (["sufficient", "--surface", "plane-x", "--n", "1449"], 1449 ** 2),
+])
+def test_grid_over_the_node_cap_exits_2(tmp_path, capsys, argv, nodes):
+    from solgeo.stability import MAX_NODES
+
+    assert run(["stability", *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"needs {nodes} nodes at its finest level, over the limit of {MAX_NODES}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_documented_grids_stay_under_the_node_cap(tmp_path):
+    # qform --n 64 runs in the memory gate test below
+    assert run(["stability", "area", "--surface", "plane-x", "--n", "100",
+                "--out", str(tmp_path / "a")]) == 0
+
+
+def test_saddle_point_qform_at_n_64_peaks_below_150_mb(tmp_path):
+    # the full-grid table is built in row blocks, so the fine level's
+    # 1024 x 1024 nodes never hold their geometry at once
+    code = (
+        "import resource, sys\n"
+        "from solgeo.cli import main\n"
+        "rc = main(['stability', 'qform', '--surface', 'saddle-point', '--n', '64',\n"
+        "           '--battery', '2', '--out', sys.argv[1]])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "q")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss_kb = proc.stdout.split()[-2:]
+    assert rc == "0"
+    assert int(maxrss_kb) / 1024 < 150.0, proc.stdout
 
 
 def test_unread_option_from_a_config_file_exit_2(tmp_path, capsys):

@@ -284,6 +284,68 @@ def test_q_form_ruled_route_matches_field_route():
                     pytest.approx(want, abs=1e-12))
 
 
+GRAPH_KEYS = ("nh", "nt", "zx", "zy", "grad_s_nu_z", "H")
+
+
+def _graph_routes_agree(patch, e, t, away=True):
+    """The closed-form graph geometry against the field route, the catalog
+    field's expression trees on the same chart, at the nodes ``away``."""
+    field = dataclasses.replace(patch, geometry=None)
+    got, want = patch.geom(e, t), field.geom(e, t)
+    for key in GRAPH_KEYS:
+        g, w = np.broadcast_arrays(got[key], want[key])
+        with np.errstate(invalid="ignore"):  # inf - inf at the singular point
+            close = np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w))
+        assert np.all(close[np.broadcast_to(away, close.shape)]), key
+    return got
+
+
+@given(st.sampled_from(["saddle-point", "plane-x", "plane-y", "plane-z"]),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_graph_route_matches_field_route(name, a, b, c):
+    # the graph patches take their geometry from the height's closed-form
+    # partials; the catalog field's gradient and Hessian trees are the
+    # reference, away from the singular point, where Z is not defined
+    params = {"x0": a, "y0": b, "z0": c} if name == "saddle-point" else {"c": a}
+    patch = patch_for_catalog(name, params)
+    assert patch.geometry is not None
+    # the grids pass through the singular point (y0, -z0) of saddle-point
+    e = np.linspace(*patch.eps_range, 9)[:, None]
+    t = np.linspace(*patch.t_range, 11)[None, :]
+    away = True
+    if patch.singular == "point":
+        pe, pt = patch.point_param
+        away = np.hypot(e - pe, t - pt) > 0.1
+    _graph_routes_agree(patch, e, t, away)
+
+
+#: non-minimal graphs over the (x, y)- and (x, z)-planes with every second
+#: partial of the height non-zero: (layout, defining function, h_fn)
+BENT_GRAPHS = {
+    "bowl": ("plane-z", "z - 0.3*x^2 - 0.2*x*y + 0.1*y^2",
+             lambda x, y: (0.3 * x * x + 0.2 * x * y - 0.1 * y * y, 0.6 * x + 0.2 * y,
+                           0.2 * x - 0.2 * y, 0.6, 0.2, -0.2)),
+    "saddle": ("plane-y", "y - 0.2*x*z - 0.1*z^2",
+               lambda x, z: (0.2 * x * z + 0.1 * z * z, 0.2 * z, 0.2 * x + 0.2 * z,
+                             0.0, 0.2, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", list(BENT_GRAPHS))
+def test_non_minimal_graph_raises_not_minimal(name):
+    kind, source, h = BENT_GRAPHS[name]
+    patch = stability._graph_patch(name, parse(source), kind, h, (-1.0, 1.0), (-1.0, 1.0))
+    e, t = gl_line(-1.0, 1.0, 2)[0][:, None], gl_line(-1.0, 1.0, 3)[0][None, :]
+    # H from the closed-form second partials is the field route's H
+    assert np.max(np.abs(_graph_routes_agree(patch, e, t)["H"])) > 1e-2
+    for p in (patch, dataclasses.replace(patch, geometry=None)):
+        for _ in range(2):  # a failed table is not stored
+            with pytest.raises(NotMinimal):
+                stability._level_table(p, 2, 2)
+        assert not p._tables
+
+
 #: congruent catalog sweeps.  The saddle-curve surface around the vertical
 #: line (x0, y0) is a left translation of the one around the z-axis, and
 #: its zero set does not depend on z0; every plane a x + b y + c = 0 with
@@ -523,7 +585,7 @@ def _patch_with_zero_nh(column=False):
         zero, one = np.zeros_like(e), np.ones_like(e)
         return (e, t, zero), ((one, zero, zero), (zero, one, zero))
 
-    def geometry(t, z, frame):
+    def geometry(eps, t, z, frame):
         shape = np.shape(z)
         nh = np.ones(shape)
         nh[(..., 0) if column else (0,) * len(shape)] = 0.0
@@ -664,6 +726,31 @@ def test_one_row_table_is_the_full_grid_table(make):
             for weight in weights:
                 q = stability._q_form_level(patch, u, n_eps, n_t, weight)[0]
                 assert _close(q, _per_node_surface(patch, u, n_eps, n_t, weight))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: patch_for_catalog("saddle-point", {"x0": 0.3, "y0": -0.4, "z0": 0.7}),
+    lambda: dataclasses.replace(patch_for_catalog("saddle-curve", {}), eps_invariant=False),
+    lambda: dataclasses.replace(_patch_with_zero_nh(column=True), eps_invariant=False),
+], ids=["saddle-point", "saddle-curve-full", "zero-nh-column-full"])
+def test_table_in_one_row_blocks_is_the_one_block_table(monkeypatch, make):
+    tables = {}
+    for block in (1, 10 ** 9):
+        monkeypatch.setattr(stability, "BLOCK_NODES", block)
+        counts = _count_geometry(monkeypatch)
+        with np.errstate(divide="ignore", invalid="ignore"):  # |N_h| = 0 on a column
+            tables[block] = stability._level_table(make(), 3, 4)
+        # one geometry call per eps-row, or one for the whole grid
+        assert counts["frame_data"] == (8 * 3 if block == 1 else 1)
+    rows, whole = tables[1], tables[10 ** 9]
+    for key in ("k_aa", "k_ab", "k_bb"):
+        assert np.array_equal(getattr(rows, key), getattr(whole, key)), key
+    assert rows.k_pot.keys() == whole.k_pot.keys()
+    for weight in whole.k_pot:
+        assert np.array_equal(rows.k_pot[weight], whole.k_pot[weight])
+    for a, b in ((rows.curve, whole.curve), *zip(rows.zero_nh or (), whole.zero_nh or ())):
+        assert np.array_equal(a, b)
+    assert (rows.zero_nh is None) == (whole.zero_nh is None)
 
 
 @pytest.mark.parametrize("x0", [-1e8, 1e6, -1e12])
@@ -907,7 +994,7 @@ def _meshgrid_graph_area(kind, window, h_fn, cells):
     n2, w2 = gl_line(b_lo, b_hi, cells)
     S1, S2 = np.meshgrid(n1, n2, indexing="ij")
     W = np.outer(w1, w2)
-    h, h1, h2 = h_fn(S1, S2)
+    h, h1, h2 = h_fn(S1, S2)[:3]
     coords, tangents = stability._PLANE_GRAPH[kind](S1, S2, h, h1, h2)
     x, y, z = np.broadcast_arrays(*coords)
     n1, n2, _ = TangentFrame(z, *tangents).normal_components
@@ -929,10 +1016,22 @@ def _bumped_graph(c, eta):
 @pytest.mark.parametrize("height", ["level", "bumped"])
 @pytest.mark.parametrize("cells", [13, 40])
 def test_graph_area_is_the_meshgrid_area_bit_for_bit(kind, height, cells):
+    # The oracle sums the horizontal norm of the tangents' metric cross
+    # product over the whole meshgrid; ``_graph_area`` sums the frame
+    # gradient's norm in row blocks, so the two agree to round-off, not bit
+    # for bit.  Both are sums of N = (GL_ORDER cells)^2 non-negative terms
+    # with exact sum S: in any order such a sum is within (N - 1) eps S of
+    # the sum of its computed terms, and each computed term is within
+    # k eps of its exact value, k <= 13 on either route for these heights
+    # and windows (against extended precision).  With k <= N + 1 each side
+    # is within 2 N eps S of S, so |got - want| <= 4 N eps S, which is
+    # 2 N eps (got + want) to first order.
     h_fn = stability._level_graph(0.3) if height == "level" else _bumped_graph(-0.4, 0.35)
     window = ((-2.0, 2.0), (-1.5, 2.5))
     got = stability._graph_area(kind, window, h_fn, cells)
-    assert got == _meshgrid_graph_area(kind, window, h_fn, cells)
+    want = _meshgrid_graph_area(kind, window, h_fn, cells)
+    nodes = (stability.GL_ORDER * cells) ** 2
+    assert abs(got - want) <= 2 * nodes * np.finfo(float).eps * (got + want)
 
 
 @pytest.mark.parametrize("make", [lambda: patch_for_catalog("saddle-curve", {}), _ruled_patch],
