@@ -61,7 +61,7 @@ def main():
     print()
     for name in ("plane-x", "plane-y", "plane-z"):
         patch = patch_for_catalog(name, {})
-        rep = sufficient_condition(patch.field, patch, grid=(32, 32))
+        rep = sufficient_condition(patch, grid=(32, 32))
         print(f"{name}: stability hypothesis met = {rep['condition_met']} "
               f"(sup <N,T> = {rep['sup_NT']:.4f})")
 

@@ -16,7 +16,6 @@ from .curves import CharacteristicCurve, eval_curve, integrate_ode, is_geodesic,
 from .stationary import (
     HorizontalCurve,
     RuledSurface,
-    family_surfaces,
     jacobi_vertical,
     orthogonality_check,
     singular_point_surface,
@@ -46,7 +45,6 @@ __all__ = [
     "area_compare",
     "catalog",
     "eval_curve",
-    "family_surfaces",
     "integrate_ode",
     "is_geodesic",
     "jacobi_profile",

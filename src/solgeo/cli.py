@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BadParams, CurveOverflow, ExprSyntaxError, GeometryError
+from .errors import BadParams, CurveOverflow, EvaluationError, ExprSyntaxError, GeometryError
 from .expressions import CATALOG_NAMES, catalog, parse as parse_field
 from .exporters import write_csv, write_json, write_obj
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
@@ -208,12 +208,21 @@ def cmd_residual(o: dict) -> dict:
     X, Y, Z = columns[:3]
     X[...], Y[...], Z[...] = np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n),
                                          np.linspace(z0, z1, n), indexing="ij", sparse=True)
-    f = raw_fields(field, X, Y, Z)
+    # far from z = 0, e^{2z} times a partial can overflow: the residual check
+    # below turns that into an error instead of a null in the summary
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = raw_fields(field, X, Y, Z)
+    bad = ~np.isfinite(f["residual_coord"])
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise EvaluationError("the minimal-surface residual is not finite",
+                              (X[i], Y[i], Z[i]))
     eps_sing = o["eps_sing"]
 
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         normalized = f["residual_coord"] / f["normalized_residual_den"]
-    on_surface = np.abs(f["u"]) / np.where(f["grad_norm"] == 0, 1.0, f["grad_norm"]) < o["band"]
+        on_surface = (np.abs(f["u"]) / np.where(f["grad_norm"] == 0, 1.0, f["grad_norm"])
+                      < o["band"])
     nonsing = f["nh"] >= eps_sing
     # normalized residual is checkable only where eps times the summand
     # magnitude resolves against D^3 (away from the singular set)
@@ -348,16 +357,23 @@ def cmd_sweep(o: dict) -> dict:
         nh, _ = TangentFrame(Z, V, F_t).unit_normal()
     vt = frame_components(Z, *V)[2]
 
+    mid_eps = 0.5 * (o["eps"][0] + o["eps"][1])
+    # 9 probes over 0.9 [t0, t1]; an end probe always clears the cut
+    probe_ts = np.linspace(o["t"][0] * 0.9, o["t"][1] * 0.9, 9)
+    probe_ts = probe_ts[np.abs(probe_ts) > 0.05 * (o["t"][1] - o["t"][0])]
+    # rulings skewed almost onto the base curve leave no horizontal normal
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h_samples = [float(s.intrinsic_mean_curvature(mid_eps, float(t))) for t in probe_ts]
+    for t, h in zip(probe_ts, h_samples):
+        if not math.isfinite(h):
+            raise GeometryError(f"the intrinsic mean curvature is not finite at "
+                                f"eps = {mid_eps:g}, t = {t:g}")
+
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
     write_obj(os.path.join(o["out"], "sweep.obj"), verts, (ne, nt))
     write_csv(os.path.join(o["out"], "sweep.csv"), ["eps", "t", "x", "y", "z", "Nh", "VT"],
               np.stack([E, T, X, Y, Z, nh, vt], axis=-1).reshape(-1, 7))
 
-    mid_eps = 0.5 * (o["eps"][0] + o["eps"][1])
-    # 9 probes over 0.9 [t0, t1]; an end probe always clears the cut
-    probe_ts = np.linspace(o["t"][0] * 0.9, o["t"][1] * 0.9, 9)
-    probe_ts = probe_ts[np.abs(probe_ts) > 0.05 * (o["t"][1] - o["t"][0])]
-    h_samples = [float(s.intrinsic_mean_curvature(mid_eps, float(t))) for t in probe_ts]
     summary = {
         "branch": gamma.kind,
         "orthogonality_defect": float(orthogonality_check(s)),
@@ -412,8 +428,7 @@ def cmd_stability(o: dict) -> dict:
                 "mismatch_terms": terms}
     if mode == "sufficient":
         patch = patch_for_catalog(o["surface"], _parse_params(o["param"]))
-        return {"sufficient": sufficient_condition(patch.field, patch, grid=grid,
-                                                   flip=o["flip_orientation"])}
+        return {"sufficient": sufficient_condition(patch, grid=grid, flip=o["flip_orientation"])}
     name = o["surface"]
     if name not in ("plane-x", "plane-y", "plane-z"):
         raise ConfigError("area mode supports plane-x, plane-y, plane-z")

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BadParams, EvaluationError, ExprSyntaxError
-from .frame import CoordVector, Point
+from .frame import Point
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Expression-tree node. Subclasses implement eval/diff/to_source."""
+    """Expression-tree node. Subclasses implement eval and diff."""
 
     def eval(self, x, y, z):
         raise NotImplementedError
@@ -36,20 +36,8 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def to_source(self) -> str:
-        raise NotImplementedError
 
-    def has_division(self) -> bool:
-        return any(child.has_division() for child in self.children())
-
-    def children(self):
-        return ()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_source()})"
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Num(Expr):
     value: float
 
@@ -59,13 +47,8 @@ class Num(Expr):
     def diff(self, var):
         return Num(0.0)
 
-    def to_source(self):
-        if self.value < 0:
-            return f"({self.value:.17g})"
-        return f"{self.value:.17g}"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Sym(Expr):
     name: str  # 'x', 'y' or 'z'
 
@@ -75,11 +58,8 @@ class Sym(Expr):
     def diff(self, var):
         return Num(1.0 if var == self.name else 0.0)
 
-    def to_source(self):
-        return self.name
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Add(Expr):
     left: Expr
     right: Expr
@@ -90,14 +70,8 @@ class Add(Expr):
     def diff(self, var):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def to_source(self):
-        return f"{self.left.to_source()} + {self.right.to_source()}"
 
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Sub(Expr):
     left: Expr
     right: Expr
@@ -108,17 +82,8 @@ class Sub(Expr):
     def diff(self, var):
         return sub(self.left.diff(var), self.right.diff(var))
 
-    def to_source(self):
-        r = self.right.to_source()
-        if isinstance(self.right, (Add, Sub)):
-            r = f"({r})"
-        return f"{self.left.to_source()} - {r}"
 
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Mul(Expr):
     left: Expr
     right: Expr
@@ -132,20 +97,8 @@ class Mul(Expr):
             mul(self.left, self.right.diff(var)),
         )
 
-    def to_source(self):
-        l = self.left.to_source()
-        r = self.right.to_source()
-        if isinstance(self.left, (Add, Sub)):
-            l = f"({l})"
-        if isinstance(self.right, (Add, Sub)):
-            r = f"({r})"
-        return f"{l}*{r}"
 
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Div(Expr):
     left: Expr
     right: Expr
@@ -160,23 +113,8 @@ class Div(Expr):
             div(mul(self.left, self.right.diff(var)), Pow(self.right, 2)),
         )
 
-    def to_source(self):
-        l = self.left.to_source()
-        r = self.right.to_source()
-        if isinstance(self.left, (Add, Sub)):
-            l = f"({l})"
-        if isinstance(self.right, (Add, Sub, Mul, Div)):
-            r = f"({r})"
-        return f"{l}/{r}"
 
-    def children(self):
-        return (self.left, self.right)
-
-    def has_division(self):
-        return True
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -194,20 +132,8 @@ class Pow(Expr):
         return mul(mul(Num(float(n)), Pow(self.base, n - 1) if n != 1 else Num(1.0)),
                    self.base.diff(var))
 
-    def to_source(self):
-        b = self.base.to_source()
-        if not isinstance(self.base, (Num, Sym)):
-            b = f"({b})"
-        return f"{b}^{self.exponent}"
 
-    def children(self):
-        return (self.base,)
-
-    def has_division(self):
-        return self.exponent < 0 or self.base.has_division()
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Exp(Expr):
     arg: Expr
 
@@ -217,14 +143,8 @@ class Exp(Expr):
     def diff(self, var):
         return mul(self, self.arg.diff(var))
 
-    def to_source(self):
-        return f"exp({self.arg.to_source()})"
 
-    def children(self):
-        return (self.arg,)
-
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
 
@@ -233,15 +153,6 @@ class Neg(Expr):
 
     def diff(self, var):
         return neg(self.arg.diff(var))
-
-    def to_source(self):
-        a = self.arg.to_source()
-        if not isinstance(self.arg, (Num, Sym, Exp)):
-            a = f"({a})"
-        return f"-{a}"
-
-    def children(self):
-        return (self.arg,)
 
 
 def _is_const(e: Expr, v: float) -> bool:
@@ -466,7 +377,9 @@ class ScalarField:
     hess_exprs: tuple = dc_field(repr=False, default=None)
 
     @staticmethod
-    def from_expr(expr: Expr, source: str | None = None) -> "ScalarField":
+    def from_expr(expr: Expr, source: str) -> "ScalarField":
+        """The field of ``expr``, with its first and second partial trees;
+        ``source`` is the text it stands for."""
         grad = tuple(expr.diff(v) for v in _VARS)
         # second partials from the gradient trees, upper triangle
         hess = (
@@ -474,20 +387,10 @@ class ScalarField:
             grad[1].diff("y"), grad[1].diff("z"),
             grad[2].diff("z"),
         )
-        return ScalarField(expr, source if source is not None else expr.to_source(),
-                           grad, hess)
-
-    # -- scalar API ---------------------------------------------------------
+        return ScalarField(expr, source, grad, hess)
 
     def value(self, p: Point) -> float:
         return float(self.values(p.x, p.y, p.z))
-
-    def gradient(self, p: Point) -> CoordVector:
-        return CoordVector(*(float(g) for g in self.grad_arrays(p.x, p.y, p.z)))
-
-    def hessian(self, p: Point) -> np.ndarray:
-        uxx, uxy, uxz, uyy, uyz, uzz = self.hessian_arrays(p.x, p.y, p.z)
-        return np.array([[uxx, uxy, uxz], [uxy, uyy, uyz], [uxz, uyz, uzz]], dtype=float)
 
     # -- array API (used by grid evaluation downstream) ----------------------
 
@@ -523,12 +426,6 @@ class ScalarField:
             i = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
             raise EvaluationError(message, tuple(np.broadcast_to(v, shape)[i] for v in (x, y, z)))
         return np.broadcast_to(value, shape)
-
-    def has_division(self) -> bool:
-        return self.expr.has_division()
-
-    def pretty(self) -> str:
-        return self.expr.to_source()
 
 
 def parse(source: str) -> ScalarField:

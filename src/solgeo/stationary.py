@@ -175,10 +175,6 @@ class RuledSurface:
         F, F_e, F_t = self.jet(eps, t)
         return F, (F_e, F_t)
 
-    def ruling_velocity(self, eps):
-        """Initial ruling velocity at Gamma(eps), J(Gammadot) by default."""
-        return self.jet(eps, 0.0)[2]
-
     def ruling(self, eps: float) -> CharacteristicCurve:
         """The t-line through Gamma(eps) as a characteristic-curve record."""
         (gx, gy, gz), _, (vx, vy, vz) = self.jet(eps, 0.0)
@@ -219,12 +215,6 @@ class RuledSurface:
 
     def t_grid(self):
         return np.linspace(self.t_range[0], self.t_range[1], self.n_t)
-
-    def mesh(self):
-        """(eps, t) meshgrid plus the swept coordinates, each (n_eps, n_t)."""
-        E, T = np.meshgrid(self.eps_grid(), self.t_grid(), indexing="ij")
-        X, Y, Z = self.point(E, T)
-        return E, T, X, Y, Z
 
     def intrinsic_mean_curvature(self, eps, t):
         """|H| estimated from the parametrization alone.
@@ -273,12 +263,11 @@ def orthogonality_check(surface) -> float:
     """Largest normalized |<ruling velocity, base velocity>| over the base.
 
     Zero (to rounding) for every J-ruled sweep; order one for skewed
-    fixtures.  Accepts any object exposing ``gamma`` and
-    ``ruling_velocity``.
+    fixtures.  The ruling velocity is the jet's dF/dt at t = 0.
     """
     eps = np.linspace(surface.eps_range[0], surface.eps_range[1], 257)
     x, y, z, dx, dy, dz = surface.gamma._raw(eps)
-    rx, ry, rz = surface.ruling_velocity(eps)
+    rx, ry, rz = surface.jet(eps, 0.0)[2]
     g = np.stack(frame_components(z, dx, dy, dz), axis=-1)
     r = np.stack(frame_components(z, rx, ry, rz), axis=-1)
     num = np.abs(np.sum(g * r, axis=-1))
@@ -367,16 +356,6 @@ def singular_point_surface(p0: Point) -> ScalarField:
     singular point at (x0, y0, -z0), so the z-parameter is bound to -p0.z.
     """
     return catalog("saddle-point", x0=p0.x, y0=p0.y, z0=-p0.z)
-
-
-def family_surfaces(kind: str, **params) -> ScalarField:
-    """The two families of area-stationary surfaces with a geodesic
-    singular curve: planes a x + b y + c = 0 and the saddle family around
-    a vertical line.
-    """
-    if kind not in ("plane_ab", "saddle_curve"):
-        raise BadParams(f"unknown family {kind!r}; expected plane_ab or saddle_curve")
-    return catalog(kind.replace("_", "-"), **params)
 
 
 def plane_ab_singular_line_z(a: float, b: float) -> float:

@@ -327,9 +327,9 @@ def test_criterion_07_stability_battery():
     # sufficient condition on the three plane families, orientation-sensitive
     for name in ("plane-x", "plane-y", "plane-z"):
         patch = patch_for_catalog(name, {})
-        assert sufficient_condition(patch.field, patch, grid=(24, 24))["condition_met"]
+        assert sufficient_condition(patch, grid=(24, 24))["condition_met"]
     patch = patch_for_catalog("plane-x", {})
-    flipped_rep = sufficient_condition(patch.field, patch, grid=(24, 24), flip=True)
+    flipped_rep = sufficient_condition(patch, grid=(24, 24), flip=True)
     assert not flipped_rep["condition_met"]
     _report(7, "stability battery",
             f"300 admissible bumps all Q >= -err (min margin {worst_margin:.2e}); "

@@ -587,6 +587,15 @@ def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, ar
      "field evaluation is not finite at point (inf, "),
     (["stability", "qform", "--surface", "plane-z", "--param", "c=800"], 3,
      "field evaluation is not finite at point ("),
+    # e^{2z} times a partial overflows on the window, a sweep's rulings lie
+    # along its base curve, and |u| over |grad u| overflows
+    (["residual", "--surface", "tilted", "--grid", "5", "--window", "-700", "700", "-1", "0.5",
+      "-700", "2", "--param", "c=-0.5"], 3,
+     "the minimal-surface residual is not finite at point (-700.0, -1.0, -700.0)"),
+    (["sweep", "--gamma", "x-line", "--grid", "6", "6", "--skew", "1e308"], 3,
+     "the intrinsic mean curvature is not finite at eps = 0, t = -2.7"),
+    (["residual", "--surface", "plane-y", "--grid", "8", "--param", "c=1e308"], 3,
+     "the on-surface band is empty"),
 ])
 def test_overflowing_heights_and_unread_options_exit_2_or_3(tmp_path, capsys, argv, code,
                                                             message):
@@ -618,24 +627,35 @@ def test_largest_documented_grids_stay_under_the_node_cap(tmp_path):
                 "--out", str(tmp_path / "a")]) == 0
 
 
-def test_saddle_point_qform_at_n_64_peaks_below_150_mb(tmp_path):
-    # the full-grid table is built in row blocks, so the fine level's
-    # 1024 x 1024 nodes never hold their geometry at once
+def _peak_rss_mb(argv, out) -> float:
+    """Peak RSS in MB of a CLI run in a fresh interpreter, which must exit 0."""
     code = (
         "import resource, sys\n"
         "from solgeo.cli import main\n"
-        "rc = main(['stability', 'qform', '--surface', 'saddle-point', '--n', '64',\n"
-        "           '--battery', '2', '--out', sys.argv[1]])\n"
+        "rc = main(sys.argv[1:])\n"
         "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "q")], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rc, maxrss_kb = proc.stdout.split()[-2:]
     assert rc == "0"
-    assert int(maxrss_kb) / 1024 < 150.0, proc.stdout
+    return int(maxrss_kb) / 1024
+
+
+def test_saddle_point_qform_at_n_64_peaks_below_150_mb(tmp_path):
+    # the full-grid table is built in row blocks, so the fine level's
+    # 1024 x 1024 nodes never hold their geometry at once
+    argv = ["stability", "qform", "--surface", "saddle-point", "--n", "64", "--battery", "2"]
+    assert _peak_rss_mb(argv, tmp_path / "q") < 150.0
+
+
+def test_sufficient_condition_at_n_1024_peaks_below_150_mb(tmp_path):
+    # the 1024 x 1024 grid is evaluated in blocks of whole eps-rows
+    argv = ["stability", "sufficient", "--surface", "plane-x", "--n", "1024"]
+    assert _peak_rss_mb(argv, tmp_path / "s") < 150.0
 
 
 def test_unread_option_from_a_config_file_exit_2(tmp_path, capsys):

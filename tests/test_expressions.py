@@ -10,19 +10,22 @@ from solgeo.expressions import CATALOG_NAMES, ScalarField, catalog, catalog_para
 from solgeo.frame import Point
 
 
+def _grad(f, p):
+    return tuple(float(g) for g in f.grad_arrays(p.x, p.y, p.z))
+
+
 def test_parse_basic_derivatives():
     f = parse("x + exp(z)*y")
     p = Point(0.3, -1.2, 0.5)
-    g = f.gradient(p)
-    assert g.dx == pytest.approx(1.0)
-    assert g.dy == pytest.approx(math.exp(p.z))
-    assert g.dz == pytest.approx(math.exp(p.z) * p.y)
+    ux, uy, uz = _grad(f, p)
+    assert ux == pytest.approx(1.0)
+    assert uy == pytest.approx(math.exp(p.z))
+    assert uz == pytest.approx(math.exp(p.z) * p.y)
 
 
 def test_parse_coordinate_only():
     f = parse("z")
-    g = f.gradient(Point(1, 2, 3))
-    assert (g.dx, g.dy, g.dz) == (0.0, 0.0, 1.0)
+    assert _grad(f, Point(1, 2, 3)) == (0.0, 0.0, 1.0)
 
 
 def test_syntax_error_offset():
@@ -41,34 +44,29 @@ def test_eval_examples():
     f = parse("exp(z)*y + x")
     p = Point(1, 2, 0)
     assert f.value(p) == pytest.approx(3.0)
-    g = f.gradient(p)
-    assert (g.dx, g.dy, g.dz) == pytest.approx((1.0, 1.0, 2.0))
+    assert _grad(f, p) == pytest.approx((1.0, 1.0, 2.0))
 
     f = parse("x")
-    g = f.gradient(Point(5, 5, 5))
-    assert (g.dx, g.dy, g.dz) == (1.0, 0.0, 0.0)
-    assert np.allclose(f.hessian(Point(5, 5, 5)), 0.0)
+    assert _grad(f, Point(5, 5, 5)) == (1.0, 0.0, 0.0)
+    assert np.allclose(f.hessian_arrays(5.0, 5.0, 5.0), 0.0)
 
     f = parse("exp(z)*y + exp(-z)*x")
     assert f.value(Point(0, 0, 0)) == 0.0
-    g = f.gradient(Point(0, 0, 0))
-    assert (g.dx, g.dy, g.dz) == pytest.approx((1.0, 1.0, 0.0))
+    assert _grad(f, Point(0, 0, 0)) == pytest.approx((1.0, 1.0, 0.0))
 
 
 def test_scientific_notation_and_powers():
     f = parse("1.5e-2*x^3 + 2E+1*z^2 - y^-1")
     p = Point(2.0, 4.0, 3.0)
     assert f.value(p) == pytest.approx(1.5e-2 * 8 + 20 * 9 - 0.25)
-    g = f.gradient(p)
-    assert g.dx == pytest.approx(3 * 1.5e-2 * 4)
-    assert g.dy == pytest.approx(1.0 / 16.0)
-    assert g.dz == pytest.approx(2 * 20 * 3)
+    ux, uy, uz = _grad(f, p)
+    assert ux == pytest.approx(3 * 1.5e-2 * 4)
+    assert uy == pytest.approx(1.0 / 16.0)
+    assert uz == pytest.approx(2 * 20 * 3)
 
 
 def test_division_flag_and_pole_error():
     f = parse("x / (y - 1)")
-    assert f.has_division()
-    assert not parse("x + y").has_division()
     with pytest.raises(EvaluationError) as exc:
         f.value(Point(1.0, 1.0, 0.0))
     assert exc.value.point == (1.0, 1.0, 0.0)
@@ -157,20 +155,6 @@ def test_mixed_partials_symmetric(rng):
     uxy = f.grad_exprs[0].diff("y")
     x, y, z = rng.uniform(-2, 2, (3, 200))
     assert np.allclose(uyx.eval(x, y, z), uxy.eval(x, y, z), atol=1e-12)
-
-
-def test_pretty_print_roundtrip(rng):
-    sources = [
-        "x + exp(z)*y",
-        "-x^2 + 3.5*y/z - exp(-(x + y))",
-        "(x - y)*(x + y) - z^3",
-        "1e-3*x - 2.5E+2*y + .5*z",
-    ] + [catalog(n, **p).source for n, p in CATALOG_WITH_PARAMS]
-    x, y, z = rng.uniform(0.5, 2.0, (3, 50))
-    for src in sources:
-        f = parse(src)
-        g = parse(f.pretty())
-        assert np.allclose(f.values(x, y, z), g.values(x, y, z), rtol=1e-14, atol=1e-14)
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4),

@@ -1,4 +1,5 @@
-"""Smoke tests: the scripts under scripts/ run against the current API."""
+"""Smoke tests: the scripts under scripts/ and the package exports run against
+the current API."""
 
 import os
 import subprocess
@@ -33,3 +34,11 @@ def test_build_gallery_runs(tmp_path):
     assert len(outputs) == 8
     for out in outputs:
         assert (out / "summary.json").is_file(), out.name
+
+
+def test_every_exported_name_resolves():
+    import solgeo
+
+    missing = [name for name in solgeo.__all__ if not hasattr(solgeo, name)]
+    assert not missing
+    assert len(set(solgeo.__all__)) == len(solgeo.__all__)

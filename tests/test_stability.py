@@ -15,7 +15,7 @@ from solgeo.errors import (
     NotMinimal,
     SingularPointFound,
 )
-from solgeo.expressions import catalog, parse
+from solgeo.expressions import CATALOG_NAMES, catalog, parse
 from solgeo.frame import Point, TangentFrame
 from solgeo.stability import (
     Bump,
@@ -819,14 +819,14 @@ def test_q_form_simplified_needs_a_closed_form_family():
 def test_sufficient_condition_three_plane_families():
     for name in ("plane-x", "plane-y", "plane-z"):
         patch = patch_for_catalog(name, {})
-        rep = sufficient_condition(patch.field, patch, grid=(24, 24))
+        rep = sufficient_condition(patch, grid=(24, 24))
         assert rep["condition_met"], name
         assert rep["sup_NT"] <= 1e-8
 
 
 def test_sufficient_condition_orientation_sensitive():
     patch = patch_for_catalog("plane-x", {})
-    rep = sufficient_condition(patch.field, patch, grid=(24, 24), flip=True)
+    rep = sufficient_condition(patch, grid=(24, 24), flip=True)
     assert not rep["condition_met"]
     assert rep["sup_NT"] > 0.5
 
@@ -834,13 +834,47 @@ def test_sufficient_condition_orientation_sensitive():
 def test_sufficient_condition_rejects_singular_patch():
     patch = patch_for_catalog("saddle-curve", {})
     with pytest.raises(SingularPointFound):
-        sufficient_condition(patch.field, patch, grid=(17, 17))
+        sufficient_condition(patch, grid=(17, 17))
 
 
 def test_flipped_field():
     f = catalog("plane-x")
     g = flipped(f)
     assert g.value(Point(0.5, 1, 1)) == -f.value(Point(0.5, 1, 1))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_flipped_source_parses_to_the_negated_field(name, rng):
+    f = catalog(name)
+    g = flipped(f)
+    reread = parse(g.source)
+    assert reread.expr == g.expr
+    x, y, z = rng.uniform(-2.0, 2.0, (3, 64))
+    for h in (g, reread):
+        assert np.array_equal(h.values(x, y, z), -f.values(x, y, z))
+        for got, want in zip(h.grad_arrays(x, y, z) + h.hessian_arrays(x, y, z),
+                             f.grad_arrays(x, y, z) + f.hessian_arrays(x, y, z)):
+            assert np.array_equal(got, -want)
+
+
+@pytest.mark.parametrize("name, params, flip", [
+    ("plane-x", {}, False), ("plane-y", {"c": 0.3}, True), ("plane-z", {"c": -0.7}, False),
+])
+def test_sufficient_condition_in_one_row_blocks_is_the_one_block_report(monkeypatch, name,
+                                                                         params, flip):
+    patch = patch_for_catalog(name, params)
+    monkeypatch.setattr(stability, "BLOCK_NODES", 1)
+    rows = sufficient_condition(patch, grid=(24, 31), flip=flip)
+    monkeypatch.setattr(stability, "BLOCK_NODES", 10 ** 9)
+    whole = sufficient_condition(patch, grid=(24, 31), flip=flip)
+    assert repr(rows) == repr(whole)
+
+
+def test_sufficient_condition_nan_in_one_row_block_still_reaches_the_sup(monkeypatch):
+    # e^-z overflows on the plane z = -800, so <N,T> is NaN on every node
+    monkeypatch.setattr(stability, "BLOCK_NODES", 1)
+    with pytest.raises(GeometryError, match=r"sup <N,T> is not finite: nan"):
+        sufficient_condition(patch_for_catalog("plane-z", {"c": 800.0}), grid=(8, 8))
 
 
 # -- jacobi profile -------------------------------------------------------------

@@ -17,7 +17,6 @@ from solgeo.stationary import (
     singular_point_surface,
     sweep_surface,
     uniqueness_scan,
-    family_surfaces,
 )
 from solgeo.surface import raw_fields
 
@@ -66,7 +65,7 @@ def test_x_line_sweep_lies_on_saddle_curve_surface():
     # the vertical-axis sweep lands on the zero set of e^z y + e^-z x
     # (and not on e^z y + x, whose singular set is a point, not a curve)
     s = sweep_surface(HorizontalCurve.x_line(Point(0, 0, 0)), (-2, 2), (-3, 3), grid=(40, 40))
-    _, _, X, Y, Z = s.mesh()
+    X, Y, Z = s.point(*np.meshgrid(s.eps_grid(), s.t_grid(), indexing="ij"))
     on_curve_family = catalog("saddle-curve").values(X, Y, Z)
     assert np.max(np.abs(on_curve_family)) < 1e-12
     off_point_family = catalog("saddle-point").values(X, Y, Z)
@@ -75,7 +74,7 @@ def test_x_line_sweep_lies_on_saddle_curve_surface():
 
 def test_y_line_sweep_is_vertical_plane_patch():
     s = sweep_surface(HorizontalCurve.y_line(Point(0, 0, 0)), (-2, 2), (-3, 3), grid=(24, 24))
-    E, T, X, Y, Z = s.mesh()
+    X, Y, Z = s.point(*np.meshgrid(s.eps_grid(), s.t_grid(), indexing="ij"))
     # x, y constant along t; z affine in t
     assert np.max(np.abs(X - X[:, :1])) < 1e-14
     assert np.max(np.abs(Y - Y[:, :1])) < 1e-14
@@ -345,21 +344,18 @@ def test_singular_point_surface_origin_formula():
 
 
 def test_family_surfaces():
-    f = family_surfaces("plane_ab", a=1.0, b=1.0, c=0.0)
+    f = catalog("plane-ab", a=1.0, b=1.0, c=0.0)
     # singular line sits in z = log sqrt(b/a) = 0
     assert on_surface_fields(f, Point(0.5, -0.5, 0.0))["singular"]
     assert not on_surface_fields(f, Point(0.5, -0.5, 1.0))["singular"]
 
-    g = family_surfaces("saddle_curve")
-    assert g.source == catalog("saddle-curve").source
-
     # a = 1, b = 0: no singular point anywhere on the plane
-    h = family_surfaces("plane_ab", a=1.0, b=0.0, c=0.5)
+    h = catalog("plane-ab", a=1.0, b=0.0, c=0.5)
     for z in np.linspace(-3, 3, 11):
         assert not on_surface_fields(h, Point(-0.5, 1.0, float(z)))["singular"]
 
     with pytest.raises(BadParams):
-        family_surfaces("nope")
+        catalog("nope")
     with pytest.raises(BadParams):
         plane_ab_singular_line_z(1.0, -1.0)
 
