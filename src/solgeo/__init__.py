@@ -18,7 +18,6 @@ from .stationary import (
     RuledSurface,
     jacobi_vertical,
     orthogonality_check,
-    singular_point_surface,
     sweep_surface,
     uniqueness_scan,
 )
@@ -26,7 +25,6 @@ from .stability import (
     QuadratureReport,
     TestFunction,
     area_compare,
-    jacobi_profile,
     q_form,
     q_form_simplified,
     sufficient_condition,
@@ -47,14 +45,12 @@ __all__ = [
     "eval_curve",
     "integrate_ode",
     "is_geodesic",
-    "jacobi_profile",
     "jacobi_vertical",
     "make_curve",
     "orthogonality_check",
     "parse",
     "q_form",
     "q_form_simplified",
-    "singular_point_surface",
     "sufficient_condition",
     "sweep_surface",
     "to_frame",

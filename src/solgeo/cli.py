@@ -291,9 +291,6 @@ def cmd_curve(o: dict) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         pos, vel = eval_curve(curve, ts)
     _check_finite(pos, vel)
-    write_csv(os.path.join(o["out"], "curve.csv"),
-              ["t", "x", "y", "z", "xdot", "ydot", "zdot"], np.column_stack([ts, pos, vel]))
-
     a, b, c = frame_components(pos[:, 2], vel[:, 0], vel[:, 1], vel[:, 2])
     summary = {
         "family": curve.family,
@@ -310,10 +307,22 @@ def cmd_curve(o: dict) -> dict:
             seg = ts[(ts >= min(lo, hi)) & (ts <= max(lo, hi))]
             if len(seg) < 2:
                 continue
-            p = integrate_ode(p0, v0, hi, len(seg))
+            # integrate_ode samples np.linspace(0, hi, len(seg)), whose times
+            # repeat over a few subnormal steps; solve_ivp needs them distinct
+            if np.any(np.diff(np.linspace(0.0, hi, len(seg))) == 0.0):
+                raise ConfigError(f"--t {t0:g} {t1:g} is too narrow for the ODE oracle")
+            # an overflow in the integrator (its error norm, near the top of
+            # the height range) would leave a meaningless deviation
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    p = integrate_ode(p0, v0, hi, len(seg))
+            except FloatingPointError as e:
+                raise CurveOverflow(f"the ODE oracle overflows: {e}") from None
             ref, _ = eval_curve(curve, p.t)
             devs.append(float(np.max(np.abs(p.points - ref))))
         summary["oracle_sup_deviation"] = max(devs) if devs else 0.0
+    write_csv(os.path.join(o["out"], "curve.csv"),
+              ["t", "x", "y", "z", "xdot", "ydot", "zdot"], np.column_stack([ts, pos, vel]))
     return summary
 
 
@@ -353,8 +362,15 @@ def cmd_sweep(o: dict) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         (X, Y, Z), (V, F_t) = s.chart(E, T)
     _check_finite(X, Y, Z, *V, *F_t)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nh, _ = TangentFrame(Z, V, F_t).unit_normal()
+    # far from z = 0 the tangents' cross product can overflow, which would
+    # leave |N_h| = 0 or NaN at regular nodes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tf = TangentFrame(Z, V, F_t)
+        nh, _ = tf.unit_normal()
+        bad = ~np.isfinite(sum(n * n for n in tf.normal_components))
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise GeometryError(f"the surface normal overflows at eps = {E[i]:g}, t = {T[i]:g}")
     vt = frame_components(Z, *V)[2]
 
     mid_eps = 0.5 * (o["eps"][0] + o["eps"][1])

@@ -80,11 +80,15 @@ def make_curve(p0: Point, v0: CoordVector) -> CharacteristicCurve:
 
     The velocity is normalized to unit frame length.  Raises NotHorizontal
     when the (scale-invariant) horizontality defect exceeds TOL_HORIZONTAL,
-    ZeroVelocity on vanishing input and CurveOverflow where e^z overflows.
+    ZeroVelocity on vanishing input and CurveOverflow where e^z, or the
+    frame speed of the velocity, overflows.
     """
     check_height(p0.z)
-    w = to_frame(p0, v0)
+    with np.errstate(over="ignore"):
+        w = to_frame(p0, v0)
     speed = w.norm()
+    if not math.isfinite(speed):
+        raise CurveOverflow(f"the initial velocity's frame speed overflows at z = {p0.z:g}")
     if speed == 0.0:
         raise ZeroVelocity(f"zero initial velocity at {p0}")
     defect = horizontality_defect(p0, v0)

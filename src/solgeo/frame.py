@@ -39,9 +39,6 @@ class Point:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"non-finite point {(self.x, self.y, self.z)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
 
 @dataclass(frozen=True)
 class FrameVector:
@@ -54,9 +51,6 @@ class FrameVector:
     def norm(self) -> float:
         return math.sqrt(self.a * self.a + self.b * self.b + self.c * self.c)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=float)
-
 
 @dataclass(frozen=True)
 class CoordVector:
@@ -65,9 +59,6 @@ class CoordVector:
     dx: float
     dy: float
     dz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz], dtype=float)
 
 
 def to_frame(p: Point, v: CoordVector) -> FrameVector:

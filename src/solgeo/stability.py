@@ -1,6 +1,5 @@
 """Second-variation machinery: the stability form Q(u), the sufficient
-condition for non-singular surfaces, the Jacobi profile along characteristic
-curves, and quadrature-based area comparison.
+condition for non-singular surfaces, and quadrature-based area comparison.
 
 For a minimal surface with singular set S0 and an admissible variation u
 (compactly supported, C^1, with Z(u) = 0 in a tubular neighborhood of a
@@ -42,7 +41,7 @@ from .frame import SQRT2, Point, TangentFrame
 from .frame import frame_components  # noqa: F401
 from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
 # bench/spans.py rebinds solgeo.stability.raw_fields, so it stays imported here
-from .surface import EPS_SING, _ratio_fields, frame_algebra, frame_fields, raw_fields  # noqa: F401
+from .surface import EPS_SING, _ratio_fields, frame_algebra, raw_fields  # noqa: F401
 
 GL_ORDER = 8
 MINIMALITY_TOL = 1e-7
@@ -183,10 +182,8 @@ class SurfacePatch:
     frame)`` supplies that geometry in closed form: every sweep from its
     rulings (``patch_from_ruled``), every graph patch (the coordinate
     planes and saddle-point) from the closed-form partials of its height
-    function (``_graph_geometry``).  Without it the geometry comes from
-    the expression trees of the defining scalar field
-    (``surface.frame_fields``), the route the tests hold the closed forms
-    against.
+    function (``_graph_geometry``).  ``field``, the defining scalar field
+    of a catalog patch, is what ``sufficient_condition`` evaluates.
 
     Q(u) is tabulated as a bilinear form at the quadrature nodes on first
     use, once per (n_eps, n_t), and lives as long as the patch.
@@ -208,19 +205,16 @@ class SurfacePatch:
     eps_range: tuple
     t_range: tuple
     chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt))
+    geometry: object               # callable (eps, t, z, frame) -> dict
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
-    geometry: object = None        # callable (eps, t, z, frame) -> dict, overrides field
     eps_invariant: bool = False    # the geometry is a function of t alone
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def geom(self, eps, t) -> dict:
-        (X, Y, Z), tangents = self.chart(eps, t)
+        (_, _, Z), tangents = self.chart(eps, t)
         tf = TangentFrame(Z, *tangents)
-        if self.geometry is not None:
-            f = self.geometry(eps, t, Z, tf)
-        else:
-            f = frame_fields(self.field, X, Y, Z)
+        f = self.geometry(eps, t, Z, tf)
         f["frame"] = tf
         return f
 
@@ -289,7 +283,7 @@ def _graph_geometry(kind: str, h_fn):
     ``surface.frame_algebra`` turns those into the frame fields, H
     included, so no expression tree is evaluated per node.  A non-finite
     e^z or partial (an overflowing height or parameter) raises
-    EvaluationError at its first node, as the field route does.
+    EvaluationError at its first node.
     """
     to_grad, to_hess = _GRAPH_PARTIALS[kind]
 
@@ -311,10 +305,9 @@ def _graph_geometry(kind: str, h_fn):
 
 def _graph_patch(name, field, kind, h_fn, eps_range, t_range, **kw) -> SurfacePatch:
     """Patch over the graph of ``h_fn`` laid out as ``kind``, with its
-    closed-form geometry; the catalog ``field`` stays on it as the tests'
-    reference."""
+    closed-form geometry and the catalog ``field``."""
     return SurfacePatch(name, field, eps_range, t_range, _graph_chart(kind, h_fn),
-                        geometry=_graph_geometry(kind, h_fn), **kw)
+                        _graph_geometry(kind, h_fn), **kw)
 
 
 def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
@@ -333,10 +326,13 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
             raise BadParams(
                 "adapted plane-ab patch needs a*b > 0 (otherwise the plane has "
                 "no singular line; use plane-x or plane-y)")
-        # base curve: the unit-speed singular line; rulings: vertical lines (-X)
-        base = HorizontalCurve.y_line(Point(-c * a / (a * a + b * b),
-                                            -c * b / (a * a + b * b),
-                                            plane_ab_singular_line_z(a, b)))
+        # base curve: the unit-speed singular line through the foot of the
+        # perpendicular from the z-axis; rulings: vertical lines (-X)
+        foot = (-c * a / (a * a + b * b), -c * b / (a * a + b * b))
+        if not all(map(math.isfinite, foot)):
+            raise BadParams(f"plane-ab with a = {a:g}, b = {b:g}, c = {c:g}: the foot of "
+                            f"its singular line overflows")
+        base = HorizontalCurve.y_line(Point(*foot, plane_ab_singular_line_z(a, b)))
         return patch_from_ruled(sweep_surface(base, (-3.0, 3.0), (-3.0, 3.0)), name, fld)
 
     if name == "saddle-curve":
@@ -365,10 +361,9 @@ def patch_from_ruled(surface, name: str = "ruled-sweep",
     """Quadrature patch over a ruled sweep, geometry in closed form.
 
     Every sweep patch is built here; the catalog's ``plane-ab`` and
-    ``saddle-curve`` pass their ``name`` and keep their ``field`` for the
-    field route, the tests' reference.  The chart is the sweep's jet, the base curve is
-    the singular curve at t = 0, and the patch is invariant along eps (see
-    ``SurfacePatch``).
+    ``saddle-curve`` pass their ``name`` and ``field``.  The chart is the
+    sweep's jet, the base curve is the singular curve at t = 0, and the
+    patch is invariant along eps (see ``SurfacePatch``).
 
     The base curve's unit frame velocity (a, b) is constant, so every
     ruling has the one constant frame velocity (ra, rb, 0) = J(a, b).  The
@@ -397,7 +392,7 @@ def patch_from_ruled(surface, name: str = "ruled-sweep",
                 "grad_s_nu_z": -0.5 * nh, "H": 0.0}
 
     return SurfacePatch(name, field, surface.eps_range, surface.t_range, surface.chart,
-                        "curve", geometry=geometry, eps_invariant=True)
+                        geometry, "curve", eps_invariant=True)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +789,7 @@ def compare_q_forms(general: QuadratureReport, simplified: QuadratureReport) -> 
 
 
 # ---------------------------------------------------------------------------
-# Sufficient condition and Jacobi profile
+# Sufficient condition
 # ---------------------------------------------------------------------------
 
 def flipped(field: ScalarField) -> ScalarField:
@@ -810,9 +805,11 @@ def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False)
     orientation of ``patch.field``; ``flip`` probes the reversed one).  The
     report carries the sup of <N, T> over the grid plus two diagnostics:
     the quantity 2 Z(<N,T>/|N_h|) + (<N,T>/|N_h|)^2 and the
-    cosh-coefficient combination a + b of the Jacobi profile (non-positive
-    exactly when the profile never crosses zero forward in s), left out
-    when no node has |<Z,X>| > 1e-9.  The met flag gates on the
+    cosh-coefficient combination a + b of the vertical Jacobi profile
+    a cosh(mu s) + b sinh(mu s) + c along the characteristic curve, the
+    solution of f''' = mu^2 f' with mu = |<Z,X>| (non-positive exactly
+    when the profile never crosses zero forward in s), left out when no
+    node has |<Z,X>| > 1e-9.  The met flag gates on the
     hypothesis; the diagnostics are reported, not gated on.  The grid is
     evaluated in blocks of whole eps-rows, about BLOCK_NODES nodes each,
     and the blocks are reduced by numpy, so a NaN still reaches the sup.
@@ -863,65 +860,6 @@ def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False)
     if sup_a_plus_b:
         out["sup_a_plus_b"] = float(np.max(sup_a_plus_b))
     return out
-
-
-def jacobi_profile(field: ScalarField, p: Point, s_range=(-3.0, 3.0),
-                   n: int = 201) -> dict:
-    """Vertical Jacobi component profile along the characteristic direction.
-
-    Solves f''' - <Z,X>^2 f' = 0 with f(0) = -|N_h|, f'(0) = -<N,T>,
-    f''(0) = -|N_h| (Z(<N,T>/|N_h|) + (<N,T>/|N_h|)^2); the coefficient
-    <Z,X>^2 is constant along the characteristic curve, so the cosh/sinh
-    closed form is exact.  Cross-checked against numeric integration of the
-    third-order equation.
-    """
-    from scipy.integrate import solve_ivp
-
-    f, _ = _ratio_fields(field, p.x, p.y, p.z)
-    nh = float(f["nh"])
-    if nh < EPS_SING:
-        raise SingularPointFound(f"profile needs a non-singular point, got {p}")
-    nt = float(f["nt"])
-    q = float(f["q"])
-    zq = float(f["Zq"])
-    zx = float(f["zx"])
-    f0, f1, f2 = -nh, -nt, -nh * (zq + q * q)
-    s = np.linspace(s_range[0], s_range[1], n)
-    if abs(zx) < 1e-9:
-        values = f0 + f1 * s + 0.5 * f2 * s * s
-        return {"s": s, "values": values, "zx_zero": True,
-                "a": None, "b": None, "c": None, "mu": 0.0,
-                "a_plus_b": None, "ode_max_rel_dev": 0.0,
-                "ode_residual_max": 0.0}
-    mu = abs(zx)
-    a = f2 / (mu * mu)
-    b = f1 / mu
-    c = f0 - a
-    values = a * np.cosh(mu * s) + b * np.sinh(mu * s) + c
-
-    def rhs(t, y):
-        return [y[1], y[2], mu * mu * y[1]]
-
-    dev = 0.0
-    for lo, hi in ((0.0, s_range[1]), (0.0, s_range[0])):
-        if hi == lo:
-            continue
-        seg = s[(s >= min(lo, hi)) & (s <= max(lo, hi))]
-        if len(seg) == 0:
-            continue
-        sol = solve_ivp(rhs, (lo, hi), [f0, f1, f2], t_eval=np.sort(seg) if hi > lo
-                        else np.sort(seg)[::-1], rtol=1e-12, atol=1e-14)
-        ref = a * np.cosh(mu * sol.t) + b * np.sinh(mu * sol.t) + c
-        scale = 1.0 + np.max(np.abs(ref))
-        dev = max(dev, float(np.max(np.abs(sol.y[0] - ref)) / scale))
-    # pointwise residual of the closed form in the ODE
-    fppp = a * mu ** 3 * np.sinh(mu * s) + b * mu ** 3 * np.cosh(mu * s)
-    fp = a * mu * np.sinh(mu * s) + b * mu * np.cosh(mu * s)
-    residual = float(np.max(np.abs(fppp - mu * mu * fp)) / (1.0 + np.max(np.abs(fppp))))
-    return {"s": s, "values": values, "zx_zero": False,
-            "a": a, "b": b, "c": c, "mu": mu,
-            "a_plus_b": a + b, "ode_max_rel_dev": dev,
-            "ode_residual_max": residual}
 
 
 # ---------------------------------------------------------------------------

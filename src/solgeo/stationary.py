@@ -28,7 +28,7 @@ Gamma(eps) solves f'' = b^2 f with f(0) = 0 and f'(0) = -1, so
     <V, T>(eps, t) = -sinh(b t) / b        (-t where b = 0)
 
 on every branch and for every eps.  ``jacobi_vertical`` cross-checks the
-jet against it; a finite difference of F stays the test oracle.
+jet against it.
 
 That <V, T> does not depend on eps is one case of a symmetry of the whole
 sweep.  A base curve of constant frame velocity v is Gamma(eps) =
@@ -49,7 +49,8 @@ import numpy as np
 
 from .curves import CharacteristicCurve, _eval_raw, check_height, make_curve
 from .errors import BadParams, BranchUnsupported
-from .expressions import ScalarField, catalog
+# bench/spans.py rebinds solgeo.stationary.catalog, so it stays imported here
+from .expressions import catalog  # noqa: F401
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 
 #: frame-component threshold of the x-integral / y-integral labels
@@ -61,8 +62,7 @@ EPS_SCAN = 1e-9
 #: agreement of the analytic <V, T> with its closed form (rounding bound)
 CLOSED_FORM_RTOL = 1e-12
 
-#: central-difference steps of the <V, T> (in eps) and intrinsic-H (in t) oracles
-VT_FD_STEP = 1e-6
+#: central-difference step in t of the intrinsic-H oracle
 H_FD_STEP = 1e-4
 
 
@@ -191,17 +191,6 @@ class RuledSurface:
         _, b = self.gamma.curve.frame_velocity()
         _, t = np.broadcast_arrays(eps, np.asarray(t, dtype=float))
         return -np.sinh(b * t) / b if b else -t
-
-    def vertical_component_fd(self, eps, t):
-        """Test oracle: <V, T> from Richardson-extrapolated central
-        differences of F in eps, contracted with the frame."""
-        def diff(step):
-            xp = np.stack(self.point(eps + step, t))
-            xm = np.stack(self.point(eps - step, t))
-            return (xp - xm) / (2.0 * step)
-        v = (4.0 * diff(VT_FD_STEP / 2.0) - diff(VT_FD_STEP)) / 3.0
-        _, _, z = self.point(eps, t)
-        return frame_components(z, v[0], v[1], v[2])[2]
 
     def vertical_component(self, eps, t):
         """<V, T>: the T-component of the analytic dF/deps, on every branch."""
@@ -346,16 +335,6 @@ def singular_loci(tg, vt) -> list:
             "samples": int(len(chunk)),
         })
     return loci
-
-
-def singular_point_surface(p0: Point) -> ScalarField:
-    """Defining function of the complete minimal surface whose only
-    singular point is ``p0``.
-
-    The catalog saddle-point field exp(z - z0)*(y - y0) + x - x0 places its
-    singular point at (x0, y0, -z0), so the z-parameter is bound to -p0.z.
-    """
-    return catalog("saddle-point", x0=p0.x, y0=p0.y, z0=-p0.z)
 
 
 def plane_ab_singular_line_z(a: float, b: float) -> float:

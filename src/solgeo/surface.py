@@ -13,9 +13,9 @@ Conventions used throughout:
   second partials of u.
 
 ``frame_algebra`` is that geometry as arithmetic on e^z, e^-z and the
-coordinate partials of u, whatever supplies them: ``frame_fields`` and
-``raw_fields`` take them from the expression trees of a scalar field, and
-the graph patches of ``stability`` from a height function in closed form.
+coordinate partials of u, whatever supplies them: ``raw_fields`` takes them
+from the expression trees of a scalar field, and the graph patches of
+``stability`` from a height function in closed form.
 
 The unnormalized minimal-surface residual is the coordinate polynomial
 
@@ -45,19 +45,10 @@ def _along(vec, df):
     return vec[0] * df[0] + vec[1] * df[1] + vec[2] * df[2]
 
 
-def frame_fields(field: ScalarField, x, y, z) -> dict:
-    """The adapted-frame entries of ``raw_fields`` that a surface patch reads.
-
-    |N_h| ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H,
-    with the frame gradient and nu_h they are built from; u itself, the
-    ratio <N,T>/|N_h| and the residuals are left to ``raw_fields``.
-    """
-    return _frame_fields(field, x, y, z)[0]
-
-
-def _frame_fields(field: ScalarField, x, y, z):
-    """``frame_fields`` plus the partials ``raw_fields`` continues from:
-    (e^z, e^-z, grad u, Hessian of u, d(W2), d(D), Z in coordinates)."""
+def _tree_frame(field: ScalarField, x, y, z):
+    """``frame_algebra`` on the expression trees of ``field``, with the
+    partials ``raw_fields`` continues from: (e^z, e^-z, grad u, Hessian of
+    u, d(W2), d(D), Z in coordinates)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -70,9 +61,11 @@ def _frame_fields(field: ScalarField, x, y, z):
 
 
 def frame_algebra(ez, emz, grad, hess):
-    """The ``frame_fields`` dict from e^z, e^-z and the coordinate partials
-    of u, grad u = (ux, uy, uz) and Hess u = (uxx, uxy, uxz, uyy, uyz,
-    uzz), plus (d(W2), d(D), Z in coordinates).  The inputs broadcast
+    """The adapted-frame entries a surface patch reads, from e^z, e^-z and
+    the coordinate partials of u, grad u = (ux, uy, uz) and Hess u = (uxx,
+    uxy, uxz, uyy, uyz, uzz): |N_h| ("nh"), <N,T> ("nt"), Z = zx X + zy Y,
+    <nabla_S nu_h, Z> and H, with the frame gradient and nu_h they are
+    built from; plus (d(W2), d(D), Z in coordinates).  The inputs broadcast
     against each other, so a partial that is constant along an axis, or
     everywhere, can be passed in its natural shape."""
     ux, uy, uz = grad
@@ -126,9 +119,9 @@ def frame_algebra(ez, emz, grad, hess):
 
 
 def _ratio_fields(field: ScalarField, x, y, z):
-    """``_frame_fields`` with the ratio q = <N,T>/|N_h| and its derivative
+    """``_tree_frame`` with the ratio q = <N,T>/|N_h| and its derivative
     Zq along Z added to the dict; the residuals are left to ``raw_fields``."""
-    f, partials = _frame_fields(field, x, y, z)
+    f, partials = _tree_frame(field, x, y, z)
     ez, emz, (ux, uy, uz), (uxx, uxy, uxz, uyy, uyz, uzz), dW2, dD, Zc = partials
     W3, D, D2 = f["W3"], f["D"], f["D2"]
     dW3 = ((ez * uxx + emz * uxy) / SQRT2,
@@ -146,7 +139,7 @@ def _ratio_fields(field: ScalarField, x, y, z):
 def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
 
-    Returns a dict of arrays: the ``frame_fields`` entries plus u and the
+    Returns a dict of arrays: the ``frame_algebra`` entries plus u and the
     residuals; the ratio q = <N,T>/|N_h| and its derivative Zq along Z are
     left to ``_ratio_fields``.
     Entries that need division by D (nu_h, Z, curvature, ...) are valid
@@ -155,7 +148,7 @@ def raw_fields(field: ScalarField, x, y, z):
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     u = field.values(x, y, z)
-    f, (ez, emz, (ux, uy, uz), hess, dW2, _, _) = _frame_fields(field, x, y, z)
+    f, (ez, emz, (ux, uy, uz), hess, dW2, _, _) = _tree_frame(field, x, y, z)
     uxx, uxy, uxz, uyy, uyz, uzz = hess
     W1, W2, D, D2 = f["W1"], f["W2"], f["D"], f["D2"]
     normalized_residual_den = D2 * D

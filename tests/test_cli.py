@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solgeo.cli import main
+from solgeo.expressions import CATALOG, CATALOG_NAMES
 
 
 def run(argv):
@@ -545,6 +551,18 @@ def test_saddle_curve_one_row_tables_agree_with_the_full_grid(tmp_path, params):
     (["sweep", "--gamma", "x-line", "--theta", "0.3"], 2),
     (["sweep", "--gamma", "y-line", "--theta", "0.3"], 2),
     (["residual", "--u", "x + y", "--param", "c=1"], 2),
+    # the tangents' cross product, the RK45 oracle's error norm or the
+    # initial velocity's frame speed overflows, or the foot of plane-ab's
+    # singular line does
+    (["sweep", "--gamma", "line", "--x0", "-1.0", "4.4118585185407255", "-1.0",
+      "--grid", "4", "4", "--eps", "-1.0", "354.001", "--t", "1.0", "356.001"], 3),
+    (["sweep", "--gamma", "x-line", "--x0", "0", "0", "0", "--grid", "4", "4",
+      "--eps", "1.0", "1.501", "--t", "0", "1e300"], 3),
+    (["curve", "--p0", "0.0", "0.5", "355.0", "--alpha", "1.0", "--n", "2",
+      "--t", "1e-300", "4.0963689553304246", "--oracle"], 3),
+    (["curve", "--p0", "0", "0", "-355", "--v", "1e300", "-0.5", "0", "--t", "-559", "0"], 3),
+    (["stability", "qform", "--surface", "plane-ab", "--param", "a=1e300",
+      "--param", "c=1e300", "--battery", "2", "--n", "3"], 2),
 ])
 def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, argv, code):
     assert run([*argv, "--out", str(tmp_path / "o")]) == code
@@ -766,3 +784,107 @@ def test_scipy_loads_only_for_the_ode_oracle(tmp_path):
     assert report["oracle"] == 0
     summary = json.loads(read(tmp_path / "oracle" / "summary.json"))
     assert summary["oracle_sup_deviation"] < 1e-8
+
+
+# -- CLI fuzz ------------------------------------------------------------------
+
+#: the values the fuzz draws every float option from: the edges of the
+#: float range, of e^z's range and of the heights, and anything in between
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1e-300, 5e-324, 1e300, -1e300,
+                     355.0, -355.0, 700.0, -700.0]),
+    st.floats(-800.0, 800.0))
+
+
+def _arg(v: float) -> str:
+    """``v`` in positional notation, which reads back to the same float and
+    which argparse takes as a value even where it is negative: "-1e+300"
+    would be read as an option."""
+    return np.format_float_positional(v, trim="0")
+
+
+@st.composite
+def _cli_argv(draw):
+    """A CLI command in any mode, with fuzzed floats on the smallest grids."""
+    def floats(k):
+        return [_arg(draw(_FUZZ_FLOATS)) for _ in range(k)]
+
+    def ranges(k):
+        """k ranges (lo, hi), lo <= hi: an empty one is the only usage error."""
+        return [_arg(v) for _ in range(k) for v in sorted(draw(_FUZZ_FLOATS) for _ in "lh")]
+
+    def params(name):
+        names = draw(st.lists(st.sampled_from(sorted(CATALOG[name][1])), max_size=2,
+                              unique=True))
+        return [f for k in names for f in ("--param", f"{k}={floats(1)[0]}")]
+
+    mode = draw(st.sampled_from(["residual", "curve", "sweep", "qform", "compare",
+                                 "sufficient", "area"]))
+    small = st.integers(2, 8).map(str)
+    battery = ["--battery", "2", "--n", draw(st.integers(2, 3).map(str)),
+               *draw(st.sampled_from([[], ["--delta", *floats(1)]]))]
+    if mode == "residual":
+        name = draw(st.sampled_from(CATALOG_NAMES))
+        return ["residual", "--surface", name, *params(name), "--grid", draw(small),
+                "--window", *ranges(3)]
+    if mode == "curve":
+        velocity = ["--alpha", *floats(1)] if draw(st.booleans()) else ["--v", *floats(3)]
+        oracle = ["--oracle"] if draw(st.booleans()) else []
+        return ["curve", "--p0", *floats(3), *velocity, "--t", *ranges(1),
+                "--n", draw(st.integers(2, 3).map(str)), *oracle]
+    if mode == "sweep":
+        gamma = draw(st.sampled_from(["exp", "line", "x-line", "y-line"]))
+        velocity = []
+        if gamma == "exp":
+            velocity = draw(st.sampled_from([[], ["--theta", *floats(1)], ["--v0", *floats(3)]]))
+        skew = ["--skew", *floats(1)] if draw(st.booleans()) else []
+        scan = ["--scan-singular"] if draw(st.booleans()) else []
+        return ["sweep", "--gamma", gamma, "--x0", *floats(3), *velocity, "--eps", *ranges(1),
+                "--t", *ranges(1), "--grid", draw(small), draw(small), *skew, *scan]
+    if mode == "compare":
+        family = draw(st.sampled_from(["plane_ab", "saddle_curve"]))
+        name = family.replace("_", "-")
+        return ["stability", "compare", "--family", family, *params(name), *battery]
+    if mode == "area":
+        name = draw(st.sampled_from(["plane-x", "plane-y", "plane-z"]))
+        return ["stability", "area", "--surface", name, *params(name), "--n", draw(small),
+                "--eta", *floats(1)]
+    name = draw(st.sampled_from(["plane-x", "plane-y", "plane-z", "plane-ab",
+                                 "saddle-curve", "saddle-point"]))
+    if mode == "sufficient":
+        flip = ["--flip-orientation"] if draw(st.booleans()) else []
+        return ["stability", "sufficient", "--surface", name, *params(name),
+                "--n", draw(small), *flip]
+    return ["stability", "qform", "--surface", name, *params(name), *battery]
+
+
+@given(_cli_argv())
+@example(["curve", "--p0", "0.0", "0.5", "355.0", "--alpha", "1.0", "--n", "2",
+          "--t", "1e-300", "4.0963689553304246", "--oracle"])
+@example(["sweep", "--gamma", "line", "--x0", "-1.0", "4.4118585185407255", "-1.0",
+          "--grid", "4", "4", "--eps", "-1.0", "354.001", "--t", "1.0", "356.001"])
+@example(["sweep", "--gamma", "x-line", "--x0", "0", "0", "0", "--grid", "4", "4",
+          "--eps", "1.0", "1.501", "--t", "0", "1e300"])
+@example(["residual", "--surface", "tilted", "--grid", "5", "--window", "-700", "700", "-1",
+          "0.5", "-700", "2", "--param", "c=-0.5"])
+@example(["sweep", "--gamma", "x-line", "--grid", "6", "6", "--skew", "1e308"])
+@example(["residual", "--surface", "plane-y", "--grid", "8", "--param", "c=1e308"])
+@example(["curve", "--p0", "0", "0", "-355", "--v", "1e300", "-0.5", "0", "--t", "-559", "0",
+          "--n", "3"])
+@example(["stability", "qform", "--surface", "plane-ab", "--param", "a=1e300",
+          "--param", "c=1e300", "--battery", "2", "--n", "3"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzzed_commands_exit_0_2_or_3_without_a_null(argv):
+    # in-process, under the suite's RuntimeWarning filter: a numpy warning
+    # on the way to a verdict is exit 4
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run([*argv, "--out", out])
+        assert code in (0, 2, 3), (code, stderr.getvalue())
+        if code == 0:
+            summary = _strict_json(read(os.path.join(out, "summary.json")))
+            _no_null({k: v for k, v in summary.items() if k != "config"})
+        else:
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import horizontal_velocity, random_point
+from conftest import as_array, horizontal_velocity, random_point
 from solgeo.curves import (
     HEIGHT_LIMIT,
     eval_curve,
@@ -166,7 +166,7 @@ def test_height_climbing_past_the_bound_reported(z0, t_end):
         s.jet(t_end, 0.0)
     # up to the bound itself the closed form runs
     edge = math.copysign(HEIGHT_LIMIT, z0) - z0
-    assert np.isfinite(eval_curve(c, edge)[1].as_array()).all()
+    assert np.isfinite(as_array(eval_curve(c, edge)[1])).all()
 
 
 def test_is_geodesic():

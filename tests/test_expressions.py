@@ -192,3 +192,48 @@ def test_saddle_point_equivalent_forms(rng):
     x = -np.exp(z) * y  # on the zero set of f1
     assert np.max(np.abs(f1.values(x, y, z))) < 1e-12
     assert np.max(np.abs(f2.values(x, y, z))) < 1e-12
+
+
+def _sources():
+    """Random sources in the grammar: numbers, x, y and z, + - * /, ^ with an
+    integer from -3 to 3, exp and unary minus; every operand is
+    parenthesized, so the source reads the same to sympy once ^ is **."""
+    leaves = st.one_of(st.sampled_from(["x", "y", "z"]),
+                       st.sampled_from(["0.5", "1", "2", "3.25", "1e-3"]))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda s: f"exp({s})"),
+            inner.map(lambda s: f"-({s})"))
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+_COORD = st.floats(-2.0, 2.0)
+
+
+@given(_sources(), st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_partials_match_sympy(source, nodes):
+    # a second symbolic engine: sympy differentiates the same source; nodes
+    # where either side is not finite (a pole, an overflow) are skipped
+    sp = pytest.importorskip("sympy")
+    f = parse(source)
+    x, y, z = sp.symbols("x y z", real=True)
+    u = sp.sympify(source.replace("^", "**"), locals={"x": x, "y": y, "z": z, "exp": sp.exp})
+    v = (x, y, z)
+    want = [sp.diff(u, a) for a in v] + [sp.diff(u, v[i], v[j])
+                                         for i in range(3) for j in range(i, 3)]
+    want = sp.lambdify(v, want, "numpy")
+    for node in nodes:
+        try:
+            got = f.grad_arrays(*node) + f.hessian_arrays(*node)
+        except EvaluationError:
+            continue
+        with np.errstate(all="ignore"):
+            ref = np.asarray(want(*node), dtype=float)
+        for g, w in zip(np.asarray(got, dtype=float), ref):
+            if np.isfinite(w):
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9), (source, node)

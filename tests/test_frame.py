@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_array
 from solgeo.frame import CoordVector, Point, SQRT2, TangentFrame, to_frame
 
 
@@ -20,7 +21,7 @@ def frame_at(p: Point):
 
 def in_frame(p: Point):
     """``to_frame`` of the frame at ``p``, one row per field X, Y, T."""
-    return np.array([to_frame(p, v).as_array() for v in frame_at(p)])
+    return np.array([as_array(to_frame(p, v)) for v in frame_at(p)])
 
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -28,9 +29,9 @@ finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 def test_frame_at_origin():
     X, Y, T = frame_at(Point(0, 0, 0))
-    assert X.as_array() == pytest.approx([0, 0, 1])
-    assert Y.as_array() == pytest.approx([-1 / SQRT2, 1 / SQRT2, 0])
-    assert T.as_array() == pytest.approx([1 / SQRT2, 1 / SQRT2, 0])
+    assert as_array(X) == pytest.approx([0, 0, 1])
+    assert as_array(Y) == pytest.approx([-1 / SQRT2, 1 / SQRT2, 0])
+    assert as_array(T) == pytest.approx([1 / SQRT2, 1 / SQRT2, 0])
     assert in_frame(Point(0, 0, 0)) == pytest.approx(np.eye(3), abs=1e-15)
 
 
@@ -46,12 +47,13 @@ def test_frame_at_z_one():
 
 
 def test_to_frame_examples():
-    assert to_frame(Point(0, 0, 0), CoordVector(0, 0, 1)).as_array() == pytest.approx([1, 0, 0])
+    x = to_frame(Point(0, 0, 0), CoordVector(0, 0, 1))
+    assert as_array(x) == pytest.approx([1, 0, 0])
     w = to_frame(Point(0, 0, 0), CoordVector(1, 1, 0))
-    assert w.as_array() == pytest.approx([0, 0, SQRT2])
+    assert as_array(w) == pytest.approx([0, 0, SQRT2])
     z0 = 0.8
     y_coord = CoordVector(-math.exp(z0) / SQRT2, math.exp(-z0) / SQRT2, 0.0)
-    assert to_frame(Point(0, 0, z0), y_coord).as_array() == pytest.approx([0, 1, 0])
+    assert as_array(to_frame(Point(0, 0, z0), y_coord)) == pytest.approx([0, 1, 0])
 
 
 @given(finite, finite, finite, finite, finite, finite)
@@ -59,9 +61,9 @@ def test_to_frame_examples():
 def test_roundtrip_coord_frame(x, y, z, a, b, c):
     # a X + b Y + c T, assembled in coordinates, comes back as (a, b, c)
     p = Point(x, y, z)
-    X, Y, T = (e.as_array() for e in frame_at(p))
+    X, Y, T = (as_array(e) for e in frame_at(p))
     v = CoordVector(*(a * X + b * Y + c * T))
-    assert to_frame(p, v).as_array() == pytest.approx([a, b, c], abs=1e-12, rel=1e-12)
+    assert as_array(to_frame(p, v)) == pytest.approx([a, b, c], abs=1e-12, rel=1e-12)
 
 
 def test_orthonormality_bulk(rng):
@@ -83,7 +85,7 @@ def test_tangent_frame_normal_and_solve(rng):
     tf = TangentFrame(z, t1, t2)
     e1, e2, n = _stacked(tf.t1), _stacked(tf.t2), _stacked(tf.normal_components)
     assert e1 == pytest.approx(np.stack(
-        [to_frame(Point(0.0, 0.0, zi), CoordVector(*v)).as_array()
+        [as_array(to_frame(Point(0.0, 0.0, zi), CoordVector(*v)))
          for zi, v in zip(z, np.stack(t1, axis=-1))]))
     assert np.max(np.abs(np.sum(n * e1, -1)) + np.abs(np.sum(n * e2, -1))) < 1e-12
     assert tf.area_element() == pytest.approx(np.linalg.norm(n, axis=-1))
@@ -147,20 +149,20 @@ def test_lie_bracket_table():
     # exact z-derivatives dY/dz = -T and dT/dz = -Y of the coordinate fields
     for z in (0.0, 0.8, -1.7):
         p = Point(0.0, 0.0, z)
-        X, Y, T = (e.as_array() for e in frame_at(p))
+        X, Y, T = (as_array(e) for e in frame_at(p))
         fields = (X, Y, T)
         dz = (np.zeros(3), -T, -Y)
         for i in range(3):
             for j in range(3):
                 coord = fields[i][2] * dz[j] - fields[j][2] * dz[i]
-                got = to_frame(p, CoordVector(*coord)).as_array()
+                got = as_array(to_frame(p, CoordVector(*coord)))
                 assert got == pytest.approx(BRACKETS[i, j], abs=1e-15)
 
 
 def test_bracket_matches_numerical_commutator(rng):
     # [U,V]^i = U(V^i) - V(U^i) on coordinate component functions
     def fields(p):
-        return [c.as_array() for c in frame_at(p)]
+        return [as_array(c) for c in frame_at(p)]
 
     h = 1e-6
     for _ in range(20):
@@ -178,7 +180,7 @@ def test_bracket_matches_numerical_commutator(rng):
                     dV = (fields(pp)[j] - fields(pm)[j]) / (2 * h)
                     dU = (fields(pp)[i] - fields(pm)[i]) / (2 * h)
                     acc += comps[i][axis] * dV - comps[j][axis] * dU
-                got = to_frame(p, CoordVector(*acc)).as_array()
+                got = as_array(to_frame(p, CoordVector(*acc)))
                 assert np.max(np.abs(got - BRACKETS[i, j])) < 1e-6
 
 

@@ -27,13 +27,13 @@ from solgeo.stability import (
     compare_q_forms,
     flipped,
     gl_line,
-    jacobi_profile,
     patch_for_catalog,
     patch_from_ruled,
     q_form,
     q_form_simplified,
     sufficient_condition,
 )
+from solgeo.surface import raw_fields
 
 
 # -- bumps -------------------------------------------------------------------
@@ -258,6 +258,28 @@ def test_q_form_vs_simplified_saddle_curve_mismatch_named():
     assert comp["part_differences"]["boundary_S"] < 1e-12
 
 
+def _field_geometry(field, chart):
+    """A ``SurfacePatch.geometry`` from the expression trees of ``field``:
+    ``surface.raw_fields`` at the coordinates of ``chart``, whose
+    ``frame_algebra`` entries are the ones a patch reads."""
+    def geometry(eps, t, z, frame):
+        return raw_fields(field, *chart(eps, t)[0])
+    return geometry
+
+
+def _field_route(patch, **changes):
+    """``patch`` with the geometry of its catalog field on the same chart:
+    the field route, the reference the closed forms are held against."""
+    return dataclasses.replace(patch, geometry=_field_geometry(patch.field, patch.chart),
+                               **changes)
+
+
+def test_a_patch_needs_its_geometry():
+    patch = patch_for_catalog("plane-x", {})
+    with pytest.raises(TypeError, match="geometry"):
+        SurfacePatch(patch.name, patch.field, patch.eps_range, patch.t_range, patch.chart)
+
+
 def test_q_form_ruled_route_matches_field_route():
     # the catalog sweeps take their geometry in closed form; the field
     # route, the catalog field's gradient and Hessian on the same chart, is
@@ -270,8 +292,7 @@ def test_q_form_ruled_route_matches_field_route():
     for name, params in (("saddle-curve", {}), ("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3})):
         jet = patch_for_catalog(name, params)
         assert jet.geometry is not None
-        field = SurfacePatch(name, jet.field, jet.eps_range, jet.t_range, jet.chart, "curve",
-                             geometry=None)
+        field = _field_route(jet, eps_invariant=False)
         gj, gf = jet.geom(E, T), field.geom(E, T)
         assert np.max(np.abs(gj["nh"] - gf["nh"])) < 1e-12, name
         assert np.max(np.abs(gj["grad_s_nu_z"] - gf["grad_s_nu_z"])) < 1e-12, name
@@ -290,8 +311,7 @@ GRAPH_KEYS = ("nh", "nt", "zx", "zy", "grad_s_nu_z", "H")
 def _graph_routes_agree(patch, e, t, away=True):
     """The closed-form graph geometry against the field route, the catalog
     field's expression trees on the same chart, at the nodes ``away``."""
-    field = dataclasses.replace(patch, geometry=None)
-    got, want = patch.geom(e, t), field.geom(e, t)
+    got, want = patch.geom(e, t), _field_route(patch).geom(e, t)
     for key in GRAPH_KEYS:
         g, w = np.broadcast_arrays(got[key], want[key])
         with np.errstate(invalid="ignore"):  # inf - inf at the singular point
@@ -339,7 +359,7 @@ def test_non_minimal_graph_raises_not_minimal(name):
     e, t = gl_line(-1.0, 1.0, 2)[0][:, None], gl_line(-1.0, 1.0, 3)[0][None, :]
     # H from the closed-form second partials is the field route's H
     assert np.max(np.abs(_graph_routes_agree(patch, e, t)["H"])) > 1e-2
-    for p in (patch, dataclasses.replace(patch, geometry=None)):
+    for p in (patch, _field_route(patch)):
         for _ in range(2):  # a failed table is not stored
             with pytest.raises(NotMinimal):
                 stability._level_table(p, 2, 2)
@@ -455,7 +475,7 @@ def test_curve_coefficient_matches_the_field_routes_side_limits(name, params):
     # on the field route <Z,Y>^2 <Z,nu> has one-sided limits only, taken by
     # linear extrapolation from t = +-delta/2 and +-delta/4 on each side
     patch = patch_for_catalog(name, params)
-    field = SurfacePatch(name, patch.field, patch.eps_range, patch.t_range, patch.chart, "curve")
+    field = _field_route(patch)
     e = gl_line(*patch.eps_range, 4)[0][:, None]
     got = stability._level_table(patch, 4, 4).curve
     nt0 = field.geom(e, np.zeros((1, 1)))["nt"][:, 0]
@@ -799,8 +819,9 @@ def test_non_minimal_patch_raises_on_every_call():
         zero, one = np.zeros_like(e), np.ones_like(e)
         return (e, t, -0.5 * e * e), ((one, zero, -e), (zero, one, zero))
 
-    patch = SurfacePatch("paraboloid", parse("z + 0.5*x*x"), (-2.0, 2.0), (-2.0, 2.0),
-                         chart)
+    field = parse("z + 0.5*x*x")
+    patch = SurfacePatch("paraboloid", field, (-2.0, 2.0), (-2.0, 2.0), chart,
+                         _field_geometry(field, chart))
     u = TestFunction(Bump(0.0, 0.2, 1.0), Bump(0.0, 0.2, 1.0))
     for _ in range(2):
         with pytest.raises(NotMinimal):
@@ -875,52 +896,6 @@ def test_sufficient_condition_nan_in_one_row_block_still_reaches_the_sup(monkeyp
     monkeypatch.setattr(stability, "BLOCK_NODES", 1)
     with pytest.raises(GeometryError, match=r"sup <N,T> is not finite: nan"):
         sufficient_condition(patch_for_catalog("plane-z", {"c": 800.0}), grid=(8, 8))
-
-
-# -- jacobi profile -------------------------------------------------------------
-
-def test_jacobi_profile_constant_case():
-    # initial data (-1, 0, 0) with unit coefficient gives the constant profile
-    # realized on the vertical plane z + c = 0 ... use a synthetic check via
-    # the closed form: a = f2/mu^2, b = f1/mu, c = f0 - a
-    f = catalog("plane-y")
-    p = Point(3.0, 0.0, 0.2)
-    prof = jacobi_profile(f, p, (0.0, 3.0), 61)
-    assert prof["values"][0] == pytest.approx(-1.0 / math.sqrt(2.0))
-    assert prof["ode_max_rel_dev"] < 1e-7
-    assert prof["ode_residual_max"] < 1e-9
-    assert prof["a_plus_b"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_jacobi_profile_never_vanishing_on_plane_x():
-    f = catalog("plane-x")
-    prof = jacobi_profile(f, Point(0.0, 1.0, 0.5), (-4.0, 4.0), 161)
-    # closed form is -(1/sqrt2) e^{-s}: never zero
-    assert np.all(prof["values"] < 0.0)
-    want = -np.exp(-prof["s"]) / math.sqrt(2.0)
-    assert np.max(np.abs(prof["values"] - want)) < 1e-12
-
-
-def test_jacobi_profile_degenerate_zx():
-    f = catalog("plane-z")
-    prof = jacobi_profile(f, Point(1.0, 2.0, 0.0), (0.0, 2.0), 21)
-    assert prof["zx_zero"]
-    # N = -X is horizontal: f0 = -1, f1 = 0, f2 = 0: constant profile
-    assert np.allclose(prof["values"], -1.0)
-
-
-def test_jacobi_profile_linear_system():
-    # synthetic initial data (-1, -q, 0): b = -q, crossing iff a + b > 0
-    q = 0.7
-    mu = 1.0
-    f0, f1, f2 = -1.0, -q, 0.0
-    a = f2 / mu ** 2
-    b = f1 / mu
-    c = f0 - a
-    assert b == pytest.approx(-q)
-    s = np.linspace(0, 5, 101)
-    vals = a * np.cosh(s) + b * np.sinh(s) + c
-    assert a + b < 0 and np.all(vals < 0)
 
 
 # -- area comparison -------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import horizontal_velocity
+from conftest import horizontal_velocity, vertical_component_fd
 from solgeo.curves import _eval_raw, eval_curve, is_geodesic
 from solgeo.errors import BadParams, BranchUnsupported, NotHorizontal
 from solgeo.expressions import catalog, parse
@@ -14,7 +14,6 @@ from solgeo.stationary import (
     orthogonality_check,
     jacobi_vertical,
     plane_ab_singular_line_z,
-    singular_point_surface,
     sweep_surface,
     uniqueness_scan,
 )
@@ -127,7 +126,7 @@ def test_jacobi_vertical_closed_vs_fd(rng, branch):
         eps = float(rng.uniform(-1.2, 1.2))
         t = float(rng.uniform(-3, 3))
         closed = s.vertical_component_closed(eps, t)
-        fd = s.vertical_component_fd(eps, t)
+        fd = vertical_component_fd(s, eps, t)
         assert abs(closed - fd) <= 1e-5 * (1.0 + abs(fd))
         value = jacobi_vertical(s, eps, t)
         assert abs(value - closed) <= 1e-12 * (1.0 + abs(value))
@@ -223,7 +222,7 @@ def test_analytic_sweep_derivatives_match_finite_differences(kind):
 
     assert rel(s.eps_velocity(E, T), _central(lambda h: s.point(E + h, T), 1e-6)) < 1e-5
     assert rel(s.t_velocity(E, T), _central(lambda h: s.point(E, T + h), 1e-6)) < 1e-5
-    fd = s.vertical_component_fd(E, T)
+    fd = vertical_component_fd(s, E, T)
     assert np.max(np.abs(s.vertical_component(E, T) - fd) / (1.0 + np.abs(fd))) < 1e-5
     # the closed-form cross-check passes, also where it is ill-conditioned
     for e, t in zip(E.flat[::7], T.flat[::7]):
@@ -316,7 +315,8 @@ def test_uniqueness_scan_negative_control():
 
 def test_singular_point_surface_posts(rng):
     for p0 in (Point(0, 0, 0), Point(1, 0, 0), Point(-0.4, 0.8, 1.2)):
-        f = singular_point_surface(p0)
+        # the catalog field places its singular point at (x0, y0, -z0)
+        f = catalog("saddle-point", x0=p0.x, y0=p0.y, z0=-p0.z)
         # the base point is on the surface and is its singular point
         d = on_surface_fields(f, p0)
         assert d["singular"]
@@ -335,7 +335,7 @@ def test_singular_point_surface_posts(rng):
 
 
 def test_singular_point_surface_origin_formula():
-    f = singular_point_surface(Point(0, 0, 0))
+    f = catalog("saddle-point", x0=0.0, y0=0.0, z0=0.0)
     g = parse("exp(z)*y + x")
     xs = np.linspace(-2, 2, 9)
     vals_f = f.values(xs, xs * 0.5, xs * 0.2)
