@@ -10,7 +10,7 @@ second-variation (stability) quadratic form by quadrature.
 
 __version__ = "0.1.0"
 
-from .frame import CoordVector, FrameVector, Point, to_frame
+from .frame import CoordVector, Point
 from .expressions import ScalarField, catalog, parse
 from .curves import CharacteristicCurve, eval_curve, integrate_ode, is_geodesic, make_curve
 from .stationary import (
@@ -33,7 +33,6 @@ from .stability import (
 __all__ = [
     "CharacteristicCurve",
     "CoordVector",
-    "FrameVector",
     "HorizontalCurve",
     "Point",
     "QuadratureReport",
@@ -53,6 +52,5 @@ __all__ = [
     "q_form_simplified",
     "sufficient_condition",
     "sweep_surface",
-    "to_frame",
     "uniqueness_scan",
 ]

@@ -74,9 +74,8 @@ def _validate(o: dict, given: set, parser: argparse.ArgumentParser) -> None:
         if unread:
             names = ", ".join("--" + k.replace("_", "-") for k in unread)
             raise ConfigError(f"stability {o['mode']} does not read {names}")
-    for key in ("eps_sing", "delta"):
-        if o.get(key) is not None and o[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
+    if o.get("delta") is not None and o["delta"] <= 0:
+        raise ConfigError("delta must be positive")
     for key in ("grid", "n", "battery"):
         if o.get(key) is not None and any(v < 2 for v in _values(o[key])):
             raise ConfigError(f"{key} must be at least 2")
@@ -95,13 +94,8 @@ def _validate(o: dict, given: set, parser: argparse.ArgumentParser) -> None:
         raise ConfigError("--param sets catalog parameters; --u takes none")
     if o.get("u") and o.get("surface"):
         raise ConfigError("--u and --surface both give the surface; give one")
-    if o.get("alpha") is not None and o.get("v") is not None:
-        raise ConfigError("--alpha and --v both set the initial velocity; give one")
-    if o.get("v0") is not None and o["theta"] is not None:
-        raise ConfigError("--v0 and --theta both set the initial velocity; give one")
-    for key in ("v0", "theta"):
-        if o.get(key) is not None and o["gamma"] != "exp":
-            raise ConfigError(f"--{key} sets the velocity of --gamma exp, not {o['gamma']}")
+    if "theta" in given and o["gamma"] != "exp":
+        raise ConfigError(f"--theta sets the velocity of --gamma exp, not {o['gamma']}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -217,13 +211,12 @@ def cmd_residual(o: dict) -> dict:
         i = np.unravel_index(np.argmax(bad), bad.shape)
         raise EvaluationError("the minimal-surface residual is not finite",
                               (X[i], Y[i], Z[i]))
-    eps_sing = o["eps_sing"]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         normalized = f["residual_coord"] / f["normalized_residual_den"]
         on_surface = (np.abs(f["u"]) / np.where(f["grad_norm"] == 0, 1.0, f["grad_norm"])
                       < o["band"])
-    nonsing = f["nh"] >= eps_sing
+    nonsing = f["nh"] >= EPS_SING
     # normalized residual is checkable only where eps times the summand
     # magnitude resolves against D^3 (away from the singular set)
     noise = 16.0 * np.finfo(float).eps * f["residual_scale"]
@@ -279,12 +272,9 @@ def _check_finite(*arrays) -> None:
 
 def cmd_curve(o: dict) -> dict:
     p0 = Point(*o["p0"])
-    if o["alpha"] is not None:
-        v0 = _horizontal_unit(p0, o["alpha"])
-    elif o["v"] is not None:
-        v0 = CoordVector(*o["v"])
-    else:
-        raise ConfigError("need --alpha or --v")
+    if o["alpha"] is None:
+        raise ConfigError("need --alpha")
+    v0 = _horizontal_unit(p0, o["alpha"])
     curve = make_curve(p0, v0)
     t0, t1 = o["t"]
     ts = np.linspace(t0, t1, o["n"])
@@ -330,32 +320,22 @@ def cmd_curve(o: dict) -> dict:
 # sweep
 # ---------------------------------------------------------------------------
 
-#: initial angle of the sweep's base curve when no --v0 gives its velocity
-SWEEP_THETA = 0.7
-
-
 def _gamma_from_options(o) -> HorizontalCurve:
     kind = o["gamma"]
     p0 = Point(*o["x0"])
     if kind == "x-line":
         return HorizontalCurve.x_line(p0)
-    if kind in ("y-line", "line"):
+    if kind == "y-line":
         return HorizontalCurve.y_line(p0)
     if kind == "exp":
-        if o["v0"] is not None:
-            v0 = CoordVector(*o["v0"])
-        else:
-            v0 = _horizontal_unit(p0, o["theta"])
-        return HorizontalCurve.from_initial_data(p0, v0)
+        return HorizontalCurve.from_initial_data(p0, _horizontal_unit(p0, o["theta"]))
     raise ConfigError(f"unknown --gamma kind {kind!r}")
 
 
 def cmd_sweep(o: dict) -> dict:
-    if o["v0"] is None and o["theta"] is None:
-        o["theta"] = SWEEP_THETA
     gamma = _gamma_from_options(o)
     ne, nt = o["grid"]
-    s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt), skew=o["skew"])
+    s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt))
     tg = s.t_grid()
     E, T = np.meshgrid(s.eps_grid(), tg, indexing="ij")
     # |N_h| from the cross product of the tangents; <V, T> from V = dF/deps
@@ -377,7 +357,7 @@ def cmd_sweep(o: dict) -> dict:
     # 9 probes over 0.9 [t0, t1]; an end probe always clears the cut
     probe_ts = np.linspace(o["t"][0] * 0.9, o["t"][1] * 0.9, 9)
     probe_ts = probe_ts[np.abs(probe_ts) > 0.05 * (o["t"][1] - o["t"][0])]
-    # rulings skewed almost onto the base curve leave no horizontal normal
+    # where the tangents are almost parallel no horizontal normal is left
     with np.errstate(invalid="ignore", divide="ignore"):
         h_samples = [float(s.intrinsic_mean_curvature(mid_eps, float(t))) for t in probe_ts]
     for t, h in zip(probe_ts, h_samples):
@@ -445,10 +425,7 @@ def cmd_stability(o: dict) -> dict:
     if mode == "sufficient":
         patch = patch_for_catalog(o["surface"], _parse_params(o["param"]))
         return {"sufficient": sufficient_condition(patch, grid=grid, flip=o["flip_orientation"])}
-    name = o["surface"]
-    if name not in ("plane-x", "plane-y", "plane-z"):
-        raise ConfigError("area mode supports plane-x, plane-y, plane-z")
-    rep = area_compare(name, o["eta"], grid=o["n"], **_parse_params(o["param"]))
+    rep = area_compare(o["surface"], o["eta"], grid=o["n"], **_parse_params(o["param"]))
     rep["base_strictly_smaller"] = bool(rep["delta_area"] > rep["error_estimate"])
     return {"area": rep}
 
@@ -474,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="minimal-surface residual on a window grid")
     common(p)
-    p.add_argument("--eps-sing", dest="eps_sing", type=float)
     p.add_argument("--surface", choices=CATALOG_NAMES)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--u", help="defining expression, e.g. 'exp(z)*y + x'")
@@ -486,21 +462,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--p0", type=float, nargs=3, metavar=("X", "Y", "Z"))
     p.add_argument("--alpha", type=float, help="initial angle: cos(a) X + sin(a) Y")
-    p.add_argument("--v", type=float, nargs=3, metavar=("DX", "DY", "DZ"))
     p.add_argument("--t", type=float, nargs=2, metavar=("T0", "T1"))
     p.add_argument("--n", type=int)
     p.add_argument("--oracle", action="store_const", const=True)
 
     p = sub.add_parser("sweep", help="ruled surface swept from a singular curve")
     common(p)
-    p.add_argument("--gamma", choices=("exp", "line", "x-line", "y-line"))
+    p.add_argument("--gamma", choices=("exp", "x-line", "y-line"))
     p.add_argument("--x0", type=float, nargs=3, metavar=("X", "Y", "Z"))
-    p.add_argument("--v0", type=float, nargs=3, metavar=("DX", "DY", "DZ"))
     p.add_argument("--theta", type=float)
     p.add_argument("--eps", type=float, nargs=2, metavar=("E0", "E1"))
     p.add_argument("--t", type=float, nargs=2, metavar=("T0", "T1"))
     p.add_argument("--grid", type=int, nargs=2, metavar=("NE", "NT"))
-    p.add_argument("--skew", type=float)
     p.add_argument("--scan-singular", dest="scan_singular", action="store_const", const=True)
 
     p = sub.add_parser("stability", help="second-variation checks")
@@ -522,12 +495,12 @@ def _build_parser() -> argparse.ArgumentParser:
 _DEFAULTS = {
     "residual": {"surface": None, "param": None, "u": None,
                  "window": [-2.0, 2.0, -2.0, 2.0, -2.0, 2.0], "grid": 50,
-                 "band": 0.1, "out": "solgeo-out", "eps_sing": EPS_SING},
-    "curve": {"p0": [0.0, 0.0, 0.0], "alpha": None, "v": None,
+                 "band": 0.1, "out": "solgeo-out"},
+    "curve": {"p0": [0.0, 0.0, 0.0], "alpha": None,
               "t": [0.0, 3.0], "n": 100, "oracle": False, "out": "solgeo-out"},
-    "sweep": {"gamma": "exp", "x0": [0.0, 0.0, 0.0], "v0": None, "theta": None,
+    "sweep": {"gamma": "exp", "x0": [0.0, 0.0, 0.0], "theta": 0.7,
               "eps": [-1.5, 1.5], "t": [-3.0, 3.0], "grid": [48, 48],
-              "skew": 0.0, "scan_singular": False, "out": "solgeo-out"},
+              "scan_singular": False, "out": "solgeo-out"},
     "stability": {"mode": "qform", "surface": "plane-x", "param": None,
                   "family": None, "battery": 50, "n": 16, "delta": None,
                   "eta": 0.3, "flip_orientation": False, "out": "solgeo-out",

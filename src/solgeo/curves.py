@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurveOverflow, GeometryError, NotHorizontal, ZeroVelocity
-from .frame import CoordVector, Point, SQRT2, TOL_HORIZONTAL, to_frame
+from .frame import CoordVector, Point, SQRT2, TOL_HORIZONTAL, frame_components
 
 #: |zdot0| below this is classified as the line family
 LINE_FAMILY_TOL = 1e-12
@@ -85,8 +85,8 @@ def make_curve(p0: Point, v0: CoordVector) -> CharacteristicCurve:
     """
     check_height(p0.z)
     with np.errstate(over="ignore"):
-        w = to_frame(p0, v0)
-    speed = w.norm()
+        a, b, c = (float(w) for w in frame_components(p0.z, v0.dx, v0.dy, v0.dz))
+    speed = math.sqrt(a * a + b * b + c * c)
     if not math.isfinite(speed):
         raise CurveOverflow(f"the initial velocity's frame speed overflows at z = {p0.z:g}")
     if speed == 0.0:
@@ -128,24 +128,12 @@ def _eval_raw(x0, y0, z0, xd, yd, zd, t):
 
 
 def eval_curve(curve: CharacteristicCurve, t):
-    """Position and velocity at parameter ``t`` (scalar or array).
-
-    For scalar ``t`` returns (Point, CoordVector); for arrays returns a pair
-    of (n, 3) arrays.
-    """
+    """Position and velocity at parameter ``t``: a pair of (..., 3) arrays
+    over the shape of ``t``."""
     x, y, z, dx, dy, dz = _eval_raw(
         curve.p0.x, curve.p0.y, curve.p0.z,
         curve.v0.dx, curve.v0.dy, curve.v0.dz, t)
-    if np.ndim(t) == 0:
-        return (Point(float(x), float(y), float(z)),
-                CoordVector(float(dx), float(dy), float(dz)))
     return np.stack([x, y, z], axis=-1), np.stack([dx, dy, dz], axis=-1)
-
-
-def tau_contraction(curve: CharacteristicCurve) -> float:
-    """<tau(gammadot), gammadot> = -a*b, constant along the curve."""
-    a, b = curve.frame_velocity()
-    return -a * b
 
 
 def is_geodesic(curve: CharacteristicCurve, tol: float = GEODESIC_TOL) -> bool:
@@ -179,8 +167,8 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> Sampl
         raise GeometryError("need at least 2 sample steps")
     curve = make_curve(p0, v0)  # the same preconditions as the closed form
     check_height(p0.z + curve.zdot0 * t_end)
-    w = to_frame(p0, v0)
-    speed = w.norm()
+    a0, b0, c0 = (float(w) for w in frame_components(p0.z, v0.dx, v0.dy, v0.dz))
+    speed = math.sqrt(a0 * a0 + b0 * b0 + c0 * c0)
 
     def rhs(t, s):
         x, y, z, a, b = s
@@ -188,7 +176,7 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> Sampl
         return [-ez * b / SQRT2, b / (ez * SQRT2), a, 0.0, 0.0]
 
     t_eval = np.linspace(0.0, t_end, steps)
-    sol = solve_ivp(rhs, (0.0, t_end), [p0.x, p0.y, p0.z, w.a / speed, w.b / speed],
+    sol = solve_ivp(rhs, (0.0, t_end), [p0.x, p0.y, p0.z, a0 / speed, b0 / speed],
                     method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL, t_eval=t_eval)
     if not sol.success:
         raise GeometryError(f"ODE integration failed: {sol.message}")

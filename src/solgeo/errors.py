@@ -19,10 +19,6 @@ class CurveOverflow(GeometryError):
     pass
 
 
-class BranchUnsupported(GeometryError):
-    pass
-
-
 class Inadmissible(GeometryError):
     pass
 

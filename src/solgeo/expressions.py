@@ -452,7 +452,7 @@ def _lit(v: float) -> str:
 #: name -> (defining-function template, parameter defaults).  plane-ab needs
 #: (a, b) != (0, 0); tilted is not minimal when c != 0; saddle-point is
 #: minimal with its one singular point at (x0, y0, -z0); saddle-curve is
-#: minimal with the singular line x = x0, y = y0, and z0 only rescales it.
+#: minimal with the singular line x = x0, y = y0.
 CATALOG = {
     "plane-x": ("x + {c}", {"c": 0.0}),
     "plane-y": ("y + {c}", {"c": 0.0}),
@@ -461,8 +461,7 @@ CATALOG = {
     "tilted": ("{a}*x + {b}*y + {c}*z + {d}", {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}),
     "saddle-point": ("exp(z - {z0})*(y - {y0}) + x - {x0}",
                      {"x0": 0.0, "y0": 0.0, "z0": 0.0}),
-    "saddle-curve": ("exp(z - {z0})*(y - {y0}) + exp(-z - {z0})*(x - {x0})",
-                     {"x0": 0.0, "y0": 0.0, "z0": 0.0}),
+    "saddle-curve": ("exp(z)*(y - {y0}) + exp(-z)*(x - {x0})", {"x0": 0.0, "y0": 0.0}),
 }
 
 CATALOG_NAMES = tuple(CATALOG)

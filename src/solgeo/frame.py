@@ -41,30 +41,12 @@ class Point:
 
 
 @dataclass(frozen=True)
-class FrameVector:
-    """Tangent vector in the orthonormal frame {X, Y, T}."""
-
-    a: float  # X-component
-    b: float  # Y-component
-    c: float  # T-component
-
-    def norm(self) -> float:
-        return math.sqrt(self.a * self.a + self.b * self.b + self.c * self.c)
-
-
-@dataclass(frozen=True)
 class CoordVector:
     """Tangent vector in the coordinate basis d/dx, d/dy, d/dz."""
 
     dx: float
     dy: float
     dz: float
-
-
-def to_frame(p: Point, v: CoordVector) -> FrameVector:
-    """Express a coordinate vector in the frame {X, Y, T} at ``p``."""
-    a, b, c = frame_components(p.z, v.dx, v.dy, v.dz)
-    return FrameVector(float(a), float(b), float(c))
 
 
 def frame_components(z, dx, dy, dz):

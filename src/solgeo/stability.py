@@ -381,8 +381,6 @@ def patch_from_ruled(surface, name: str = "ruled-sweep",
     """
     if not isinstance(surface, RuledSurface):
         raise BadParams("patch_from_ruled expects a ruled surface")
-    if surface.skew:
-        raise BadParams("skewed fixtures have no adapted stability patch")
     ra, rb = surface.ruling_frame_velocity()
 
     def geometry(eps, t, z, tf):

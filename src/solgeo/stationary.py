@@ -9,7 +9,9 @@ point Gamma(eps) and initial velocity J(Gammadot(eps)).  The J-rotation
 makes the rulings meet the base curve orthogonally, which is exactly the
 area-stationarity condition for minimal surfaces with a singular curve,
 and the base curve is the singular set: the vertical component of the
-variation field V = dF/deps vanishes precisely at t = 0.
+variation field V = dF/deps vanishes precisely at t = 0.  Every sweep
+built here is J-ruled: a sweep whose rulings leave the base curve at
+another angle is not area-stationary, and this module makes none.
 
 Supported base curves are the closed-form kinds (characteristic line and
 exponential families, and integral curves of X or of Y, which are special
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curves import CharacteristicCurve, _eval_raw, check_height, make_curve
-from .errors import BadParams, BranchUnsupported
+from .errors import BadParams
 # bench/spans.py rebinds solgeo.stationary.catalog, so it stays imported here
 from .expressions import catalog  # noqa: F401
 from .frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
@@ -112,14 +114,19 @@ class HorizontalCurve:
 
 @dataclass(frozen=True)
 class RuledSurface:
-    """Surface swept by characteristic curves from a horizontal base curve."""
+    """Surface swept by characteristic curves from a horizontal base curve.
+
+    ``gamma`` is the base curve (the singular curve, at t = 0), and every
+    ruling leaves it with the frame velocity J(Gammadot); ``eps_range`` and
+    ``t_range`` bound the parameters, and ``n_eps`` and ``n_t`` are the
+    sample counts of ``eps_grid`` and ``t_grid``.
+    """
 
     gamma: HorizontalCurve
     eps_range: tuple
     t_range: tuple
     n_eps: int
     n_t: int
-    skew: float = 0.0   # fixture knob: blends the tangent into the ruling
     # what other modules derive from the surface and keep while it lives
     # (stability.q_form keeps its quadrature patch here)
     _memo: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
@@ -151,11 +158,9 @@ class RuledSurface:
 
     def ruling_frame_velocity(self):
         """(ra, rb), the constant X- and Y-components of every ruling's
-        velocity: J(a, b) = (-b, a) of the base curve's (a, b), blended
-        with (a, b) by ``skew``."""
+        velocity: J(a, b) = (-b, a) of the base curve's (a, b)."""
         a, b = self.gamma.curve.frame_velocity()
-        n = math.hypot(1.0, self.skew)
-        return (-b + self.skew * a) / n, (a + self.skew * b) / n
+        return -b, a
 
     def point(self, eps, t):
         """F(eps, t); broadcasts over arrays."""
@@ -184,10 +189,7 @@ class RuledSurface:
     # -- vertical component of the variation field -----------------------
 
     def vertical_component_closed(self, eps, t):
-        """Closed-form <V, T>(eps, t) = -sinh(b t)/b, or -t where b = 0;
-        unskewed rulings only."""
-        if self.skew:
-            raise BranchUnsupported("closed form needs unskewed rulings")
+        """Closed-form <V, T>(eps, t) = -sinh(b t)/b, or -t where b = 0."""
         _, b = self.gamma.curve.frame_velocity()
         _, t = np.broadcast_arrays(eps, np.asarray(t, dtype=float))
         return -np.sinh(b * t) / b if b else -t
@@ -233,7 +235,7 @@ class RuledSurface:
 
 
 def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,
-                  grid=(64, 64), skew: float = 0.0) -> RuledSurface:
+                  grid=(64, 64)) -> RuledSurface:
     """Sweep a ruled surface from a horizontal base curve.
 
     The base curve is horizontal and unit speed over any range:
@@ -245,14 +247,16 @@ def sweep_surface(gamma: HorizontalCurve, eps_range, t_range,
     if not (eps_hi > eps_lo and t_hi > t_lo):
         raise BadParams("degenerate parameter ranges")
     return RuledSurface(gamma, (eps_lo, eps_hi), (t_lo, t_hi),
-                        int(grid[0]), int(grid[1]), skew=skew)
+                        int(grid[0]), int(grid[1]))
 
 
 def orthogonality_check(surface) -> float:
     """Largest normalized |<ruling velocity, base velocity>| over the base.
 
-    Zero (to rounding) for every J-ruled sweep; order one for skewed
-    fixtures.  The ruling velocity is the jet's dF/dt at t = 0.
+    Zero (to rounding) for every J-ruled sweep; on a surface whose
+    ``ruling_frame_velocity`` is not J(a, b) it is the cosine of the angle
+    between ruling and base.  The ruling velocity is the jet's dF/dt at
+    t = 0.
     """
     eps = np.linspace(surface.eps_range[0], surface.eps_range[1], 257)
     x, y, z, dx, dy, dz = surface.gamma._raw(eps)
@@ -270,15 +274,10 @@ def jacobi_vertical(surface: RuledSurface, eps, t):
     Broadcasts over arrays from one jet; a float for scalar input.  The
     jet's values are cross-checked against the closed form -sinh(b t)/b
     at relative tolerance ``CLOSED_FORM_RTOL`` on every branch, and a
-    disagreement names the first bad (eps, t); skewed sweeps have no
-    closed form and return the values unchecked.
+    disagreement names the first bad (eps, t).
     """
     value = surface.vertical_component(eps, t)
-    result = float(value) if np.ndim(value) == 0 else value
-    try:
-        closed = surface.vertical_component_closed(eps, t)
-    except BranchUnsupported:
-        return result
+    closed = surface.vertical_component_closed(eps, t)
     bad = np.abs(closed - value) > CLOSED_FORM_RTOL * (1.0 + np.abs(value))
     if bad.any():
         i = np.argmax(bad)
@@ -286,7 +285,7 @@ def jacobi_vertical(surface: RuledSurface, eps, t):
         raise AssertionError(
             f"closed-form and analytic vertical components disagree "
             f"at ({e}, {tt}): {closed.flat[i]} vs {value.flat[i]}")
-    return result
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def uniqueness_scan(surface) -> list:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
+from solgeo.stationary import RuledSurface, sweep_surface
 
 #: central-difference step in eps of the <V, T> oracle
 VT_FD_STEP = 1e-6
@@ -30,7 +31,7 @@ def random_point(rng, scale=1.5) -> Point:
 
 
 def as_array(v) -> np.ndarray:
-    """The components of a ``Point``, ``FrameVector`` or ``CoordVector``."""
+    """The components of a ``Point`` or a ``CoordVector``."""
     return np.array(dataclasses.astuple(v), dtype=float)
 
 
@@ -45,3 +46,31 @@ def vertical_component_fd(surface, eps, t):
     v = (4.0 * diff(VT_FD_STEP / 2.0) - diff(VT_FD_STEP)) / 3.0
     _, _, z = surface.point(eps, t)
     return frame_components(z, v[0], v[1], v[2])[2]
+
+
+def tau_contraction(curve) -> float:
+    """<tau(gammadot), gammadot> = -a*b of a characteristic curve, constant
+    along it: the torsion oracle of the non-geodesic witness."""
+    a, b = curve.frame_velocity()
+    return -a * b
+
+
+@dataclasses.dataclass(frozen=True)
+class SkewedSweep(RuledSurface):
+    """A sweep whose rulings blend the base velocity (a, b) into J(a, b) by
+    ``skew``: they leave the base curve at another angle, so the surface is
+    not area-stationary.  The negative control of the orthogonality and
+    sweep-derivative checks; the jet reads ``ruling_frame_velocity``."""
+
+    skew: float = 0.5
+
+    def ruling_frame_velocity(self):
+        a, b = self.gamma.curve.frame_velocity()
+        n = math.hypot(1.0, self.skew)
+        return (-b + self.skew * a) / n, (a + self.skew * b) / n
+
+
+def skewed_sweep(gamma, eps_range, t_range, skew, grid=(64, 64)) -> SkewedSweep:
+    """``sweep_surface`` with its rulings skewed by ``skew``."""
+    s = sweep_surface(gamma, eps_range, t_range, grid)
+    return SkewedSweep(s.gamma, s.eps_range, s.t_range, s.n_eps, s.n_t, skew)

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from conftest import horizontal_velocity, vertical_component_fd
+from conftest import horizontal_velocity, skewed_sweep, tau_contraction, vertical_component_fd
 from solgeo.cli import main as cli_main
-from solgeo.curves import eval_curve, integrate_ode, is_geodesic, make_curve, tau_contraction
+from solgeo.curves import eval_curve, integrate_ode, is_geodesic, make_curve
 from solgeo.expressions import catalog, parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
 from solgeo.stationary import (
@@ -117,8 +117,8 @@ def test_criterion_01_minimal_surface_residual():
         x0, y0, z0 = rng.uniform(-1, 1, 3)
         cases.append(("saddle-point", {"x0": float(x0), "y0": float(y0), "z0": float(z0)}))
     for _ in range(20):
-        x0, y0, z0 = rng.uniform(-1, 1, 3)
-        cases.append(("saddle-curve", {"x0": float(x0), "y0": float(y0), "z0": float(z0)}))
+        x0, y0, _ = rng.uniform(-1, 1, 3)
+        cases.append(("saddle-curve", {"x0": float(x0), "y0": float(y0)}))
 
     worst = 0.0
     for name, params in cases:
@@ -218,7 +218,7 @@ def test_criterion_04_orthogonality():
     assert worst < 1e-10, worst
     gamma = HorizontalCurve.from_initial_data(
         Point(0.2, -0.1, 0.3), horizontal_velocity(Point(0.2, -0.1, 0.3), 0.7))
-    skewed = sweep_surface(gamma, (-1, 1), (-2, 2), skew=1.0)
+    skewed = skewed_sweep(gamma, (-1, 1), (-2, 2), 1.0)
     defect = orthogonality_check(skewed)
     assert defect > 0.5, defect
     _report(4, "ruling orthogonality",

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_array, horizontal_velocity, random_point
-from solgeo.curves import (
-    HEIGHT_LIMIT,
-    eval_curve,
-    integrate_ode,
-    is_geodesic,
-    make_curve,
-    tau_contraction,
-)
+from conftest import horizontal_velocity, random_point, tau_contraction
+from solgeo.curves import HEIGHT_LIMIT, eval_curve, integrate_ode, is_geodesic, make_curve
 from solgeo.errors import CurveOverflow, NotHorizontal, ZeroVelocity
 from solgeo.expressions import parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
@@ -24,8 +17,8 @@ def test_vertical_curve():
     c = make_curve(Point(0, 0, 0), CoordVector(0, 0, 1))
     assert c.family == "exponential"
     pos, vel = eval_curve(c, 3.0)
-    assert (pos.x, pos.y, pos.z) == pytest.approx((0, 0, 3))
-    assert (vel.dx, vel.dy, vel.dz) == pytest.approx((0, 0, 1))
+    assert pos == pytest.approx([0, 0, 3])
+    assert vel == pytest.approx([0, 0, 1])
 
 
 def test_line_family():
@@ -33,7 +26,7 @@ def test_line_family():
     c = make_curve(Point(0, 0, 0), v)
     assert c.family == "line"
     pos, _ = eval_curve(c, 10.0)
-    assert (pos.x, pos.y, pos.z) == pytest.approx((-10 / SQRT2, 10 / SQRT2, 0))
+    assert pos == pytest.approx([-10 / SQRT2, 10 / SQRT2, 0])
 
 
 def test_not_horizontal():
@@ -53,8 +46,8 @@ def test_initial_conditions_at_zero(rng):
         v = horizontal_velocity(p, float(rng.uniform(0, 2 * math.pi)))
         c = make_curve(p, v)
         pos, vel = eval_curve(c, 0.0)
-        assert (pos.x, pos.y, pos.z) == pytest.approx((p.x, p.y, p.z))
-        assert (vel.dx, vel.dy, vel.dz) == pytest.approx((v.dx, v.dy, v.dz))
+        assert pos == pytest.approx([p.x, p.y, p.z])
+        assert vel == pytest.approx([v.dx, v.dy, v.dz])
 
 
 def test_alpha_family_lies_on_saddle_surface():
@@ -127,6 +120,14 @@ def test_overflow_reported():
         eval_curve(c, 800.0)
 
 
+def test_frame_speed_overflow_reported():
+    # the heights are in range, but e^-z times dx overflows the frame speed
+    p, v = Point(0, 0, -355), CoordVector(1e300, -0.5, 0)
+    for build in (lambda: make_curve(p, v), lambda: integrate_ode(p, v, 1.0, 5)):
+        with pytest.raises(CurveOverflow, match="frame speed overflows at z = -355"):
+            build()
+
+
 @pytest.mark.parametrize("v0, error", [
     (CoordVector(1, 1, 0), NotHorizontal),
     (CoordVector(0, 0, 0), ZeroVelocity),
@@ -166,7 +167,7 @@ def test_height_climbing_past_the_bound_reported(z0, t_end):
         s.jet(t_end, 0.0)
     # up to the bound itself the closed form runs
     edge = math.copysign(HEIGHT_LIMIT, z0) - z0
-    assert np.isfinite(as_array(eval_curve(c, edge)[1])).all()
+    assert np.isfinite(eval_curve(c, edge)[1]).all()
 
 
 def test_is_geodesic():

@@ -211,7 +211,7 @@ def _saddle_curve_closed(x0, y0):
     ("plane-ab", {"a": 1.0, "b": 1.0, "c": 0.0}, _plane_ab_closed(1.0, 1.0, 0.0)),
     ("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3}, _plane_ab_closed(2.0, 0.5, 0.3)),
     ("saddle-curve", {}, _saddle_curve_closed(0.0, 0.0)),
-    ("saddle-curve", {"x0": 0.3, "y0": -0.2, "z0": 0.4}, _saddle_curve_closed(0.3, -0.2)),
+    ("saddle-curve", {"x0": 0.3, "y0": -0.2}, _saddle_curve_closed(0.3, -0.2)),
 ])
 def test_catalog_curve_patch_is_its_closed_form(name, params, closed):
     patch = patch_for_catalog(name, params)
@@ -367,15 +367,13 @@ def test_non_minimal_graph_raises_not_minimal(name):
 
 
 #: congruent catalog sweeps.  The saddle-curve surface around the vertical
-#: line (x0, y0) is a left translation of the one around the z-axis, and
-#: its zero set does not depend on z0; every plane a x + b y + c = 0 with
-#: a b > 0 is the image of x + y = 0 under a left translation, (a, b, c)
-#: being defined up to a common factor.  Each patch's chart is the
+#: line (x0, y0) is a left translation of the one around the z-axis; every
+#: plane a x + b y + c = 0 with a b > 0 is the image of x + y = 0 under a
+#: left translation, (a, b, c) being defined up to a common factor.  Each patch's chart is the
 #: translate of the first one's, over the same parameter ranges.
 CONGRUENT = {
-    "saddle-curve": [{"x0": 0.0, "y0": 0.0, "z0": 0.0}, {"x0": 1e6, "y0": -1e8, "z0": 0.0},
-                     {"x0": 0.4, "y0": -0.3, "z0": 710.0},
-                     {"x0": -1e12, "y0": 0.0, "z0": -20.0}],
+    "saddle-curve": [{"x0": 0.0, "y0": 0.0}, {"x0": 1e6, "y0": -1e8}, {"x0": 0.4, "y0": -0.3},
+                     {"x0": -1e12, "y0": 0.0}],
     "plane-ab": [{"a": 1.0, "b": 1.0, "c": 0.0}, {"a": 2.0, "b": 0.5, "c": 0.3},
                  {"a": -0.5, "b": -2.0, "c": -0.2}, {"a": 1e-3, "b": 5e2, "c": 1e6}],
 }
@@ -468,7 +466,7 @@ def test_closed_form_sweep_geometry_matches_finite_differences(make):
 
 
 @pytest.mark.parametrize("name,params", [
-    ("saddle-curve", {}), ("saddle-curve", {"x0": 0.3, "y0": -0.2, "z0": 0.4}),
+    ("saddle-curve", {}), ("saddle-curve", {"x0": 0.3, "y0": -0.2}),
     ("plane-ab", {"a": 2.0, "b": 0.5, "c": 0.3})])
 def test_curve_coefficient_matches_the_field_routes_side_limits(name, params):
     # the table reads <N,T> <Z,Y>^2 on the curve itself, its t = 0 column;

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import horizontal_velocity, vertical_component_fd
+from conftest import SkewedSweep, horizontal_velocity, skewed_sweep, vertical_component_fd
 from solgeo.curves import _eval_raw, eval_curve, is_geodesic
-from solgeo.errors import BadParams, BranchUnsupported, NotHorizontal
+from solgeo.errors import BadParams, NotHorizontal
 from solgeo.expressions import catalog, parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
 from solgeo.stationary import (
@@ -48,8 +48,10 @@ def test_sweep_t_lines_are_characteristic_curves(rng, kind):
              "x-line": HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)),
              "y-line": HorizontalCurve.y_line(Point(0.3, 0.1, -0.2)),
              "skewed": generic_gamma(1.1, Point(0, 0, 0))}[kind]
-    s = sweep_surface(gamma, (-1.5, 1.5), (-3, 3), grid=(24, 24),
-                      skew=0.5 if kind == "skewed" else 0.0)
+    if kind == "skewed":
+        s = skewed_sweep(gamma, (-1.5, 1.5), (-3, 3), 0.5, grid=(24, 24))
+    else:
+        s = sweep_surface(gamma, (-1.5, 1.5), (-3, 3), grid=(24, 24))
     for eps in rng.uniform(-1.5, 1.5, 8):
         curve = s.ruling(float(eps))
         ts = np.linspace(-3, 3, 31)
@@ -92,7 +94,7 @@ def test_generic_sweep_is_minimal_intrinsically(rng):
 def test_orthogonality_positive_and_negative():
     s = sweep_surface(generic_gamma(), (-1.5, 1.5), (-3, 3))
     assert orthogonality_check(s) < 1e-10
-    skewed = sweep_surface(generic_gamma(), (-1.5, 1.5), (-3, 3), skew=1.0)
+    skewed = skewed_sweep(generic_gamma(), (-1.5, 1.5), (-3, 3), 1.0)
     assert orthogonality_check(skewed) > 0.5
 
 
@@ -110,7 +112,7 @@ def test_jacobi_vertical_zero_on_base():
         assert s.vertical_component_closed(float(eps), 0.0) == 0.0
 
 
-#: one unskewed sweep per branch of the base curve
+#: one sweep per branch of the base curve
 _BRANCH_BASES = {
     "generic": lambda: generic_gamma(1.1, Point(-0.2, 0.4, -0.3)),
     "near-x-line": lambda: generic_gamma(1e-6, Point(-0.2, 0.4, -0.3)),
@@ -181,14 +183,6 @@ def test_jacobi_vertical_closed_form_on_line_branches():
     assert jacobi_vertical(sy, 0.0, 0.5) == pytest.approx(want, rel=1e-12)
 
 
-def test_jacobi_vertical_closed_form_needs_unskewed_rulings():
-    s = sweep_surface(generic_gamma(), (-1, 1), (-2, 2), skew=0.5)
-    with pytest.raises(BranchUnsupported):
-        s.vertical_component_closed(0.2, 0.5)
-    # no closed form to check against: the jet's value comes back as it is
-    assert jacobi_vertical(s, 0.2, 0.5) == s.vertical_component(0.2, 0.5)
-
-
 @pytest.mark.parametrize("base", [HorizontalCurve.x_line, HorizontalCurve.y_line])
 def test_jacobi_vertical_catches_a_perturbed_line_branch(monkeypatch, base):
     s = sweep_surface(base(Point(0.1, -0.2, 0.3)), (-1, 1), (-2, 2))
@@ -213,7 +207,10 @@ def test_analytic_sweep_derivatives_match_finite_differences(kind):
              "x-line": HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)),
              "y-line": HorizontalCurve.y_line(Point(0.3, 0.1, -0.2)),
              "skewed": generic_gamma(1.1, Point(0, 0, 0))}[kind]
-    s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5), skew=0.5 if kind == "skewed" else 0.0)
+    if kind == "skewed":
+        s = skewed_sweep(gamma, (-1, 1), (-2.5, 2.5), 0.5)
+    else:
+        s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5))
     E, T = np.meshgrid(np.linspace(-0.9, 0.9, 13), np.linspace(-2.4, 2.4, 17), indexing="ij")
 
     def rel(got, want):
@@ -224,6 +221,11 @@ def test_analytic_sweep_derivatives_match_finite_differences(kind):
     assert rel(s.t_velocity(E, T), _central(lambda h: s.point(E, T + h), 1e-6)) < 1e-5
     fd = vertical_component_fd(s, E, T)
     assert np.max(np.abs(s.vertical_component(E, T) - fd) / (1.0 + np.abs(fd))) < 1e-5
+    if kind == "skewed":
+        # skewed rulings have no closed form: every check against it fails
+        with pytest.raises(AssertionError, match="disagree"):
+            jacobi_vertical(s, E, T)
+        return
     # the closed-form cross-check passes, also where it is ill-conditioned
     for e, t in zip(E.flat[::7], T.flat[::7]):
         assert jacobi_vertical(s, e, t) == s.vertical_component(e, t)
@@ -253,11 +255,12 @@ def _per_derivative_jet(s, eps, t):
     gx, gy, gz, dx, dy, dz = s.gamma._raw(eps)
     a, b, _ = frame_components(gz, dx, dy, dz)
     vx, vy = np.exp(gz) * (-a) / SQRT2, np.exp(-gz) * a / SQRT2
-    if s.skew:
+    fa, fb = s.gamma.curve.frame_velocity()
+    vz = -fb
+    if isinstance(s, SkewedSweep):
         n = math.hypot(1.0, s.skew)
         vx, vy = (vx + s.skew * dx) / n, (vy + s.skew * dy) / n
-    fa, fb = s.gamma.curve.frame_velocity()
-    vz = (-fb + s.skew * fa) / math.hypot(1.0, s.skew)
+        vz = (vz + s.skew * fa) / n
     flow = _eval_raw(gx, gy, gz, vx, vy, vz, t)
     ex, ey, *_ = _eval_raw(dx, dy, dz, fa * vx, -fa * vy, vz, t)
     return flow[:3], (ex, ey, dz), flow[3:]
@@ -270,7 +273,10 @@ def test_jet_is_the_per_derivative_flows(kind):
              "x-line": HorizontalCurve.x_line(Point(0.1, -0.2, 0.3)),
              "y-line": HorizontalCurve.y_line(Point(0.3, 0.1, -0.2)),
              "skewed": generic_gamma(1.1, Point(0, 0, 0))}[kind]
-    s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5), skew=0.5 if kind == "skewed" else 0.0)
+    if kind == "skewed":
+        s = skewed_sweep(gamma, (-1, 1), (-2.5, 2.5), 0.5)
+    else:
+        s = sweep_surface(gamma, (-1, 1), (-2.5, 2.5))
     E, T = np.meshgrid(np.linspace(-0.9, 0.9, 13), np.linspace(-2.4, 2.4, 17), indexing="ij")
     got, want = s.jet(E, T), _per_derivative_jet(s, E, T)
     assert len(got) == len(want) == 3
@@ -361,10 +367,10 @@ def test_family_surfaces():
 
 
 def test_saddle_curve_translations_are_minimal(rng):
-    # zero set is the same for every z0; residual vanishes for all parameters
+    # residual vanishes for all parameters
     for _ in range(5):
-        x0, y0, z0 = rng.uniform(-1.5, 1.5, 3)
-        f = catalog("saddle-curve", x0=float(x0), y0=float(y0), z0=float(z0))
+        x0, y0, _ = rng.uniform(-1.5, 1.5, 3)
+        f = catalog("saddle-curve", x0=float(x0), y0=float(y0))
         y, z = rng.uniform(-2, 2, (2, 100))
         x = x0 - np.exp(2 * z) * (y - y0)
         vals = f.values(x, y, z)
