@@ -22,6 +22,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -489,6 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--flip-orientation", dest="flip_orientation",
                    action="store_const", const=True)
+    # Before Python 3.13 argparse reads "-8.9e-06" as an option, not as a
+    # value; 3.13 takes any "-" followed by a digit or ".digit" as a number
+    for parser in sub.choices.values():
+        parser._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

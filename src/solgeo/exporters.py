@@ -2,10 +2,11 @@
 
 CSV cells are numbers formatted with ``%.17g``: 17 significant digits, so
 downstream tools can use the rows as oracles.  The writer formats each
-distinct value of a column once per block of rows and looks the text up for
-its other cells, which leaves the bytes as they were.  OBJ carries 9
-(visualization grade).  JSON summaries are written with sorted keys and
-shortest round-trip floats, so identical inputs give byte-identical files.
+distinct value of a column once over the whole table and looks the text up
+for its other cells: the bytes are those of formatting every cell.  OBJ
+carries 9 (visualization grade).  JSON summaries are written with sorted
+keys and shortest round-trip floats, so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 
-# Rows formatted per ``%`` operation: big enough that the per-call cost
-# vanishes, small enough that the argument tuple and string stay small.
+# Rows written per block: big enough that the per-call cost vanishes, small
+# enough that the block's argument tuple and strings stay small.
 _CSV_CHUNK = 1024
 
 
@@ -27,34 +28,49 @@ def write_csv(path, header, rows) -> None:
     """Header line, then one line per row of numbers, each cell ``%.17g``.
 
     ``rows`` is anything ``np.asarray(rows, dtype=float)`` takes, or an
-    iterator of rows.  In each block of rows, a column with at most half its
-    cells distinct has each distinct value formatted once; distinct means a
+    iterator of rows.  A column with at most half its cells distinct over
+    the whole table has each distinct value formatted once; distinct means a
     distinct bit pattern, since -0.0 and 0.0 print differently.  Other
-    columns are formatted cell by cell.
+    columns are formatted cell by cell.  The text goes out in blocks of
+    ``_CSV_CHUNK`` rows.  When most columns are looked up, each block's lines
+    are joined from the cell strings; otherwise one ``%`` template per block
+    formats the remaining floats in place, which is cheaper than a string
+    per cell.
     """
     if isinstance(rows, Iterator):
         rows = list(rows)
     m = len(header)
     data = np.asarray(rows, dtype=float).reshape(-1, m)
+    texts = []  # per column: the text of every cell, or None if formatted per cell
+    for col in data.T:
+        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * len(distinct) <= len(col):
+            text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], object)
+            texts.append(text[inverse])
+        else:
+            texts.append(None)
+    join_cells = 2 * sum(text is None for text in texts) <= m
+    line = ",".join("%.17g" if text is None else "%s" for text in texts) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(data), _CSV_CHUNK):
             block = data[start:start + _CSV_CHUNK]
-            cells = block.ravel().tolist()
-            fmt = []
-            for j, col in enumerate(block.T):
-                bits = col.view(np.int64)
-                ordered = np.sort(bits)
-                distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-                if 2 * len(distinct) <= len(col):
-                    text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], object)
-                    cells[j::m] = text[np.searchsorted(distinct, bits)].tolist()
-                    fmt.append("%s")
-                else:
-                    fmt.append("%.17g")
-            fh.write((",".join(fmt) + "\n") * len(block) % tuple(cells))
+            columns = [None if text is None else text[start:start + len(block)].tolist()
+                       for text in texts]
+            if join_cells:
+                for j, col in enumerate(block.T):
+                    if columns[j] is None:
+                        cells = col.tolist()
+                        columns[j] = ("%.17g," * len(cells) % tuple(cells)).split(",")[:-1]
+                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+            else:
+                cells = block.ravel().tolist()
+                for j, column in enumerate(columns):
+                    if column is not None:
+                        cells[j::m] = column
+                fh.write(line * len(block) % tuple(cells))
 
 
 def write_obj(path, vertices, shape) -> None:

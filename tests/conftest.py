@@ -74,3 +74,11 @@ def skewed_sweep(gamma, eps_range, t_range, skew, grid=(64, 64)) -> SkewedSweep:
     """``sweep_surface`` with its rulings skewed by ``skew``."""
     s = sweep_surface(gamma, eps_range, t_range, grid)
     return SkewedSweep(s.gamma, s.eps_range, s.t_range, s.n_eps, s.n_t, skew)
+
+
+def reference_csv(header, rows):
+    """The CSV bytes of ``header`` and ``rows`` formatted cell by cell, each
+    cell ``%.17g``: the reference for the block writer."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_csv
 from solgeo.cli import main
 from solgeo.expressions import CATALOG, CATALOG_NAMES
 
@@ -122,6 +123,33 @@ def test_residual_csv_cells_17_digits(tmp_path):
         cells = line.split(",")
         assert len(cells) == 7
         assert all(f"{float(cell):.17g}" == cell for cell in cells), line
+
+
+@pytest.mark.parametrize("surface", ["saddle-point", "saddle-curve"])
+def test_residual_csv_past_one_block_is_cell_by_cell_formatting(tmp_path, surface):
+    # grid 34: 39,304 rows, and fields of (y, z) alone repeat every 1,156 rows,
+    # a period longer than the writer's block
+    out = tmp_path / "r34"
+    assert run(["residual", "--surface", surface, "--grid", "34", "--out", str(out)]) == 0
+    text = read(out / "residual.csv")
+    lines = text.decode().splitlines()
+    assert len(lines) == 1 + 34**3
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert text == reference_csv(lines[0].split(","), rows)
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["residual", "--surface", "saddle-point", "--grid", "6",
+      "--window", "-8.900953596846506e-06", "2", "-2", "2", "-2", "2"],
+     "window", [-8.900953596846506e-06, 2.0, -2.0, 2.0, -2.0, 2.0]),
+    (["curve", "--p0", "-1e-3", "0", "-2.5E+0", "--alpha", "-7e-1", "--n", "3"],
+     "p0", [-1e-3, 0.0, -2.5]),
+])
+def test_negative_values_in_exponent_notation_are_values(tmp_path, argv, key, value):
+    # "-8.9e-06" is a number, not an option; it used to exit 2
+    out = tmp_path / "neg"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(read(out / "summary.json"))["config"][key] == value
 
 
 def test_stability_sufficient_and_flip(tmp_path):

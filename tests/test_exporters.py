@@ -9,15 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_csv
 from solgeo.exporters import _CSV_CHUNK, write_csv, write_obj
 
 HEADER = ["a", "b", "c"]
-
-
-def reference_csv(header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
 
 
 def reference_obj(vertices, shape):
@@ -66,25 +61,52 @@ EDGE_CELLS = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000
                       dtype=np.uint64).view(np.float64)
 
 
+def _pool(draw, rng, size):
+    """``size`` values with distinct bit patterns, drawn finite values and a
+    drawn subset of ``EDGE_CELLS`` among them, in random order."""
+    edges = EDGE_CELLS[draw(st.lists(st.booleans(), min_size=len(EDGE_CELLS),
+                                     max_size=len(EDGE_CELLS)))]
+    finite = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    pool = np.concatenate([edges, finite])[:size]
+    assert len(np.unique(pool.view(np.int64))) == size
+    return rng.permutation(pool)
+
+
+#: row counts around the block size, and of at least three blocks for the
+#: long-period columns
+ROWS = [0, 1, 2, _CSV_CHUNK // 2, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]
+LONG_ROWS = [3 * _CSV_CHUNK, 3 * _CSV_CHUNK + 5, 4 * _CSV_CHUNK + 1]
+
+
 @st.composite
 def tables(draw):
-    """Row counts around the block size; each column either draws from a
-    small pool of finite and edge values, so that cells repeat, or has every
-    cell distinct."""
-    n_rows = draw(st.sampled_from([0, 1, 2, _CSV_CHUNK // 2, _CSV_CHUNK - 1, _CSV_CHUNK,
-                                   _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3]))
+    """Each column is one of four kinds: a small pool of finite and edge
+    values, so that cells repeat; every cell distinct; a period of 600 to
+    1,500 distinct values tiled over three blocks or more, so more than half
+    the cells of every full block are distinct but at most half the table's;
+    or exactly half the cells distinct (rounded down), the lookup rule's
+    boundary."""
+    kinds = draw(st.lists(st.sampled_from(["pool", "distinct", "long", "half"]),
+                          min_size=1, max_size=4))
+    n_rows = draw(st.sampled_from(LONG_ROWS if "long" in kinds else ROWS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
+    for kind in kinds:
+        if kind == "pool":
             finite = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                    min_size=1, max_size=4))
             edges = draw(st.lists(st.booleans(), min_size=len(EDGE_CELLS),
                                   max_size=len(EDGE_CELLS)))
             pool = np.concatenate([np.array(finite, dtype=float), EDGE_CELLS[edges]])
             columns.append(pool[rng.integers(0, len(pool), n_rows)])
-        else:
+        elif kind == "distinct":
             columns.append(rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows))
+        elif kind == "long":
+            period = draw(st.integers(600, 1500))
+            columns.append(np.resize(_pool(draw, rng, period), n_rows))
+        else:
+            pool = _pool(draw, rng, max(n_rows // 2, 1))
+            columns.append(rng.permutation(np.resize(pool, n_rows)))
     return np.column_stack(columns)
 
 

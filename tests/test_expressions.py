@@ -1,8 +1,10 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solgeo.errors import BadParams, EvaluationError, ExprSyntaxError
@@ -212,28 +214,123 @@ def _sources():
 
 
 _COORD = st.floats(-2.0, 2.0)
+_EPS = np.finfo(float).eps
+
+
+def _split_occurrences(sp, source):
+    """``source`` in sympy with each occurrence of x, y and z its own symbol,
+    and those symbols per coordinate.  Sympy then cannot cancel terms across
+    occurrences (it turns ``(y) / (y)`` into 1), so the derivative keeps the
+    terms that the product, quotient, power and chain rules build."""
+    occurrences = {"x": [], "y": [], "z": []}
+
+    def rename(match):
+        symbols = occurrences[match.group(0)]
+        symbols.append(sp.Symbol(f"{match.group(0)}{len(symbols)}", real=True))
+        return symbols[-1].name
+
+    text = re.sub(r"(?<![a-z])[xyz](?![a-z])", rename, source).replace("^", "**")
+    names = {s.name: s for symbols in occurrences.values() for s in symbols}
+    return sp.sympify(text, locals={**names, "exp": sp.exp}), [occurrences[v] for v in "xyz"]
+
+
+def _value_and_magnitude(sp, e, at):
+    """``e`` evaluated in floats at the symbol values ``at``, and its
+    magnitude M: the same evaluation with every Add replaced by the sum of its
+    terms' magnitudes, and every product by the product of its factors' M.
+    b^k with k < 0 scales |b^k| by (M_b/|b|)^|k|, and exp(a) scales its value
+    by 1 + M_a, which is how an error in b or a reaches them; M >= |value|."""
+    if e.is_Symbol:
+        return at[e], abs(at[e])
+    if e.is_number:
+        v = np.float64(float(e))
+        return v, abs(v)
+    values, mags = zip(*(_value_and_magnitude(sp, a, at) for a in e.args))
+    if e.is_Add:
+        return sum(values), sum(mags)
+    if e.is_Mul:
+        return math.prod(values), math.prod(mags)
+    if e.is_Pow:
+        (b, k), (mb, _) = values, mags
+        v = b ** k
+        return v, mb ** k if k > 0 else abs(v) * (mb / abs(b)) ** -k
+    assert isinstance(e, sp.exp), e
+    v = np.exp(values[0])
+    return v, v * (1.0 + mags[0])
+
+
+def _roundings(e):
+    """The most roundings on a leaf-to-root path of ``e`` evaluated in floats:
+    n - 1 per n-ary sum or product, |k| + 1 per integer power k (products and
+    a reciprocal), and 2 per exp (within 1 ulp, two unit roundoffs)."""
+    if e.is_number or not e.args:
+        return 0
+    inner = max(_roundings(a) for a in e.args)
+    if e.is_Add or e.is_Mul:
+        return inner + len(e.args) - 1
+    if e.is_Pow:
+        return inner + abs(int(e.exp)) + 1
+    return inner + 2
+
+
+def _underflows(f, node):
+    with np.errstate(under="raise"):
+        try:
+            f.grad_arrays(*node), f.hessian_arrays(*node)
+        except FloatingPointError:
+            return True
+    return False
 
 
 @given(_sources(), st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=4))
+@example("(y) / (y)", [(0.0, 1.4467581967271798e-46, 0.0)])
 @settings(max_examples=100, deadline=None)
 def test_partials_match_sympy(source, nodes):
-    # a second symbolic engine: sympy differentiates the same source; nodes
-    # where either side is not finite (a pole, an overflow) are skipped
+    # A second symbolic engine: sympy differentiates the same source, and its
+    # derivative is evaluated in floats by _value_and_magnitude (lambdify
+    # prints Floats to 15 digits, an error of up to 22 eps in the reference).
+    # Nodes where either side is not finite (a pole, an overflow) are skipped.
+    #
+    # Tolerance: max(1e-9, 1e-9 |w|), as before, plus the round-off bound
+    # c eps M.  M is the magnitude of the derivative with every occurrence of
+    # a coordinate its own symbol (_split_occurrences).  To first order, a
+    # formula evaluated with at most d roundings of relative size u = eps/2 on
+    # any leaf-to-root path errs by at most d u M (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  Both sides
+    # evaluate such a formula.  sympy's combined derivative collects the split
+    # one's terms, so its d and M are taken as at most the split one's.  The
+    # trees of `expressions` build the split terms with at most 2 more
+    # roundings per path: the quotient rule's r^2 and the power rule's
+    # constant factor.  So |g - w| <= (2d + 2) u M = (d + 1) eps M, and
+    # c = d + 2 keeps one eps M spare.  At y = 1.4e-46, (y) / (y) has
+    # d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, against
+    # |g| = 1.4e76.  Gradual underflow is outside this model (an r^4 of
+    # `Div.diff` below the normal range loses every digit), so a node where
+    # solgeo's evaluation underflows may miss the bound.
     sp = pytest.importorskip("sympy")
     f = parse(source)
     x, y, z = sp.symbols("x y z", real=True)
     u = sp.sympify(source.replace("^", "**"), locals={"x": x, "y": y, "z": z, "exp": sp.exp})
+    if u.has(sp.zoo, sp.nan):
+        return  # no finite value anywhere, e.g. (x) / ((y) - (y))
     v = (x, y, z)
-    want = [sp.diff(u, a) for a in v] + [sp.diff(u, v[i], v[j])
-                                         for i in range(3) for j in range(i, 3)]
-    want = sp.lambdify(v, want, "numpy")
+    pairs = [(i,) for i in range(3)] + [(i, j) for i in range(3) for j in range(i, 3)]
+    want = [sp.diff(u, *(v[i] for i in ij)) for ij in pairs]
+    split, occurrences = _split_occurrences(sp, source)
+    bound = [sum((sp.diff(split, *s)
+                  for s in itertools.product(*(occurrences[k] for k in ij))), sp.Integer(0))
+             for ij in pairs]
     for node in nodes:
         try:
             got = f.grad_arrays(*node) + f.hessian_arrays(*node)
         except EvaluationError:
             continue
+        at = dict(zip(v, map(np.float64, node)))
+        at.update((s, np.float64(c)) for c, symbols in zip(node, occurrences) for s in symbols)
         with np.errstate(all="ignore"):
-            ref = np.asarray(want(*node), dtype=float)
-        for g, w in zip(np.asarray(got, dtype=float), ref):
-            if np.isfinite(w):
-                assert g == pytest.approx(w, rel=1e-9, abs=1e-9), (source, node)
+            for g, w, d in zip(np.asarray(got, dtype=float), want, bound):
+                w = _value_and_magnitude(sp, w, at)[0]
+                if np.isfinite(w):
+                    m = np.nan_to_num(_value_and_magnitude(sp, d, at)[1], nan=np.inf)  # 0 * inf
+                    tol = max(1e-9, 1e-9 * abs(w)) + (_roundings(d) + 2) * _EPS * m
+                    assert abs(g - w) <= tol or _underflows(f, node), (source, node, g, w, tol)

@@ -1,10 +1,13 @@
 """Smoke tests: the scripts under scripts/ and the package exports run against
 the current API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +45,47 @@ def test_every_exported_name_resolves():
     missing = [name for name in solgeo.__all__ if not hasattr(solgeo, name)]
     assert not missing
     assert len(set(solgeo.__all__)) == len(solgeo.__all__)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(pair, side, rc=0, **values):
+    metrics = {name: {"value": v, "unit": "-"} for name, v in values.items()}
+    return {"workload": "w", "seed": 1, "pair": pair, "side": side, "rc": rc,
+            "result": {"metrics": metrics} if rc == 0 else None}
+
+
+def test_bench_pairs_summary_on_canned_records():
+    # canned run records only: no benchmark is launched
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "op_s_p50", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    runs = []
+    for i in range(10):
+        runs.append(_record(i, "parent", ops_per_s=13.0 + 0.1 * i, op_s_p50=0.06,
+                            peak_rss_mb=50.0, setup_s=0.2 + 0.04 * (i % 5)))
+        # pair 9: a tie on ops_per_s, so 9 wins of 10
+        runs.append(_record(i, "change", ops_per_s=13.9 if i == 9 else 20.0 + 0.1 * i,
+                            op_s_p50=0.06, peak_rss_mb=60.0, setup_s=0.25))
+    runs += [_record(10, "parent", ops_per_s=1.0, op_s_p50=1.0, peak_rss_mb=1.0, setup_s=1.0),
+             _record(10, "change", rc=1)]
+    (entry,) = _bench_pairs().summarize(runs, end_to_end)
+    assert (entry["workload"], entry["seed"], entry["pairs"], entry["incomplete_pairs"]) == \
+        ("w", 1, 10, 1)
+    ops = entry["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["ties"], ops["verdict"]) == (9, 1, "gain")
+    assert ops["parent_q1_median_q3"] == pytest.approx([13.225, 13.45, 13.675])
+    assert ops["parent_iqr"] == pytest.approx(0.45)
+    assert ops["median_gap"] == pytest.approx(20.35 - 13.45)
+    p50 = entry["metrics"]["op_s_p50"]
+    assert (p50["change_wins"], p50["ties"], p50["verdict"]) == (0, 10, "no worse")
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert rss["verdict"] == "worse" and rss["median_worse_by"] == pytest.approx(0.2)
+    # the parent's setup_s spreads over more than the bound: unresolved
+    assert entry["metrics"]["setup_s"]["verdict"] == "unresolved"
