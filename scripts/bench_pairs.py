@@ -15,10 +15,12 @@ file is rewritten after each run.
 
 The summary has one entry per workload and seed.  For each end-to-end
 metric of the change tree's ``BENCHMARK.json`` it gives each side's
-quartiles, the pairs the change won (ties count for neither side), the
-parent's interquartile range and a verdict:
-  - ``gain``: the change wins at least nine tenths of the pairs and its
-    median is better than the parent's by more than the parent's IQR;
+quartiles over the complete pairs (both runs exited 0 with a result), the
+pairs the change won (ties count for neither side, and an incomplete pair
+is not won), the parent's interquartile range and a verdict:
+  - ``gain``: the change wins at least nine tenths of all pairs run, its
+    median is better than the parent's by more than the parent's IQR, and
+    its median ``ops_ok_frac`` is no lower than the parent's;
   - ``worse``: the change's median is worse than the parent's by more than
     the metric's bound, as a fraction of the parent's median;
   - ``unresolved``: the parent's IQR exceeds that bound, and not every
@@ -41,8 +43,10 @@ def _quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def _metric_summary(pairs, better, bound):
-    """``pairs``: (parent, change) values of one metric, one per pair."""
+def _metric_summary(pairs, better, bound, runs, gain_allowed):
+    """``pairs``: (parent, change) values of one metric, one per complete
+    pair; ``runs``: the number of pairs run, complete or not;
+    ``gain_allowed``: whether the change fails no larger share of ops."""
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
     sign = 1.0 if better == "higher" else -1.0
@@ -54,7 +58,7 @@ def _metric_summary(pairs, better, bound):
     worse_by = -gap / abs(pq[1]) if pq[1] else 0.0
     if worse_by > bound:
         verdict = "worse"
-    elif wins >= 0.9 * len(pairs) and gap > parent_iqr:
+    elif gain_allowed and wins >= 0.9 * runs and gap > parent_iqr:
         verdict = "gain"
     elif (parent_iqr > bound * abs(pq[1])
           and not min(sign * c for c in change) > max(sign * p for p in parent)):
@@ -69,7 +73,7 @@ def _metric_summary(pairs, better, bound):
 def summarize(runs, end_to_end):
     """One summary per (workload, seed) of ``runs``, the records this script
     writes; ``end_to_end`` is the list of that name in ``BENCHMARK.json``.
-    A pair counts only when both of its runs exited 0 with a result."""
+    Quartiles use the complete pairs; wins are counted over all pairs run."""
     groups = {}
     for run in runs:
         groups.setdefault((run["workload"], run["seed"]), {}).setdefault(
@@ -81,11 +85,15 @@ def summarize(runs, end_to_end):
                            for side in ("parent", "change"))]
         entry = {"workload": workload, "seed": seed, "pairs": len(complete),
                  "incomplete_pairs": len(by_pair) - len(complete), "metrics": {}}
+        values = {spec["name"]: [tuple(p[side]["result"]["metrics"][spec["name"]]["value"]
+                                       for side in ("parent", "change")) for p in complete]
+                  for spec in end_to_end}
+        ok = values.get("ops_ok_frac", [])
+        gain_allowed = not ok or (statistics.median(c for _, c in ok)
+                                  >= statistics.median(p for p, _ in ok))
         for spec in end_to_end if complete else []:
-            values = [tuple(p[side]["result"]["metrics"][spec["name"]]["value"]
-                            for side in ("parent", "change")) for p in complete]
-            entry["metrics"][spec["name"]] = _metric_summary(values, spec["better"],
-                                                             spec["bound"])
+            entry["metrics"][spec["name"]] = _metric_summary(
+                values[spec["name"]], spec["better"], spec["bound"], len(by_pair), gain_allowed)
         out.append(entry)
     return out
 

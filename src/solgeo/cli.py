@@ -491,7 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-orientation", dest="flip_orientation",
                    action="store_const", const=True)
     # Before Python 3.13 argparse reads "-8.9e-06" as an option, not as a
-    # value; 3.13 takes any "-" followed by a digit or ".digit" as a number
+    # value; 3.13 sets its private matcher to this pattern, which takes any
+    # "-" followed by a digit or ".digit" as a number
     for parser in sub.choices.values():
         parser._negative_number_matcher = re.compile(r"-\.?\d")
     return ap

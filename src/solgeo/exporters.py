@@ -31,46 +31,42 @@ def write_csv(path, header, rows) -> None:
     iterator of rows.  A column with at most half its cells distinct over
     the whole table has each distinct value formatted once; distinct means a
     distinct bit pattern, since -0.0 and 0.0 print differently.  Other
-    columns are formatted cell by cell.  The text goes out in blocks of
-    ``_CSV_CHUNK`` rows.  When most columns are looked up, each block's lines
-    are joined from the cell strings; otherwise one ``%`` template per block
-    formats the remaining floats in place, which is cheaper than a string
-    per cell.
+    columns are formatted cell by cell, each run of adjacent ones with one
+    ``%`` template per block of ``_CSV_CHUNK`` rows, which gives the run's
+    text of each row.  A block's lines are its rows' pieces joined by commas.
     """
     if isinstance(rows, Iterator):
         rows = list(rows)
     m = len(header)
     data = np.asarray(rows, dtype=float).reshape(-1, m)
-    texts = []  # per column: the text of every cell, or None if formatted per cell
-    for col in data.T:
+    # a line's pieces, left to right: (j, k, text) is columns j..k-1, where
+    # text is the text of every cell of a looked-up column (k = j + 1), or
+    # None for a run of columns formatted per cell
+    pieces = []
+    for j, col in enumerate(data.T):
         distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
         if 2 * len(distinct) <= len(col):
             text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], object)
-            texts.append(text[inverse])
+            pieces.append((j, j + 1, text[inverse]))
+        elif pieces and pieces[-1][2] is None:
+            pieces[-1] = (pieces[-1][0], j + 1, None)
         else:
-            texts.append(None)
-    join_cells = 2 * sum(text is None for text in texts) <= m
-    line = ",".join("%.17g" if text is None else "%s" for text in texts) + "\n"
+            pieces.append((j, j + 1, None))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(data), _CSV_CHUNK):
             block = data[start:start + _CSV_CHUNK]
-            columns = [None if text is None else text[start:start + len(block)].tolist()
-                       for text in texts]
-            if join_cells:
-                for j, col in enumerate(block.T):
-                    if columns[j] is None:
-                        cells = col.tolist()
-                        columns[j] = ("%.17g," * len(cells) % tuple(cells)).split(",")[:-1]
-                fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
-            else:
-                cells = block.ravel().tolist()
-                for j, column in enumerate(columns):
-                    if column is not None:
-                        cells[j::m] = column
-                fh.write(line * len(block) % tuple(cells))
+            parts = []
+            for j, k, text in pieces:
+                if text is None:
+                    line = ",".join(["%.17g"] * (k - j)) + "\n"
+                    cells = block[:, j:k].ravel().tolist()
+                    parts.append((line * len(block) % tuple(cells)).split("\n")[:-1])
+                else:
+                    parts.append(text[start:start + len(block)].tolist())
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def write_obj(path, vertices, shape) -> None:

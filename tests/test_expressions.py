@@ -273,46 +273,39 @@ def _roundings(e):
     return inner + 2
 
 
-def _underflows(f, node):
-    with np.errstate(under="raise"):
-        try:
-            f.grad_arrays(*node), f.hessian_arrays(*node)
-        except FloatingPointError:
-            return True
-    return False
+def _roundoff_misses(source, nodes):
+    """The partials of ``source`` that miss their round-off bound at
+    ``nodes``, each as (partial, node, got, want, tolerance, underflowed);
+    underflowed says whether that partial's own tree, evaluated at the node,
+    raises an underflow.
 
+    A second symbolic engine: sympy differentiates the same source, and its
+    derivative is evaluated in floats by _value_and_magnitude (lambdify
+    prints Floats to 15 digits, an error of up to 22 eps in the reference).
+    Nodes where solgeo raises (a pole, an overflow) are skipped, and so is a
+    partial whose reference value or magnitude M is not finite.
 
-@given(_sources(), st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=4))
-@example("(y) / (y)", [(0.0, 1.4467581967271798e-46, 0.0)])
-@settings(max_examples=100, deadline=None)
-def test_partials_match_sympy(source, nodes):
-    # A second symbolic engine: sympy differentiates the same source, and its
-    # derivative is evaluated in floats by _value_and_magnitude (lambdify
-    # prints Floats to 15 digits, an error of up to 22 eps in the reference).
-    # Nodes where either side is not finite (a pole, an overflow) are skipped.
-    #
-    # Tolerance: max(1e-9, 1e-9 |w|), as before, plus the round-off bound
-    # c eps M.  M is the magnitude of the derivative with every occurrence of
-    # a coordinate its own symbol (_split_occurrences).  To first order, a
-    # formula evaluated with at most d roundings of relative size u = eps/2 on
-    # any leaf-to-root path errs by at most d u M (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  Both sides
-    # evaluate such a formula.  sympy's combined derivative collects the split
-    # one's terms, so its d and M are taken as at most the split one's.  The
-    # trees of `expressions` build the split terms with at most 2 more
-    # roundings per path: the quotient rule's r^2 and the power rule's
-    # constant factor.  So |g - w| <= (2d + 2) u M = (d + 1) eps M, and
-    # c = d + 2 keeps one eps M spare.  At y = 1.4e-46, (y) / (y) has
-    # d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, against
-    # |g| = 1.4e76.  Gradual underflow is outside this model (an r^4 of
-    # `Div.diff` below the normal range loses every digit), so a node where
-    # solgeo's evaluation underflows may miss the bound.
+    Tolerance: max(1e-9, 1e-9 |w|), as before, plus the round-off bound
+    c eps M.  M is the magnitude of the derivative with every occurrence of
+    a coordinate its own symbol (_split_occurrences).  To first order, a
+    formula evaluated with at most d roundings of relative size u = eps/2 on
+    any leaf-to-root path errs by at most d u M (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  Both sides
+    evaluate such a formula.  sympy's combined derivative collects the split
+    one's terms, so its d and M are taken as at most the split one's.  The
+    trees of `expressions` build the split terms with at most 2 more
+    roundings per path: the quotient rule's r^2 and the power rule's
+    constant factor.  So |g - w| <= (2d + 2) u M = (d + 1) eps M, and
+    c = d + 2 keeps one eps M spare.  At y = 1.4e-46, (y) / (y) has
+    d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, against
+    |g| = 1.4e76.  Gradual underflow is outside this model.
+    """
     sp = pytest.importorskip("sympy")
     f = parse(source)
     x, y, z = sp.symbols("x y z", real=True)
     u = sp.sympify(source.replace("^", "**"), locals={"x": x, "y": y, "z": z, "exp": sp.exp})
     if u.has(sp.zoo, sp.nan):
-        return  # no finite value anywhere, e.g. (x) / ((y) - (y))
+        return []  # no finite value anywhere, e.g. (x) / ((y) - (y))
     v = (x, y, z)
     pairs = [(i,) for i in range(3)] + [(i, j) for i in range(3) for j in range(i, 3)]
     want = [sp.diff(u, *(v[i] for i in ij)) for ij in pairs]
@@ -320,6 +313,8 @@ def test_partials_match_sympy(source, nodes):
     bound = [sum((sp.diff(split, *s)
                   for s in itertools.product(*(occurrences[k] for k in ij))), sp.Integer(0))
              for ij in pairs]
+    trees = f.grad_exprs + f.hess_exprs
+    misses = []
     for node in nodes:
         try:
             got = f.grad_arrays(*node) + f.hessian_arrays(*node)
@@ -327,10 +322,41 @@ def test_partials_match_sympy(source, nodes):
             continue
         at = dict(zip(v, map(np.float64, node)))
         at.update((s, np.float64(c)) for c, symbols in zip(node, occurrences) for s in symbols)
-        with np.errstate(all="ignore"):
-            for g, w, d in zip(np.asarray(got, dtype=float), want, bound):
+        for k, (g, w, d) in enumerate(zip(np.asarray(got, dtype=float), want, bound)):
+            with np.errstate(all="ignore"):
                 w = _value_and_magnitude(sp, w, at)[0]
-                if np.isfinite(w):
-                    m = np.nan_to_num(_value_and_magnitude(sp, d, at)[1], nan=np.inf)  # 0 * inf
-                    tol = max(1e-9, 1e-9 * abs(w)) + (_roundings(d) + 2) * _EPS * m
-                    assert abs(g - w) <= tol or _underflows(f, node), (source, node, g, w, tol)
+                m = _value_and_magnitude(sp, d, at)[1]
+            if not (np.isfinite(w) and np.isfinite(m)):
+                continue
+            tol = max(1e-9, 1e-9 * abs(w)) + (_roundings(d) + 2) * _EPS * m
+            if abs(g - w) > tol:
+                try:
+                    with np.errstate(under="raise", over="ignore", invalid="ignore",
+                                     divide="ignore"):
+                        trees[k].eval(*(np.asarray(c, dtype=float) for c in node))
+                    underflowed = False
+                except FloatingPointError:
+                    underflowed = True
+                misses.append((pairs[k], node, g, w, tol, underflowed))
+    return misses
+
+
+@given(_sources(), st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=4))
+@example("(y) / (y)", [(0.0, 1.4467581967271798e-46, 0.0)])
+@settings(max_examples=100, deadline=None)
+def test_partials_match_sympy(source, nodes):
+    # Every partial within its round-off bound, except one whose own tree
+    # underflows at the node: Div.diff's r^4 leaves the float range first
+    # (see test_quotient_partials_past_gradual_underflow).
+    misses = _roundoff_misses(source, nodes)
+    assert all(miss[-1] for miss in misses), (source, misses)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: Div.diff writes (l/r)' as l'/r - l r'/r^2, so a second partial of "
+    "a quotient divides by r^4, which underflows for |r| below about 1e-77"))
+@pytest.mark.parametrize("source,node", [("(x) / (x)", (1.26e-81, 0.0, 0.0)),
+                                         ("exp((x) / (x))", (1.26e-81, -1.2e-20, -0.49))])
+def test_quotient_partials_past_gradual_underflow(source, node):
+    # d2/dx2 of x/x is 0; solgeo gives -6.2e161 here (-1.68e162 under exp)
+    assert _roundoff_misses(source, [node]) == []

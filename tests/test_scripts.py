@@ -65,19 +65,19 @@ def test_bench_pairs_summary_on_canned_records():
     end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
                   {"name": "op_s_p50", "better": "lower", "bound": 0.25},
                   {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
-                  {"name": "setup_s", "better": "lower", "bound": 0.25}]
+                  {"name": "setup_s", "better": "lower", "bound": 0.25},
+                  {"name": "ops_ok_frac", "better": "higher", "bound": 0.01}]
     runs = []
     for i in range(10):
         runs.append(_record(i, "parent", ops_per_s=13.0 + 0.1 * i, op_s_p50=0.06,
-                            peak_rss_mb=50.0, setup_s=0.2 + 0.04 * (i % 5)))
+                            peak_rss_mb=50.0, setup_s=0.2 + 0.04 * (i % 5), ops_ok_frac=1.0))
         # pair 9: a tie on ops_per_s, so 9 wins of 10
         runs.append(_record(i, "change", ops_per_s=13.9 if i == 9 else 20.0 + 0.1 * i,
-                            op_s_p50=0.06, peak_rss_mb=60.0, setup_s=0.25))
-    runs += [_record(10, "parent", ops_per_s=1.0, op_s_p50=1.0, peak_rss_mb=1.0, setup_s=1.0),
-             _record(10, "change", rc=1)]
-    (entry,) = _bench_pairs().summarize(runs, end_to_end)
+                            op_s_p50=0.06, peak_rss_mb=60.0, setup_s=0.25, ops_ok_frac=1.0))
+    summarize = _bench_pairs().summarize
+    (entry,) = summarize(runs, end_to_end)
     assert (entry["workload"], entry["seed"], entry["pairs"], entry["incomplete_pairs"]) == \
-        ("w", 1, 10, 1)
+        ("w", 1, 10, 0)
     ops = entry["metrics"]["ops_per_s"]
     assert (ops["change_wins"], ops["ties"], ops["verdict"]) == (9, 1, "gain")
     assert ops["parent_q1_median_q3"] == pytest.approx([13.225, 13.45, 13.675])
@@ -89,3 +89,20 @@ def test_bench_pairs_summary_on_canned_records():
     assert rss["verdict"] == "worse" and rss["median_worse_by"] == pytest.approx(0.2)
     # the parent's setup_s spreads over more than the bound: unresolved
     assert entry["metrics"]["setup_s"]["verdict"] == "unresolved"
+
+    # a pair whose change run crashed is run but not won: 9 wins of 11 pairs
+    crashed = [_record(10, "parent", ops_per_s=1.0, op_s_p50=1.0, peak_rss_mb=1.0,
+                       setup_s=1.0, ops_ok_frac=1.0), _record(10, "change", rc=1)]
+    (entry,) = summarize(runs + crashed, end_to_end)
+    assert (entry["pairs"], entry["incomplete_pairs"]) == (10, 1)
+    ops = entry["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["verdict"]) == (9, "no worse")
+
+    # a change that fails more of its ops, though within the bound, gets no gain
+    failing = [dict(r, result={"metrics": dict(
+        r["result"]["metrics"], ops_ok_frac={"value": 0.995, "unit": "-"})})
+        if r["side"] == "change" else r for r in runs]
+    (entry,) = summarize(failing, end_to_end)
+    assert entry["metrics"]["ops_per_s"]["change_wins"] == 9
+    assert entry["metrics"]["ops_per_s"]["verdict"] == "no worse"
+    assert entry["metrics"]["ops_ok_frac"]["verdict"] == "no worse"
