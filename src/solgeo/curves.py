@@ -17,8 +17,9 @@ The exponential evaluation uses expm1, which removes the cancellation at
 small zdot0 t and makes the zdot0 -> 0 limit land on the line family.
 
 ``integrate_ode`` integrates the defining second-order equation as a
-first-order system with scipy's adaptive 4th/5th-order method, imported only
-when it runs; it exists purely as an independent oracle for the closed forms.
+first-order system with scipy's adaptive 8th-order Dormand-Prince method
+(DOP853), imported only when it runs; it exists purely as an independent
+oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -101,6 +102,23 @@ def make_curve(p0: Point, v0: CoordVector) -> CharacteristicCurve:
     return CharacteristicCurve(p0, v, family, zdot0, c0)
 
 
+def _exp_flow(z0, zd, t):
+    """The height z0 + zd t and expm1(+-zd t), exp(+-zd t) of an
+    exponential-family flow.  One elementwise range test runs before any
+    exponential; only where it fails is CurveOverflow raised, naming the
+    failed limit: |zd t| > OVERFLOW_LIMIT, or a height (or NaN) past e^z's.
+    """
+    zt = zd * t
+    z = z0 + zt
+    if not ((np.abs(zt) <= OVERFLOW_LIMIT) & (np.abs(z) <= HEIGHT_LIMIT)).all():
+        if np.any(np.abs(zt) > OVERFLOW_LIMIT):
+            raise CurveOverflow(
+                f"|zdot0*t| exceeds {OVERFLOW_LIMIT:g}; evaluation would overflow")
+        check_height(np.max(z))
+        check_height(np.min(z))
+    return z, np.expm1(zt), np.expm1(-zt), np.exp(zt), np.exp(-zt)
+
+
 def _eval_raw(x0, y0, z0, xd, yd, zd, t):
     """Closed form for arbitrary (not necessarily unit) horizontal data.
 
@@ -113,18 +131,9 @@ def _eval_raw(x0, y0, z0, xd, yd, zd, t):
         ones = np.ones_like(t)
         return (x0 + xd * t, y0 + yd * t, z0 * ones,
                 xd * ones, yd * ones, zd * ones)
-    zt = zd * t
-    if np.any(np.abs(zt) > OVERFLOW_LIMIT):
-        raise CurveOverflow(
-            f"|zdot0*t| exceeds {OVERFLOW_LIMIT:g}; evaluation would overflow")
-    z = z0 + zt
-    if not np.all(np.abs(z) <= HEIGHT_LIMIT):
-        check_height(np.max(z))
-        check_height(np.min(z))
-    return (x0 + xd / zd * np.expm1(zt),
-            y0 - yd / zd * np.expm1(-zt),
-            z,
-            xd * np.exp(zt), yd * np.exp(-zt), zd * np.ones_like(t))
+    z, em, em_neg, e, e_neg = _exp_flow(z0, zd, t)
+    return (x0 + xd / zd * em, y0 - yd / zd * em_neg, z,
+            xd * e, yd * e_neg, zd * np.ones_like(t))
 
 
 def eval_curve(curve: CharacteristicCurve, t):
@@ -155,7 +164,7 @@ class SampledPath:
 
 
 def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> SampledPath:
-    """Adaptive RK45 integration of the characteristic-curve system.
+    """Adaptive DOP853 integration of the characteristic-curve system.
 
     State is (x, y, z, a, b) with (a, b) the frame velocity components;
     horizontality is built into the state, and curvature H = 0 leaves
@@ -177,7 +186,7 @@ def integrate_ode(p0: Point, v0: CoordVector, t_end: float, steps: int) -> Sampl
 
     t_eval = np.linspace(0.0, t_end, steps)
     sol = solve_ivp(rhs, (0.0, t_end), [p0.x, p0.y, p0.z, a0 / speed, b0 / speed],
-                    method="RK45", rtol=ODE_RTOL, atol=ODE_ATOL, t_eval=t_eval)
+                    method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL, t_eval=t_eval)
     if not sol.success:
         raise GeometryError(f"ODE integration failed: {sol.message}")
     x, y, z, a, b = sol.y

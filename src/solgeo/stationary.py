@@ -49,7 +49,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .curves import CharacteristicCurve, _eval_raw, check_height, make_curve
+from .curves import (LINE_FAMILY_TOL, CharacteristicCurve, _eval_raw, _exp_flow,
+                     check_height, make_curve)
 from .errors import BadParams
 # bench/spans.py rebinds solgeo.stationary.catalog, so it stays imported here
 from .expressions import catalog  # noqa: F401
@@ -145,16 +146,30 @@ class RuledSurface:
         whole sweep.  Along the base v moves by dv/deps = (a vx, -a vy, 0),
         so dF/deps = Gammadot + (a vx p(t), -a vy q(t), 0) with the flow
         weights p = expm1(ra t)/ra and q = -expm1(-ra t)/ra (both t on line
-        rulings).  dF/dt has the frame components (ra, rb, 0) at every t.
+        rulings).  F and dF/deps share one range check and one set of
+        exponentials: the flow of dF/deps starts at height |a| <= 1, inside
+        e^z's range wherever F's |ra t| <= OVERFLOW_LIMIT holds.  dF/dt has
+        the frame components (ra, rb, 0) at every t.
         """
         a, _ = self.gamma.curve.frame_velocity()
         ra, rb = self.ruling_frame_velocity()
         gx, gy, gz, dx, dy, dz = self.gamma._raw(eps)
         vx, vy = np.exp(gz) * (-rb) / SQRT2, np.exp(-gz) * rb / SQRT2
-        x, y, z, tx, ty, tz = _eval_raw(gx, gy, gz, vx, vy, ra, t)
-        ex, ey, *_ = _eval_raw(dx, dy, dz, a * vx, -a * vy, ra, t)
-        return tuple(tuple(np.broadcast_arrays(*v))
-                     for v in ((x, y, z), (ex, ey, dz), (tx, ty, tz)))
+        ax, ay = a * vx, -a * vy  # the ruling data of dF/deps, flowed alike
+        t = np.asarray(t, dtype=float)
+        if abs(ra) < LINE_FAMILY_TOL:
+            x, y, ex, ey = gx + vx * t, gy + vy * t, dx + ax * t, dy + ay * t
+            z, tx, ty = gz, vx, vy  # constant along a line ruling
+        else:
+            z, em, em_neg, e, e_neg = _exp_flow(gz, ra, t)
+            x, y = gx + vx / ra * em, gy - vy / ra * em_neg
+            ex, ey = dx + ax / ra * em, dy - ay / ra * em_neg
+            tx, ty = vx * e, vy * e_neg
+
+        def fit(v):  # broadcast a component that is constant along t or eps
+            return v if np.shape(v) == x.shape else np.broadcast_to(v, x.shape)
+
+        return (x, y, fit(z)), (ex, ey, fit(dz)), (fit(tx), fit(ty), fit(ra))
 
     def ruling_frame_velocity(self):
         """(ra, rb), the constant X- and Y-components of every ruling's
@@ -191,7 +206,9 @@ class RuledSurface:
     def vertical_component_closed(self, eps, t):
         """Closed-form <V, T>(eps, t) = -sinh(b t)/b, or -t where b = 0."""
         _, b = self.gamma.curve.frame_velocity()
-        _, t = np.broadcast_arrays(eps, np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        if np.shape(eps) != t.shape:
+            t = np.broadcast_to(t, np.broadcast_shapes(np.shape(eps), t.shape))
         return -np.sinh(b * t) / b if b else -t
 
     def vertical_component(self, eps, t):
@@ -305,21 +322,15 @@ def singular_loci(tg, vt) -> list:
     vanishes (below EPS_SCAN scaled by the per-line magnitude) or changes
     sign.
     """
+    tg, vt = np.asarray(tg, dtype=float), np.asarray(vt, dtype=float)
     dt = tg[1] - tg[0]
-    candidates = []
-    for line in np.asarray(vt, dtype=float):
-        scale = EPS_SCAN * (1.0 + np.max(np.abs(line)))
-        hits = np.abs(line) < scale
-        candidates.extend(tg[hits])
-        sign_change = line[:-1] * line[1:] < 0.0
-        for j in np.nonzero(sign_change)[0]:
-            # linear interpolation of the crossing
-            t0, t1 = tg[j], tg[j + 1]
-            f0, f1 = line[j], line[j + 1]
-            candidates.append(t0 - f0 * (t1 - t0) / (f1 - f0))
-    if not candidates:
-        return []
-    ts = np.sort(np.asarray(candidates))
+    scale = EPS_SCAN * (1.0 + np.max(np.abs(vt), axis=1, keepdims=True))
+    hits = np.broadcast_to(tg, vt.shape)[np.abs(vt) < scale]
+    # linear interpolation of each sign change between neighbouring nodes
+    row, j = np.nonzero(vt[:, :-1] * vt[:, 1:] < 0.0)
+    t0, t1 = tg[j], tg[j + 1]
+    f0, f1 = vt[row, j], vt[row, j + 1]
+    ts = np.sort(np.concatenate([hits, t0 - f0 * (t1 - t0) / (f1 - f0)]))
     gaps = np.nonzero(np.diff(ts) > 1.5 * dt)[0]
     bounds = np.concatenate([[0], gaps + 1, [len(ts)]])
     loci = []

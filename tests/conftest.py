@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
-from solgeo.stationary import RuledSurface, sweep_surface
+from solgeo.stationary import EPS_SCAN, RuledSurface, sweep_surface
 
 #: central-difference step in eps of the <V, T> oracle
 VT_FD_STEP = 1e-6
@@ -74,6 +74,29 @@ def skewed_sweep(gamma, eps_range, t_range, skew, grid=(64, 64)) -> SkewedSweep:
     """``sweep_surface`` with its rulings skewed by ``skew``."""
     s = sweep_surface(gamma, eps_range, t_range, grid)
     return SkewedSweep(s.gamma, s.eps_range, s.t_range, s.n_eps, s.n_t, skew)
+
+
+def singular_loci_by_rows(tg, vt) -> list:
+    """``stationary.singular_loci`` as a loop over the eps-rows, each row's
+    hits and interpolated sign changes collected in turn: the reference for
+    the whole-grid scan."""
+    dt = tg[1] - tg[0]
+    candidates = []
+    for line in np.asarray(vt, dtype=float):
+        scale = EPS_SCAN * (1.0 + np.max(np.abs(line)))
+        candidates.extend(tg[np.abs(line) < scale])
+        for j in np.nonzero(line[:-1] * line[1:] < 0.0)[0]:
+            t0, t1 = tg[j], tg[j + 1]
+            f0, f1 = line[j], line[j + 1]
+            candidates.append(t0 - f0 * (t1 - t0) / (f1 - f0))
+    if not candidates:
+        return []
+    ts = np.sort(np.asarray(candidates))
+    bounds = np.concatenate([[0], np.nonzero(np.diff(ts) > 1.5 * dt)[0] + 1, [len(ts)]])
+    return [{"t_center": float(np.median(chunk)), "t_min": float(chunk[0]),
+             "t_max": float(chunk[-1]), "samples": int(len(chunk))}
+            for chunk in (ts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+            if len(chunk)]
 
 
 def reference_csv(header, rows):

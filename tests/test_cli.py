@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_csv
+from conftest import reference_csv, singular_loci_by_rows
 from solgeo.cli import main
 from solgeo.expressions import CATALOG, CATALOG_NAMES
 
@@ -91,6 +91,20 @@ def test_sweep_outputs_and_scan(tmp_path):
     assert any(line.startswith("f ") for line in obj)
     n_vertices = sum(1 for line in obj if line.startswith("v "))
     assert n_vertices == 16 * 16
+
+
+@pytest.mark.parametrize("gamma", [["--gamma", "exp", "--theta", "2.3"], ["--gamma", "x-line"],
+                                   ["--gamma", "y-line"]])
+def test_sweep_scan_is_the_row_loop_on_the_written_grid(tmp_path, gamma):
+    # the summary's loci are those of the per-row scan of sweep.csv's VT
+    # column, which holds every node at %.17g
+    out = tmp_path / "s"
+    assert run(["sweep", *gamma, "--x0", "0.3", "-0.2", "0.1", "--grid", "24", "37",
+                "--scan-singular", "--out", str(out)]) == 0
+    table = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1).reshape(24, 37, 7)
+    want = singular_loci_by_rows(table[0, :, 1], table[:, :, 6])
+    assert len(want) == 1
+    assert json.loads(read(out / "summary.json"))["singular_loci"] == want
 
 
 def test_sweep_x_line_branch(tmp_path):
@@ -621,7 +635,7 @@ def test_saddle_curve_one_row_tables_agree_with_the_full_grid(tmp_path, params):
     (["sweep", "--gamma", "x-line", "--theta", "0.3"], 2),
     (["sweep", "--gamma", "y-line", "--theta", "0.3"], 2),
     (["residual", "--u", "x + y", "--param", "c=1"], 2),
-    # the tangents' cross product, the RK45 oracle's error norm or a plane's
+    # the tangents' cross product, the ODE oracle's error norm or a plane's
     # offset overflows, or the foot of plane-ab's singular line does
     (["sweep", "--gamma", "y-line", "--x0", "-1.0", "4.4118585185407255", "-1.0",
       "--grid", "4", "4", "--eps", "-1.0", "354.001", "--t", "1.0", "356.001"], 3),

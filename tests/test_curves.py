@@ -91,6 +91,22 @@ def test_closed_form_vs_integrator(rng):
         assert np.max(np.abs(path.velocities - ref_vel)) < 1e-8
 
 
+@pytest.mark.parametrize("gamma, eps, t_end", [
+    (HorizontalCurve.x_line(Point(0.3, -0.2, 0.4)), 0.6, 2.5),
+    (HorizontalCurve.y_line(Point(-0.1, 0.4, -0.5)), -0.7, -2.8),
+    (HorizontalCurve.from_initial_data(Point(0.2, -0.1, 0.3),
+                                       horizontal_velocity(Point(0.2, -0.1, 0.3), 0.8)), 0.9, 2.2),
+    (HorizontalCurve.from_initial_data(Point(-0.4, 0.3, -0.2),
+                                       horizontal_velocity(Point(-0.4, 0.3, -0.2), 2.4)), -1.0, -3.0),
+], ids=["x-line", "y-line", "generic-0.8", "generic-2.4"])
+def test_integrator_tracks_sweep_rulings_to_1e_10(gamma, eps, t_end):
+    # the rulings and the time span the ruled-sweep oracle integrates
+    ruling = sweep_surface(gamma, (-1.1, 1.1), (-3, 3)).ruling(eps)
+    path = integrate_ode(ruling.p0, ruling.v0, t_end, 101)
+    ref, _ = eval_curve(ruling, path.t)
+    assert np.max(np.abs(path.points - ref)) <= 1e-10
+
+
 def test_integrator_negative_time():
     p = Point(0.2, -0.4, 0.1)
     c = make_curve(p, horizontal_velocity(p, 0.9))

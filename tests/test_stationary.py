@@ -1,11 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import SkewedSweep, horizontal_velocity, skewed_sweep, vertical_component_fd
+import solgeo.curves
+import solgeo.stationary
+from conftest import (SkewedSweep, horizontal_velocity, singular_loci_by_rows, skewed_sweep,
+                      vertical_component_fd)
 from solgeo.curves import _eval_raw, eval_curve, is_geodesic
-from solgeo.errors import BadParams, NotHorizontal
+from solgeo.errors import BadParams, CurveOverflow, NotHorizontal
 from solgeo.expressions import catalog, parse
 from solgeo.frame import CoordVector, Point, SQRT2, frame_components
 from solgeo.stationary import (
@@ -14,6 +20,7 @@ from solgeo.stationary import (
     orthogonality_check,
     jacobi_vertical,
     plane_ab_singular_line_z,
+    singular_loci,
     sweep_surface,
     uniqueness_scan,
 )
@@ -317,6 +324,83 @@ def test_uniqueness_scan_negative_control():
     centers = sorted(l["t_center"] for l in loci)
     assert centers[0] == pytest.approx(-1.2, abs=1e-6)
     assert centers[1] == pytest.approx(0.8, abs=1e-6)
+
+
+@st.composite
+def _scan_grids(draw):
+    """(tg, vt): a t-grid and rows of <V, T> with exact zeros, one or many
+    sign changes, all-zero rows, NaN and rows with no locus."""
+    n_t = draw(st.integers(2, 12))
+    t0 = draw(st.floats(-5.0, 0.0))
+    tg = np.linspace(t0, t0 + draw(st.floats(0.1, 10.0)), n_t)
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12]), st.floats(-1e3, 1e3))
+    row = st.lists(cell, min_size=n_t, max_size=n_t)
+    rows = draw(st.lists(st.one_of(
+        row,                                             # zeros, sign changes
+        row.map(sorted),                                 # at most one sign change
+        st.just([0.0] * n_t),                            # all zero
+        st.lists(st.one_of(cell, st.just(math.nan)), min_size=n_t, max_size=n_t),
+        st.lists(st.floats(0.5, 1e3), min_size=n_t, max_size=n_t),  # no locus
+    ), min_size=1, max_size=6))
+    return tg, np.array(rows, dtype=float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scan_grids())
+@example((np.linspace(-2.0, 2.0, 9), np.array([
+    [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
+    [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0],
+    [0.0] * 9,
+    [math.nan, 1.0, -1.0, 2.0, math.nan, 3.0, 3.0, -3.0, 1.0],
+    [1.0] * 9,
+    [-3.0, -2.5, -2.0, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5]])))
+def test_whole_grid_scan_is_the_row_loop(grid):
+    tg, vt = grid
+    got, want = singular_loci(tg, vt), singular_loci_by_rows(tg, vt)
+    assert got == want and json.dumps(got) == json.dumps(want)  # -0.0 too
+
+
+def test_jet_overflow_is_raised_before_any_exponential():
+    # exponential rulings (a y-line base) whose |ra t| or height leaves e^z's
+    # range raise with the closed form's messages, from scalar and array
+    # input; an exp taken first would raise the suite's RuntimeWarning
+    # instead.  Line rulings (an x-line base) at the same t do not raise.
+    for z0, t, msg in ((0.0, 800.0, r"\|zdot0\*t\| exceeds 700; evaluation would overflow"),
+                       (705.0, -6.0, "e\\^\\|z\\| overflows at height z = 711$")):
+        s = sweep_surface(HorizontalCurve.y_line(Point(0.1, -0.2, z0)), (-1, 1), (-1, 1))
+        assert s.ruling_frame_velocity()[0] == pytest.approx(-1.0)  # z falls along t
+        for eps, tt in ((0.5, t), (np.array([[0.0], [0.5]]), np.array([[0.0, 0.3, t]]))):
+            with pytest.raises(CurveOverflow, match=msg):
+                s.jet(eps, tt)
+            with pytest.raises(CurveOverflow, match=msg):
+                jacobi_vertical(s, eps, tt)
+        line = sweep_surface(HorizontalCurve.x_line(Point(0.1, -0.2, z0)), (-1, 1), (-1, 1))
+        assert line.ruling_frame_velocity()[0] == 0.0
+        assert all(np.isfinite(v).all() for v in line.jet(0.5, t)[0])
+        assert np.isfinite(jacobi_vertical(line, 0.5, t))
+
+
+@pytest.mark.parametrize("branch", list(_BRANCH_BASES))
+def test_scalar_jacobi_vertical_runs_one_flow(monkeypatch, branch):
+    # one jet per call, and that jet evaluates the closed form once (the
+    # base curve): both rulings' flows share one set of exponentials
+    s = sweep_surface(_BRANCH_BASES[branch](), (-1.2, 1.2), (-3, 3))
+    jets, evals = [], []
+    jet = RuledSurface.jet
+
+    def counting_jet(self, eps, t):
+        jets.append((eps, t))
+        return jet(self, eps, t)
+
+    def counting_eval(*args):
+        evals.append(args)
+        return _eval_raw(*args)
+
+    monkeypatch.setattr(RuledSurface, "jet", counting_jet)
+    for module in (solgeo.curves, solgeo.stationary):
+        monkeypatch.setattr(module, "_eval_raw", counting_eval)
+    jacobi_vertical(s, 0.4, -1.3)
+    assert jets == [(0.4, -1.3)] and len(evals) <= 1
 
 
 def test_singular_point_surface_posts(rng):
