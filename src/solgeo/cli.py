@@ -346,9 +346,8 @@ def cmd_sweep(o: dict) -> dict:
     # far from z = 0 the tangents' cross product can overflow, which would
     # leave |N_h| = 0 or NaN at regular nodes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tf = TangentFrame(Z, V, F_t)
-        nh, _ = tf.unit_normal()
-        bad = ~np.isfinite(sum(n * n for n in tf.normal_components))
+        nh, _, norm = TangentFrame(Z, V, F_t).unit_normal()
+        bad = ~np.isfinite(norm)
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
         raise GeometryError(f"the surface normal overflows at eps = {E[i]:g}, t = {T[i]:g}")

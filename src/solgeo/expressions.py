@@ -107,11 +107,9 @@ class Div(Expr):
         return self.left.eval(x, y, z) / self.right.eval(x, y, z)
 
     def diff(self, var):
-        # (l/r)' = l'/r - l r'/r^2
-        return sub(
-            div(self.left.diff(var), self.right),
-            div(mul(self.left, self.right.diff(var)), Pow(self.right, 2)),
-        )
+        # (l/r)' = (l' - (l/r) r')/r: no partial divides by a power of r,
+        # which would underflow long before r does
+        return div(sub(self.left.diff(var), mul(self, self.right.diff(var))), self.right)
 
 
 @dataclass(frozen=True)

@@ -65,19 +65,15 @@ def _in_frame(ez, emz, dx, dy, dz):
     return a, b, c
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 class TangentFrame:
     """Two coordinate tangents of a parametrized surface, in the frame.
 
     ``t1`` and ``t2`` are the (a, b, c) frame components of the tangents at
     height ``z``, one array per component; scalar tangent components
     broadcast against ``z``; e^z and e^-z are taken once for both.
-    ``normal_components`` is their metric cross product, ``unit_normal``
-    its horizontal norm and T-component after normalization, and ``solve``
-    the first-fundamental-form solve against them, all component by
+    ``normal_components`` is their metric cross product and
+    ``unit_normal`` its horizontal norm and T-component after
+    normalization, with its norm, the area element, all component by
     component.
     """
 
@@ -93,27 +89,7 @@ class TangentFrame:
         return b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
 
     def unit_normal(self):
-        """(|N_h|, <N,T>) of the unit normal N along t1 x t2."""
+        """(|N_h|, <N,T>, |t1 x t2|) of the unit normal N along t1 x t2."""
         n1, n2, n3 = self.normal_components
         norm = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-        return np.hypot(n1, n2) / norm, n3 / norm
-
-    @cached_property
-    def gram(self):
-        """(g11, g12, g22, det) of the first fundamental form."""
-        g11 = _dot(self.t1, self.t1)
-        g12 = _dot(self.t1, self.t2)
-        g22 = _dot(self.t2, self.t2)
-        return g11, g12, g22, g11 * g22 - g12 * g12
-
-    def area_element(self) -> np.ndarray:
-        return np.sqrt(self.gram[3])
-
-    def solve(self, a, b, c):
-        """(alpha, beta) with alpha t1 + beta t2 the tangential part of the
-        vector with frame components (a, b, c)."""
-        g11, g12, g22, det = self.gram
-        b1 = _dot((a, b, c), self.t1)
-        b2 = _dot((a, b, c), self.t2)
-        return (g22 * b1 - g12 * b2) / det, (-g12 * b1 + g11 * b2) / det
-
+        return np.hypot(n1, n2) / norm, n3 / norm, norm

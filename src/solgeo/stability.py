@@ -176,14 +176,16 @@ class SurfacePatch:
     with a singular curve the curve sits at t = 0 and the base
     parametrization has unit speed, so the length element along it is 1.
 
-    ``geom`` evaluates the chart once per node set and returns |N_h|
-    ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S nu_h, Z> and H, with
-    the tangents' ``TangentFrame`` under "frame".  ``geometry(eps, t, z,
-    frame)`` supplies that geometry in closed form: every sweep from its
-    rulings (``patch_from_ruled``), every graph patch (the coordinate
-    planes and saddle-point) from the closed-form partials of its height
-    function (``_graph_geometry``).  ``field``, the defining scalar field
-    of a catalog patch, is what ``sufficient_condition`` evaluates.
+    ``geometry(eps, t)`` returns everything Q(u) reads at the nodes, in
+    closed form: |N_h| ("nh"), <N,T> ("nt"), Z = zx X + zy Y, <nabla_S
+    nu_h, Z> ("grad_s_nu_z"), H, the area element "dS" = |dF/deps x
+    dF/dt| and the coordinates "alpha", "beta" of Z = alpha dF/deps + beta
+    dF/dt against the tangents.  Every sweep takes them from its rulings
+    (``patch_from_ruled``), every graph patch (the coordinate planes and
+    saddle-point) from the closed-form partials of its height function
+    (``_graph_geometry``); ``geom`` is the method Q(u) calls for them.
+    ``field``, the defining scalar field of a catalog patch, is what
+    ``sufficient_condition`` evaluates on the chart's coordinates.
 
     Q(u) is tabulated as a bilinear form at the quadrature nodes on first
     use, once per (n_eps, n_t), and lives as long as the patch.
@@ -205,18 +207,14 @@ class SurfacePatch:
     eps_range: tuple
     t_range: tuple
     chart: object                  # callable (eps, t) -> ((x, y, z), (dF/deps, dF/dt))
-    geometry: object               # callable (eps, t, z, frame) -> dict
+    geometry: object               # callable (eps, t) -> dict
     singular: str = "none"         # 'none' | 'curve' | 'point'
     point_param: tuple | None = None
     eps_invariant: bool = False    # the geometry is a function of t alone
     _tables: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def geom(self, eps, t) -> dict:
-        (_, _, Z), tangents = self.chart(eps, t)
-        tf = TangentFrame(Z, *tangents)
-        f = self.geometry(eps, t, Z, tf)
-        f["frame"] = tf
-        return f
+        return self.geometry(eps, t)
 
 
 _PLANE_GRAPH = {
@@ -225,6 +223,11 @@ _PLANE_GRAPH = {
     "plane-y": lambda s1, s2, h, h1, h2: ((s1, h, s2), ((1.0, h1, 0.0), (0.0, h2, 1.0))),
     "plane-z": lambda s1, s2, h, h1, h2: ((s1, s2, h), ((1.0, 0.0, h1), (0.0, 1.0, h2))),
 }
+
+
+#: the coordinates that each layout of _PLANE_GRAPH takes as its parameters
+#: (s1, s2); the tangents have the components (1, 0) and (0, 1) along them
+_PLANE_AXES = {"plane-x": (1, 2), "plane-y": (0, 2), "plane-z": (0, 1)}
 
 
 _GRAPH_PARTIALS = {
@@ -278,28 +281,36 @@ def _graph_chart(kind: str, h_fn):
 def _graph_geometry(kind: str, h_fn):
     """Closed-form ``SurfacePatch.geometry`` of the graph of ``h_fn``.
 
-    ``h_fn`` returns h, h1, h2, h11, h12, h22; ``_GRAPH_PARTIALS`` turns
-    them into the gradient and Hessian of u = w - h, and
-    ``surface.frame_algebra`` turns those into the frame fields, H
-    included, so no expression tree is evaluated per node.  A non-finite
+    ``h_fn``, evaluated once per node set, returns h, h1, h2, h11, h12,
+    h22; ``_GRAPH_PARTIALS`` turns them into the gradient and Hessian of
+    u = w - h, and ``surface.frame_algebra`` turns those into the frame
+    fields, H included, so no expression tree is evaluated per node.  The
+    metric cross product of the tangents is -grad u in frame components
+    (see ``_graph_area``), so dS = |grad u|; the tangents have the
+    components (1, 0) and (0, 1) along the parameter axes (``_PLANE_AXES``),
+    so Z's coordinates along those axes are (alpha, beta).  A non-finite
     e^z or partial (an overflowing height or parameter) raises
     EvaluationError at its first node.
     """
-    to_grad, to_hess = _GRAPH_PARTIALS[kind]
+    layout, (to_grad, to_hess) = _PLANE_GRAPH[kind], _GRAPH_PARTIALS[kind]
+    i1, i2 = _PLANE_AXES[kind]
 
-    def geometry(eps, t, z, frame):
-        _, h1, h2, h11, h12, h22 = h_fn(eps, t)
-        ez, emz = np.exp(z), np.exp(-z)
+    def geometry(eps, t):
+        eps, t = np.asarray(eps, float), np.asarray(t, float)
+        h, h1, h2, h11, h12, h22 = h_fn(eps, t)
+        coords, _ = layout(eps, t, h, h1, h2)
+        ez, emz = np.exp(coords[2]), np.exp(-coords[2])
         grad, hess = to_grad(h1, h2), to_hess(h11, h12, h22)
         parts = (ez, emz, *grad, *hess)
         if not all(np.isfinite(v).all() for v in parts):
-            coords, _ = _graph_chart(kind, h_fn)(eps, t)
             shape = np.broadcast_shapes(*(np.shape(v) for v in (*parts, *coords)))
             bad = ~np.logical_and.reduce([np.isfinite(np.broadcast_to(v, shape)) for v in parts])
             i = np.unravel_index(np.argmax(bad), shape)
             raise EvaluationError("field evaluation is not finite",
                                   [np.broadcast_to(c, shape)[i] for c in coords])
-        return frame_algebra(ez, emz, grad, hess)[0]
+        f, (_, Zc) = frame_algebra(ez, emz, grad, hess)
+        f.update(dS=f["grad_norm"], alpha=Zc[i1], beta=Zc[i2])
+        return f
     return geometry
 
 
@@ -372,8 +383,10 @@ def patch_from_ruled(surface, name: str = "ruled-sweep",
     then constant frame fields on each side, and the constant connection
     (nabla_T X = Y/2, nabla_T Y = -X/2) gives H = -<nabla_Z nu_h, Z> = 0
     and, with S = <N,T> nu_h - |N_h| T, <nabla_S nu_h, Z> = -|N_h|/2.
-    |N_h| and <N,T> come from the unit normal N along the metric cross
-    product V x dF/dt of the tangents.  Its horizontal part is
+    dF/dt has the frame components (ra, rb, 0), so Z = sigma dF/dt: alpha
+    = 0 and beta = sigma.  |N_h|, <N,T> and the area element dS come from
+    the metric cross product V x dF/dt of the tangents, which the unit
+    normal N points along.  Its horizontal part is
     <V,T> J(dF/dt) = -sigma <V,T> nu_h, and <V,T> = -sinh(b t)/b has the
     sign of -t (see ``stationary``), so N_h points along nu_h on both
     sides.  The geometry reads z and the tangents, never x or y, so
@@ -383,11 +396,12 @@ def patch_from_ruled(surface, name: str = "ruled-sweep",
         raise BadParams("patch_from_ruled expects a ruled surface")
     ra, rb = surface.ruling_frame_velocity()
 
-    def geometry(eps, t, z, tf):
+    def geometry(eps, t):
+        (_, _, z), tangents = surface.chart(eps, t)
+        nh, nt, dS = TangentFrame(z, *tangents).unit_normal()
         sigma = np.copysign(1.0, t)
-        nh, nt = tf.unit_normal()
         return {"nh": nh, "nt": nt, "zx": sigma * ra, "zy": sigma * rb,
-                "grad_s_nu_z": -0.5 * nh, "H": 0.0}
+                "grad_s_nu_z": -0.5 * nh, "H": 0.0, "dS": dS, "alpha": 0.0, "beta": sigma}
 
     return SurfacePatch(name, field, surface.eps_range, surface.t_range, surface.chart,
                         geometry, "curve", eps_invariant=True)
@@ -442,21 +456,19 @@ class QuadratureReport:
 
 def _patch_frame_data(patch: SurfacePatch, E, T):
     """Geometry shared by the integrand evaluations at nodes (E, T)."""
-    f = patch.geom(E, T)
-    tf = f["frame"]
-    alpha, beta = tf.solve(f["zx"], f["zy"], 0.0)
-    return f, tf.area_element(), alpha, beta
+    return patch.geom(E, T)
 
 
 #: relative tolerance of the check between the first and the last eps-row
 ROW_RTOL = 1e-12
 
+#: the entries of ``SurfacePatch.geometry`` that Q(u) reads
+GEOM_KEYS = ("nh", "nt", "zx", "zy", "grad_s_nu_z", "H", "dS", "alpha", "beta")
+
 
 def _geom_rows(patch: SurfacePatch, e, t):
-    """The geometry that Q(u) reads at the nodes (e, t): |N_h| ("nh"),
-    <N,T> ("nt"), zx, zy, <nabla_S nu_h, Z> and H from ``patch.geom``, the
-    area element "dS", and the coordinates "alpha", "beta" of Z against the
-    tangents.
+    """The geometry that Q(u) reads at the nodes (e, t): the GEOM_KEYS
+    entries of ``patch.geom``.
 
     On a patch invariant along eps only the first and the last row of the
     column ``e`` are evaluated, and each entry is the first row, a (1, m)
@@ -468,10 +480,8 @@ def _geom_rows(patch: SurfacePatch, e, t):
     """
     if patch.eps_invariant:
         e = e[[0, -1]]
-    f, dS, alpha, beta = _patch_frame_data(patch, e, t)
-    g = {"nh": f["nh"], "nt": f["nt"], "zx": f["zx"], "zy": f["zy"],
-         "grad_s_nu_z": f["grad_s_nu_z"], "H": f["H"], "dS": dS, "alpha": alpha,
-         "beta": beta}
+    f = _patch_frame_data(patch, e, t)
+    g = {key: f[key] for key in GEOM_KEYS}
     if not patch.eps_invariant:
         return g
     shape = np.broadcast_shapes(np.shape(e), np.shape(t))
@@ -497,7 +507,13 @@ def _geom_rows(patch: SurfacePatch, e, t):
 MAX_NODES = 1 << 21
 
 
-def _check_nodes(count: int, what: str) -> None:
+def _check_nodes(grid, per_cell: int, what: str) -> None:
+    """BadParams for a grid axis below 1, which would leave the result
+    vacuous or end in a raw numpy error, and for more than MAX_NODES nodes
+    at the finest level, ``per_cell`` nodes per cell of ``grid``."""
+    if min(grid) < 1:
+        raise BadParams(f"{what} needs a grid of at least 1 per axis, got {tuple(grid)}")
+    count = per_cell * math.prod(grid)
     if count > MAX_NODES:
         raise BadParams(f"{what} needs {count} nodes at its finest level, over the "
                         f"limit of {MAX_NODES}; lower --n")
@@ -736,7 +752,7 @@ def q_form_simplified(patch: SurfacePatch, u: TestFunction, grid=(24, 24),
 def _two_levels(patch, u, grid, delta, weight_fn, boundary_const) -> QuadratureReport:
     """Q(u) at grid and twice the grid; their difference is the error
     estimate."""
-    _check_nodes((2 * GL_ORDER) ** 2 * grid[0] * grid[1], "Q(u)")
+    _check_nodes(grid, (2 * GL_ORDER) ** 2, "Q(u)")
     if delta is None:
         delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
     _check_admissible(patch, u, delta)
@@ -819,7 +835,7 @@ def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False)
         raise SingularPointFound(
             f"the sufficient condition needs an empty singular set; patch "
             f"{patch.name!r} has a singular {patch.singular}")
-    _check_nodes(grid[0] * grid[1], "the sufficient condition")
+    _check_nodes(grid, 1, "the sufficient condition")
     fld = flipped(patch.field) if flip else patch.field
     es = np.linspace(*patch.eps_range, grid[0])
     ts = np.linspace(*patch.t_range, grid[1])
@@ -914,7 +930,7 @@ def area_compare(base_kind: str, eta: float, grid: int = 100, **params) -> dict:
               for lo, hi in AREA_WINDOW)
     support = (b1.support(), b2.support())
     cells = 2 * max(1, round(grid * BUMP_WIDTH_FRAC / 2))
-    _check_nodes((2 * GL_ORDER * cells) ** 2, "the area comparison")
+    _check_nodes((cells, cells), (2 * GL_ORDER) ** 2, "the area comparison")
 
     def h_comp(s1, s2):
         return (-c + eta * b1(s1) * b2(s2),

@@ -48,7 +48,7 @@ def _along(vec, df):
 def _tree_frame(field: ScalarField, x, y, z):
     """``frame_algebra`` on the expression trees of ``field``, with the
     partials ``raw_fields`` continues from: (e^z, e^-z, grad u, Hessian of
-    u, d(W2), d(D), Z in coordinates)."""
+    u, d(D), Z in coordinates)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -56,8 +56,8 @@ def _tree_frame(field: ScalarField, x, y, z):
     emz = np.exp(-z)
     grad = field.grad_arrays(x, y, z)
     hess = field.hessian_arrays(x, y, z)
-    f, (dW2, dD, Zc) = frame_algebra(ez, emz, grad, hess)
-    return f, (ez, emz, grad, hess, dW2, dD, Zc)
+    f, (dD, Zc) = frame_algebra(ez, emz, grad, hess)
+    return f, (ez, emz, grad, hess, dD, Zc)
 
 
 def frame_algebra(ez, emz, grad, hess):
@@ -65,7 +65,7 @@ def frame_algebra(ez, emz, grad, hess):
     the coordinate partials of u, grad u = (ux, uy, uz) and Hess u = (uxx,
     uxy, uxz, uyy, uyz, uzz): |N_h| ("nh"), <N,T> ("nt"), Z = zx X + zy Y,
     <nabla_S nu_h, Z> and H, with the frame gradient and nu_h they are
-    built from; plus (d(W2), d(D), Z in coordinates).  The inputs broadcast
+    built from; plus (d(D), Z in coordinates).  The inputs broadcast
     against each other, so a partial that is constant along an axis, or
     everywhere, can be passed in its natural shape."""
     ux, uy, uz = grad
@@ -115,14 +115,14 @@ def frame_algebra(ez, emz, grad, hess):
         "nu1": nu1, "nu2": nu2, "zx": zx, "zy": zy,
         "H": H, "grad_s_nu_z": grad_s_nu_z,
     }
-    return f, (dW2, dD, Zc)
+    return f, (dD, Zc)
 
 
 def _ratio_fields(field: ScalarField, x, y, z):
     """``_tree_frame`` with the ratio q = <N,T>/|N_h| and its derivative
     Zq along Z added to the dict; the residuals are left to ``raw_fields``."""
     f, partials = _tree_frame(field, x, y, z)
-    ez, emz, (ux, uy, uz), (uxx, uxy, uxz, uyy, uyz, uzz), dW2, dD, Zc = partials
+    ez, emz, (ux, uy, uz), (uxx, uxy, uxz, uyy, uyz, uzz), dD, Zc = partials
     W3, D, D2 = f["W3"], f["D"], f["D2"]
     dW3 = ((ez * uxx + emz * uxy) / SQRT2,
            (ez * uxy + emz * uyy) / SQRT2,
@@ -140,20 +140,18 @@ def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
 
     Returns a dict of arrays: the ``frame_algebra`` entries plus u and the
-    residuals; the ratio q = <N,T>/|N_h| and its derivative Zq along Z are
-    left to ``_ratio_fields``.
+    coordinate residual; the ratio q = <N,T>/|N_h| and its derivative Zq
+    along Z are left to ``_ratio_fields``.
     Entries that need division by D (nu_h, Z, curvature, ...) are valid
-    only where ``singular`` is False; they are computed with errors
-    silenced and contain garbage on the singular set.
+    only where |N_h| >= EPS_SING; they are computed with errors silenced
+    and contain garbage on the singular set.
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     u = field.values(x, y, z)
-    f, (ez, emz, (ux, uy, uz), hess, dW2, _, _) = _tree_frame(field, x, y, z)
+    f, (ez, emz, (ux, uy, uz), hess, _, _) = _tree_frame(field, x, y, z)
     uxx, uxy, uxz, uyy, uyz, uzz = hess
-    W1, W2, D, D2 = f["W1"], f["W2"], f["D"], f["D2"]
-    normalized_residual_den = D2 * D
 
-    G = SQRT2 * W2
+    G = SQRT2 * f["W2"]
     residual_coord = (
         uzz * G * G
         + uz * uz * (ez * ez * uxx - 2.0 * uxy + emz * emz * uyy)
@@ -169,18 +167,11 @@ def raw_fields(field: ScalarField, x, y, z):
         + np.abs(uz) * g_abs * (2.0 * ez * np.abs(uxz) + ez * np.abs(ux)
                                 + 2.0 * emz * np.abs(uyz) + emz * np.abs(uy))
     )
-    XX = uzz
-    YX = (-ez * uxz + emz * uyz) / SQRT2
-    XY = dW2[2]
-    YY = 0.5 * (ez * ez * uxx - 2.0 * uxy + emz * emz * uyy)
-    residual_frame = W2 * W2 * XX - W1 * W2 * (YX + XY) + W1 * W1 * YY
-
     f.update({
         "u": u,
-        "residual_coord": residual_coord, "residual_frame": residual_frame,
+        "residual_coord": residual_coord,
         "residual_scale": residual_scale,
-        "normalized_residual_den": normalized_residual_den,
-        "singular": f["nh"] < EPS_SING,
+        "normalized_residual_den": f["D2"] * f["D"],
     })
     return f
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.frame import CoordVector, Point, SQRT2, frame_components
+from solgeo.frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 from solgeo.stationary import EPS_SCAN, RuledSurface, sweep_surface
 
 #: central-difference step in eps of the <V, T> oracle
@@ -46,6 +46,42 @@ def vertical_component_fd(surface, eps, t):
     v = (4.0 * diff(VT_FD_STEP / 2.0) - diff(VT_FD_STEP)) / 3.0
     _, _, z = surface.point(eps, t)
     return frame_components(z, v[0], v[1], v[2])[2]
+
+
+def tangent_solve(t1, t2, v):
+    """The tangent route: (dS, alpha, beta) from the frame components of two
+    tangents t1, t2 and a vector v, component by component.  dS is the
+    square root of the Gram determinant of the tangents, and alpha t1 +
+    beta t2 is the tangential part of v, by the 2x2 first-fundamental-form
+    solve: the reference for the closed-form area element and coordinates
+    of Z of every patch."""
+    def dot(u, w):
+        return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+    g11, g12, g22 = dot(t1, t1), dot(t1, t2), dot(t2, t2)
+    det = g11 * g22 - g12 * g12
+    b1, b2 = dot(v, t1), dot(v, t2)
+    return np.sqrt(det), (g22 * b1 - g12 * b2) / det, (-g12 * b1 + g11 * b2) / det
+
+
+def chart_frame(chart, eps, t) -> TangentFrame:
+    """The tangents of ``chart`` at (eps, t) in frame components."""
+    (_, _, z), tangents = chart(eps, t)
+    return TangentFrame(z, *tangents)
+
+
+def tangent_geometry(chart, pointwise):
+    """A ``SurfacePatch.geometry`` on ``chart``: ``pointwise(x, y, z)`` at
+    the chart's coordinates gives |N_h|, <N,T>, Z, <nabla_S nu_h, Z> and H,
+    and the tangent route against the chart's tangents gives the area
+    element and Z's coordinates (dS, alpha, beta)."""
+    def geometry(eps, t):
+        (x, y, z), tangents = chart(eps, t)
+        f = pointwise(x, y, z)
+        tf = TangentFrame(z, *tangents)
+        f["dS"], f["alpha"], f["beta"] = tangent_solve(tf.t1, tf.t2, (f["zx"], f["zy"], 0.0))
+        return f
+    return geometry
 
 
 def tau_contraction(curve) -> float:

@@ -275,9 +275,7 @@ def _roundings(e):
 
 def _roundoff_misses(source, nodes):
     """The partials of ``source`` that miss their round-off bound at
-    ``nodes``, each as (partial, node, got, want, tolerance, underflowed);
-    underflowed says whether that partial's own tree, evaluated at the node,
-    raises an underflow.
+    ``nodes``, each as (partial, node, got, want, tolerance).
 
     A second symbolic engine: sympy differentiates the same source, and its
     derivative is evaluated in floats by _value_and_magnitude (lambdify
@@ -294,11 +292,14 @@ def _roundoff_misses(source, nodes):
     evaluate such a formula.  sympy's combined derivative collects the split
     one's terms, so its d and M are taken as at most the split one's.  The
     trees of `expressions` build the split terms with at most 2 more
-    roundings per path: the quotient rule's r^2 and the power rule's
-    constant factor.  So |g - w| <= (2d + 2) u M = (d + 1) eps M, and
-    c = d + 2 keeps one eps M spare.  At y = 1.4e-46, (y) / (y) has
-    d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, against
-    |g| = 1.4e76.  Gradual underflow is outside this model.
+    roundings per path: the quotient rule (l' - (l/r) r')/r rounds l/r
+    before its product with r', one more than l r'/r^2 on the path of l,
+    and the power rule rounds its constant factor.  The quotient rule's
+    difference has the magnitude |l'| + |l r'/r|, which the division by r
+    turns into the split terms' M.  So |g - w| <= (2d + 2) u M = (d + 1)
+    eps M, and c = d + 2 keeps one eps M spare.  At y = 1.4e-46, (y) / (y)
+    has d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, and the tree
+    gives the exact 0.  Gradual underflow is outside this model.
     """
     sp = pytest.importorskip("sympy")
     f = parse(source)
@@ -313,7 +314,6 @@ def _roundoff_misses(source, nodes):
     bound = [sum((sp.diff(split, *s)
                   for s in itertools.product(*(occurrences[k] for k in ij))), sp.Integer(0))
              for ij in pairs]
-    trees = f.grad_exprs + f.hess_exprs
     misses = []
     for node in nodes:
         try:
@@ -330,14 +330,7 @@ def _roundoff_misses(source, nodes):
                 continue
             tol = max(1e-9, 1e-9 * abs(w)) + (_roundings(d) + 2) * _EPS * m
             if abs(g - w) > tol:
-                try:
-                    with np.errstate(under="raise", over="ignore", invalid="ignore",
-                                     divide="ignore"):
-                        trees[k].eval(*(np.asarray(c, dtype=float) for c in node))
-                    underflowed = False
-                except FloatingPointError:
-                    underflowed = True
-                misses.append((pairs[k], node, g, w, tol, underflowed))
+                misses.append((pairs[k], node, g, w, tol))
     return misses
 
 
@@ -345,18 +338,15 @@ def _roundoff_misses(source, nodes):
 @example("(y) / (y)", [(0.0, 1.4467581967271798e-46, 0.0)])
 @settings(max_examples=100, deadline=None)
 def test_partials_match_sympy(source, nodes):
-    # Every partial within its round-off bound, except one whose own tree
-    # underflows at the node: Div.diff's r^4 leaves the float range first
-    # (see test_quotient_partials_past_gradual_underflow).
-    misses = _roundoff_misses(source, nodes)
-    assert all(miss[-1] for miss in misses), (source, misses)
+    # Every partial within its round-off bound, a quotient's near the bottom
+    # of the float range too (see test_quotient_partials_past_gradual_underflow)
+    assert _roundoff_misses(source, nodes) == [], source
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: Div.diff writes (l/r)' as l'/r - l r'/r^2, so a second partial of "
-    "a quotient divides by r^4, which underflows for |r| below about 1e-77"))
 @pytest.mark.parametrize("source,node", [("(x) / (x)", (1.26e-81, 0.0, 0.0)),
                                          ("exp((x) / (x))", (1.26e-81, -1.2e-20, -0.49))])
 def test_quotient_partials_past_gradual_underflow(source, node):
-    # d2/dx2 of x/x is 0; solgeo gives -6.2e161 here (-1.68e162 under exp)
+    # d2/dx2 of x/x is 0.  A quotient rule that divides by r^2 makes a
+    # second partial divide by r^4, which underflows for |r| below about
+    # 1e-77 (-6.2e161 here); (l' - (l/r) r')/r divides by r alone
     assert _roundoff_misses(source, [node]) == []

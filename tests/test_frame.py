@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_array
+from conftest import as_array, tangent_solve
 from solgeo.frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 
 
@@ -93,17 +93,19 @@ def test_tangent_frame_normal_and_solve(rng):
         [to_frame(Point(0.0, 0.0, zi), CoordVector(*v))
          for zi, v in zip(z, np.stack(t1, axis=-1))]))
     assert np.max(np.abs(np.sum(n * e1, -1)) + np.abs(np.sum(n * e2, -1))) < 1e-12
-    assert tf.area_element() == pytest.approx(np.linalg.norm(n, axis=-1))
-    # the unit normal's horizontal norm and T-component
-    nh, nt = tf.unit_normal()
+    # the unit normal's horizontal norm and T-component, and the area element
+    nh, nt, area = tf.unit_normal()
     unit = n / np.linalg.norm(n, axis=-1, keepdims=True)
     assert nh == pytest.approx(np.hypot(unit[:, 0], unit[:, 1]))
     assert nt == pytest.approx(unit[:, 2])
-    # a tangential vector plus a normal part: the solve recovers its coefficients
+    assert area == pytest.approx(np.linalg.norm(n, axis=-1))
+    # a tangential vector plus a normal part: the tangent route recovers its
+    # coefficients, and its Gram area element is the normal's norm
     alpha, beta = rng.normal(size=(2, 50))
     v = alpha[:, None] * e1 + beta[:, None] * e2 + 0.7 * n
-    got_a, got_b = tf.solve(*np.moveaxis(v, -1, 0))
+    dS, got_a, got_b = tangent_solve(tf.t1, tf.t2, tuple(np.moveaxis(v, -1, 0)))
     assert got_a == pytest.approx(alpha) and got_b == pytest.approx(beta)
+    assert dS == pytest.approx(area)
     # scalar components broadcast against z
     flat = TangentFrame(z, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     assert _stacked(flat.t1).shape == _stacked(flat.t2).shape == (50, 3)
@@ -111,7 +113,7 @@ def test_tangent_frame_normal_and_solve(rng):
 
 def _stacked_solve_and_area(e1, e2, v):
     """The (..., 3) first-fundamental-form solve and area element that the
-    componentwise ``TangentFrame`` replaced, kept as its oracle."""
+    componentwise tangent route replaced, kept as its oracle."""
     g11 = np.sum(e1 * e1, axis=-1)
     g12 = np.sum(e1 * e2, axis=-1)
     g22 = np.sum(e2 * e2, axis=-1)
@@ -127,13 +129,13 @@ def test_componentwise_frame_matches_stacked_formulas(rng):
     tf = TangentFrame(z, t1, t2)
     e1, e2 = _stacked(tf.t1), _stacked(tf.t2)
     want_a, want_b, want_area = _stacked_solve_and_area(e1, e2, np.stack(v, axis=-1))
-    got_a, got_b = tf.solve(*v)
-    for got, want in ((got_a, want_a), (got_b, want_b), (tf.area_element(), want_area)):
+    area, got_a, got_b = tangent_solve(tf.t1, tf.t2, v)
+    for got, want in ((got_a, want_a), (got_b, want_b), (area, want_area)):
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-13
     # the normal is the numpy cross product, bit for bit
     assert np.array_equal(_stacked(tf.normal_components), np.cross(e1, e2))
     # a scalar component broadcasts, as the Z solve passes a zero T-part
-    got_a, got_b = tf.solve(v[0], v[1], 0.0)
+    _, got_a, got_b = tangent_solve(tf.t1, tf.t2, (v[0], v[1], 0.0))
     want_a, want_b, _ = _stacked_solve_and_area(
         e1, e2, np.stack([v[0], v[1], np.zeros_like(z)], axis=-1))
     assert np.max(np.abs(got_a - want_a) / (1.0 + np.abs(want_a))) < 1e-13

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solgeo.stability as stability
+from conftest import chart_frame, tangent_geometry, tangent_solve
 from solgeo.errors import (
     BadParams,
     GeometryError,
@@ -182,6 +183,25 @@ def test_q_form_admissibility_enforced():
         q_form(patch, wide, grid=(8, 8), delta=0.5)
 
 
+@pytest.mark.parametrize("name,call", [
+    ("plane-x", lambda p, u: q_form(p, u, grid=(4, 0))),
+    ("plane-x", lambda p, u: q_form(p, u, grid=(0, 4))),
+    ("saddle-point", lambda p, u: q_form(p, u, grid=(-1, 4), delta=0.4)),
+    ("plane-ab", lambda p, u: q_form_simplified(p, u, grid=(3, 0))),
+    ("plane-x", lambda p, u: sufficient_condition(p, grid=(0, 16))),
+    ("plane-z", lambda p, u: sufficient_condition(p, grid=(16, 0))),
+    ("plane-y", lambda p, u: sufficient_condition(p, grid=(0, 0), flip=True)),
+], ids=["qform-t", "qform-eps", "qform-negative", "simplified", "sufficient-eps",
+        "sufficient-t", "sufficient-both"])
+def test_an_empty_grid_axis_is_rejected(name, call):
+    # unchecked, a grid axis below 1 gives a vacuous Q(u) of 0 with error
+    # estimate 0, or a raw ValueError, IndexError or ZeroDivisionError
+    patch = patch_for_catalog(name, {})
+    u = battery_test_functions(patch, 1, 7, 0.4)[0]
+    with pytest.raises(BadParams, match=r"needs a grid of at least 1 per axis, got \("):
+        call(patch, u)
+
+
 # -- catalog curve patches: sweeps against their hand-written closed forms -----
 
 def _plane_ab_closed(a, b, c):
@@ -261,10 +281,9 @@ def test_q_form_vs_simplified_saddle_curve_mismatch_named():
 def _field_geometry(field, chart):
     """A ``SurfacePatch.geometry`` from the expression trees of ``field``:
     ``surface.raw_fields`` at the coordinates of ``chart``, whose
-    ``frame_algebra`` entries are the ones a patch reads."""
-    def geometry(eps, t, z, frame):
-        return raw_fields(field, *chart(eps, t)[0])
-    return geometry
+    ``frame_algebra`` entries are the ones a patch reads, and the tangent
+    route on the chart's tangents."""
+    return tangent_geometry(chart, lambda x, y, z: raw_fields(field, x, y, z))
 
 
 def _field_route(patch, **changes):
@@ -414,8 +433,7 @@ def test_q_form_exploratory_on_nongeodesic_sweep():
 def _chart_normal(patch, e, t):
     """(nu1, nu2, |N_h|, <N,T>) of the unit normal along the cross product
     of the chart's tangents, with nu_h = N_h/|N_h|: the chart alone."""
-    (_, _, z), tangents = patch.chart(e, t)
-    n1, n2, n3 = TangentFrame(z, *tangents).normal_components
+    n1, n2, n3 = chart_frame(patch.chart, e, t).normal_components
     norm, horiz = np.sqrt(n1 * n1 + n2 * n2 + n3 * n3), np.hypot(n1, n2)
     return n1 / horiz, n2 / horiz, horiz / norm, n3 / norm
 
@@ -446,11 +464,11 @@ def test_closed_form_sweep_geometry_matches_finite_differences(make):
 
     d_eps, d_t = d_nu(1.0, 0.0), d_nu(0.0, 1.0)
     g = patch.geom(e, t)
-    tf = g["frame"]
+    tf = chart_frame(patch.chart, e, t)
 
     def rate(a, b, c):
         """Rate of (nu1, nu2) along the tangent with frame components (a, b, c)."""
-        alpha, beta = tf.solve(a, b, c)
+        _, alpha, beta = tangent_solve(tf.t1, tf.t2, (a, b, c))
         return alpha * d_eps + beta * d_t
 
     s1, s2 = rate(nt * nu1, nt * nu2, -nh)
@@ -479,8 +497,9 @@ def test_curve_coefficient_matches_the_field_routes_side_limits(name, params):
     nt0 = field.geom(e, np.zeros((1, 1)))["nt"][:, 0]
     for side in (1.0, -1.0):
         def q(frac):
-            g = field.geom(e, np.full((1, 1), side * frac * 0.6))
-            ta, tb, tc = g["frame"].t2
+            t = np.full((1, 1), side * frac * 0.6)
+            g = field.geom(e, t)
+            ta, tb, tc = chart_frame(field.chart, e, t).t2
             # nu = the unit t-tangent pointing away from the curve
             zdotnu = side * (g["zx"] * ta + g["zy"] * tb) / np.sqrt(ta * ta + tb * tb + tc * tc)
             return (g["zy"] ** 2 * zdotnu)[:, 0]
@@ -565,7 +584,8 @@ def _per_node_surface(patch, u, n_eps, n_t, weight_fn):
     ne, we = gl_line(*patch.eps_range, n_eps)
     nt, wt = gl_line(*patch.t_range, n_t)
     e, t = ne[:, None], nt[None, :]
-    f, dS, alpha, beta = stability._patch_frame_data(patch, e, t)
+    f = stability._patch_frame_data(patch, e, t)
+    dS, alpha, beta = f["dS"], f["alpha"], f["beta"]
     uu = u.phi(e) * u.psi(t)
     Zu = alpha * (u.phi.deriv(e) * u.psi(t)) + beta * (u.phi(e) * u.psi.deriv(t))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -603,7 +623,7 @@ def _patch_with_zero_nh(column=False):
         zero, one = np.zeros_like(e), np.ones_like(e)
         return (e, t, zero), ((one, zero, zero), (zero, one, zero))
 
-    def geometry(eps, t, z, frame):
+    def pointwise(x, y, z):
         shape = np.shape(z)
         nh = np.ones(shape)
         nh[(..., 0) if column else (0,) * len(shape)] = 0.0
@@ -612,7 +632,7 @@ def _patch_with_zero_nh(column=False):
                 "grad_s_nu_z": zero, "H": zero}
 
     return SurfacePatch("zero-nh", None, (-1.0, 1.0), (-1.0, 1.0), chart,
-                        geometry=geometry, eps_invariant=column)
+                        geometry=tangent_geometry(chart, pointwise), eps_invariant=column)
 
 
 def test_zero_nh_node_is_finite_where_z_u_vanishes():
@@ -710,6 +730,51 @@ INVARIANT = {
 def _close(got, want):
     got, want = np.broadcast_arrays(got, want)
     return bool(np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))))
+
+
+#: the adapted patches and a sweep of each kind of base curve
+CLOSED_FORMS = {
+    **{name: lambda name=name, params=params: patch_for_catalog(name, params)
+       for name, params in ADAPTED},
+    "ruled-exp": lambda: _ruled("exp", Point(0.3, -0.2, 0.1)),
+    "ruled-x-line": lambda: _ruled("x-line", Point(0.4, -0.6, 0.2)),
+    "ruled-y-line": lambda: _ruled("y-line", Point(-0.5, 0.3, -0.4)),
+}
+
+
+@pytest.mark.parametrize("make", list(CLOSED_FORMS.values()), ids=list(CLOSED_FORMS))
+def test_closed_form_area_and_z_coordinates_are_the_tangent_route(make):
+    # the area element and Z's coordinates against the chart's tangents, in
+    # closed form, against the first-fundamental-form solve on the tangents;
+    # on a sweep the t-nodes include the singular curve at t = 0
+    patch = make()
+    e = gl_line(*patch.eps_range, 16)[0][:, None]
+    t = gl_line(*patch.t_range, 16)[0]
+    if patch.singular == "curve":
+        t = np.append(t, 0.0)
+    t = t[None, :]
+    got = patch.geom(e, t)
+    tf = chart_frame(patch.chart, e, t)
+    want = dict(zip(("dS", "alpha", "beta"),
+                    tangent_solve(tf.t1, tf.t2, (got["zx"], got["zy"], 0.0))))
+    for key, w in want.items():
+        g, w = np.broadcast_arrays(got[key], w)
+        assert np.all(np.abs(g - w) <= 1e-14 * (1.0 + np.abs(w))), key
+    if patch.singular == "curve":  # Z = sigma dF/dt exactly
+        assert np.all(got["alpha"] == 0.0)
+        assert np.array_equal(np.broadcast_to(got["beta"], t.shape), np.copysign(1.0, t))
+
+
+@pytest.mark.parametrize("name", ["plane-ab", "saddle-curve", "ruled-exp", "ruled-x-line",
+                                  "ruled-y-line"])
+def test_sweep_tables_have_no_eps_derivative_terms(name):
+    # Z = sigma dF/dt on a sweep, so Z(u) = sigma phi psi' and Q(u) has no
+    # phi' terms: K_aa and K_ab vanish exactly, not to round-off
+    patch = CLOSED_FORMS[name]()
+    for n_eps, n_t in ((3, 4), (6, 8)):
+        lv = stability._level_table(patch, n_eps, n_t)
+        assert np.all(lv.k_aa == 0.0) and np.all(lv.k_ab == 0.0)
+        assert np.all(lv.k_bb > 0.0)
 
 
 @pytest.mark.parametrize("make", list(INVARIANT.values()), ids=list(INVARIANT))

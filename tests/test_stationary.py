@@ -24,7 +24,7 @@ from solgeo.stationary import (
     sweep_surface,
     uniqueness_scan,
 )
-from solgeo.surface import raw_fields
+from solgeo.surface import EPS_SING, raw_fields
 
 
 def on_surface_fields(field, p: Point) -> dict:
@@ -409,7 +409,7 @@ def test_singular_point_surface_posts(rng):
         f = catalog("saddle-point", x0=p0.x, y0=p0.y, z0=-p0.z)
         # the base point is on the surface and is its singular point
         d = on_surface_fields(f, p0)
-        assert d["singular"]
+        assert d["nh"] < EPS_SING
         # residual vanishes identically on and off the surface
         x, y, z = rng.uniform(-2, 2, (3, 200))
         fields = raw_fields(f, x, y, z)
@@ -436,13 +436,13 @@ def test_singular_point_surface_origin_formula():
 def test_family_surfaces():
     f = catalog("plane-ab", a=1.0, b=1.0, c=0.0)
     # singular line sits in z = log sqrt(b/a) = 0
-    assert on_surface_fields(f, Point(0.5, -0.5, 0.0))["singular"]
-    assert not on_surface_fields(f, Point(0.5, -0.5, 1.0))["singular"]
+    assert on_surface_fields(f, Point(0.5, -0.5, 0.0))["nh"] < EPS_SING
+    assert on_surface_fields(f, Point(0.5, -0.5, 1.0))["nh"] >= EPS_SING
 
     # a = 1, b = 0: no singular point anywhere on the plane
     h = catalog("plane-ab", a=1.0, b=0.0, c=0.5)
     for z in np.linspace(-3, 3, 11):
-        assert not on_surface_fields(h, Point(-0.5, 1.0, float(z)))["singular"]
+        assert on_surface_fields(h, Point(-0.5, 1.0, float(z)))["nh"] >= EPS_SING
 
     with pytest.raises(BadParams):
         catalog("nope")
@@ -462,7 +462,7 @@ def test_saddle_curve_translations_are_minimal(rng):
         fields = raw_fields(f, x, y, z)
         assert np.max(np.abs(fields["residual_coord"])) < 1e-10
         # singular set is the vertical line through (x0, y0)
-        assert on_surface_fields(f, Point(float(x0), float(y0), 2.0))["singular"]
+        assert on_surface_fields(f, Point(float(x0), float(y0), 2.0))["nh"] < EPS_SING
 
 
 def test_nongeodesic_family_witness(rng):

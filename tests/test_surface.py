@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from solgeo.expressions import catalog, parse
-from solgeo.surface import raw_fields
+from solgeo.surface import EPS_SING, raw_fields
 
 SQ = 1.0 / math.sqrt(2.0)
 
@@ -24,9 +24,25 @@ def unit_normal(f):
     return tuple(-f[w] / f["grad_norm"] for w in ("W1", "W2", "W3"))
 
 
+def residual_frame(field, x, y, z):
+    """The frame form Y(u)^2 XX(u) - Y(u) X(u) (YX(u) + XY(u)) + X(u)^2 YY(u)
+    of the residual from the partials of ``field``, with X = d/dz and
+    Y = (-e^z d/dx + e^-z d/dy)/sqrt2: the reference that the coordinate
+    polynomial ``residual_coord`` equals twice."""
+    ux, uy, uz = field.grad_arrays(x, y, z)
+    uxx, uxy, uxz, uyy, uyz, uzz = field.hessian_arrays(x, y, z)
+    ez, emz = np.exp(z), np.exp(-z)
+    W1, W2 = uz, (-ez * ux + emz * uy) * SQ
+    XX = uzz
+    YX = (-ez * uxz + emz * uyz) * SQ
+    XY = (-ez * (ux + uxz) + emz * (uyz - uy)) * SQ
+    YY = 0.5 * (ez * ez * uxx - 2.0 * uxy + emz * emz * uyy)
+    return W2 * W2 * XX - W1 * W2 * (YX + XY) + W1 * W1 * YY
+
+
 def test_point_data_plane_x():
     f = on_surface_fields(catalog("plane-x"), 0.0, 1.0, 1.0)
-    assert not f["singular"]
+    assert f["nh"] >= EPS_SING
     assert [f["nu1"], f["nu2"]] == pytest.approx([0, 1], abs=1e-14)
     assert [f["zx"], f["zy"]] == pytest.approx([-1, 0], abs=1e-14)
     assert f["nt"] == pytest.approx(-SQ)
@@ -35,12 +51,12 @@ def test_point_data_plane_x():
 
 def test_point_data_saddle_curve_axis_singular():
     f = on_surface_fields(catalog("saddle-curve"), 0.0, 0.0, 5.0)
-    assert f["singular"]
+    assert f["nh"] < EPS_SING
 
 
 def test_point_data_plane_z():
     f = on_surface_fields(catalog("plane-z"), 3.0, -2.0, 0.0)
-    assert not f["singular"]
+    assert f["nh"] >= EPS_SING
     assert unit_normal(f) == pytest.approx((-1, 0, 0), abs=1e-14)  # N = -X
     assert f["nh"] == pytest.approx(1.0)
     assert f["nt"] == pytest.approx(0.0)
@@ -53,7 +69,7 @@ def test_point_data_invariants(rng):
     n1, n2, n3 = unit_normal(f)
     assert n1 ** 2 + n2 ** 2 + n3 ** 2 == pytest.approx(np.ones(50), abs=1e-12)
     assert f["nh"] ** 2 + f["nt"] ** 2 == pytest.approx(np.ones(50), abs=1e-10)
-    ok = ~f["singular"]
+    ok = f["nh"] >= EPS_SING
     assert ok.any()
     nu1, nu2, zx, zy, nh, nt = (f[k][ok] for k in ("nu1", "nu2", "zx", "zy", "nh", "nt"))
     n1, n2, n3 = n1[ok], n2[ok], n3[ok]
@@ -98,7 +114,7 @@ def test_nu_h_matches_generic_construction(rng):
                 continue
             x = x - f.values(x, y, z) / g[0]
             d = on_surface_fields(f, x, y, z)
-            if d["singular"]:
+            if d["nh"] < EPS_SING:
                 continue
             count += 1
             ux, uy, uz = f.grad_arrays(x, y, z)
@@ -112,13 +128,13 @@ def test_mean_curvature_trivially_minimal():
     for field, p in ((catalog("plane-x", c=0.7), (-0.7, 3, -1)),
                      (catalog("saddle-point"), (-1, 1, 0))):
         f = on_surface_fields(field, *p)
-        assert not f["singular"]
+        assert f["nh"] >= EPS_SING
         assert f["H"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mean_curvature_nonzero_for_tilted():
     f = on_surface_fields(parse("x + y + z"), 1.0, -2.0, 1.0)
-    assert not f["singular"]
+    assert f["nh"] >= EPS_SING
     assert abs(f["H"]) > 1e-3
 
 
@@ -134,8 +150,8 @@ def test_residual_forms_agree_even_with_uxx(rng):
     # fields with nonvanishing u_xx exercise the x-second-derivative term;
     # the coordinate polynomial is twice the frame form, off the surface too
     x, y, z = rng.uniform(-1.5, 1.5, (3, 50))
-    f = raw_fields(parse("x^2 + exp(z)*y + x*y*z"), x, y, z)
-    coord, frame = f["residual_coord"], f["residual_frame"]
+    field = parse("x^2 + exp(z)*y + x*y*z")
+    coord, frame = raw_fields(field, x, y, z)["residual_coord"], residual_frame(field, x, y, z)
     assert np.all(np.abs(coord - 2.0 * frame) <= 1e-9 * (1.0 + np.abs(coord) + np.abs(frame)))
     assert coord == pytest.approx(2.0 * frame, rel=1e-9, abs=1e-9)
 
@@ -143,7 +159,7 @@ def test_residual_forms_agree_even_with_uxx(rng):
 def test_residual_consistent_with_mean_curvature(rng):
     y, z = rng.uniform(-1.5, 1.5, (2, 30))
     f = on_surface_fields(catalog("tilted", a=1.0, b=1.0, c=1.0, d=0.0), -(y + z), y, z)
-    ok = ~f["singular"]
+    ok = f["nh"] >= EPS_SING
     assert ok.any()
     normalized = f["residual_coord"][ok] / f["normalized_residual_den"][ok]
     assert normalized == pytest.approx(2.0 * f["H"][ok], rel=1e-9, abs=1e-12)
@@ -162,7 +178,7 @@ def test_residual_vanishes_iff_mean_curvature_does(rng):
                 continue
             x = x - field.values(x, y, z) / g[0]
             f = on_surface_fields(field, x, y, z)
-            if f["singular"]:
+            if f["nh"] < EPS_SING:
                 continue
             small_res = abs(f["residual_coord"]) < 1e-8 * (1.0 + f["grad_norm"] ** 4)
             small_h = abs(f["H"]) < 1e-8
@@ -188,7 +204,7 @@ def test_raw_fields_vectorized_consistency(rng):
 
 def test_residual_identity_symbolically():
     # a second symbolic engine: for a generic u(x, y, z), the coordinate
-    # polynomial and the frame form as raw_fields writes them differ by the
+    # polynomial and the frame form as ``residual_frame`` writes them differ by the
     # factor 2 exactly, and XY, YX, YY are the frame operators applied twice
     sp = pytest.importorskip("sympy")
     x, y, z = sp.symbols("x y z", real=True)
