@@ -5,6 +5,7 @@ Usage:
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
         --seed S --pairs N --seconds T --out BENCH_<n>.json
+    python3 scripts/bench_pairs.py PARENT_TREE PARENT_TREE ...   # A/A control
 
 Each tree is a checkout with its own ``bench/run.py``, ``src/`` and
 ``BENCHMARK.json``.  Pair i runs ``bench/run.py --trace 0`` in the parent
@@ -21,11 +22,19 @@ is not won), the parent's interquartile range and a verdict:
   - ``gain``: the change wins at least nine tenths of all pairs run, its
     median is better than the parent's by more than the parent's IQR, and
     its median ``ops_ok_frac`` is no lower than the parent's;
+  - ``withheld``: a ``gain`` whose median gap does not exceed the gap of
+    an A/A group on the same workload, when one was run;
   - ``worse``: the change's median is worse than the parent's by more than
     the metric's bound, as a fraction of the parent's median;
   - ``unresolved``: the parent's IQR exceeds that bound, and not every
     change run is better than every parent run;
   - ``no worse``: none of these.
+
+Each run records the tree it ran in.  Pairs whose two sides ran the same
+tree (the parent passed as both trees) form an A/A group of their own, with
+the same protocol and summary: any gap it shows is the noise of the
+protocol, and a ``gain`` there is a false one.  Every claim metric on a
+workload with an A/A group carries that group's median gap and verdict.
 """
 
 import argparse
@@ -71,19 +80,25 @@ def _metric_summary(pairs, better, bound, runs, gain_allowed):
 
 
 def summarize(runs, end_to_end):
-    """One summary per (workload, seed) of ``runs``, the records this script
-    writes; ``end_to_end`` is the list of that name in ``BENCHMARK.json``.
-    Quartiles use the complete pairs; wins are counted over all pairs run."""
-    groups = {}
+    """One summary per (workload, seed, kind) of ``runs``, the records this
+    script writes, where kind is ``A/A`` for the pairs whose sides ran the
+    same tree and ``claim`` for the others; ``end_to_end`` is the list of
+    that name in ``BENCHMARK.json``.  Quartiles use the complete pairs; wins
+    are counted over all pairs run."""
+    pairs = {}
     for run in runs:
-        groups.setdefault((run["workload"], run["seed"]), {}).setdefault(
-            run["pair"], {})[run["side"]] = run
+        pairs.setdefault((run["workload"], run["seed"], run["pair"]), {})[run["side"]] = run
+    groups = {}
+    for (workload, seed, pair), sides in pairs.items():
+        trees = [sides.get(side, {}).get("tree") for side in ("parent", "change")]
+        kind = "A/A" if trees[0] is not None and trees[0] == trees[1] else "claim"
+        groups.setdefault((workload, seed, kind), {})[pair] = sides
     out = []
-    for (workload, seed), by_pair in sorted(groups.items()):
+    for (workload, seed, kind), by_pair in sorted(groups.items()):
         complete = [p for _, p in sorted(by_pair.items())
                     if all(p.get(side, {}).get("rc") == 0 and p[side].get("result")
                            for side in ("parent", "change"))]
-        entry = {"workload": workload, "seed": seed, "pairs": len(complete),
+        entry = {"workload": workload, "seed": seed, "kind": kind, "pairs": len(complete),
                  "incomplete_pairs": len(by_pair) - len(complete), "metrics": {}}
         values = {spec["name"]: [tuple(p[side]["result"]["metrics"][spec["name"]]["value"]
                                        for side in ("parent", "change")) for p in complete]
@@ -95,6 +110,18 @@ def summarize(runs, end_to_end):
             entry["metrics"][spec["name"]] = _metric_summary(
                 values[spec["name"]], spec["better"], spec["bound"], len(by_pair), gain_allowed)
         out.append(entry)
+    for entry in out:
+        controls = [e for e in out if e["kind"] == "A/A" and e["workload"] == entry["workload"]]
+        if entry["kind"] == "A/A" or not controls:
+            continue
+        for name, metric in entry["metrics"].items():
+            aa = max((e["metrics"][name] for e in controls if name in e["metrics"]),
+                     key=lambda m: abs(m["median_gap"]), default=None)
+            if aa is None:
+                continue
+            metric["aa_median_gap"], metric["aa_verdict"] = aa["median_gap"], aa["verdict"]
+            if metric["verdict"] == "gain" and metric["median_gap"] <= abs(aa["median_gap"]):
+                metric["verdict"] = "withheld"
     return out
 
 
@@ -144,7 +171,8 @@ def main(argv=None):
             record = _run(trees[side], args.workload, args.seed, args.seconds)
             doc["runs"].append({"workload": args.workload, "seed": args.seed,
                                 "seconds": args.seconds, "trace": 0, "pair": pair,
-                                "side": side, **record})
+                                "side": side, "tree": os.path.abspath(trees[side]),
+                                **record})
             doc["summary"] = summarize(doc["runs"], end_to_end)
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1)

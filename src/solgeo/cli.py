@@ -38,6 +38,7 @@ from .stationary import uniqueness_scan  # noqa: F401
 from .surface import EPS_SING, raw_fields
 from .curves import check_height, eval_curve, integrate_ode, is_geodesic, make_curve
 from .stability import (
+    _check_nodes,
     area_compare,
     battery_test_functions,
     compare_q_forms,
@@ -198,20 +199,21 @@ def cmd_residual(o: dict) -> dict:
     field = _resolve_surface(o)
     x0, x1, y0, y1, z0, z1 = o["window"]
     n = o["grid"]
-    # the seven CSV columns as one block, which the writer reads without a copy
-    columns = np.empty((7, n, n, n))
-    X, Y, Z = columns[:3]
-    X[...], Y[...], Z[...] = np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n),
-                                         np.linspace(z0, z1, n), indexing="ij", sparse=True)
+    _check_nodes((n, n, n), 1, "the residual table", "--grid")
+    # the grid's axes; each field keeps the shape it varies over, and the
+    # nodes and masks are broadcast to the grid where an index or a count needs it
+    X, Y, Z = np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n),
+                          np.linspace(z0, z1, n), indexing="ij", sparse=True)
+    nodes = np.broadcast_arrays(X, Y, Z)
     # far from z = 0, e^{2z} times a partial can overflow: the residual check
     # below turns that into an error instead of a null in the summary
     with np.errstate(over="ignore", invalid="ignore"):
         f = raw_fields(field, X, Y, Z)
-    bad = ~np.isfinite(f["residual_coord"])
+    bad = np.broadcast_to(~np.isfinite(f["residual_coord"]), (n, n, n))
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
         raise EvaluationError("the minimal-surface residual is not finite",
-                              (X[i], Y[i], Z[i]))
+                              tuple(v[i] for v in nodes))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         normalized = f["residual_coord"] / f["normalized_residual_den"]
@@ -221,26 +223,24 @@ def cmd_residual(o: dict) -> dict:
     # normalized residual is checkable only where eps times the summand
     # magnitude resolves against D^3 (away from the singular set)
     noise = 16.0 * np.finfo(float).eps * f["residual_scale"]
-    band = on_surface & nonsing & (noise < 0.25e-9 * f["normalized_residual_den"])
+    band = np.broadcast_to(on_surface & nonsing & (noise < 0.25e-9 * f["normalized_residual_den"]),
+                           bad.shape)
     if not band.any():
         raise GeometryError(
             f"the on-surface band is empty: no grid point has |u|/|grad u| < {o['band']:g} "
             f"with a checkable normalized residual")
 
-    for C, key in zip(columns[3:], ("nh", "H", "residual_coord", "nt")):
-        C[...] = f[key]
     write_csv(os.path.join(o["out"], "residual.csv"),
-              ["x", "y", "z", "Nh", "H", "residual", "NT"], columns.reshape(7, -1).T)
+              ["x", "y", "z", "Nh", "H", "residual", "NT"],
+              [X, Y, Z, f["nh"], f["H"], f["residual_coord"], f["nt"]])
 
-    singular_pts = np.argwhere(on_surface & ~nonsing)
+    singular_pts = np.argwhere(np.broadcast_to(on_surface & ~nonsing, bad.shape))
     summary = {
         "max_abs_residual": float(np.max(np.abs(f["residual_coord"]))),
-        "max_abs_normalized_residual_on_surface": float(np.max(np.abs(normalized[band]))),
+        "max_abs_normalized_residual_on_surface":
+            float(np.max(np.abs(np.broadcast_to(normalized, bad.shape)[band]))),
         "on_surface_points": int(np.sum(band)),
-        "singular_loci": [
-            [float(X[tuple(i)]), float(Y[tuple(i)]), float(Z[tuple(i)])]
-            for i in singular_pts[:100]
-        ],
+        "singular_loci": [[float(v[tuple(i)]) for v in nodes] for i in singular_pts[:100]],
         "singular_count": int(len(singular_pts)),
     }
     summary["minimal_flag"] = bool(summary["max_abs_normalized_residual_on_surface"] < 1e-9)
@@ -277,6 +277,7 @@ def cmd_curve(o: dict) -> dict:
         raise ConfigError("need --alpha")
     v0 = _horizontal_unit(p0, o["alpha"])
     curve = make_curve(p0, v0)
+    _check_nodes((o["n"],), 1, "the curve table", "--n")
     t0, t1 = o["t"]
     ts = np.linspace(t0, t1, o["n"])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,7 +314,7 @@ def cmd_curve(o: dict) -> dict:
             devs.append(float(np.max(np.abs(p.points - ref))))
         summary["oracle_sup_deviation"] = max(devs) if devs else 0.0
     write_csv(os.path.join(o["out"], "curve.csv"),
-              ["t", "x", "y", "z", "xdot", "ydot", "zdot"], np.column_stack([ts, pos, vel]))
+              ["t", "x", "y", "z", "xdot", "ydot", "zdot"], [ts, *pos.T, *vel.T])
     return summary
 
 
@@ -336,9 +337,11 @@ def _gamma_from_options(o) -> HorizontalCurve:
 def cmd_sweep(o: dict) -> dict:
     gamma = _gamma_from_options(o)
     ne, nt = o["grid"]
+    _check_nodes((ne, nt), 1, "the sweep grid", "--grid")
     s = sweep_surface(gamma, o["eps"], o["t"], grid=(ne, nt))
     tg = s.t_grid()
-    E, T = np.meshgrid(s.eps_grid(), tg, indexing="ij")
+    axes = np.meshgrid(s.eps_grid(), tg, indexing="ij", sparse=True)
+    E, T = np.broadcast_arrays(*axes)
     # |N_h| from the cross product of the tangents; <V, T> from V = dF/deps
     with np.errstate(over="ignore", invalid="ignore"):
         (X, Y, Z), (V, F_t) = s.chart(E, T)
@@ -368,7 +371,7 @@ def cmd_sweep(o: dict) -> dict:
     verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
     write_obj(os.path.join(o["out"], "sweep.obj"), verts, (ne, nt))
     write_csv(os.path.join(o["out"], "sweep.csv"), ["eps", "t", "x", "y", "z", "Nh", "VT"],
-              np.stack([E, T, X, Y, Z, nh, vt], axis=-1).reshape(-1, 7))
+              [*axes, X, Y, Z, nh, vt])
 
     summary = {
         "branch": gamma.kind,

@@ -1,16 +1,17 @@
 """Flat-file exporters: CSV (oracle-grade precision), OBJ meshes, JSON.
 
 CSV cells are numbers formatted with ``%.17g``: 17 significant digits, so
-downstream tools can use the rows as oracles.  The writer formats each
-distinct value of a column once over the whole table and looks the text up
-for its other cells: the bytes are those of formatting every cell.  OBJ
-carries 9 (visualization grade).  JSON summaries are written with sorted
-keys and shortest round-trip floats, so identical inputs give
-byte-identical files.
+downstream tools can use the rows as oracles.  The writer takes a table as
+columns that broadcast against each other, each at its own shape, formats
+each distinct value of a column once and looks the text up for its other
+cells: the bytes are those of formatting every cell.  OBJ carries 9
+(visualization grade).  JSON summaries are written with sorted keys and
+shortest round-trip floats, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator
@@ -24,48 +25,60 @@ import numpy as np
 _CSV_CHUNK = 1024
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, columns) -> None:
     """Header line, then one line per row of numbers, each cell ``%.17g``.
 
-    ``rows`` is anything ``np.asarray(rows, dtype=float)`` takes, or an
-    iterator of rows.  A column with at most half its cells distinct over
-    the whole table has each distinct value formatted once; distinct means a
-    distinct bit pattern, since -0.0 and 0.0 print differently.  Other
-    columns are formatted cell by cell, each run of adjacent ones with one
-    ``%`` template per block of ``_CSV_CHUNK`` rows, which gives the run's
-    text of each row.  A block's lines are its rows' pieces joined by commas.
+    ``columns`` (or an iterator of them) holds one array per header name;
+    they broadcast against each other, and the rows are the broadcast shape
+    in C order.  A column with at most half the table's cells distinct has
+    each distinct value of its own array formatted once (distinct bit
+    patterns: -0.0 and 0.0 print differently), and adjacent such columns are
+    joined once at their joint shape while it is smaller than the table.
+    Each run of other columns is formatted with one ``%`` template per block
+    of ``_CSV_CHUNK`` rows.  A block's lines are its rows' pieces joined.
     """
-    if isinstance(rows, Iterator):
-        rows = list(rows)
-    m = len(header)
-    data = np.asarray(rows, dtype=float).reshape(-1, m)
-    # a line's pieces, left to right: (j, k, text) is columns j..k-1, where
-    # text is the text of every cell of a looked-up column (k = j + 1), or
-    # None for a run of columns formatted per cell
+    if isinstance(columns, Iterator):
+        columns = list(columns)
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    n_rows = math.prod(shape)
+    # a line's pieces, left to right: (looked up, the texts of adjacent
+    # looked-up columns or a run of columns formatted per cell)
     pieces = []
-    for j, col in enumerate(data.T):
-        distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * len(distinct) <= len(col):
+    for col in columns:
+        distinct, inverse = np.unique(col.view(np.int64).ravel(), return_inverse=True)
+        lookup = 2 * len(distinct) <= n_rows
+        if lookup:
             text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], object)
-            pieces.append((j, j + 1, text[inverse]))
-        elif pieces and pieces[-1][2] is None:
-            pieces[-1] = (pieces[-1][0], j + 1, None)
+            col = text[inverse].reshape(col.shape)
+        if pieces and pieces[-1][0] == lookup and (not lookup or math.prod(
+                np.broadcast_shapes(col.shape, *(c.shape for c in pieces[-1][1]))) < n_rows):
+            pieces[-1][1].append(col)
         else:
-            pieces.append((j, j + 1, None))
+            pieces.append((lookup, [col]))
+    # per piece, None and each row's text, or a %-template and each row's cells
+    flat = []
+    for lookup, cols in pieces:
+        if lookup:
+            text = functools.reduce(lambda a, b: a + "," + b, cols)  # at the joint shape
+            flat.append((None, np.broadcast_to(np.asarray(text, object), shape).ravel()))
+        else:
+            cells = np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1)
+            flat.append((",".join(["%.17g"] * len(cols)) + "\n",
+                         cells.reshape(n_rows, len(cols))))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(data), _CSV_CHUNK):
-            block = data[start:start + _CSV_CHUNK]
+        for start in range(0, n_rows, _CSV_CHUNK):
             parts = []
-            for j, k, text in pieces:
-                if text is None:
-                    line = ",".join(["%.17g"] * (k - j)) + "\n"
-                    cells = block[:, j:k].ravel().tolist()
-                    parts.append((line * len(block) % tuple(cells)).split("\n")[:-1])
+            for line, cells in flat:
+                block = cells[start:start + _CSV_CHUNK]
+                if line is None:
+                    parts.append(block.tolist())
                 else:
-                    parts.append(text[start:start + len(block)].tolist())
+                    parts.append((line * len(block) % tuple(block.ravel().tolist()))
+                                 .split("\n")[:-1])
             fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 

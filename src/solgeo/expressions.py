@@ -393,25 +393,25 @@ class ScalarField:
     # -- array API (used by grid evaluation downstream) ----------------------
 
     def values(self, x, y, z):
-        """u as a read-only view broadcast over the inputs."""
+        """u, read-only at its own shape, which broadcasts over the inputs."""
         return self._eval_arrays(self.expr, x, y, z)
 
     def grad_arrays(self, x, y, z):
-        """(ux, uy, uz) as read-only views broadcast over the inputs."""
+        """(ux, uy, uz), read-only at their own shapes (see ``values``)."""
         return tuple(self._eval_arrays(g, x, y, z) for g in self.grad_exprs)
 
     def hessian_arrays(self, x, y, z):
-        """(uxx, uxy, uxz, uyy, uyz, uzz) as read-only views broadcast over
-        the inputs."""
+        """(uxx, uxy, uxz, uyy, uyz, uzz), read-only at their own shapes (see
+        ``values``)."""
         return tuple(self._eval_arrays(h, x, y, z) for h in self.hess_exprs)
 
     @staticmethod
     def _eval_arrays(expr: Expr, x, y, z):
-        """``expr`` at the nodes, checked as the tree returns it (a constant
-        stays one number) and broadcast to the nodes' shape without a copy;
-        a pole or an overflow raises EvaluationError at its first node."""
+        """``expr`` at the nodes as a read-only view at the shape the tree
+        gives it (a constant stays one number, a partial along one axis stays
+        a line of it); a pole or an overflow raises EvaluationError at its
+        first node of the broadcast grid."""
         x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
         message = "field evaluation is not finite"
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -421,9 +421,10 @@ class ScalarField:
             value, message = np.asarray(np.nan), str(e)
         bad = ~np.isfinite(value)
         if bad.any():
+            shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
             i = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
             raise EvaluationError(message, tuple(np.broadcast_to(v, shape)[i] for v in (x, y, z)))
-        return np.broadcast_to(value, shape)
+        return np.broadcast_to(value, value.shape)  # a read-only view
 
 
 def parse(source: str) -> ScalarField:

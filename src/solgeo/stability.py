@@ -507,16 +507,17 @@ def _geom_rows(patch: SurfacePatch, e, t):
 MAX_NODES = 1 << 21
 
 
-def _check_nodes(grid, per_cell: int, what: str) -> None:
+def _check_nodes(grid, per_cell: int, what: str, option: str = "--n") -> None:
     """BadParams for a grid axis below 1, which would leave the result
     vacuous or end in a raw numpy error, and for more than MAX_NODES nodes
-    at the finest level, ``per_cell`` nodes per cell of ``grid``."""
+    at the finest level, ``per_cell`` nodes per cell of ``grid``; the
+    message names the CLI ``option`` that sets the grid."""
     if min(grid) < 1:
         raise BadParams(f"{what} needs a grid of at least 1 per axis, got {tuple(grid)}")
     count = per_cell * math.prod(grid)
     if count > MAX_NODES:
         raise BadParams(f"{what} needs {count} nodes at its finest level, over the "
-                        f"limit of {MAX_NODES}; lower --n")
+                        f"limit of {MAX_NODES}; lower {option}")
 
 
 # Overflowing parameters produce non-finite intermediates; the finiteness

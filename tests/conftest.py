@@ -6,6 +6,7 @@ import pytest
 
 from solgeo.frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 from solgeo.stationary import EPS_SCAN, RuledSurface, sweep_surface
+from solgeo.surface import raw_fields
 
 #: central-difference step in eps of the <V, T> oracle
 VT_FD_STEP = 1e-6
@@ -133,6 +134,34 @@ def singular_loci_by_rows(tg, vt) -> list:
              "t_max": float(chunk[-1]), "samples": int(len(chunk))}
             for chunk in (ts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
             if len(chunk)]
+
+
+#: the --u forms of the residual benchmark, and a constant field
+RESIDUAL_U_FORMS = ("(0.8)*x + (-1.2)*y + (0.3)", "(0.5)*x^2 + y + (0.2)",
+                    "exp(z + (0.1))*(y + (-0.3)) + x + (0.2)", "z + (0.5)*x*x + (-0.3)",
+                    "(0.5)*z + (0.7)*x + (1.4)*y + (0.8)", "3")
+
+
+def grid_axes(window, n):
+    """The x, y and z axes of an n^3 window grid, shaped (n,1,1), (1,n,1)
+    and (1,1,n), as ``cmd_residual`` builds them."""
+    x0, x1, y0, y1, z0, z1 = window
+    return np.meshgrid(np.linspace(x0, x1, n), np.linspace(y0, y1, n), np.linspace(z0, z1, n),
+                       indexing="ij", sparse=True)
+
+
+def dense_residual_route(field, window, n):
+    """The residual table built densely: X, Y and Z filled to all n^3
+    nodes, ``raw_fields`` on them, and the seven CSV columns as one (n^3, 7)
+    table.  The reference for the route that keeps the grid in its axes."""
+    columns = np.empty((7, n, n, n))
+    X, Y, Z = columns[:3]
+    X[...], Y[...], Z[...] = grid_axes(window, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = raw_fields(field, X, Y, Z)
+    for C, key in zip(columns[3:], ("nh", "H", "residual_coord", "nt")):
+        C[...] = f[key]
+    return f, columns.reshape(7, -1).T
 
 
 def reference_csv(header, rows):

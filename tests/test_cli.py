@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_csv, singular_loci_by_rows
+from conftest import (RESIDUAL_U_FORMS, dense_residual_route, reference_csv,
+                      singular_loci_by_rows)
 from solgeo.cli import main
-from solgeo.expressions import CATALOG, CATALOG_NAMES
+from solgeo.expressions import CATALOG, CATALOG_NAMES, catalog, parse
 
 
 def run(argv):
@@ -150,6 +151,18 @@ def test_residual_csv_past_one_block_is_cell_by_cell_formatting(tmp_path, surfac
     assert len(lines) == 1 + 34**3
     rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
     assert text == reference_csv(lines[0].split(","), rows)
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + RESIDUAL_U_FORMS[:-1])
+def test_residual_csv_is_the_dense_table(tmp_path, source):
+    window = ["-1.7", "2.1", "-2.2", "1.3", "-1.1", "1.9"]
+    surface = ["--surface", source] if source in CATALOG_NAMES else ["--u", source]
+    assert run(["residual", *surface, "--window", *window, "--grid", "11",
+                "--out", str(tmp_path)]) == 0
+    field = catalog(source) if source in CATALOG_NAMES else parse(source)
+    _, table = dense_residual_route(field, [float(w) for w in window], 11)
+    assert read(tmp_path / "residual.csv") == reference_csv(
+        ["x", "y", "z", "Nh", "H", "residual", "NT"], table.tolist())
 
 
 @pytest.mark.parametrize("argv,key,value", [
@@ -708,14 +721,19 @@ def test_overflowing_heights_and_unread_options_exit_2_or_3(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("argv, nodes", [
-    (["area", "--surface", "plane-y", "--n", "200000", "--eta", "0.3"], (16 * 160000) ** 2),
-    (["qform", "--surface", "saddle-point", "--n", "91"], (16 * 91) ** 2),
-    (["sufficient", "--surface", "plane-x", "--n", "1449"], 1449 ** 2),
+    (["stability", "area", "--surface", "plane-y", "--n", "200000", "--eta", "0.3"],
+     (16 * 160000) ** 2),
+    (["stability", "qform", "--surface", "saddle-point", "--n", "91"], (16 * 91) ** 2),
+    (["stability", "sufficient", "--surface", "plane-x", "--n", "1449"], 1449 ** 2),
+    # the residual table has grid^3 rows, the sweep grid ne nt and the curve n
+    (["residual", "--surface", "plane-x", "--grid", "2000"], 2000 ** 3),
+    (["sweep", "--grid", "100000", "100000"], 100000 ** 2),
+    (["curve", "--alpha", "0.4", "--n", "2097153"], 2097153),
 ])
 def test_grid_over_the_node_cap_exits_2(tmp_path, capsys, argv, nodes):
     from solgeo.stability import MAX_NODES
 
-    assert run(["stability", *argv, "--out", str(tmp_path / "o")]) == 2
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"needs {nodes} nodes at its finest level, over the limit of {MAX_NODES}" in err
@@ -723,9 +741,16 @@ def test_grid_over_the_node_cap_exits_2(tmp_path, capsys, argv, nodes):
 
 
 def test_largest_documented_grids_stay_under_the_node_cap(tmp_path):
+    from solgeo.errors import BadParams
+    from solgeo.stability import _check_nodes
+
     # qform --n 64 runs in the memory gate test below
     assert run(["stability", "area", "--surface", "plane-x", "--n", "100",
                 "--out", str(tmp_path / "a")]) == 0
+    # residual --grid 128 is a table of exactly MAX_NODES rows
+    _check_nodes((128, 128, 128), 1, "the residual table", "--grid")
+    with pytest.raises(BadParams):
+        _check_nodes((128, 128, 129), 1, "the residual table", "--grid")
 
 
 def _peak_rss_mb(argv, out) -> float:

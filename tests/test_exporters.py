@@ -1,5 +1,7 @@
 """The block-formatted writers against the per-cell and per-line rules they
-replaced, byte for byte."""
+replaced, byte for byte.  ``write_csv`` takes a table as its columns, which
+broadcast against each other; the oracle formats the rows of the broadcast
+table cell by cell."""
 
 import tempfile
 from pathlib import Path
@@ -31,7 +33,7 @@ def test_csv_special_cells(tmp_path):
              1.0 / 3.0, 0, 1, -7, np.int64(3), 2**60, np.float32(0.1)]
     rows = [cells[i:i + 3] for i in range(0, len(cells), 3)]
     path = tmp_path / "s.csv"
-    write_csv(path, HEADER, rows)
+    write_csv(path, HEADER, [[row[j] for row in rows] for j in range(3)])
     assert path.read_bytes() == reference_csv(HEADER, rows)
 
 
@@ -40,17 +42,16 @@ def test_csv_special_cells(tmp_path):
 def test_csv_chunk_edges(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     data = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
-    rows = [list(r) for r in data]
     path = tmp_path / "e.csv"
-    write_csv(path, HEADER, rows)
-    assert path.read_bytes() == reference_csv(HEADER, rows)
+    write_csv(path, HEADER, list(data.T))
+    assert path.read_bytes() == reference_csv(HEADER, data.tolist())
 
 
 def test_csv_one_shot_iterator(tmp_path):
-    # rows that can be read once, as the benchmark's traced runs pass them
+    # columns that can be read once, as the benchmark's traced runs pass them
     x = np.linspace(-2.0, 2.0, 2 * _CSV_CHUNK + 17)
     path = tmp_path / "z.csv"
-    write_csv(path, HEADER, iter(zip(x, x * x, np.exp(x))))
+    write_csv(path, HEADER, iter([x, x * x, np.exp(x)]))
     assert path.read_bytes() == reference_csv(HEADER, zip(x, x * x, np.exp(x)))
 
 
@@ -115,12 +116,48 @@ def tables(draw):
 def test_csv_matches_per_cell_formatting(data):
     header = [f"c{j}" for j in range(data.shape[1])]
     expected = reference_csv(header, data.tolist())
-    transposed = np.ascontiguousarray(data.T).T  # rows strided, columns contiguous
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.csv"
-        for rows in (data, transposed, data.tolist()):
-            write_csv(path, header, rows)
+        # strided columns, contiguous columns, and lists
+        for columns in (data.T, np.ascontiguousarray(data.T), data.T.tolist()):
+            write_csv(path, header, columns)
             assert path.read_bytes() == expected
+
+
+@st.composite
+def broadcast_columns(draw):
+    """Columns of 0 to 3 axes that broadcast against each other: each keeps
+    each axis of a drawn shape or collapses it to 1, and may drop leading
+    axes.  A column holds a small pool of values, so that it repeats, or
+    distinct values."""
+    shape = tuple(draw(st.lists(st.integers(0, 13), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        keep = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+        own = tuple(n if k else 1 for n, k in zip(shape, keep))
+        own = own[draw(st.integers(0, len(own))):]
+        size = int(np.prod(own))
+        if draw(st.booleans()):
+            pool = np.concatenate([rng.standard_normal(3), EDGE_CELLS[:3]])
+            values = pool[rng.integers(0, len(pool), size)]
+        else:
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        columns.append(values.reshape(own))
+    return columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(broadcast_columns())
+def test_csv_of_broadcast_columns_is_the_dense_table(columns):
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    header = [f"c{j}" for j in range(len(columns))]
+    dense = [np.broadcast_to(c, shape).ravel() for c in columns]
+    expected = reference_csv(header, zip(*dense))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1)])

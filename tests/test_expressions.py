@@ -84,11 +84,16 @@ def test_array_api_returns_read_only_views_of_the_tree_value():
     f = parse("x*x + 3*y")
     x, y = np.linspace(-1, 1, 5)[:, None], np.linspace(0, 2, 4)[None, :]
     ux, uy, uz = f.grad_arrays(x, y, 0.5)
-    assert ux.shape == uy.shape == uz.shape == (5, 4)
-    # a constant derivative is one number broadcast to the nodes, not a copy
-    assert uy.strides == uz.strides == (0, 0) and np.all(uy == 3.0)
-    for arr in (f.values(x, y, 0.5), ux, *f.hessian_arrays(x, y, 0.5)):
+    # each partial at the shape it varies over: ux along x, uy and uz constant
+    assert (ux.shape, uy.shape, uz.shape) == ((5, 1), (), ())
+    assert np.all(ux == 2.0 * x) and uy == 3.0 and uz == 0.0
+    assert f.values(x, y, 0.5).shape == (5, 4)
+    assert [h.shape for h in f.hessian_arrays(x, y, 0.5)] == [()] * 6
+    for arr in (f.values(x, y, 0.5), ux, uy, *f.hessian_arrays(x, y, 0.5)):
         assert not arr.flags.writeable
+    # a tree that is one coordinate is a view of it, and leaves it writeable
+    u = parse("x").values(x, y, 0.5)
+    assert np.shares_memory(u, x) and not u.flags.writeable and x.flags.writeable
     # a bad node is still located on the broadcast grid
     with pytest.raises(EvaluationError) as exc:
         parse("1 / (x - 0.5)").values(x, y, 0.0)
@@ -231,7 +236,8 @@ def _split_occurrences(sp, source):
 
     text = re.sub(r"(?<![a-z])[xyz](?![a-z])", rename, source).replace("^", "**")
     names = {s.name: s for symbols in occurrences.values() for s in symbols}
-    return sp.sympify(text, locals={**names, "exp": sp.exp}), [occurrences[v] for v in "xyz"]
+    return (sp.sympify(text, locals={**names, "exp": sp.exp}, evaluate=False),
+            [occurrences[v] for v in "xyz"])
 
 
 def _value_and_magnitude(sp, e, at):
@@ -239,24 +245,29 @@ def _value_and_magnitude(sp, e, at):
     magnitude M: the same evaluation with every Add replaced by the sum of its
     terms' magnitudes, and every product by the product of its factors' M.
     b^k with k < 0 scales |b^k| by (M_b/|b|)^|k|, and exp(a) scales its value
-    by 1 + M_a, which is how an error in b or a reaches them; M >= |value|."""
+    by 1 + M_a, which is how an error in b or a reaches them; M >= |value|.
+    A constant subtree has M = |value|, and is evaluated in floats too:
+    sympy's own evaluation of exp(exp(1e6)) runs for half a minute."""
     if e.is_Symbol:
         return at[e], abs(at[e])
-    if e.is_number:
-        v = np.float64(float(e))
+    if not e.args:
+        # a number; zoo, which an unevaluated source can leave, has no float
+        v = np.float64(float(e) if e.is_extended_real else np.nan)
         return v, abs(v)
     values, mags = zip(*(_value_and_magnitude(sp, a, at) for a in e.args))
     if e.is_Add:
-        return sum(values), sum(mags)
-    if e.is_Mul:
-        return math.prod(values), math.prod(mags)
-    if e.is_Pow:
+        v, m = sum(values), sum(mags)
+    elif e.is_Mul:
+        v, m = math.prod(values), math.prod(mags)
+    elif e.is_Pow:
         (b, k), (mb, _) = values, mags
         v = b ** k
-        return v, mb ** k if k > 0 else abs(v) * (mb / abs(b)) ** -k
-    assert isinstance(e, sp.exp), e
-    v = np.exp(values[0])
-    return v, v * (1.0 + mags[0])
+        m = mb ** k if k > 0 else abs(v) * (mb / abs(b)) ** -k
+    else:
+        assert isinstance(e, sp.exp), e
+        v = np.exp(values[0])
+        m = v * (1.0 + mags[0])
+    return (v, abs(v)) if e.is_number else (v, m)
 
 
 def _roundings(e):
@@ -277,11 +288,13 @@ def _roundoff_misses(source, nodes):
     """The partials of ``source`` that miss their round-off bound at
     ``nodes``, each as (partial, node, got, want, tolerance).
 
-    A second symbolic engine: sympy differentiates the same source, and its
-    derivative is evaluated in floats by _value_and_magnitude (lambdify
-    prints Floats to 15 digits, an error of up to 22 eps in the reference).
-    Nodes where solgeo raises (a pole, an overflow) are skipped, and so is a
-    partial whose reference value or magnitude M is not finite.
+    A second symbolic engine: sympy differentiates the same source, read
+    unevaluated (so a constant such as exp(exp(1e6)) is not evaluated to
+    arbitrary precision), and its derivative is evaluated in floats by
+    _value_and_magnitude (lambdify prints Floats to 15 digits, an error of
+    up to 22 eps in the reference).  Nodes where solgeo raises (a pole, an
+    overflow) are skipped, and so is a partial whose reference value or
+    magnitude M is not finite, as at a pole of sympy's derivative.
 
     Tolerance: max(1e-9, 1e-9 |w|), as before, plus the round-off bound
     c eps M.  M is the magnitude of the derivative with every occurrence of
@@ -304,9 +317,8 @@ def _roundoff_misses(source, nodes):
     sp = pytest.importorskip("sympy")
     f = parse(source)
     x, y, z = sp.symbols("x y z", real=True)
-    u = sp.sympify(source.replace("^", "**"), locals={"x": x, "y": y, "z": z, "exp": sp.exp})
-    if u.has(sp.zoo, sp.nan):
-        return []  # no finite value anywhere, e.g. (x) / ((y) - (y))
+    u = sp.sympify(source.replace("^", "**"), locals={"x": x, "y": y, "z": z, "exp": sp.exp},
+                   evaluate=False)
     v = (x, y, z)
     pairs = [(i,) for i in range(3)] + [(i, j) for i in range(3) for j in range(i, 3)]
     want = [sp.diff(u, *(v[i] for i in ij)) for ij in pairs]
@@ -336,6 +348,8 @@ def _roundoff_misses(source, nodes):
 
 @given(_sources(), st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=4))
 @example("(y) / (y)", [(0.0, 1.4467581967271798e-46, 0.0)])
+# sympy's evaluation of this constant, exp(e^1,000,000), runs for half a minute
+@example("exp(exp((1e-3)^-2))", [(0.0, 0.0, 0.0)])
 @settings(max_examples=100, deadline=None)
 def test_partials_match_sympy(source, nodes):
     # Every partial within its round-off bound, a quotient's near the bottom

@@ -60,6 +60,59 @@ def _record(pair, side, rc=0, **values):
             "result": {"metrics": metrics} if rc == 0 else None}
 
 
+#: residual-export ops_per_s at seed 79 in BENCH_24.json, (parent, change)
+#: per pair: a "gain" in 9 of 10 pairs, though no op reached the changed code
+#: (that change sped up the ruled sweeps)
+FALSE_GAIN = [(21.414, 22.020), (19.003, 18.087), (21.960, 24.290), (20.660, 24.646),
+                        (22.676, 23.716), (21.135, 24.492), (23.052, 24.172), (21.522, 22.684),
+                        (21.113, 23.388), (21.229, 25.342)]
+
+
+def _pairs(values, trees, first=0):
+    runs = []
+    for i, sides in enumerate(values):
+        for side, tree, v in zip(("parent", "change"), trees, sides):
+            runs.append(dict(_record(first + i, side, ops_per_s=v, ops_ok_frac=1.0),
+                             workload="residual-export", seed=79, tree=tree))
+    return runs
+
+
+def test_bench_pairs_withholds_a_gain_the_a_a_control_also_shows():
+    # canned run records only: no benchmark is launched
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "ops_ok_frac", "better": "higher", "bound": 0.01}]
+    summarize = _bench_pairs().summarize
+    claim = _pairs(FALSE_GAIN, ("/parent", "/change"))
+    (entry,) = summarize(claim, end_to_end)
+    assert entry["kind"] == "claim"
+    ops = entry["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["verdict"]) == (9, "gain")
+    assert ops["median_gap"] == pytest.approx(23.944 - 21.3215)
+
+    # the parent against itself, same protocol: the change side reads as
+    # fast as the change of BENCH_24.json did
+    control = _pairs([(p, p + 2.7 + 0.05 * i) for i, (p, _) in enumerate(FALSE_GAIN)],
+                     ("/parent", "/parent"), first=10)
+    got = {e["kind"]: e for e in summarize(claim + control, end_to_end)}
+    assert got["A/A"]["pairs"] == got["claim"]["pairs"] == 10
+    assert got["A/A"]["metrics"]["ops_per_s"]["verdict"] == "gain"
+    ops = got["claim"]["metrics"]["ops_per_s"]
+    assert ops["aa_median_gap"] == got["A/A"]["metrics"]["ops_per_s"]["median_gap"]
+    assert ops["aa_median_gap"] > ops["median_gap"]
+    assert (ops["aa_verdict"], ops["verdict"]) == ("gain", "withheld")
+
+    # a quiet control leaves the claim standing
+    quiet = _pairs([(p, p + 0.01 * (-1) ** i) for i, (p, _) in enumerate(FALSE_GAIN)],
+                   ("/parent", "/parent"), first=10)
+    got = {e["kind"]: e for e in summarize(claim + quiet, end_to_end)}
+    assert got["claim"]["metrics"]["ops_per_s"]["verdict"] == "gain"
+    assert got["A/A"]["metrics"]["ops_per_s"]["verdict"] == "no worse"
+    # records without a tree, as before the A/A control, are claims
+    (entry,) = summarize([{k: v for k, v in r.items() if k != "tree"} for r in claim],
+                         end_to_end)
+    assert (entry["kind"], entry["metrics"]["ops_per_s"]["verdict"]) == ("claim", "gain")
+
+
 def test_bench_pairs_summary_on_canned_records():
     # canned run records only: no benchmark is launched
     end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},

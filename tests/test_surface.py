@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.expressions import catalog, parse
+from conftest import RESIDUAL_U_FORMS, dense_residual_route, grid_axes
+from solgeo.expressions import CATALOG_NAMES, catalog, parse
 from solgeo.surface import EPS_SING, raw_fields
 
 SQ = 1.0 / math.sqrt(2.0)
@@ -238,3 +239,35 @@ def test_residual_identity_symbolically():
     assert sp.simplify(YX - Y(X(u))) == 0
     assert sp.simplify(YY - Y(Y(u))) == 0
     assert sp.simplify(W1 - X(u)) == 0 and sp.simplify(W2 - Y(u)) == 0
+
+
+WINDOW = (-1.7, 2.1, -2.2, 1.3, -1.1, 1.9)
+
+
+@pytest.mark.parametrize("source", CATALOG_NAMES + RESIDUAL_U_FORMS)
+def test_grid_axes_give_the_dense_route_bit_for_bit(source):
+    field = catalog(source) if source in CATALOG_NAMES else parse(source)
+    n = 9
+    dense, _ = dense_residual_route(field, WINDOW, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sparse = raw_fields(field, *grid_axes(WINDOW, n))
+    assert sparse.keys() == dense.keys()
+
+    def bits(a):
+        # a NaN's sign bit depends on the operand order numpy's loops pick
+        # (u = 3 has NaN grad_s_nu_z of both signs); "%.17g" prints either
+        # as "nan", so NaNs compare by position only
+        a = np.broadcast_to(a, (n, n, n))
+        return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+    for key in dense:
+        assert np.array_equal(bits(sparse[key]), bits(dense[key])), key
+
+
+def test_fields_keep_the_shape_they_vary_over():
+    n = 6
+    f = raw_fields(catalog("plane-x"), *grid_axes(WINDOW, n))
+    # on a vertical plane every frame entry depends on z alone
+    assert f["nh"].shape == f["H"].shape == f["residual_coord"].shape == (1, 1, n)
+    assert f["u"].shape == (n, 1, 1)
+    assert raw_fields(catalog("saddle-point"), *grid_axes(WINDOW, n))["nh"].shape == (1, n, n)
