@@ -362,7 +362,7 @@ def cmd_sweep(o: dict) -> dict:
     probe_ts = probe_ts[np.abs(probe_ts) > 0.05 * (o["t"][1] - o["t"][0])]
     # where the tangents are almost parallel no horizontal normal is left
     with np.errstate(invalid="ignore", divide="ignore"):
-        h_samples = [float(s.intrinsic_mean_curvature(mid_eps, float(t))) for t in probe_ts]
+        h_samples = s.intrinsic_mean_curvature(mid_eps, probe_ts).tolist()
     for t, h in zip(probe_ts, h_samples):
         if not math.isfinite(h):
             raise GeometryError(f"the intrinsic mean curvature is not finite at "

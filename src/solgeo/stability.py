@@ -35,13 +35,12 @@ import numpy as np
 
 from .errors import (BadParams, EvaluationError, GeometryError, Inadmissible, NotMinimal,
                      SingularPointFound)
-from .expressions import ScalarField, catalog, catalog_params, neg
+from .expressions import ScalarField, catalog, catalog_params
 from .frame import SQRT2, Point, TangentFrame
 # bench/spans.py rebinds solgeo.stability.frame_components, so it stays imported here
 from .frame import frame_components  # noqa: F401
 from .stationary import HorizontalCurve, RuledSurface, plane_ab_singular_line_z, sweep_surface
-# bench/spans.py rebinds solgeo.stability.raw_fields, so it stays imported here
-from .surface import EPS_SING, _ratio_fields, frame_algebra, raw_fields  # noqa: F401
+from .surface import EPS_SING, frame_algebra, raw_fields
 
 GL_ORDER = 8
 MINIMALITY_TOL = 1e-7
@@ -333,13 +332,14 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
     if name == "plane-ab":
         a, b, c = p["a"], p["b"], p["c"]
-        if a * b <= 0.0:
+        if a == 0.0 or b == 0.0 or (a < 0.0) != (b < 0.0):
             raise BadParams(
                 "adapted plane-ab patch needs a*b > 0 (otherwise the plane has "
                 "no singular line; use plane-x or plane-y)")
         # base curve: the unit-speed singular line through the foot of the
         # perpendicular from the z-axis; rulings: vertical lines (-X)
-        foot = (-c * a / (a * a + b * b), -c * b / (a * a + b * b))
+        n = math.hypot(a, b)
+        foot = (-c * (a / n) / n, -c * (b / n) / n)
         if not all(map(math.isfinite, foot)):
             raise BadParams(f"plane-ab with a = {a:g}, b = {b:g}, c = {c:g}: the foot of "
                             f"its singular line overflows")
@@ -807,11 +807,6 @@ def compare_q_forms(general: QuadratureReport, simplified: QuadratureReport) -> 
 # Sufficient condition
 # ---------------------------------------------------------------------------
 
-def flipped(field: ScalarField) -> ScalarField:
-    """The same zero set with the opposite orientation of the normal."""
-    return ScalarField.from_expr(neg(field.expr), f"-({field.source})")
-
-
 @_quiet
 def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False) -> dict:
     """Stability test for surfaces with empty singular set.
@@ -825,9 +820,11 @@ def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False)
     solution of f''' = mu^2 f' with mu = |<Z,X>| (non-positive exactly
     when the profile never crosses zero forward in s), left out when no
     node has |<Z,X>| > 1e-9.  The met flag gates on the
-    hypothesis; the diagnostics are reported, not gated on.  The grid is
-    evaluated in blocks of whole eps-rows, about BLOCK_NODES nodes each,
-    and the blocks are reduced by numpy, so a NaN still reaches the sup.
+    hypothesis; the diagnostics are reported, not gated on.  The entries
+    are ``raw_fields`` of ``patch.field`` at the chart's coordinates, and
+    ``flip`` negates <N, T>, the one entry read with an odd power of u.  The
+    grid is evaluated in blocks of whole eps-rows, about BLOCK_NODES nodes
+    each, and the blocks are reduced by numpy, so a NaN still reaches the sup.
     A patch that declares a singular set, or has a singular point on the
     grid, raises SingularPointFound (a grid can miss a singular curve or
     point); a non-finite sup <N, T> raises GeometryError.
@@ -837,7 +834,6 @@ def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False)
             f"the sufficient condition needs an empty singular set; patch "
             f"{patch.name!r} has a singular {patch.singular}")
     _check_nodes(grid, 1, "the sufficient condition")
-    fld = flipped(patch.field) if flip else patch.field
     es = np.linspace(*patch.eps_range, grid[0])
     ts = np.linspace(*patch.t_range, grid[1])
     step = max(1, BLOCK_NODES // ts.size)
@@ -846,7 +842,10 @@ def sufficient_condition(patch: SurfacePatch, grid=(64, 64), flip: bool = False)
     for r0 in range(0, es.size, step):
         E, T = np.meshgrid(es[r0:r0 + step], ts, indexing="ij")
         (X, Y, Z), _ = patch.chart(E, T)
-        f, _ = _ratio_fields(fld, X, Y, Z)
+        f = raw_fields(patch.field, X, Y, Z)
+        if flip:
+            # negating u negates <N,T> exactly and leaves |N_h|, q^2, |zx| and Zq
+            f["nt"] = -f["nt"]
         singular = singular or bool(np.any(f["nh"] < EPS_SING))
         sup_nt.append(np.max(f["nt"]))
         sup_quantity.append(np.max(2.0 * f["Zq"] + f["q"] ** 2))

@@ -354,6 +354,6 @@ def plane_ab_singular_line_z(a: float, b: float) -> float:
     z = log(sqrt(b/a)), taken as a difference of logarithms so that b/a
     cannot overflow.
     """
-    if a * b <= 0:
+    if a == 0.0 or b == 0.0 or (a < 0.0) != (b < 0.0):
         raise BadParams("the plane has a singular line only for a*b > 0")
     return 0.5 * (math.log(abs(b)) - math.log(abs(a)))

@@ -14,8 +14,9 @@ Conventions used throughout:
 
 ``frame_algebra`` is that geometry as arithmetic on e^z, e^-z and the
 coordinate partials of u, whatever supplies them: ``raw_fields`` takes them
-from the expression trees of a scalar field, and the graph patches of
-``stability`` from a height function in closed form.
+from the expression trees of a scalar field, adding u, the residual, q =
+<N,T>/|N_h| and Zq, and the graph patches of ``stability`` from a height
+function in closed form.
 
 The unnormalized minimal-surface residual is the coordinate polynomial
 
@@ -43,21 +44,6 @@ EPS_SING = 1e-9
 def _along(vec, df):
     """Derivative along the coordinate vector ``vec`` from coordinate partials."""
     return vec[0] * df[0] + vec[1] * df[1] + vec[2] * df[2]
-
-
-def _tree_frame(field: ScalarField, x, y, z):
-    """``frame_algebra`` on the expression trees of ``field``, with the
-    partials ``raw_fields`` continues from: (e^z, e^-z, grad u, Hessian of
-    u, d(D), Z in coordinates)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ez = np.exp(z)
-    emz = np.exp(-z)
-    grad = field.grad_arrays(x, y, z)
-    hess = field.hessian_arrays(x, y, z)
-    f, (dD, Zc) = frame_algebra(ez, emz, grad, hess)
-    return f, (ez, emz, grad, hess, dD, Zc)
 
 
 def frame_algebra(ez, emz, grad, hess):
@@ -118,38 +104,31 @@ def frame_algebra(ez, emz, grad, hess):
     return f, (dD, Zc)
 
 
-def _ratio_fields(field: ScalarField, x, y, z):
-    """``_tree_frame`` with the ratio q = <N,T>/|N_h| and its derivative
-    Zq along Z added to the dict; the residuals are left to ``raw_fields``."""
-    f, partials = _tree_frame(field, x, y, z)
-    ez, emz, (ux, uy, uz), (uxx, uxy, uxz, uyy, uyz, uzz), dD, Zc = partials
-    W3, D, D2 = f["W3"], f["D"], f["D2"]
-    dW3 = ((ez * uxx + emz * uxy) / SQRT2,
-           (ez * uxy + emz * uyy) / SQRT2,
-           (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # |grad u| cancels from the ratio
-        f["q"] = -W3 / D
-        dq = tuple(-dW3[i] / D + W3 * dD[i] / D2 for i in range(3))
-        f["Zq"] = _along(Zc, dq)
-    return f, partials
-
-
 def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
 
-    Returns a dict of arrays: the ``frame_algebra`` entries plus u and the
-    coordinate residual; the ratio q = <N,T>/|N_h| and its derivative Zq
-    along Z are left to ``_ratio_fields``.
-    Entries that need division by D (nu_h, Z, curvature, ...) are valid
+    The one place the expression trees of ``field`` are evaluated.  Returns
+    a dict of arrays: the ``frame_algebra`` entries plus u, the coordinate
+    residual, the ratio q = <N,T>/|N_h| and its derivative Zq along Z.
+    Entries that need division by D (nu_h, Z, curvature, q, ...) are valid
     only where |N_h| >= EPS_SING; they are computed with errors silenced
     and contain garbage on the singular set.
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     u = field.values(x, y, z)
-    f, (ez, emz, (ux, uy, uz), hess, _, _) = _tree_frame(field, x, y, z)
-    uxx, uxy, uxz, uyy, uyz, uzz = hess
+    ez, emz = np.exp(z), np.exp(-z)
+    ux, uy, uz = field.grad_arrays(x, y, z)
+    uxx, uxy, uxz, uyy, uyz, uzz = hess = field.hessian_arrays(x, y, z)
+    f, (dD, Zc) = frame_algebra(ez, emz, (ux, uy, uz), hess)
+
+    W3, D, D2 = f["W3"], f["D"], f["D2"]
+    dW3 = ((ez * uxx + emz * uxy) / SQRT2,
+           (ez * uxy + emz * uyy) / SQRT2,
+           (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # |grad u| cancels from the ratio
+        q = -W3 / D
+        Zq = _along(Zc, tuple(-dW3[i] / D + W3 * dD[i] / D2 for i in range(3)))
 
     G = SQRT2 * f["W2"]
     residual_coord = (
@@ -168,10 +147,9 @@ def raw_fields(field: ScalarField, x, y, z):
                                 + 2.0 * emz * np.abs(uyz) + emz * np.abs(uy))
     )
     f.update({
-        "u": u,
+        "u": u, "q": q, "Zq": Zq,
         "residual_coord": residual_coord,
         "residual_scale": residual_scale,
-        "normalized_residual_den": f["D2"] * f["D"],
+        "normalized_residual_den": D2 * D,
     })
     return f
-

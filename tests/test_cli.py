@@ -308,10 +308,13 @@ def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
     ["qform", "--surface", "plane-ab"], ["compare", "--family", "plane_ab"],
     ["sufficient", "--surface", "plane-ab"]], ids=["qform", "compare", "sufficient"])
 @pytest.mark.parametrize("a,b", [("1e-200", "1e200"), ("1e-300", "1e300"),
-                                 ("-1e-200", "-1e200"), ("1e200", "1e-200")])
+                                 ("-1e-200", "-1e200"), ("1e200", "1e-200"),
+                                 ("1e-300", "1e-300"), ("1e300", "1e300"),
+                                 ("-1e-300", "-1e-300")])
 def test_plane_ab_with_a_far_singular_line_exits_0(tmp_path, capsys, recwarn, mode, a, b):
     # b/a overflows, log|b| - log|a| does not: the singular line sits at
-    # z = +-460 or +-691.  The sufficient condition needs an empty singular
+    # z = +-460 or +-691; a*b underflows or overflows, and the signs of a
+    # and b decide.  The sufficient condition needs an empty singular
     # set, so it refuses the plane, far line or not
     battery = [] if mode[0] == "sufficient" else ["--battery", "2"]
     code = run(["stability", *mode, "--param", f"a={a}", "--param", f"b={b}",
@@ -657,7 +660,7 @@ def test_saddle_curve_one_row_tables_agree_with_the_full_grid(tmp_path, params):
     (["curve", "--p0", "0.0", "0.5", "355.0", "--alpha", "1.0", "--n", "2",
       "--t", "1e-300", "4.0963689553304246", "--oracle"], 3),
     (["residual", "--surface", "plane-y", "--grid", "8", "--param", "c=1e308"], 3),
-    (["stability", "qform", "--surface", "plane-ab", "--param", "a=1e300",
+    (["stability", "qform", "--surface", "plane-ab", "--param", "a=1e-300", "--param", "b=1e-300",
       "--param", "c=1e300", "--battery", "2", "--n", "3"], 2),
 ])
 def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, argv, code):

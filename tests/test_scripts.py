@@ -159,3 +159,40 @@ def test_bench_pairs_summary_on_canned_records():
     assert entry["metrics"]["ops_per_s"]["change_wins"] == 9
     assert entry["metrics"]["ops_per_s"]["verdict"] == "no worse"
     assert entry["metrics"]["ops_ok_frac"]["verdict"] == "no worse"
+
+
+#: a stand-in for ``solgeo.cli``: exits with its first argument, prints the
+#: output directory and writes the argv, with TAG appended when "--grid" is in it
+STUB_CLI = """
+import os, sys
+argv = sys.argv[1:]
+out = argv[argv.index("--out") + 1]
+os.makedirs(out)
+with open(os.path.join(out, "summary.json"), "w") as fh:
+    fh.write(repr(argv[:-2]) + (TAG if "--grid" in argv else ""))
+print("wrote", out)
+sys.exit(int(argv[0]))
+"""
+
+
+def _stub_tree(root, tag):
+    pkg = root / "src" / "solgeo"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(STUB_CLI.replace("TAG", repr(tag)))
+    return str(root)
+
+
+@pytest.mark.parametrize("tag, differing", [("", []), ("!", ["0 residual --grid 8"])])
+def test_compare_trees_reports_the_commands_that_differ(tmp_path, tag, differing):
+    argv_file = tmp_path / "argv.txt"
+    argv_file.write_text("# exit code first\n0 residual --grid 8\n\n2 sweep 'a b'\n")
+    parent, change = _stub_tree(tmp_path / "parent", ""), _stub_tree(tmp_path / "change", tag)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_trees.py"),
+                           parent, change, str(argv_file)],
+                          capture_output=True, text=True, timeout=60)
+    *lines, count = proc.stdout.splitlines()
+    assert proc.returncode == (1 if differing else 0), proc.stderr
+    assert count == f"{len(differing)} of 2 commands differ"
+    assert [line.split(":")[0] for line in lines] == differing
+    assert all(line.endswith(": summary.json (exit 0 -> 0)") for line in lines)

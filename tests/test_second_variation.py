@@ -17,26 +17,46 @@ Here b1 = b2, so the eta term vanishes; A is even in eta, since
 (x, y, eta) -> (y, x, -eta) leaves F^2 unchanged, so the remainder is
 O(eta^4).  The integrals below are taken on tensor Gauss-Legendre nodes, not
 by ``area_compare``'s graph quadrature.
+
+The Killing-flow density (ROADMAP, "Killing-flow convexity") gives A''(0)
+on any patch with a transverse Killing field V.  Vary the patch by
+F_s(p) = Phi_{s g(p)}(F(p)), with Phi the flow of V; the flow is a left
+translation, which preserves the frame X, Y, T, so in frame components at
+F(p) the horizontal part of the normal F_s,eps x F_s,t is exactly n0 + s n1:
+
+    n0 = (F_eps x F_t)_h,   n1 = g_eps (V x F_t)_h + g_t (F_eps x V)_h,
+
+and A''(0) = int (n0 x n1)^2 / |n0|^3, with x the 2-D cross product in the
+last.  The normal component of the variation is u = g <V, N>.  The
+coordinate planes use dx on plane-x, dy on plane-y and K = x dx - y dy + dz
+on plane-z, where 1/<V, N> = -e^{k z} with k = 1, -1 and 0.  The patches
+with a singular set come later: there n0 vanishes on the singular curve,
+whose moving kink adds a curve term, and a battery u must be constant
+across the curve, which needs its own setup.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from solgeo.stability import (AREA_WINDOW, BUMP_WIDTH_FRAC, Bump, TestFunction, area_compare,
-                              patch_for_catalog, q_form)
+                              battery_test_functions, patch_for_catalog, q_form)
 
 #: area_compare's bumps: centred on the window, no plateau, BUMP_WIDTH_FRAC of it wide
 B1, B2 = (Bump(0.5 * (lo + hi), 0.0, BUMP_WIDTH_FRAC * 0.5 * (hi - lo)) for lo, hi in AREA_WINDOW)
 
 
 def _nodes(bump, order):
-    """Gauss-Legendre nodes and weights on each half of the bump's support:
-    it is a polynomial of degree 5 on each, joined C^2 at the centre."""
+    """Gauss-Legendre nodes and weights on each polynomial piece of the
+    bump's support: the plateau and the two edges, each edge split at the
+    centre when there is no plateau, where the pieces join C^2."""
     x, w = np.polynomial.legendre.leggauss(order)
-    lo, hi = bump.support()
-    halves = [(lo, bump.center), (bump.center, hi)]
-    nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in halves])
-    weights = np.concatenate([0.5 * (b - a) * w for a, b in halves])
+    c, p, wd = bump.center, bump.plateau, bump.width
+    cuts = sorted({c - wd, c - p, c, c + p, c + wd})
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in pieces])
+    weights = np.concatenate([0.5 * (b - a) * w for a, b in pieces])
     return nodes, weights
 
 
@@ -80,3 +100,128 @@ def test_q_form_is_the_second_variation_on_plane_z():
     a2, a2_error, _ = _a2()
     report = q_form(patch_for_catalog("plane-z"), TestFunction(B1, B2))
     assert abs(report.total - a2) <= report.error_estimate + a2_error, report.total
+
+
+# -- the Killing-flow density on the coordinate planes --------------------------
+
+SQ2 = math.sqrt(2.0)
+
+#: Killing fields: the coordinate components of V at (x, y, z), and the flow
+#: Phi_tau(x, y, z) with the diagonal of its Jacobian
+DX = (lambda x, y, z: (1.0, 0.0, 0.0),
+      lambda tau, x, y, z: ((x + tau, y, z), (1.0, 1.0, 1.0)))
+DY = (lambda x, y, z: (0.0, 1.0, 0.0),
+      lambda tau, x, y, z: ((x, y + tau, z), (1.0, 1.0, 1.0)))
+K = (lambda x, y, z: (x, -y, 1.0),
+     lambda tau, x, y, z: ((x * np.exp(tau), y * np.exp(-tau), z + tau),
+                           (np.exp(tau), np.exp(-tau), 1.0)))
+
+#: a transverse Killing field per coordinate plane, and k with 1/<V, N> = -e^{k z}
+TRANSVERSE = {"plane-x": (DX, 1.0), "plane-y": (DY, -1.0), "plane-z": (K, 0.0)}
+
+
+def _frame(v, z):
+    """Frame components (X, Y, T) of the coordinate vector ``v`` at height z."""
+    vx, vy, vz = v
+    ez, emz = np.exp(z), np.exp(-z)
+    return vz, (-emz * vx + ez * vy) / SQ2, (emz * vx + ez * vy) / SQ2
+
+
+def _cross(a, b):
+    """The metric cross product of frame components."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _variation(kind, patch, u, order):
+    """The chart, g, (g_eps, g_t), n0, n1 and the weights on the tensor nodes
+    over the support of ``u`` for the variation g V with g = u / <V, N>."""
+    (V, _), k = TRANSVERSE[kind]
+    e, we = _nodes(u.phi, order)
+    t, wt = _nodes(u.psi, order)
+    e, t = e[:, None], t[None, :]
+    (x, y, z), (fe, ft) = patch.chart(e, t)
+    phi, dphi, psi, dpsi = u.factors(e, t)
+    G = -np.exp(k * z)
+    # d(G)/d(eps) = k z_eps G, and likewise along t
+    g = phi * psi * G
+    ge = (dphi * psi + k * fe[2] * phi * psi) * G
+    gt = (phi * dpsi + k * ft[2] * phi * psi) * G
+    Fe, Ft, Vf = (_frame(v, z) for v in (fe, ft, V(x, y, z)))
+    n = _cross(Fe, Ft)
+    # 1/G is <V, N> up to the orientation of N
+    v_n = sum(a * b for a, b in zip(Vf, n)) / np.sqrt(sum(a * a for a in n))
+    assert np.allclose(np.abs(v_n * G), 1.0, rtol=1e-13, atol=0.0)
+    n1 = [ge * a + gt * b for a, b in zip(_cross(Vf, Ft)[:2], _cross(Fe, Vf)[:2])]
+    return (x, y, z), (fe, ft), (g, ge, gt), n[:2], n1, we[:, None] * wt[None, :]
+
+
+def killing_density(kind, patch, u, order=24):
+    """A''(0) = int (n0 x n1)^2 / |n0|^3 for the normal variation u of the
+    plane ``kind``."""
+    *_, n0, n1, w = _variation(kind, patch, u, order)
+    cross = n0[0] * n1[1] - n0[1] * n1[0]
+    return float(np.sum(w * cross * cross / np.hypot(*n0) ** 3))
+
+
+def flowed_area(kind, patch, u, s, order=24):
+    """int |N_h| dA of the flowed chart F_s = Phi_{s g}(F) over the support
+    of u, its tangents by the chain rule, its normal at the flowed point;
+    and the largest gap between that normal and n0 + s n1, relative to |n0|."""
+    (V, flow), _ = TRANSVERSE[kind]
+    (x, y, z), (fe, ft), (g, ge, gt), n0, n1, w = _variation(kind, patch, u, order)
+    p, jac = flow(s * g, x, y, z)
+    vs = V(*p)
+    fse = [j * a + s * ge * v for j, a, v in zip(jac, fe, vs)]
+    fst = [j * a + s * gt * v for j, a, v in zip(jac, ft, vs)]
+    ns = _cross(_frame(fse, p[2]), _frame(fst, p[2]))[:2]
+    gap = max(float(np.max(np.abs(a - (b + s * c)))) for a, b, c in zip(ns, n0, n1))
+    return float(np.sum(w * np.hypot(*ns))), gap / float(np.max(np.hypot(*n0)))
+
+
+def _plane_battery(kind):
+    patch = patch_for_catalog(kind, {"c": 0.4})
+    delta = 0.1 * (patch.t_range[1] - patch.t_range[0])
+    return patch, battery_test_functions(patch, 3, 7, delta)
+
+
+def test_killing_density_is_the_committed_plane_z_value():
+    # K on plane-z at c = 0 has <K, N> = -1, so g = -u and n0 x n1 = (u_x - u_y)/sqrt 2
+    patch = patch_for_catalog("plane-z")
+    a2, a2_error, _ = _a2()
+    got = killing_density("plane-z", patch, TestFunction(B1, B2))
+    assert abs(got - a2) <= a2_error, (got, a2)
+    assert got == pytest.approx(2.238714, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", list(TRANSVERSE))
+def test_killing_density_is_the_flowed_chart_second_difference(kind):
+    patch, funcs = _plane_battery(kind)
+    for u in funcs:
+        want = killing_density(kind, patch, u)
+        # the integrands are smooth on each piece; 16 and 24 nodes agree
+        assert killing_density(kind, patch, u, order=16) == pytest.approx(want, rel=1e-12)
+        a0, _ = flowed_area(kind, patch, u, 0.0)
+        errors = []
+        for s in (1e-2, 3e-3, 1e-3):
+            (plus, gap_p), (minus, gap_m) = (flowed_area(kind, patch, u, v) for v in (s, -s))
+            # the flowed normal is exactly affine in s, up to round-off
+            assert max(gap_p, gap_m) <= 1e-13, (s, gap_p, gap_m)
+            errors.append(abs((plus - 2.0 * a0 + minus) / s ** 2 - want))
+        # O(s^2) onto the density, with 64 eps |A| / s^2 of round-off
+        floor = 64 * np.finfo(float).eps * a0 / 1e-6
+        assert errors[1] <= 2.0 * errors[0] * 0.3 ** 2 + floor, errors
+        assert errors[2] <= 2.0 * errors[0] * 0.1 ** 2 + floor, errors
+        assert errors[2] <= 1e-4 * want, errors
+
+
+@pytest.mark.parametrize("kind", list(TRANSVERSE))
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Q(u) is not yet the second "
+                   "variation of area; it exceeds the Killing-flow density for battery u")
+def test_q_form_is_the_killing_density_on_planes(kind):
+    patch, funcs = _plane_battery(kind)
+    for u in funcs:
+        want = killing_density(kind, patch, u)
+        error = (abs(killing_density(kind, patch, u, order=16) - want)
+                 + 64 * np.finfo(float).eps * want)
+        report = q_form(patch, u)
+        assert abs(report.total - want) <= report.error_estimate + error, (report.total, want)

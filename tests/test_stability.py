@@ -26,7 +26,6 @@ from solgeo.stability import (
     area_compare,
     battery_test_functions,
     compare_q_forms,
-    flipped,
     gl_line,
     patch_for_catalog,
     patch_from_ruled,
@@ -371,10 +370,14 @@ BENT_GRAPHS = {
 }
 
 
+def _bent_patch(name):
+    kind, source, h = BENT_GRAPHS[name]
+    return stability._graph_patch(name, parse(source), kind, h, (-1.0, 1.0), (-1.0, 1.0))
+
+
 @pytest.mark.parametrize("name", list(BENT_GRAPHS))
 def test_non_minimal_graph_raises_not_minimal(name):
-    kind, source, h = BENT_GRAPHS[name]
-    patch = stability._graph_patch(name, parse(source), kind, h, (-1.0, 1.0), (-1.0, 1.0))
+    patch = _bent_patch(name)
     e, t = gl_line(-1.0, 1.0, 2)[0][:, None], gl_line(-1.0, 1.0, 3)[0][None, :]
     # H from the closed-form second partials is the field route's H
     assert np.max(np.abs(_graph_routes_agree(patch, e, t)["H"])) > 1e-2
@@ -388,13 +391,15 @@ def test_non_minimal_graph_raises_not_minimal(name):
 #: congruent catalog sweeps.  The saddle-curve surface around the vertical
 #: line (x0, y0) is a left translation of the one around the z-axis; every
 #: plane a x + b y + c = 0 with a b > 0 is the image of x + y = 0 under a
-#: left translation, (a, b, c) being defined up to a common factor.  Each patch's chart is the
-#: translate of the first one's, over the same parameter ranges.
+#: left translation, (a, b, c) being defined up to a common factor, where a*b
+#: may underflow or overflow.  Each patch's chart is the translate of the
+#: first one's, over the same parameter ranges.
 CONGRUENT = {
     "saddle-curve": [{"x0": 0.0, "y0": 0.0}, {"x0": 1e6, "y0": -1e8}, {"x0": 0.4, "y0": -0.3},
                      {"x0": -1e12, "y0": 0.0}],
     "plane-ab": [{"a": 1.0, "b": 1.0, "c": 0.0}, {"a": 2.0, "b": 0.5, "c": 0.3},
-                 {"a": -0.5, "b": -2.0, "c": -0.2}, {"a": 1e-3, "b": 5e2, "c": 1e6}],
+                 {"a": -0.5, "b": -2.0, "c": -0.2}, {"a": 1e-3, "b": 5e2, "c": 1e6},
+                 {"a": 1e-300, "b": 1e-300, "c": 0.0}, {"a": 1e300, "b": 1e300, "c": 1.0}],
 }
 
 
@@ -921,24 +926,20 @@ def test_sufficient_condition_rejects_singular_patch():
         sufficient_condition(patch, grid=(17, 17))
 
 
-def test_flipped_field():
-    f = catalog("plane-x")
-    g = flipped(f)
-    assert g.value(Point(0.5, 1, 1)) == -f.value(Point(0.5, 1, 1))
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_flipped_source_parses_to_the_negated_field(name, rng):
-    f = catalog(name)
-    g = flipped(f)
-    reread = parse(g.source)
-    assert reread.expr == g.expr
-    x, y, z = rng.uniform(-2.0, 2.0, (3, 64))
-    for h in (g, reread):
-        assert np.array_equal(h.values(x, y, z), -f.values(x, y, z))
-        for got, want in zip(h.grad_arrays(x, y, z) + h.hessian_arrays(x, y, z),
-                             f.grad_arrays(x, y, z) + f.hessian_arrays(x, y, z)):
-            assert np.array_equal(got, -want)
+@pytest.mark.parametrize("name, c", [(name, c) for name in ("plane-x", "plane-y", "plane-z")
+                                     for c in (-1.3, 0.0, 0.4, 2.5)] + [("bowl", None)])
+def test_flip_is_the_report_on_the_negated_field(name, c):
+    # negating u negates <N,T> exactly and leaves every other entry the
+    # report reads, so the flip is a sign, not a second field; on the bent
+    # graph q and Zq vary
+    patch = _bent_patch(name) if name in BENT_GRAPHS else patch_for_catalog(name, {"c": c})
+    negated = dataclasses.replace(patch, field=parse(f"-({patch.field.source})"))
+    flipped = sufficient_condition(patch, grid=(24, 31), flip=True)
+    want = sufficient_condition(negated, grid=(24, 31))
+    assert repr({**flipped, "flip": False}) == repr(want)
+    assert flipped["flip"] is True
+    if name == "bowl":
+        assert "sup_a_plus_b" in want and want["sup_quantity"] != 0.0
 
 
 @pytest.mark.parametrize("name, params, flip", [

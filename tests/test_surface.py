@@ -241,6 +241,41 @@ def test_residual_identity_symbolically():
     assert sp.simplify(W1 - X(u)) == 0 and sp.simplify(W2 - Y(u)) == 0
 
 
+#: bent fields on which q and Zq vary: graphs with every second partial of
+#: the height non-zero, an exponential and a quotient
+BENT_SOURCES = ("z - 0.3*x^2 - 0.2*x*y + 0.1*y^2", "y - 0.2*x*z - 0.1*z^2",
+                "exp(z + 0.1)*(y - 0.3) + x*x*z + 0.2", "x*y - exp(-z)*x + z^3/(1 + y*y)")
+
+
+@pytest.mark.parametrize("source", BENT_SOURCES)
+def test_q_and_zq_match_sympy(source, rng):
+    # a second symbolic engine: q = -T(u)/sqrt(X(u)^2 + Y(u)^2) and its
+    # derivative along Z = (Y(u) X - X(u) Y)/D, at 30 digits
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    x, y, z = sp.symbols("x y z", real=True)
+    u = sp.sympify(source.replace("^", "**"), locals={"x": x, "y": y, "z": z})
+    ez, emz, r2 = sp.exp(z), sp.exp(-z), sp.sqrt(2)
+
+    def X(g):
+        return sp.diff(g, z)
+
+    def Y(g):
+        return (-ez * sp.diff(g, x) + emz * sp.diff(g, y)) / r2
+
+    D = sp.sqrt(X(u) ** 2 + Y(u) ** 2)
+    q = -(ez * sp.diff(u, x) + emz * sp.diff(u, y)) / r2 / D
+    zq = (Y(u) * X(q) - X(u) * Y(q)) / D
+    reference = sp.lambdify((x, y, z), (q, zq), "mpmath")
+    nodes = rng.uniform(-1.0, 1.0, (3, 5))
+    f = raw_fields(parse(source), *nodes)
+    with mpmath.workdps(30):
+        for i, node in enumerate(nodes.T):
+            for key, w in zip(("q", "Zq"), reference(*map(mpmath.mpf, node))):
+                want = float(w)
+                assert abs(f[key][i] - want) <= 1e-12 * abs(want), (key, node, f[key][i], want)
+
+
 WINDOW = (-1.7, 2.1, -2.2, 1.3, -1.1, 1.9)
 
 
