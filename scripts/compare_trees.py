@@ -10,6 +10,9 @@ command line for ``solgeo.cli``, split as a shell would split it.  Each
 command runs as ``python3 -m solgeo.cli <argv> --out <dir>`` with
 ``PYTHONPATH=<tree>/src``, first in PARENT_TREE and then in CHANGE_TREE,
 with the same ``<dir>`` on both sides, since the summary records ``--out``.
+A line that gives its own ``--out`` (say, a path through a regular file)
+runs as written, in the current directory, and only its exit code, stdout
+and stderr are compared.
 The two runs are compared on exit code, stdout, stderr and the bytes of
 every file written under ``<dir>``.  One line is printed per command that
 differs, naming what differs, then a count; the exit status is 1 when any
@@ -35,7 +38,8 @@ def run(tree, argv, out):
     """(exit code, stdout, stderr, {relative path: bytes}) of one command."""
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    proc = subprocess.run([sys.executable, "-m", "solgeo.cli", *argv, "--out", out],
+    tail = [] if "--out" in argv else ["--out", out]
+    proc = subprocess.run([sys.executable, "-m", "solgeo.cli", *argv, *tail],
                           env=env, capture_output=True)
     files = {}
     for root, _, names in os.walk(out):

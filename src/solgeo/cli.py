@@ -10,10 +10,11 @@ stability  qform | compare | sufficient | area
 Each command handler takes the checked options and returns its results;
 ``main`` writes them as a JSON summary embedding the fully resolved
 configuration and the tool version, so identical configurations (including
-the seed) reproduce byte-identical summaries.  Exit codes: 0 ok, 2 usage or
-config error (including parameters a construction rejects, non-finite
-values and options a run would ignore), 3 numerical or precondition
-failure, 4 internal error.
+the seed) reproduce byte-identical summaries.  Options come from the flags,
+and ``_DEFAULTS`` fills in the rest.  Exit codes: 0 ok, 2 usage error
+(including parameters a construction rejects, non-finite values, options a
+run would ignore and an --out that cannot be written), 3 numerical or
+precondition failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _values(v) -> list:
     return list(v) if isinstance(v, (list, tuple)) else [v]
 
 
-#: the options each stability mode reads, besides --out and --config
+#: the options each stability mode reads, besides --out
 _STABILITY_READS = {
     "qform": {"surface", "param", "battery", "n", "delta", "seed"},
     "compare": {"family", "param", "battery", "n", "delta", "seed"},
@@ -69,7 +70,7 @@ _STABILITY_READS = {
 def _validate(o: dict, given: set, parser: argparse.ArgumentParser) -> None:
     """Reject option values that no run can use or that a run would ignore.
 
-    ``given`` names the options set by a flag or by the config file.
+    ``given`` names the options set by a flag.
     """
     if "mode" in o:
         unread = sorted(given - _STABILITY_READS[o["mode"]] - {"mode", "out"})
@@ -100,68 +101,12 @@ def _validate(o: dict, given: set, parser: argparse.ArgumentParser) -> None:
         raise ConfigError(f"--theta sets the velocity of --gamma exp, not {o['gamma']}")
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _coerce(key, value, action: argparse.Action):
-    """A config-file string as the value its option's argparse action stores.
-
-    The action gives the type and the number of values; a store_const flag
-    takes a boolean, and a repeatable option any number of values.
-    """
-    if not action.option_strings:
-        raise ConfigError(f"config key {key} is set by the positional argument, "
-                          f"not a config file")
-    many = action.nargs is not None or isinstance(action, argparse._AppendAction)
-    parts = value.replace(",", " ").split() if many else [value]
-    try:
-        if action.nargs == 0:
-            return _BOOLS[value.lower()]
-        out = [(action.type or str)(p) for p in parts]
-    except (KeyError, ValueError):
-        raise ConfigError(f"config key {key}: bad value {value!r}") from None
-    if isinstance(action.nargs, int) and len(out) != action.nargs:
-        raise ConfigError(f"config key {key} takes {action.nargs} values, got {len(out)}")
-    return out if many else out[0]
-
-
 def _merge(args: argparse.Namespace, defaults: dict) -> tuple:
-    """Flag > config file > default, per option; returns the options and
-    the set of those a flag or the config file gave.
-
-    Every config-file value is checked against the argparse action of its
-    option in the subcommand's parser, also where a flag overrides it.
-    """
-    actions = {a.dest: a for a in args.parser._actions}
-    fromfile = {}
-    if getattr(args, "config", None):
-        fromfile = _load_config_file(args.config)
-    unknown = sorted(set(fromfile) - set(defaults))
-    if unknown:
-        raise ConfigError(f"{args.config}: {args.command} has no option {', '.join(unknown)}")
-    out, given = {}, set(fromfile)
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        value = _coerce(key, fromfile[key], actions[key]) if key in fromfile else default
-        out[key] = value if flag is None else flag
-        if flag is not None:
-            given.add(key)
-    return out, given
+    """Flag over default, per option; returns the options and the set of
+    those a flag gave."""
+    given = {key for key in defaults if getattr(args, key, None) is not None}
+    return {key: getattr(args, key) if key in given else default
+            for key, default in defaults.items()}, given
 
 
 def _parse_params(items) -> dict:
@@ -186,8 +131,6 @@ def _resolve_surface(options):
     name = options["surface"]
     if not name:
         raise ConfigError("need --surface NAME or --u EXPR")
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"unknown surface {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
     return catalog(name, **_parse_params(options["param"]))
 
 
@@ -329,9 +272,7 @@ def _gamma_from_options(o) -> HorizontalCurve:
         return HorizontalCurve.x_line(p0)
     if kind == "y-line":
         return HorizontalCurve.y_line(p0)
-    if kind == "exp":
-        return HorizontalCurve.from_initial_data(p0, _horizontal_unit(p0, o["theta"]))
-    raise ConfigError(f"unknown --gamma kind {kind!r}")
+    return HorizontalCurve.from_initial_data(p0, _horizontal_unit(p0, o["theta"]))
 
 
 def cmd_sweep(o: dict) -> dict:
@@ -440,7 +381,7 @@ def cmd_stability(o: dict) -> dict:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not change
-    it, and ``_merge`` only reads the actions of a subcommand's parser."""
+    it, and ``_validate`` only reads the actions of a subcommand's parser."""
     ap = argparse.ArgumentParser(
         prog="solgeo",
         description="Sub-Riemannian geometry toolkit for the Sol manifold E(1,1)")
@@ -449,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.set_defaults(parser=p)
-        p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("residual", help="minimal-surface residual on a window grid")
@@ -538,6 +478,9 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ExprSyntaxError, BadParams) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # from the writers: --out is not a directory one can write in
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
     except GeometryError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -131,6 +131,11 @@ def battery_test_functions(patch, count: int, seed: int, delta: float):
     if patch.singular == "curve" and delta * 1.2 > 0.45 * t_half:
         raise BadParams(f"delta {delta:g} is too wide for the patch: 1.2*delta must "
                         f"not exceed {0.45 * t_half:g}, 0.45 of its half t-range")
+    # a point bump's plateau is at most 0.9 of a width as small as 0.35 of the half range
+    point_bound = 0.9 * (0.35 * min(e_half, t_half))
+    if patch.singular == "point" and delta > point_bound:
+        raise BadParams(f"delta {delta:g} is too wide for the patch: delta must not "
+                        f"exceed {point_bound:g}, 0.9*0.35 of its smaller half range")
     out = []
     for _ in range(count):
         if patch.singular == "curve":

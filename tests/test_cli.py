@@ -245,36 +245,6 @@ def test_determinism_byte_identical(tmp_path):
     assert first == second
 
 
-def test_config_file_precedence(tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("grid=8\nband=0.2\n")
-    out = tmp_path / "cf"
-    code = run(["residual", "--surface", "plane-x", "--config", str(cfgfile),
-                "--grid", "6", "--out", str(out)])
-    assert code == 0
-    summary = json.loads(read(out / "summary.json"))
-    # flag beats config file; config file beats default
-    assert summary["config"]["grid"] == 6
-    assert summary["config"]["band"] == 0.2
-
-
-@pytest.mark.parametrize("argv, line, key", [
-    (["residual", "--surface", "plane-x"], "grid=abc", "grid"),
-    (["residual", "--surface", "plane-x"], "window=1 2 3", "window"),
-    (["residual", "--surface", "plane-x"], "band=", "band"),
-    (["curve", "--alpha", "0.3"], "oracle=maybe", "oracle"),
-])
-def test_bad_config_value_exit_2(tmp_path, capsys, argv, line, key):
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(line + "\n")
-    code = run([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "bv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"config key {key}" in err
-    assert not (tmp_path / "bv").exists()
-
-
 def test_config_validation(tmp_path, capsys):
     code = run(["residual", "--surface", "plane-x", "--grid", "1",
                 "--out", str(tmp_path / "v")])
@@ -284,7 +254,7 @@ def test_config_validation(tmp_path, capsys):
 def test_unknown_surface(tmp_path, capsys):
     code = run(["stability", "sufficient", "--surface", "plane-ab",
                 "--param", "a=1", "--param", "b=-1", "--out", str(tmp_path / "u")])
-    # adapted patch refuses a*b < 0 which has no singular line: config error
+    # adapted patch refuses a*b < 0 which has no singular line: usage error
     assert code in (2, 3)
 
 
@@ -399,6 +369,7 @@ def test_sweep_far_base_curve_is_quiet(tmp_path, capsys):
     ["residual", "--surface", "plane-x", "--eps-sing", "1e-6"],
     ["sweep", "--gamma", "line"],
     ["residual", "--surface", "saddle-curve", "--param", "z0=1"],
+    ["residual", "--surface", "plane-x", "--config", "run.cfg"],
 ])
 def test_removed_options_exit_2(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "ro")]) == 2
@@ -409,52 +380,15 @@ def test_removed_options_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "ro").exists()
 
 
-#: the command whose option a removed config key spelled, where not curve's
-_REMOVED_KEY_COMMANDS = {"skew": ["sweep"], "v0": ["sweep"],
-                         "eps_sing": ["residual", "--surface", "plane-x"]}
-
-
-@pytest.mark.parametrize("line, key", [
-    ("eps_level=1e-3", "eps_level"),
-    ("seed=4", "seed"),
-    ("bogus=1", "bogus"),
-    ("skew=0.5", "skew"),
-    ("v=0 0 1", "v"),
-    ("v0=0 0 1", "v0"),
-    ("eps_sing=1e-6", "eps_sing"),
-])
-def test_removed_config_keys_exit_2(tmp_path, capsys, line, key):
-    # a config file may not set what the command line may not
-    cfgfile = tmp_path / "ro.cfg"
-    cfgfile.write_text(line + "\n")
-    argv = _REMOVED_KEY_COMMANDS.get(key, ["curve", "--alpha", "0.3"])
-    code = run([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "ro")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{argv[0]} has no option {key}" in err
-    assert not (tmp_path / "ro").exists()
-
-
 @pytest.mark.parametrize("command", ["residual", "curve", "sweep", "stability"])
 def test_parser_options_are_the_default_keys(command):
-    # _merge reads every default key from the parser's actions: a key whose
-    # flag is gone would make a config-file line an internal error
+    # every default key is an option's dest, and every option has a default
     from solgeo.cli import _DEFAULTS, _build_parser
 
     argv = ["stability", "qform"] if command == "stability" else [command]
     parser = _build_parser().parse_args(argv).parser
-    dests = {a.dest for a in parser._actions} - {"help", "config"}
+    dests = {a.dest for a in parser._actions} - {"help"}
     assert dests == set(_DEFAULTS[command])
-
-
-def test_removed_gamma_choice_in_a_config_file_exit_2(tmp_path, capsys):
-    # a config-file value skips argparse's choices; the sweep refuses it
-    cfgfile = tmp_path / "line.cfg"
-    cfgfile.write_text("gamma = line\n")
-    assert run(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: unknown --gamma kind 'line'\n"
-    assert not (tmp_path / "o").exists()
 
 
 def test_nonfinite_param_exit_2(tmp_path, capsys):
@@ -471,37 +405,6 @@ def test_surface_without_adapted_patch_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "t")])
     assert code == 2
     assert "no adapted patch" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv, line, flags", [
-    (["stability", "qform", "--surface", "plane-x", "--battery", "2", "--n", "4"],
-     "delta=0.5", ["--delta", "0.5"]),
-    (["stability", "qform", "--surface", "plane-z", "--battery", "2", "--n", "4"],
-     "param=c=0.3", ["--param", "c=0.3"]),
-    (["curve", "--alpha", "0", "--t", "0", "1", "--n", "5"], "p0=0 0 1", ["--p0", "0", "0", "1"]),
-    (["curve", "--t", "0", "1", "--n", "5"], "alpha=0.3", ["--alpha", "0.3"]),
-    (["sweep", "--grid", "4", "4"], "x0=0, 0, 1", ["--x0", "0", "0", "1"]),
-])
-def test_config_file_equals_flags(tmp_path, argv, line, flags):
-    # config-file values take their type and arity from the option
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(line + "\n")
-    assert run([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
-    from_file = read(tmp_path / "o" / "summary.json")
-    assert run([*argv, *flags, "--out", str(tmp_path / "o")]) == 0
-    assert from_file == read(tmp_path / "o" / "summary.json")
-
-
-def test_config_mode_exit_2(tmp_path, capsys):
-    # the positional argument sets the mode; a config line may not contradict it
-    cfgfile = tmp_path / "mode.cfg"
-    cfgfile.write_text("mode=area\n")
-    code = run(["stability", "qform", "--surface", "plane-x", "--battery", "2", "--n", "4",
-                "--config", str(cfgfile), "--out", str(tmp_path / "m")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config key mode") and err.count("\n") == 1
-    assert not (tmp_path / "m").exists()
 
 
 def test_sweep_scan_evaluates_the_grid_once(tmp_path, monkeypatch):
@@ -563,20 +466,19 @@ def test_sweep_nonfinite_intrinsic_h_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_main_runs_alike_on_the_cached_and_on_a_fresh_parser(tmp_path, capsys, monkeypatch):
-    # the parser is built once per process; a run after a failed parse and
-    # a run from a config file must not see anything a former run left
+    # the parser is built once per process; a run after a failed parse
+    # must not see anything a former run left
     import solgeo.cli as cli
 
     runs = [
         ["stability", "qform", "--surface", "plane-x", "--nope"],
         ["curve", "--alpha", "0.4", "--n", "12", "--out", "c"],
-        ["sweep", "--config", "run.cfg", "--out", "s"],
+        ["sweep", "--gamma", "x-line", "--grid", "6", "5", "--scan-singular", "--out", "s"],
     ]
     results = {}
     for side in ("fresh", "cached"):
         root = tmp_path / side
         root.mkdir()
-        (root / "run.cfg").write_text("gamma = x-line\ngrid = 6, 5\nscan-singular = yes\n")
         monkeypatch.chdir(root)
         results[side] = []
         for argv in runs:
@@ -669,6 +571,37 @@ def test_bad_input_exits_2_or_3_and_writes_nothing(tmp_path, capsys, recwarn, ar
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("through", ["", "sub"], ids=["a-file", "through-a-file"])
+@pytest.mark.parametrize("argv", [
+    ["residual", "--surface", "plane-x", "--grid", "4"],
+    ["curve", "--alpha", "0.3", "--n", "5"],
+    ["sweep", "--grid", "4", "4"],
+    ["stability", "sufficient", "--surface", "plane-x", "--n", "4"],
+], ids=["residual", "curve", "sweep", "stability"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, argv, through):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"kept\n")
+    out = blocker / through if through else blocker
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out) in err
+    assert blocker.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+def test_saddle_point_delta_bound_does_not_depend_on_the_seed(tmp_path, capsys, seed):
+    # the point bump's plateau is capped at 0.9 of a width drawn from
+    # [0.35, 0.9] of the half range: 0.63 on the default patch
+    argv = ["stability", "qform", "--surface", "saddle-point", "--battery", "3", "--n", "4",
+            "--seed", seed]
+    assert run([*argv, "--delta", "0.8", "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must not exceed 0.63," in err, err
+    assert not (tmp_path / "w").exists()
+    assert run([*argv, "--delta", "0.6", "--out", str(tmp_path / "n")]) == 0
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -785,15 +718,6 @@ def test_sufficient_condition_at_n_1024_peaks_below_150_mb(tmp_path):
     # the 1024 x 1024 grid is evaluated in blocks of whole eps-rows
     argv = ["stability", "sufficient", "--surface", "plane-x", "--n", "1024"]
     assert _peak_rss_mb(argv, tmp_path / "s") < 150.0
-
-
-def test_unread_option_from_a_config_file_exit_2(tmp_path, capsys):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("eta=0.1\n")
-    code = run(["stability", "qform", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert capsys.readouterr().err == "error: stability qform does not read --eta\n"
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -937,8 +861,9 @@ def _cli_argv(draw):
                *draw(st.sampled_from([[], ["--delta", *floats(1)]]))]
     if mode == "residual":
         name = draw(st.sampled_from(CATALOG_NAMES))
+        band = draw(st.sampled_from([[], ["--band", *floats(1)]]))
         return ["residual", "--surface", name, *params(name), "--grid", draw(small),
-                "--window", *ranges(3)]
+                "--window", *ranges(3), *band]
     if mode == "curve":
         oracle = ["--oracle"] if draw(st.booleans()) else []
         return ["curve", "--p0", *floats(3), "--alpha", *floats(1), "--t", *ranges(1),
@@ -966,27 +891,38 @@ def _cli_argv(draw):
     return ["stability", "qform", "--surface", name, *params(name), *battery]
 
 
-@given(_cli_argv())
+#: where the fuzz points --out: a fresh directory, a regular file or a path through one
+_FUZZ_OUTS = st.sampled_from(["fresh", "file", "through"])
+
+
+@given(_cli_argv(), _FUZZ_OUTS)
 @example(["curve", "--p0", "0.0", "0.5", "355.0", "--alpha", "1.0", "--n", "2",
-          "--t", "1e-300", "4.0963689553304246", "--oracle"])
+          "--t", "1e-300", "4.0963689553304246", "--oracle"], "fresh")
 @example(["sweep", "--gamma", "y-line", "--x0", "-1.0", "4.4118585185407255", "-1.0",
-          "--grid", "4", "4", "--eps", "-1.0", "354.001", "--t", "1.0", "356.001"])
+          "--grid", "4", "4", "--eps", "-1.0", "354.001", "--t", "1.0", "356.001"], "fresh")
 @example(["sweep", "--gamma", "x-line", "--x0", "0", "0", "0", "--grid", "4", "4",
-          "--eps", "1.0", "1.501", "--t", "0", "1e300"])
+          "--eps", "1.0", "1.501", "--t", "0", "1e300"], "fresh")
 @example(["residual", "--surface", "tilted", "--grid", "5", "--window", "-700", "700", "-1",
-          "0.5", "-700", "2", "--param", "c=-0.5"])
-@example(["residual", "--surface", "plane-y", "--grid", "8", "--param", "c=1e308"])
+          "0.5", "-700", "2", "--param", "c=-0.5"], "fresh")
+@example(["residual", "--surface", "plane-y", "--grid", "8", "--param", "c=1e308"], "fresh")
 @example(["stability", "qform", "--surface", "plane-ab", "--param", "a=1e300",
-          "--param", "c=1e300", "--battery", "2", "--n", "3"])
+          "--param", "c=1e300", "--battery", "2", "--n", "3"], "fresh")
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_fuzzed_commands_exit_0_2_or_3_without_a_null(argv):
+def test_fuzzed_commands_exit_0_2_or_3_without_a_null(argv, out_kind):
     # in-process, under the suite's RuntimeWarning filter: a numpy warning
     # on the way to a verdict is exit 4
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as tmp:
+        blocker = os.path.join(tmp, "blocker")
+        with open(blocker, "wb") as fh:
+            fh.write(b"kept\n")
+        out = {"fresh": os.path.join(tmp, "o"), "file": blocker,
+               "through": os.path.join(blocker, "o")}[out_kind]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run([*argv, "--out", out])
         assert code in (0, 2, 3), (code, stderr.getvalue())
+        assert read(blocker) == b"kept\n"
+        assert code != 0 or out_kind == "fresh"
         if code == 0:
             summary = _strict_json(read(os.path.join(out, "summary.json")))
             _no_null({k: v for k, v in summary.items() if k != "config"})

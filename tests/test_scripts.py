@@ -167,7 +167,7 @@ STUB_CLI = """
 import os, sys
 argv = sys.argv[1:]
 out = argv[argv.index("--out") + 1]
-os.makedirs(out)
+os.makedirs(out, exist_ok=True)
 with open(os.path.join(out, "summary.json"), "w") as fh:
     fh.write(repr(argv[:-2]) + (TAG if "--grid" in argv else ""))
 print("wrote", out)
@@ -185,14 +185,38 @@ def _stub_tree(root, tag):
 
 @pytest.mark.parametrize("tag, differing", [("", []), ("!", ["0 residual --grid 8"])])
 def test_compare_trees_reports_the_commands_that_differ(tmp_path, tag, differing):
+    # a line with its own --out runs as written in the current directory,
+    # and the files it writes there are not compared
     argv_file = tmp_path / "argv.txt"
-    argv_file.write_text("# exit code first\n0 residual --grid 8\n\n2 sweep 'a b'\n")
+    argv_file.write_text("# exit code first\n0 residual --grid 8\n\n2 sweep 'a b'\n"
+                         "0 curve --grid 4 --out own\n")
     parent, change = _stub_tree(tmp_path / "parent", ""), _stub_tree(tmp_path / "change", tag)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_trees.py"),
                            parent, change, str(argv_file)],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path)
     *lines, count = proc.stdout.splitlines()
     assert proc.returncode == (1 if differing else 0), proc.stderr
-    assert count == f"{len(differing)} of 2 commands differ"
+    assert count == f"{len(differing)} of 3 commands differ"
+    assert (tmp_path / "own" / "summary.json").read_text().endswith(
+        "'--grid', '4']" + tag)
     assert [line.split(":")[0] for line in lines] == differing
     assert all(line.endswith(": summary.json (exit 0 -> 0)") for line in lines)
+
+
+def test_compare_trees_corpus_parses_and_covers_every_mode():
+    # the committed byte-identity corpus: every line is a command line the
+    # parser takes, and every subcommand and stability mode has one
+    import shlex
+
+    from solgeo.cli import _build_parser
+
+    with open(ROOT / "scripts" / "compare_trees.argv") as fh:
+        commands = [shlex.split(line) for line in fh
+                    if line.strip() and not line.lstrip().startswith("#")]
+    parser = _build_parser()
+    covered = set()
+    for argv in commands:
+        assert "--out" not in argv, argv
+        args = parser.parse_args(argv)
+        covered.add(args.command if args.command != "stability" else args.mode)
+    assert covered == {"residual", "curve", "sweep", "qform", "compare", "sufficient", "area"}
