@@ -4,18 +4,26 @@ Grammar::
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := base ('^' integer)?
+    factor := base ('^' '-'? digits)?
     base   := number | 'x' | 'y' | 'z' | 'exp' '(' expr ')' | '(' expr ')' | '-' factor
 
-Numbers accept scientific notation.  Fields are parsed once; first and
-second partial derivatives are produced by symbolic differentiation at
-construction time, so level-set geometry downstream never touches finite
-differences.  No trigonometric functions: nothing in this geometry needs
-them, and the smaller grammar keeps the test surface small.
+A token is a number (ASCII digits with an optional point and scientific
+notation), a name or one character.  Tokens may be separated by whitespace,
+the exponent's '-' and its digits included.  An error's offset is the start
+of the offending token, and a field nested too deeply to differentiate is an
+error too.
+
+Fields are parsed once; first and second partial derivatives are produced
+by symbolic differentiation at construction time, so level-set geometry
+downstream never touches finite differences.  No trigonometric functions:
+nothing in this geometry needs them, and the smaller grammar keeps the test
+surface small.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -60,56 +68,28 @@ class Sym(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class Bin(Expr):
+    """``op(left, right)``, op one of operator.add, sub, mul and truediv."""
+
+    op: object
     left: Expr
     right: Expr
 
     def eval(self, x, y, z):
-        return self.left.eval(x, y, z) + self.right.eval(x, y, z)
+        return self.op(self.left.eval(x, y, z), self.right.eval(x, y, z))
 
     def diff(self, var):
-        return add(self.left.diff(var), self.right.diff(var))
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def eval(self, x, y, z):
-        return self.left.eval(x, y, z) - self.right.eval(x, y, z)
-
-    def diff(self, var):
-        return sub(self.left.diff(var), self.right.diff(var))
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-    def eval(self, x, y, z):
-        return self.left.eval(x, y, z) * self.right.eval(x, y, z)
-
-    def diff(self, var):
-        return add(
-            mul(self.left.diff(var), self.right),
-            mul(self.left, self.right.diff(var)),
-        )
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-    def eval(self, x, y, z):
-        return self.left.eval(x, y, z) / self.right.eval(x, y, z)
-
-    def diff(self, var):
+        l, r = self.left, self.right
+        dl, dr = l.diff(var), r.diff(var)
+        if self.op is operator.add:
+            return add(dl, dr)
+        if self.op is operator.sub:
+            return sub(dl, dr)
+        if self.op is operator.mul:
+            return add(mul(dl, r), mul(l, dr))
         # (l/r)' = (l' - (l/r) r')/r: no partial divides by a power of r,
         # which would underflow long before r does
-        return div(sub(self.left.diff(var), mul(self, self.right.diff(var))), self.right)
+        return div(sub(dl, mul(self, dr)), r)
 
 
 @dataclass(frozen=True)
@@ -164,7 +144,7 @@ def add(l: Expr, r: Expr) -> Expr:
         return r
     if _is_const(r, 0.0):
         return l
-    return Add(l, r)
+    return Bin(operator.add, l, r)
 
 
 def sub(l: Expr, r: Expr) -> Expr:
@@ -174,7 +154,7 @@ def sub(l: Expr, r: Expr) -> Expr:
         return l
     if _is_const(l, 0.0):
         return neg(r)
-    return Sub(l, r)
+    return Bin(operator.sub, l, r)
 
 
 def mul(l: Expr, r: Expr) -> Expr:
@@ -186,7 +166,7 @@ def mul(l: Expr, r: Expr) -> Expr:
         return r
     if _is_const(r, 1.0):
         return l
-    return Mul(l, r)
+    return Bin(operator.mul, l, r)
 
 
 def div(l: Expr, r: Expr) -> Expr:
@@ -194,7 +174,7 @@ def div(l: Expr, r: Expr) -> Expr:
         return Num(0.0)
     if _is_const(r, 1.0):
         return l
-    return Div(l, r)
+    return Bin(operator.truediv, l, r)
 
 
 def neg(e: Expr) -> Expr:
@@ -203,154 +183,6 @@ def neg(e: Expr) -> Expr:
     if isinstance(e, Neg):
         return e.arg
     return Neg(e)
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer / parser
-# ---------------------------------------------------------------------------
-
-_DIGITS = set("0123456789")
-
-
-class _Scanner:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.src):
-            return ""
-        return self.src[self.pos]
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def error(self, message: str):
-        raise ExprSyntaxError(message, self.pos)
-
-    def number(self) -> float:
-        start = self.pos
-        src = self.src
-        n = len(src)
-        i = self.pos
-        while i < n and src[i] in _DIGITS:
-            i += 1
-        if i < n and src[i] == ".":
-            i += 1
-            while i < n and src[i] in _DIGITS:
-                i += 1
-        if i < n and src[i] in "eE":
-            j = i + 1
-            if j < n and src[j] in "+-":
-                j += 1
-            if j < n and src[j] in _DIGITS:
-                i = j
-                while i < n and src[i] in _DIGITS:
-                    i += 1
-        text = src[start:i]
-        try:
-            value = float(text)
-        except ValueError:
-            self.error(f"bad numeric literal {text!r}")
-        self.pos = i
-        return value
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.take()
-        if self.peek() not in _DIGITS:
-            self.error("expected integer exponent")
-        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
-            self.pos += 1
-        return int(self.src[start:self.pos])
-
-
-def _parse_expr(s: _Scanner) -> Expr:
-    node = _parse_term(s)
-    while True:
-        ch = s.peek()
-        if ch == "+":
-            s.take()
-            node = add(node, _parse_term(s))
-        elif ch == "-":
-            s.take()
-            node = sub(node, _parse_term(s))
-        else:
-            return node
-
-
-def _parse_term(s: _Scanner) -> Expr:
-    node = _parse_factor(s)
-    while True:
-        ch = s.peek()
-        if ch == "*":
-            s.take()
-            node = mul(node, _parse_factor(s))
-        elif ch == "/":
-            s.take()
-            node = div(node, _parse_factor(s))
-        else:
-            return node
-
-
-def _parse_factor(s: _Scanner) -> Expr:
-    base = _parse_base(s)
-    if s.peek() == "^":
-        s.take()
-        n = s.integer()
-        if n == 0:
-            return Num(1.0)
-        if n == 1:
-            return base
-        return Pow(base, n)
-    return base
-
-
-def _parse_base(s: _Scanner) -> Expr:
-    ch = s.peek()
-    if ch == "":
-        s.error("unexpected end of input")
-    if ch == "-":
-        s.take()
-        return neg(_parse_factor(s))
-    if ch == "(":
-        s.take()
-        node = _parse_expr(s)
-        if s.peek() != ")":
-            s.error("expected ')'")
-        s.take()
-        return node
-    if ch in _DIGITS or ch == ".":
-        s.skip_ws()
-        return Num(s.number())
-    if ch in "xyz":
-        # reject identifiers like 'xy'
-        s.skip_ws()
-        nxt = s.src[s.pos + 1] if s.pos + 1 < len(s.src) else ""
-        if nxt.isalnum() or nxt == "_":
-            s.error(f"unknown identifier starting with {ch!r}")
-        s.take()
-        return Sym(ch)
-    if s.src.startswith("exp", s.pos):
-        s.pos += 3
-        if s.peek() != "(":
-            s.error("expected '(' after exp")
-        s.take()
-        node = _parse_expr(s)
-        if s.peek() != ")":
-            s.error("expected ')'")
-        s.take()
-        return Exp(node)
-    s.error(f"unexpected character {ch!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +241,16 @@ class ScalarField:
     def _eval_arrays(expr: Expr, x, y, z):
         """``expr`` at the nodes as a read-only view at the shape the tree
         gives it (a constant stays one number, a partial along one axis stays
-        a line of it); a pole or an overflow raises EvaluationError at its
-        first node of the broadcast grid."""
+        a line of it); a pole, an overflow or a tree too deep for the stack
+        raises EvaluationError at its first node of the broadcast grid."""
         x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
         message = "field evaluation is not finite"
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 value = np.asarray(expr.eval(x, y, z), dtype=float)
-        except (ZeroDivisionError, OverflowError) as e:
-            # only constant subtrees run in Python floats, so they fail at every node
+        except (ZeroDivisionError, OverflowError, RecursionError) as e:
+            # only constant subtrees run in Python floats, and a tree too deep
+            # for the stack is too deep everywhere, so they fail at every node
             value, message = np.asarray(np.nan), str(e)
         bad = ~np.isfinite(value)
         if bad.any():
@@ -427,17 +260,91 @@ class ScalarField:
         return np.broadcast_to(value, value.shape)  # a read-only view
 
 
+#: after optional whitespace, one token: a number, a name or one character
+#: ("" at the end of the input)
+_TOKEN = re.compile(r"\s*((?:[0-9]+\.?[0-9]*|\.[0-9]*)(?:[eE][+-]?[0-9]+)?|\w+|.?)")
+
+
 def parse(source: str) -> ScalarField:
     """Parse an expression string into a field with cached derivatives.
 
-    Raises ExprSyntaxError (with byte offset) on malformed input.
+    Raises ExprSyntaxError, with the offset of the offending token, on
+    malformed input and on a field that nests too deeply to differentiate.
     """
-    s = _Scanner(source)
-    expr = _parse_expr(s)
-    s.skip_ws()
-    if s.pos != len(s.src):
-        s.error(f"trailing input {s.src[s.pos:]!r}")
-    return ScalarField.from_expr(expr, source)
+    tokens = [(m[1], m.start(1)) for m in _TOKEN.finditer(source)]
+    levels = ({"+": add, "-": sub}, {"*": mul, "/": div})  # loosest first
+    at = 0  # index of the next token
+
+    def fail(message):
+        raise ExprSyntaxError(message, tokens[at][1])
+
+    def accept(tok) -> bool:
+        nonlocal at
+        if tokens[at][0] != tok:
+            return False
+        at += 1
+        return True
+
+    def binary(level):
+        """The operands of levels[level] folded from the left; past the last
+        level, a factor."""
+        nonlocal at
+        if level == len(levels):
+            return factor()
+        node = binary(level + 1)
+        while fold := levels[level].get(tokens[at][0]):
+            at += 1
+            node = fold(node, binary(level + 1))
+        return node
+
+    def factor():
+        """A number, x, y, z, exp(expr), (expr) or -factor, with an optional
+        '^' and integer exponent."""
+        nonlocal at
+        tok = tokens[at][0]
+        if not tok:
+            fail("unexpected end of input")
+        if tok[0] in "0123456789.":
+            try:
+                node = Num(float(tok))
+            except ValueError:
+                fail(f"bad numeric literal {tok!r}")
+        elif tok not in ("x", "y", "z", "exp", "(", "-"):
+            fail(f"unexpected {tok!r}")
+        at += 1
+        if tok == "-":
+            node = neg(factor())
+        elif tok in ("x", "y", "z"):
+            node = Sym(tok)
+        elif tok in ("exp", "("):
+            if tok == "exp" and not accept("("):
+                fail("expected '(' after exp")
+            node = binary(0)
+            if not accept(")"):
+                fail("expected ')'")
+            if tok == "exp":
+                node = Exp(node)
+        if not accept("^"):
+            return node
+        sign = -1 if accept("-") else 1
+        digits = tokens[at][0]
+        if not (digits.isascii() and digits.isdigit()):
+            fail("expected integer exponent")
+        try:
+            n = sign * int(digits)
+            float(n)  # Pow.diff's constant factor
+        except (ValueError, OverflowError):
+            fail("integer exponent out of range")
+        at += 1
+        return Num(1.0) if n == 0 else node if n == 1 else Pow(node, n)
+
+    try:
+        expr = binary(0)
+        if tokens[at][0]:
+            fail(f"trailing input {source[tokens[at][1]:]!r}")
+        return ScalarField.from_expr(expr, source)
+    except RecursionError:
+        fail("expression nests too deeply")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .curves import check_height
 from .errors import (BadParams, EvaluationError, GeometryError, Inadmissible, NotMinimal,
                      SingularPointFound)
 from .expressions import ScalarField, catalog, catalog_params
@@ -358,6 +359,10 @@ def patch_for_catalog(name: str, params: dict | None = None) -> SurfacePatch:
 
     if name == "saddle-point":
         x0, y0, z0 = p["x0"], p["y0"], p["z0"]
+        if not y0 - 3.0 < y0 + 3.0:
+            raise BadParams(f"saddle-point y0 = {y0:g} leaves no range y0 - 3 < y0 + 3 in floats")
+        for z in (-z0 - 2.0, -z0 + 2.0):
+            check_height(z)
 
         # graph x = x0 - e^(z - z0) (y - y0) over (y, z); the singular point
         # sits at (y0, -z0)

@@ -70,7 +70,7 @@ def frame_algebra(ez, emz, grad, hess):
     D2 = W1 * W1 + W2 * W2
     gn2 = D2 + W3 * W3
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         D = np.sqrt(D2)
         gn = np.sqrt(gn2)
         nh = D / gn
@@ -125,7 +125,7 @@ def raw_fields(field: ScalarField, x, y, z):
     dW3 = ((ez * uxx + emz * uxy) / SQRT2,
            (ez * uxy + emz * uyy) / SQRT2,
            (ez * (ux + uxz) + emz * (uyz - uy)) / SQRT2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # |grad u| cancels from the ratio
         q = -W3 / D
         Zq = _along(Zc, tuple(-dW3[i] / D + W3 * dD[i] / D2 for i in range(3)))

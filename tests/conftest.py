@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from solgeo.frame import CoordVector, Point, SQRT2, TangentFrame, frame_components
 from solgeo.stationary import EPS_SCAN, RuledSurface, sweep_surface
@@ -140,6 +141,28 @@ def singular_loci_by_rows(tg, vt) -> list:
 RESIDUAL_U_FORMS = ("(0.8)*x + (-1.2)*y + (0.3)", "(0.5)*x^2 + y + (0.2)",
                     "exp(z + (0.1))*(y + (-0.3)) + x + (0.2)", "z + (0.5)*x*x + (-0.3)",
                     "(0.5)*z + (0.7)*x + (1.4)*y + (0.8)", "3")
+
+
+def _spaced(*parts):
+    """The parts drawn in turn, each followed by a space or by nothing."""
+    return st.tuples(*(p for part in parts for p in (part, st.sampled_from(["", " "])))).map(
+        "".join)
+
+
+#: --u sources over the expression language's token alphabet: digits, the
+#: point, e, the names, the operators, parentheses and spaces.  Half are
+#: token soup; half follow the grammar, with spaces between tokens, so a
+#: fault past the first token of a well-formed prefix is reached too
+U_SOURCES = st.one_of(
+    st.lists(st.sampled_from([*"0123456789.exyz", "exp", *"+-*/^()", " "]),
+             max_size=24).map("".join),
+    st.recursive(
+        st.sampled_from(["x", "y", "z", "0", "2.5", ".5", "1e-3", "7e5"]),
+        lambda inner: st.one_of(
+            _spaced(inner, st.sampled_from("+-*/"), inner),
+            _spaced(inner, st.just("^"), st.sampled_from(["", "-"]), st.sampled_from("0123")),
+            _spaced(st.sampled_from(["exp", "", "-"]), st.just("("), inner, st.just(")"))),
+        max_leaves=6))
 
 
 def grid_axes(window, n):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (RESIDUAL_U_FORMS, dense_residual_route, reference_csv,
+from conftest import (RESIDUAL_U_FORMS, U_SOURCES, dense_residual_route, reference_csv,
                       singular_loci_by_rows)
 from solgeo.cli import main
 from solgeo.expressions import CATALOG, CATALOG_NAMES, catalog, parse
@@ -55,6 +55,32 @@ def test_residual_syntax_error_exit_2(tmp_path, capsys):
     code = run(["residual", "--u", "x + + y", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "offset 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u", ["(" * 300 + "x" + ")" * 300, "+".join(["x"] * 3000)],
+                         ids=["300 parentheses", "3000 terms"])
+def test_residual_too_deep_field_exit_2(tmp_path, capsys, u):
+    # the parser's recursion and the gradient trees' both end in a usage error
+    code = run(["residual", "--u", u, "--grid", "3", "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "expression nests too deeply" in capsys.readouterr().err
+
+
+def test_residual_field_too_deep_to_evaluate_exit_3(tmp_path, capsys):
+    # x*x*...*x parses, but its Hessian trees are three times as deep
+    code = run(["residual", "--u", "*".join(["x"] * 380), "--grid", "3",
+                "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "maximum recursion depth exceeded at point" in capsys.readouterr().err
+
+
+def test_residual_exponent_sign_apart_from_its_digits(tmp_path):
+    # "x^- 2" is "x^-2": the exponent's '-' and digits are two tokens
+    outs = [tmp_path / "spaced", tmp_path / "joined"]
+    for u, out in zip(["x^- 2 + y", "x^-2 + y"], outs):
+        assert run(["residual", "--u", u, "--window", "1", "2", "-1", "1", "-1", "1",
+                    "--grid", "4", "--out", str(out)]) == 0
+    assert read(outs[0] / "residual.csv") == read(outs[1] / "residual.csv")
 
 
 def test_curve_vertical_line(tmp_path):
@@ -260,7 +286,8 @@ def test_unknown_surface(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["area", "--surface", "plane-x", "--eta", "1e300", "--n", "8"],
-    ["qform", "--surface", "saddle-point", "--param", "z0=710", "--battery", "2", "--n", "4"],
+    # heights -709 to -705 pass the patch's height check, and Q(u) overflows
+    ["qform", "--surface", "saddle-point", "--param", "z0=707", "--battery", "2", "--n", "4"],
     ["sufficient", "--surface", "plane-z", "--param", "c=1e300"],
 ])
 def test_nonfinite_verdict_exit_3(tmp_path, capsys, recwarn, argv):
@@ -690,21 +717,25 @@ def test_largest_documented_grids_stay_under_the_node_cap(tmp_path):
 
 
 def _peak_rss_mb(argv, out) -> float:
-    """Peak RSS in MB of a CLI run in a fresh interpreter, which must exit 0."""
+    """Peak RSS in MB of a CLI run in a fresh interpreter, which must exit 0.
+
+    The child reports its own VmHWM: ru_maxrss would carry over the peak of
+    the process that forked it, here the test run's."""
     code = (
-        "import resource, sys\n"
+        "import re, sys\n"
         "from solgeo.cli import main\n"
         "rc = main(sys.argv[1:])\n"
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        "with open('/proc/self/status') as fh:\n"
+        "    print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rc, maxrss_kb = proc.stdout.split()[-2:]
+    rc, peak_kb = proc.stdout.split()[-2:]
     assert rc == "0"
-    return int(maxrss_kb) / 1024
+    return int(peak_kb) / 1024
 
 
 def test_saddle_point_qform_at_n_64_peaks_below_150_mb(tmp_path):
@@ -718,6 +749,22 @@ def test_sufficient_condition_at_n_1024_peaks_below_150_mb(tmp_path):
     # the 1024 x 1024 grid is evaluated in blocks of whole eps-rows
     argv = ["stability", "sufficient", "--surface", "plane-x", "--n", "1024"]
     assert _peak_rss_mb(argv, tmp_path / "s") < 150.0
+
+
+@pytest.mark.parametrize("param,code,message", [
+    ("z0=710", 3, "error: e^|z| overflows at height z = -712\n"),
+    ("z0=1e15", 3, "error: e^|z| overflows at height z = -1e+15\n"),
+    ("z0=1e16", 3, "error: e^|z| overflows at height z = -1e+16\n"),
+    ("z0=1e17", 3, "error: e^|z| overflows at height z = -1e+17\n"),
+    ("y0=1e17", 2, "error: saddle-point y0 = 1e+17 leaves no range y0 - 3 < y0 + 3 in floats\n"),
+])
+def test_saddle_point_parameters_past_its_patch_exit_with_one_message(tmp_path, capsys, param,
+                                                                      code, message):
+    argv = ["stability", "qform", "--surface", "saddle-point", "--param", param,
+            "--battery", "2", "--n", "4", "--out", str(tmp_path / "o")]
+    assert run(argv) == code
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -860,10 +907,13 @@ def _cli_argv(draw):
     battery = ["--battery", "2", "--n", draw(st.integers(2, 3).map(str)),
                *draw(st.sampled_from([[], ["--delta", *floats(1)]]))]
     if mode == "residual":
-        name = draw(st.sampled_from(CATALOG_NAMES))
+        if draw(st.booleans()):
+            field = ["--u", draw(U_SOURCES)]
+        else:
+            name = draw(st.sampled_from(CATALOG_NAMES))
+            field = ["--surface", name, *params(name)]
         band = draw(st.sampled_from([[], ["--band", *floats(1)]]))
-        return ["residual", "--surface", name, *params(name), "--grid", draw(small),
-                "--window", *ranges(3), *band]
+        return ["residual", *field, "--grid", draw(small), "--window", *ranges(3), *band]
     if mode == "curve":
         oracle = ["--oracle"] if draw(st.booleans()) else []
         return ["curve", "--p0", *floats(3), "--alpha", *floats(1), "--t", *ranges(1),

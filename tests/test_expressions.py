@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import U_SOURCES
 from solgeo.errors import BadParams, EvaluationError, ExprSyntaxError
 from solgeo.expressions import CATALOG_NAMES, ScalarField, catalog, catalog_params, parse
 from solgeo.frame import Point
@@ -36,10 +37,47 @@ def test_syntax_error_offset():
     assert exc.value.offset == 4
 
 
-@pytest.mark.parametrize("src", ["", "exp", "exp(x", "(x+y", "x^", "x + * y", "2 ** 3", "w + 1"])
+@pytest.mark.parametrize("src", ["", "exp", "exp(x", "(x+y", "x^", "x + * y", "2 ** 3", "w + 1",
+                                 "x^2.5", "x^\u0663"])
 def test_malformed_inputs_raise(src):
     with pytest.raises(ExprSyntaxError):
         parse(src)
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_exponent_out_of_range_raises(digits):
+    # 10^400 has no float for the power rule's factor, and int() refuses
+    # 5,000 digits
+    with pytest.raises(ExprSyntaxError, match="integer exponent out of range"):
+        parse("x^-" + "9" * digits)
+
+
+def test_tokens_may_be_separated_by_whitespace():
+    # the exponent's sign and digits are tokens too; an error's offset is
+    # the start of the offending token
+    assert parse("x ^ -\t2 + exp (y)").expr == parse("x^-2+exp(y)").expr
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("exp (x) + xy")
+    assert exc.value.offset == 10
+
+
+@pytest.mark.parametrize("src", ["(" * 300 + "x" + ")" * 300, "+".join(["x"] * 3000)],
+                         ids=["300 parentheses", "3000 terms"])
+def test_too_deep_input_raises(src):
+    # the parser's own recursion, and the gradient trees' of a long sum
+    with pytest.raises(ExprSyntaxError, match="expression nests too deeply"):
+        parse(src)
+
+
+@given(U_SOURCES)
+@example("x^- 2")
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_a_field_or_raises_a_syntax_error(source):
+    try:
+        field = parse(source)
+    except ExprSyntaxError:
+        return
+    assert isinstance(field, ScalarField)
 
 
 def test_eval_examples():

@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solgeo.stability as stability
 from conftest import chart_frame, tangent_geometry, tangent_solve
 from solgeo.errors import (
     BadParams,
+    CurveOverflow,
     GeometryError,
     Inadmissible,
     NotMinimal,
@@ -99,6 +100,21 @@ def test_bump_is_the_masked_bump_bit_for_bit(center, plateau, width):
 def test_bump_validation():
     with pytest.raises(BadParams):
         Bump(0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("z0", [710.0, 1e15, 1e16, 1e17, -1e17])
+def test_saddle_point_patch_past_the_height_limit_raises(z0):
+    # the patch's heights -z0 +- 2 are checked before a bump or a table is
+    # built, so every such z0 fails the same way
+    with pytest.raises(CurveOverflow, match=r"e\^\|z\| overflows at height z = "):
+        patch_for_catalog("saddle-point", {"z0": z0})
+
+
+@pytest.mark.parametrize("y0", [1e17, -1e17])
+def test_saddle_point_patch_without_a_y_range_raises(y0):
+    # y0 - 3 and y0 + 3 round to y0 itself
+    with pytest.raises(BadParams, match=r"saddle-point y0 = \S+ leaves no range"):
+        patch_for_catalog("saddle-point", {"y0": y0})
 
 
 # -- quadrature helpers -------------------------------------------------------
@@ -340,6 +356,8 @@ def _graph_routes_agree(patch, e, t, away=True):
 
 @given(st.sampled_from(["saddle-point", "plane-x", "plane-y", "plane-z"]),
        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+# a grid node next to the singular point, where W3 dD / D^2 overflows
+@example("saddle-point", 0.0, 9.28723687584195e-161, 0.0)
 @settings(max_examples=60, deadline=None)
 def test_graph_route_matches_field_route(name, a, b, c):
     # the graph patches take their geometry from the height's closed-form
