@@ -10,21 +10,21 @@ Grammar::
 A token is a number (ASCII digits with an optional point and scientific
 notation), a name or one character.  Tokens may be separated by whitespace,
 the exponent's '-' and its digits included.  An error's offset is the start
-of the offending token, and a field nested too deeply to differentiate is an
-error too.
+of the offending token, and a field nested too deeply to walk is an error too.
 
-Fields are parsed once; first and second partial derivatives are produced
-by symbolic differentiation at construction time, so level-set geometry
-downstream never touches finite differences.  No trigonometric functions:
-nothing in this geometry needs them, and the smaller grammar keeps the test
-surface small.
+Fields are parsed once into a tree, and one walk of it gives u with its exact
+first and second partials (forward-mode differentiation to second order:
+Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008), so the
+geometry downstream never touches finite differences.  No trigonometric
+functions: nothing in this geometry needs them.
 """
 
 from __future__ import annotations
 
-import operator
 import re
-from dataclasses import dataclass, field as dc_field
+import sys
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,232 +32,232 @@ from .errors import BadParams, EvaluationError, ExprSyntaxError
 from .frame import Point
 
 # ---------------------------------------------------------------------------
-# AST
+# AST and its walk
 # ---------------------------------------------------------------------------
 
+class _K(float):
+    """A number of the tree, or a partial that is constant by its structure.
+    The operations below fold these as ``_bin`` folds numbers, so such a
+    partial stays one number and each partial keeps the shape of what it
+    varies over.  Arithmetic on one gives a plain float, which folds nothing."""
+
+
+#: a value with its partials along x, y and z.  A walk takes x, y and z as
+#: duals of duals, so a node comes out as the dual of its value's dual with
+#: the duals of its partials u_i, whose own partials are the u_ij.
+_Dual = namedtuple("_Dual", "v d")
+_Z3 = (_K(0.0),) * 3
+_E = tuple(tuple(_K(i == j) for j in range(3)) for i in range(3))  # x's, y's and z's partials
+
+
+def _is_const(v, c: float) -> bool:
+    return type(v) is _K and v == c
+
+
+def _p(v):
+    """``v`` as a float, so that a numpy scalar computes with it as numpy does."""
+    return float(v) if type(v) is _K else v
+
+
+def _parts(v):
+    """(value, partials) of ``v``; what is not a dual has zero partials."""
+    return v if type(v) is _Dual else (v, _Z3)
+
+
+def _add(l, r):
+    if type(l) is type(r) is _K:
+        return _K(l + r)
+    if _is_const(l, 0.0) or _is_const(r, 0.0):
+        return r if _is_const(l, 0.0) else l
+    if _Dual in (type(l), type(r)):
+        (a, da), (b, db) = _parts(l), _parts(r)
+        return _Dual(_add(a, b), tuple(map(_add, da, db)))
+    return _p(l) + _p(r)
+
+
+def _sub(l, r):
+    if type(l) is type(r) is _K:
+        return _K(l - r)
+    if _is_const(l, 0.0) or _is_const(r, 0.0):
+        return l if _is_const(r, 0.0) else _neg(r)
+    if _Dual in (type(l), type(r)):
+        (a, da), (b, db) = _parts(l), _parts(r)
+        return _Dual(_sub(a, b), tuple(map(_sub, da, db)))
+    return _p(l) - _p(r)
+
+
+def _neg(v):
+    if type(v) is _Dual:
+        return _Dual(_neg(v.v), tuple(map(_neg, v.d)))
+    return _K(-v) if type(v) is _K else -v
+
+
+def _mul(l, r):
+    if type(l) is type(r) is _K:
+        return _K(l * r)
+    if _is_const(l, 0.0) or _is_const(r, 0.0):
+        return _K(0.0)
+    if _is_const(l, 1.0) or _is_const(r, 1.0):
+        return r if _is_const(l, 1.0) else l
+    if _Dual in (type(l), type(r)):
+        (a, da), (b, db) = _parts(l), _parts(r)
+        return _Dual(_mul(a, b), tuple(_add(_mul(p, b), _mul(a, q)) for p, q in zip(da, db)))
+    return _p(l) * _p(r)
+
+
+def _div(l, r):
+    if _is_const(l, 0.0) or _is_const(r, 1.0):
+        return _K(0.0) if _is_const(l, 0.0) else l
+    if _Dual in (type(l), type(r)):
+        (a, da), (b, db) = _parts(l), _parts(r)
+        v = _div(a, b)
+        # q'_j = (l'_j - q r'_j)/r never divides by r^2, which underflows long
+        # before r does; a partial that is a plain number where q is a dual
+        # becomes a dual with zero partials, as a constant node does
+        d = (_div(_sub(p, _mul(v, q)), b) for p, q in zip(da, db))
+        return _Dual(v, tuple(_Dual(e, _Z3) if type(v) is _Dual and type(e) not in (_K, _Dual)
+                              else e for e in d))
+    return _p(l) / _p(r)
+
+
+def _pow(b, n: int):
+    if type(b) is not _Dual:
+        return 1.0 / _p(b) ** -n if n < 0 else _p(b) ** n
+    if all(_is_const(d, 0.0) for d in b.d):
+        return _Dual(_pow(b.v, n), _Z3)  # b^(n-1) is never needed, nor walked
+    d1 = _mul(_K(n), _K(1.0) if n == 1 else _pow(b.v, n - 1))  # (b^n)'_i = (n b^(n-1)) b'_i
+    return _Dual(_pow(b.v, n), tuple(_mul(d1, d) for d in b.d))
+
+
+def _exp(a):
+    if type(a) is not _Dual:
+        return np.exp(a)
+    v = _exp(a.v)
+    return _Dual(v, tuple(_mul(v, d) for d in a.d))
+
+
 class Expr:
-    """Expression-tree node. Subclasses implement eval and diff."""
-
-    def eval(self, x, y, z):
-        raise NotImplementedError
-
-    def diff(self, var: str) -> "Expr":
-        raise NotImplementedError
+    """Expression-tree node, whose ``jet(x, y, z)`` walks it (see ``_Dual``)."""
 
 
 @dataclass(frozen=True)
 class Num(Expr):
     value: float
 
-    def eval(self, x, y, z):
-        return self.value
-
-    def diff(self, var):
-        return Num(0.0)
+    def jet(self, x, y, z):
+        return _K(self.value)
 
 
 @dataclass(frozen=True)
 class Sym(Expr):
     name: str  # 'x', 'y' or 'z'
 
-    def eval(self, x, y, z):
+    def jet(self, x, y, z):
         return {"x": x, "y": y, "z": z}[self.name]
 
-    def diff(self, var):
-        return Num(1.0 if var == self.name else 0.0)
-
 
 @dataclass(frozen=True)
-class Bin(Expr):
-    """``op(left, right)``, op one of operator.add, sub, mul and truediv."""
+class Op(Expr):
+    """``f(*args, *k)`` with its args walked, f one of _add, _sub, _mul, _div,
+    _neg, _exp and _pow; _pow's k is (n,), n an integer neither 0 nor 1."""
 
-    op: object
-    left: Expr
-    right: Expr
+    f: object
+    args: tuple
+    k: tuple = ()
 
-    def eval(self, x, y, z):
-        return self.op(self.left.eval(x, y, z), self.right.eval(x, y, z))
-
-    def diff(self, var):
-        l, r = self.left, self.right
-        dl, dr = l.diff(var), r.diff(var)
-        if self.op is operator.add:
-            return add(dl, dr)
-        if self.op is operator.sub:
-            return sub(dl, dr)
-        if self.op is operator.mul:
-            return add(mul(dl, r), mul(l, dr))
-        # (l/r)' = (l' - (l/r) r')/r: no partial divides by a power of r,
-        # which would underflow long before r does
-        return div(sub(dl, mul(self, dr)), r)
+    def jet(self, x, y, z):
+        l, *r = self.args  # no comprehension, so a walk takes one frame per level
+        v = self.f(l.jet(x, y, z), *(r and [r[0].jet(x, y, z)]), *self.k)
+        # a constant that is not a number comes out as a dual with zero partials
+        return v if type(v) in (_K, _Dual) else _Dual(_Dual(v, _Z3), _Z3)
 
 
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def eval(self, x, y, z):
-        b = self.base.eval(x, y, z)
-        if self.exponent < 0:
-            return 1.0 / b ** (-self.exponent)
-        return b ** self.exponent
-
-    def diff(self, var):
-        n = self.exponent
-        if n == 0:
-            return Num(0.0)
-        return mul(mul(Num(float(n)), Pow(self.base, n - 1) if n != 1 else Num(1.0)),
-                   self.base.diff(var))
+def _negate(e: Expr) -> Expr:
+    neg = type(e) is Op and e.f is _neg
+    return Num(-e.value) if type(e) is Num else e.args[0] if neg else Op(_neg, (e,))
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
-
-    def eval(self, x, y, z):
-        return np.exp(self.arg.eval(x, y, z))
-
-    def diff(self, var):
-        return mul(self, self.arg.diff(var))
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-    def eval(self, x, y, z):
-        return -self.arg.eval(x, y, z)
-
-    def diff(self, var):
-        return neg(self.arg.diff(var))
-
-
-def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Num) and e.value == v
-
-
-def add(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Num) and isinstance(r, Num):
-        return Num(l.value + r.value)
-    if _is_const(l, 0.0):
+def _bin(op, l: Expr, r: Expr) -> Expr:
+    """The node of ``op(l, r)``, folded where an operand is a number as the
+    walk folds constants: numbers combine (a quotient of numbers stays a
+    node), a zero factor or dividend is zero, and a zero term, a unit factor
+    or divisor and 0 - r leave the other operand.  So a subtree that folds
+    away, such as the pole in 0*(1/0), is never walked."""
+    zero, one = Num(0.0), Num(1.0)
+    if type(l) is type(r) is Num and op is not _div:
+        return Num(op(l.value, r.value))
+    if op is _mul and zero in (l, r) or op is _div and l == zero:
+        return zero
+    if op is _add and l == zero or op is _mul and l == one:
         return r
-    if _is_const(r, 0.0):
+    if op in (_add, _sub) and r == zero or op in (_mul, _div) and r == one:
         return l
-    return Bin(operator.add, l, r)
+    return _negate(r) if op is _sub and l == zero else Op(op, (l, r))
 
 
-def sub(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Num) and isinstance(r, Num):
-        return Num(l.value - r.value)
-    if _is_const(r, 0.0):
-        return l
-    if _is_const(l, 0.0):
-        return neg(r)
-    return Bin(operator.sub, l, r)
-
-
-def mul(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Num) and isinstance(r, Num):
-        return Num(l.value * r.value)
-    if _is_const(l, 0.0) or _is_const(r, 0.0):
-        return Num(0.0)
-    if _is_const(l, 1.0):
-        return r
-    if _is_const(r, 1.0):
-        return l
-    return Bin(operator.mul, l, r)
-
-
-def div(l: Expr, r: Expr) -> Expr:
-    if _is_const(l, 0.0):
-        return Num(0.0)
-    if _is_const(r, 1.0):
-        return l
-    return Bin(operator.truediv, l, r)
-
-
-def neg(e: Expr) -> Expr:
-    if isinstance(e, Num):
-        return Num(-e.value)
-    if isinstance(e, Neg):
-        return e.arg
-    return Neg(e)
-
-
-# ---------------------------------------------------------------------------
-# ScalarField
-# ---------------------------------------------------------------------------
-
-_VARS = ("x", "y", "z")
+def _depth(e: Expr) -> int:
+    """The levels of the tree under ``e``; a walk takes a frame for each."""
+    depth, level = 0, [e]
+    while level := [a for n in level for a in getattr(n, "args", ())]:
+        depth += 1
+    return depth + 1
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Twice-differentiable function of (x, y, z) with cached derivative trees.
-
-    The zero level set of a field defines a surface; the cached first and
-    second partials feed the level-set geometry exactly, with no numerical
-    differentiation.
-    """
+    """Twice-differentiable function of (x, y, z), whose zero level set
+    defines a surface; ``jet`` gives u with its exact first and second partials."""
 
     expr: Expr
     source: str
-    grad_exprs: tuple = dc_field(repr=False, default=None)
-    hess_exprs: tuple = dc_field(repr=False, default=None)
-
-    @staticmethod
-    def from_expr(expr: Expr, source: str) -> "ScalarField":
-        """The field of ``expr``, with its first and second partial trees;
-        ``source`` is the text it stands for."""
-        grad = tuple(expr.diff(v) for v in _VARS)
-        # second partials from the gradient trees, upper triangle
-        hess = (
-            grad[0].diff("x"), grad[0].diff("y"), grad[0].diff("z"),
-            grad[1].diff("y"), grad[1].diff("z"),
-            grad[2].diff("z"),
-        )
-        return ScalarField(expr, source, grad, hess)
 
     def value(self, p: Point) -> float:
         return float(self.values(p.x, p.y, p.z))
 
-    # -- array API (used by grid evaluation downstream) ----------------------
-
-    def values(self, x, y, z):
-        """u, read-only at its own shape, which broadcasts over the inputs."""
-        return self._eval_arrays(self.expr, x, y, z)
-
-    def grad_arrays(self, x, y, z):
-        """(ux, uy, uz), read-only at their own shapes (see ``values``)."""
-        return tuple(self._eval_arrays(g, x, y, z) for g in self.grad_exprs)
-
-    def hessian_arrays(self, x, y, z):
-        """(uxx, uxy, uxz, uyy, uyz, uzz), read-only at their own shapes (see
-        ``values``)."""
-        return tuple(self._eval_arrays(h, x, y, z) for h in self.hess_exprs)
-
-    @staticmethod
-    def _eval_arrays(expr: Expr, x, y, z):
-        """``expr`` at the nodes as a read-only view at the shape the tree
-        gives it (a constant stays one number, a partial along one axis stays
-        a line of it); a pole, an overflow or a tree too deep for the stack
-        raises EvaluationError at its first node of the broadcast grid."""
+    def jet(self, x, y, z):
+        """(u, (ux, uy, uz), (uxx, uxy, uxz, uyy, uyz, uzz)) at the nodes from
+        one walk, each a read-only view at the shape the walk gives it (a
+        constant stays one number, a partial along one axis a line of it).
+        The first entry with a pole or an overflow raises EvaluationError at
+        its first node of the broadcast grid."""
         x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
         message = "field evaluation is not finite"
-        try:
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                value = np.asarray(expr.eval(x, y, z), dtype=float)
-        except (ZeroDivisionError, OverflowError, RecursionError) as e:
-            # only constant subtrees run in Python floats, and a tree too deep
-            # for the stack is too deep everywhere, so they fail at every node
-            value, message = np.asarray(np.nan), str(e)
-        bad = ~np.isfinite(value)
-        if bad.any():
-            shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
-            i = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
-            raise EvaluationError(message, tuple(np.broadcast_to(v, shape)[i] for v in (x, y, z)))
-        return np.broadcast_to(value, value.shape)  # a read-only view
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                u, g = _parts(self.expr.jet(*map(_Dual, map(_Dual, (x, y, z), _E), _E)))
+                u, grad = _parts(u)[0], [_parts(d)[0] for d in g]
+                hess = [h for i, d in enumerate(g) for h in _parts(d)[1][i:]]
+            except (ZeroDivisionError, OverflowError) as failure:
+                # a constant failed in Python floats, so at every node, in u or
+                # in a partial; u comes first, and a walk of u alone says which
+                grad, hess = [np.nan], []
+                try:
+                    u = _parts(_parts(self.expr.jet(x, y, z))[0])[0]
+                    message = str(failure) if np.isfinite(u).all() else message
+                except (ZeroDivisionError, OverflowError) as e:
+                    u, message = np.nan, str(e)
+        out = [np.asarray(v, dtype=float) for v in (u, *grad, *hess)]
+        for value in out:
+            bad = ~np.isfinite(value)
+            if bad.any():
+                shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+                i = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+                raise EvaluationError(message,
+                                      tuple(np.broadcast_to(v, shape)[i] for v in (x, y, z)))
+        u, *d = (np.broadcast_to(v, v.shape) for v in out)  # read-only views
+        return u, tuple(d[:3]), tuple(d[3:])
+
+    def values(self, x, y, z):
+        """u (see ``jet``)."""
+        return self.jet(x, y, z)[0]
+
+    def grad_arrays(self, x, y, z):
+        """(ux, uy, uz) (see ``jet``)."""
+        return self.jet(x, y, z)[1]
+
+    def hessian_arrays(self, x, y, z):
+        """(uxx, uxy, uxz, uyy, uyz, uzz) (see ``jet``)."""
+        return self.jet(x, y, z)[2]
 
 
 #: after optional whitespace, one token: a number, a name or one character
@@ -266,13 +266,14 @@ _TOKEN = re.compile(r"\s*((?:[0-9]+\.?[0-9]*|\.[0-9]*)(?:[eE][+-]?[0-9]+)?|\w+|.
 
 
 def parse(source: str) -> ScalarField:
-    """Parse an expression string into a field with cached derivatives.
+    """Parse an expression string into a field.
 
     Raises ExprSyntaxError, with the offset of the offending token, on
-    malformed input and on a field that nests too deeply to differentiate.
+    malformed input and on a tree deeper than half the recursion limit: a
+    walk takes a frame per level and leaves the other half to its callers.
     """
     tokens = [(m[1], m.start(1)) for m in _TOKEN.finditer(source)]
-    levels = ({"+": add, "-": sub}, {"*": mul, "/": div})  # loosest first
+    levels = ({"+": _add, "-": _sub}, {"*": _mul, "/": _div})  # loosest first
     at = 0  # index of the next token
 
     def fail(message):
@@ -286,15 +287,15 @@ def parse(source: str) -> ScalarField:
         return True
 
     def binary(level):
-        """The operands of levels[level] folded from the left; past the last
-        level, a factor."""
+        """The operands of levels[level] combined from the left; past the
+        last level, a factor."""
         nonlocal at
         if level == len(levels):
             return factor()
         node = binary(level + 1)
-        while fold := levels[level].get(tokens[at][0]):
+        while op := levels[level].get(tokens[at][0]):
             at += 1
-            node = fold(node, binary(level + 1))
+            node = _bin(op, node, binary(level + 1))
         return node
 
     def factor():
@@ -313,7 +314,7 @@ def parse(source: str) -> ScalarField:
             fail(f"unexpected {tok!r}")
         at += 1
         if tok == "-":
-            node = neg(factor())
+            node = _negate(factor())
         elif tok in ("x", "y", "z"):
             node = Sym(tok)
         elif tok in ("exp", "("):
@@ -323,7 +324,7 @@ def parse(source: str) -> ScalarField:
             if not accept(")"):
                 fail("expected ')'")
             if tok == "exp":
-                node = Exp(node)
+                node = Op(_exp, (node,))
         if not accept("^"):
             return node
         sign = -1 if accept("-") else 1
@@ -332,28 +333,26 @@ def parse(source: str) -> ScalarField:
             fail("expected integer exponent")
         try:
             n = sign * int(digits)
-            float(n)  # Pow.diff's constant factor
+            float(n)  # the constant factor of _pow's partials
         except (ValueError, OverflowError):
             fail("integer exponent out of range")
         at += 1
-        return Num(1.0) if n == 0 else node if n == 1 else Pow(node, n)
+        return Num(1.0) if n == 0 else node if n == 1 else Op(_pow, (node,), (n,))
 
     try:
         expr = binary(0)
         if tokens[at][0]:
             fail(f"trailing input {source[tokens[at][1]:]!r}")
-        return ScalarField.from_expr(expr, source)
+        if _depth(expr) > sys.getrecursionlimit() // 2:
+            raise RecursionError
     except RecursionError:
         fail("expression nests too deeply")
+    return ScalarField(expr, source)
 
 
 # ---------------------------------------------------------------------------
 # Catalog of named surfaces
 # ---------------------------------------------------------------------------
-
-def _lit(v: float) -> str:
-    return f"({v:.17g})"
-
 
 #: name -> (defining-function template, parameter defaults).  plane-ab needs
 #: (a, b) != (0, 0); tilted is not minimal when c != 0; saddle-point is
@@ -393,4 +392,4 @@ def catalog(name: str, **params) -> ScalarField:
     p = catalog_params(name, params)
     if name == "plane-ab" and p["a"] == 0.0 and p["b"] == 0.0:
         raise BadParams("plane-ab needs (a, b) != (0, 0)")
-    return parse(CATALOG[name][0].format(**{k: _lit(v) for k, v in p.items()}))
+    return parse(CATALOG[name][0].format(**{k: f"({v:.17g})" for k, v in p.items()}))

@@ -14,7 +14,7 @@ Conventions used throughout:
 
 ``frame_algebra`` is that geometry as arithmetic on e^z, e^-z and the
 coordinate partials of u, whatever supplies them: ``raw_fields`` takes them
-from the expression trees of a scalar field, adding u, the residual, q =
+from one walk of a scalar field's tree, adding u, the residual, q =
 <N,T>/|N_h| and Zq, and the graph patches of ``stability`` from a height
 function in closed form.
 
@@ -107,18 +107,18 @@ def frame_algebra(ez, emz, grad, hess):
 def raw_fields(field: ScalarField, x, y, z):
     """All pointwise surface quantities on broadcastable coordinate arrays.
 
-    The one place the expression trees of ``field`` are evaluated.  Returns
-    a dict of arrays: the ``frame_algebra`` entries plus u, the coordinate
-    residual, the ratio q = <N,T>/|N_h| and its derivative Zq along Z.
+    The one place a field's tree is walked, once per call (``field.jet``).
+    Returns a dict of arrays: the ``frame_algebra`` entries plus u, the
+    coordinate residual, the ratio q = <N,T>/|N_h| and its derivative Zq
+    along Z.
     Entries that need division by D (nu_h, Z, curvature, q, ...) are valid
     only where |N_h| >= EPS_SING; they are computed with errors silenced
     and contain garbage on the singular set.
     """
     x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    u = field.values(x, y, z)
+    u, (ux, uy, uz), hess = field.jet(x, y, z)
+    uxx, uxy, uxz, uyy, uyz, uzz = hess
     ez, emz = np.exp(z), np.exp(-z)
-    ux, uy, uz = field.grad_arrays(x, y, z)
-    uxx, uxy, uxz, uyy, uyz, uzz = hess = field.hessian_arrays(x, y, z)
     f, (dD, Zc) = frame_algebra(ez, emz, (ux, uy, uz), hess)
 
     W3, D, D2 = f["W3"], f["D"], f["D2"]

@@ -69,6 +69,22 @@ def test_too_deep_input_raises(src):
         parse(src)
 
 
+@given(st.sampled_from("+*"), st.integers(1, 5000))
+@example("+", 5000)
+@example("*", 380)
+@settings(max_examples=60, deadline=None)
+def test_chains_walk_or_nest_too_deeply(op, n):
+    # a chain folds from the left into a tree n levels deep, with no
+    # recursion in the parser: parse refuses it, or one walk descends it
+    try:
+        field = parse(op.join(["x"] * n))
+    except ExprSyntaxError as e:
+        assert "expression nests too deeply" in str(e)
+        return
+    u, grad, hess = field.jet(0.5, 0.5, 0.5)
+    assert u == (0.5 * n if op == "+" else 0.5 ** n) and len(grad) == 3 and len(hess) == 6
+
+
 @given(U_SOURCES)
 @example("x^- 2")
 @settings(max_examples=300, deadline=None)
@@ -193,13 +209,31 @@ def test_catalog_hessians_match_finite_differences(name, params, rng):
         assert np.max(np.abs(got - want) / scale) < 1e-5
 
 
-def test_mixed_partials_symmetric(rng):
-    f = catalog("saddle-curve", x0=0.1, y0=-0.2)
-    # differentiate in the opposite order and compare as evaluated functions
-    uyx = f.grad_exprs[1].diff("x")
-    uxy = f.grad_exprs[0].diff("y")
-    x, y, z = rng.uniform(-2, 2, (3, 200))
-    assert np.allclose(uyx.eval(x, y, z), uxy.eval(x, y, z), atol=1e-12)
+def test_product_partials_match_the_power_rule(rng):
+    # u = p^k written as k factors of p = x + y z + 1/2, against closed forms
+    # that share no code with the walk: grad u = k p^(k-1) grad p and Hess u
+    # = k (k-1) p^(k-2) grad p grad p^T + k p^(k-1) Hess p.  Each of the
+    # walk's terms takes at most 2k + 4 roundings of eps/2 on its way to the
+    # root, and the k (or k(k-1)) terms of a partial sum to at most their
+    # magnitude M, so |got - want| <= 2 k eps M
+    k = 30
+    f = parse("*".join(["(x + y*z + 0.5)"] * k))
+    x, y, z = rng.uniform(-1, 1, (3, 2000))
+    p = x + y * z + 0.5
+    x, y, z, p = (v[np.abs(p) > 0.05] for v in (x, y, z, p))  # p^(k-2) stays normal
+    dp = (np.ones_like(p), z, y)
+    ddp = {(1, 2): 1.0}
+    _, grad, hess = f.jet(x, y, z)
+    tol = 2 * k * np.finfo(float).eps
+    for i, got in enumerate(grad):
+        want = k * p ** (k - 1) * dp[i]
+        assert np.all(np.abs(got - want) <= tol * np.abs(want))
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    for (i, j), got in zip(pairs, hess):
+        c = ddp.get((i, j), 0.0)
+        terms = (k * (k - 1) * p ** (k - 2) * dp[i] * dp[j], k * p ** (k - 1) * c)
+        bound = tol * (np.abs(terms[0]) + np.abs(terms[1]))
+        assert np.all(np.abs(got - (terms[0] + terms[1])) <= bound), (i, j)
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4),
@@ -342,14 +376,14 @@ def _roundoff_misses(source, nodes):
     Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  Both sides
     evaluate such a formula.  sympy's combined derivative collects the split
     one's terms, so its d and M are taken as at most the split one's.  The
-    trees of `expressions` build the split terms with at most 2 more
-    roundings per path: the quotient rule (l' - (l/r) r')/r rounds l/r
+    walk of `expressions` builds the split terms with at most 2 more
+    roundings per path: its quotient rule (l' - (l/r) r')/r rounds l/r
     before its product with r', one more than l r'/r^2 on the path of l,
-    and the power rule rounds its constant factor.  The quotient rule's
+    and its power rule rounds its constant factor.  The quotient rule's
     difference has the magnitude |l'| + |l r'/r|, which the division by r
     turns into the split terms' M.  So |g - w| <= (2d + 2) u M = (d + 1)
     eps M, and c = d + 2 keeps one eps M spare.  At y = 1.4e-46, (y) / (y)
-    has d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, and the tree
+    has d_yy = -2/y^2 + 2y/y^3: M = 4/y^2 = 1.9e92 and c = 6, and the walk
     gives the exact 0.  Gradual underflow is outside this model.
     """
     sp = pytest.importorskip("sympy")
